@@ -15,8 +15,8 @@ README.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .cartan import CartanType
 from . import tabledata
@@ -89,7 +89,7 @@ class PartitionLabel(CharacterLabel):
     def __post_init__(self) -> None:
         _check_partition(self.parts)
 
-    @property
+    @cached_property
     def text(self) -> str:
         return f"({_parts_text(self.parts)})"
 
@@ -103,7 +103,7 @@ class BipartitionLabel(CharacterLabel):
         _check_partition(self.alpha)
         _check_partition(self.beta)
 
-    @property
+    @cached_property
     def text(self) -> str:
         return f"({_parts_text(self.alpha)}|{_parts_text(self.beta)})"
 
@@ -127,7 +127,7 @@ class DPairLabel(CharacterLabel):
         elif self.split is not None:
             raise LabelError("split tag only allowed on symmetric pairs")
 
-    @property
+    @cached_property
     def text(self) -> str:
         base = f"{{{_parts_text(self.alpha)}|{_parts_text(self.beta)}}}"
         return f"{base}:{self.split}" if self.split else base
@@ -165,21 +165,23 @@ class NamedLabel(CharacterLabel):
 class IrrRegistry:
     cartan_type: CartanType
     labels: tuple[CharacterLabel, ...]
+    _by_text: dict[str, CharacterLabel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        texts = [lab.text for lab in self.labels]
-        if len(set(texts)) != len(texts):
+        by_text = {lab.text: lab for lab in self.labels}
+        if len(by_text) != len(self.labels):
             raise LabelError(f"duplicate labels in registry for {self.cartan_type}")
+        object.__setattr__(self, "_by_text", by_text)
 
     @property
     def texts(self) -> tuple[str, ...]:
-        return tuple(lab.text for lab in self.labels)
+        return tuple(self._by_text)
 
     def by_text(self, text: str) -> CharacterLabel:
-        for lab in self.labels:
-            if lab.text == text:
-                return lab
-        raise LabelError(f"unknown label {text!r} for {self.cartan_type}")
+        try:
+            return self._by_text[text]
+        except KeyError:
+            raise LabelError(f"unknown label {text!r} for {self.cartan_type}") from None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -303,8 +305,6 @@ def relative_character_labels(
             return tuple(NamedLabel(n) for n in RELATIVE_A2)
         if relative == CartanType("B", 2) and ambient == CartanType("F", 4):
             return tuple(NamedLabel(n) for n in RELATIVE_B2)
-        if relative.is_exceptional:
-            return tuple(enumerate_irr(relative).labels)
     return tuple(enumerate_irr(relative).labels)
 
 

@@ -2,15 +2,17 @@
 fibers, the per-stratum group collections, and the counting witness
 that ties fiber sizes to representation inventories.
 
-The map is realized by row lookup in the strata tables; the
-enumeration side is produced independently by the cuspidal-support
+The map is realized by index lookup in the resolved strata tables;
+the enumeration side is produced independently by the cuspidal-support
 module, so table placement is a falsifiable statement, checked by the
-resolver below.
+resolver in the tables module (Placement, PlacementMismatch and
+resolve_placement are re-exported here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .cartan import CartanType, datum
@@ -21,13 +23,15 @@ from .groups import (
     pullback_inventory,
 )
 from .labels import CharacterLabel, TrivialLabel, enumerate_irr, unit_label
-from .tables import (
+from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     DEFAULT_STORE,
-    FiberEntry,
-    StrataRow,
+    Placement,
+    PlacementMismatch,
     TableStore,
     UnknownStratum,
     find_row,
+    placement,
+    resolve_placement,
 )
 
 
@@ -35,139 +39,18 @@ class TripleNotFound(LookupError):
     pass
 
 
-class PlacementMismatch(ValueError):
-    """A table's fiber entries do not match the enumerated triples."""
-
-    def __init__(self, message: str, offending: str | None = None) -> None:
-        super().__init__(message)
-        self.offending = offending
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Result of matching a table against the enumeration.
-
-    resolved maps (row index, fiber position) to the character text the
-    entry stands for; for entries printed with a duplicated label this
-    may differ from the printed text (the assignment is the documented
-    row-order/registry-order convention, recorded in notes).
-    """
-
-    type_name: str
-    total: int
-    resolved: dict[tuple[int, int], str]
-    notes: tuple[str, ...] = ()
-
-
-def _family_key(levi_name: str, d) -> tuple:
-    return (levi_name, d)
-
-
-def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
-    """Match every fiber entry to enumerated triples, or raise
-    PlacementMismatch naming the first offending entry."""
-    enum = enumerate_cs_prime(t)
-    enum_families: dict[tuple, dict[str, int]] = {}
-    label_order: dict[tuple, list[str]] = {}
-    for tr in enum:
-        key = _family_key(tr.levi.levi_name, tr.d)
-        fam = enum_families.setdefault(key, {})
-        txt = tr.character.text
-        if txt not in fam:
-            fam[txt] = 0
-            label_order.setdefault(key, []).append(txt)
-        fam[txt] += 1
-
-    table_families: dict[tuple, list[tuple[int, int, FiberEntry]]] = {}
-    for ri, row in enumerate(rows):
-        for pi, en in enumerate(row.fiber):
-            table_families.setdefault(_family_key(en.levi_name, en.d_semantic), []).append(
-                (ri, pi, en)
-            )
-
-    extra = set(table_families) - set(enum_families)
-    if extra:
-        key = sorted(extra)[0]
-        raise PlacementMismatch(
-            f"table for {t.name} places entries with Levi/d {key} "
-            "outside the cuspidal-support enumeration",
-            offending=str(key),
-        )
-
-    resolved: dict[tuple[int, int], str] = {}
-    notes: list[str] = []
-    for key, fam in enum_families.items():
-        remaining = dict(fam)
-        entries = table_families.get(key, [])
-        deferred: list[tuple[int, int, FiberEntry]] = []
-        for ri, pi, en in entries:
-            txt = en.character.text
-            if remaining.get(txt, 0) >= en.mult:
-                remaining[txt] -= en.mult
-                resolved[(ri, pi)] = txt
-            else:
-                deferred.append((ri, pi, en))
-        leftovers = [txt for txt in label_order[key] if remaining.get(txt, 0) > 0]
-        for ri, pi, en in deferred:
-            if en.disamb is None:
-                raise PlacementMismatch(
-                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
-                    f"match the enumeration for {t.name}",
-                    offending=en.describe(),
-                )
-            match = next(
-                (txt for txt in leftovers if remaining[txt] == en.mult), None
-            )
-            if match is None:
-                raise PlacementMismatch(
-                    f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                    "cannot be assigned a remaining character",
-                    offending=en.describe(),
-                )
-            remaining[match] -= en.mult
-            leftovers.remove(match)
-            resolved[(ri, pi)] = match
-            if match != en.character.text:
-                notes.append(
-                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                    f"stands for character {match!r}"
-                )
-        missing = {txt: c for txt, c in remaining.items() if c}
-        if missing:
-            txt = next(iter(missing))
-            raise PlacementMismatch(
-                f"table for {t.name} misses {missing[txt]} triple(s) "
-                f"({key[0]}, {txt}, d={key[1]})",
-                offending=f"({key[0]},{txt},{key[1]})",
-            )
-    total = sum(en.mult for _, _, en in
-                (x for fam in table_families.values() for x in fam))
-    if total != len(enum):
-        raise PlacementMismatch(
-            f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
-        )
-    return Placement(t.name, total, resolved, tuple(notes))
-
-
-_PLACEMENT_CACHE: dict[tuple, Placement] = {}
-
-
-def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
-    rows = store.table(t)
-    key = (t.name, rows)
-    got = _PLACEMENT_CACHE.get(key)
-    if got is None:
-        got = resolve_placement(t, rows)
-        _PLACEMENT_CACHE[key] = got
-    return got
+@lru_cache(maxsize=None)
+def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
+    """The enumerated triples of t grouped by SheafTriple.key, in
+    enumeration order."""
+    by_key: dict[tuple, list[SheafTriple]] = {}
+    for tr in enumerate_cs_prime(t):
+        by_key.setdefault(tr.key, []).append(tr)
+    return by_key
 
 
 # ---------------------------------------------------------------------------
 # The map itself.
-
-
-def _triple_key(tr: SheafTriple) -> tuple:
-    return (tr.levi.levi_name, tr.character.text, tr.d)
 
 
 def tau(
@@ -176,22 +59,12 @@ def tau(
     """The stratum of a cuspidal-support triple."""
     if t.is_torus:
         return TrivialLabel()
-    valid = {_triple_key(x) for x in enumerate_cs_prime(t)}
-    if _triple_key(triple) not in valid:
+    if triple.key not in _triples_by_key(t):
         raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
     if t.series == "A":
         return triple.character
-    rows = store.table(t)
     pl = placement(t, store)
-    for (ri, pi), txt in pl.resolved.items():
-        en = rows[ri].fiber[pi]
-        if (
-            en.levi_name == triple.levi.levi_name
-            and txt == triple.character.text
-            and en.d_semantic == triple.d
-        ):
-            return rows[ri].stratum
-    raise TripleNotFound(f"{triple.describe()} not placed in the table for {t.name}")
+    return pl.rows[pl.row_of_triple[triple.key]].stratum
 
 
 def find_triple(
@@ -237,19 +110,13 @@ def fiber(
         return [(enumerate_cs_prime(t)[0], 1)]
     if t.series == "A":
         lab = enumerate_irr(t).by_text(text)
-        tr = next(x for x in enumerate_cs_prime(t) if x.character == lab)
-        return [(tr, 1)]
-    rows = store.table(t)
+        return [(_triples_by_key(t)[("-", lab.text, 0)][0], 1)]
     pl = placement(t, store)
-    row = find_row(t, text, store)
-    ri = rows.index(row)
-    by_key = {}
-    for tr in enumerate_cs_prime(t):
-        by_key.setdefault(_triple_key(tr), []).append(tr)
+    ri = pl.row_index(text)
+    by_key = _triples_by_key(t)
     out: list[tuple[SheafTriple, int]] = []
-    for pi, en in enumerate(row.fiber):
-        resolved_text = pl.resolved[(ri, pi)]
-        triples = by_key[(en.levi_name, resolved_text, en.d_semantic)]
+    for pi, en in enumerate(pl.rows[ri].fiber):
+        triples = by_key[(en.levi_name, pl.resolved[(ri, pi)], en.d_semantic)]
         if expand:
             out.extend((tr, 1) for tr in triples)
         else:

@@ -1,6 +1,7 @@
-"""Typed access to the strata tables: rows, component-group
-annotations, centralizer profiles, and the session table store that
-holds plug-in tables for classical types.
+"""Typed access to the strata tables: rows, their placement against
+the cuspidal-support enumeration and the indexes built from it,
+component-group annotations, centralizer profiles, and the session
+table store that holds plug-in tables for classical types.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanType, Subsystem, CartanError, parse_type, simple_type
-from .cuspidal import CuspidalLevi, cuspidal_levis, cuspidal_counts
+from .cuspidal import CuspidalLevi, cuspidal_levis, cuspidal_counts, enumerate_cs_prime
 from .groups import normalize_tag
 from .labels import (
     CharacterLabel,
@@ -52,7 +53,10 @@ class Membership:
         if text == "full":
             return Membership("full")
         if text.startswith("singleton:"):
-            r0 = int(text.split(":", 1)[1])
+            try:
+                r0 = int(text.split(":", 1)[1])
+            except ValueError:
+                raise TableFormatError(f"bad membership {text!r}") from None
             if r0 not in (2, 3, 5):
                 raise TableFormatError(f"bad singleton characteristic {r0}")
             return Membership("singleton", r0)
@@ -128,25 +132,6 @@ def parse_annotation(ann: str) -> tuple[dict[int, str], frozenset, Membership]:
             raise TableFormatError(f"bad singleton annotation: {ann!r}")
         return groups, frozenset(boxed), Membership("singleton", r0)
     raise TableFormatError(f"partial annotation is neither full nor singleton: {ann!r}")
-
-
-def format_annotation(groups: dict[int, str], boxed: frozenset, mem: Membership) -> str:
-    """Inverse of parse_annotation, for display."""
-    if boxed == frozenset({"single"}):
-        return f"[{groups[2]}]"
-    if boxed >= {2, 3}:
-        names = [groups[2], groups[3]] + ([groups[5]] if 5 in groups else [])
-        return f"[{','.join(names)}],({groups[0]})"
-    toks = []
-    for slot in (2, 3, 0):
-        if slot not in groups:
-            toks.append("(-)" if slot == 0 else "-")
-            continue
-        g = groups[slot]
-        if slot in boxed:
-            g = f"[{g}]"
-        toks.append(f"({g})" if slot == 0 else g)
-    return ",".join(toks)
 
 
 @dataclass(frozen=True)
@@ -297,15 +282,137 @@ def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
         raise TableFormatError(f"duplicate stratum head {dup!r} in table for {t.name}")
     unit = unit_label(t).text
     for r in rows:
-        first = r.fiber[0]
-        if first.levi is not None or first.character != r.stratum or first.mult != 1:
-            raise TableFormatError(
-                f"first fiber entry of {r.stratum.text} must be its own empty-Levi entry"
-            )
         if any(slot == 5 for slot, _ in r.groups) and r.stratum.text != unit:
             raise TableFormatError(
                 f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
             )
+
+
+class PlacementMismatch(ValueError):
+    """A table's fiber entries do not match the enumerated triples."""
+
+    def __init__(self, message: str, offending: str | None = None) -> None:
+        super().__init__(message)
+        self.offending = offending
+
+
+@dataclass(frozen=True)
+class Placement:
+    """A table matched against the enumeration, with the indexes every
+    query reads.
+
+    resolved maps (row index, fiber position) to the character text the
+    entry stands for; for entries printed with a duplicated label this
+    may differ from the printed text (the assignment is the documented
+    row-order/registry-order convention, recorded in notes).
+    row_of_head maps each stratum's text to its row index, and
+    row_of_triple each triple key (Levi name, character text, d) to the
+    first row, in resolved order, whose fiber holds that triple.
+    """
+
+    type_name: str
+    rows: tuple[StrataRow, ...]
+    total: int
+    resolved: dict[tuple[int, int], str]
+    notes: tuple[str, ...]
+    row_of_head: dict[str, int]
+    row_of_triple: dict[tuple, int]
+
+    def row_index(self, stratum: CharacterLabel | str) -> int:
+        text = stratum if isinstance(stratum, str) else stratum.text
+        try:
+            return self.row_of_head[text]
+        except KeyError:
+            raise UnknownStratum(f"{text!r} is not a stratum of {self.type_name}") from None
+
+
+def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
+    """Match every fiber entry to enumerated triples, or raise
+    PlacementMismatch naming the first offending entry."""
+    enum = enumerate_cs_prime(t)
+    enum_families: dict[tuple, dict[str, int]] = {}
+    label_order: dict[tuple, list[str]] = {}
+    for tr in enum:
+        key = (tr.levi.levi_name, tr.d)
+        fam = enum_families.setdefault(key, {})
+        txt = tr.character.text
+        if txt not in fam:
+            fam[txt] = 0
+            label_order.setdefault(key, []).append(txt)
+        fam[txt] += 1
+
+    table_families: dict[tuple, list[tuple[int, int, FiberEntry]]] = {}
+    for ri, row in enumerate(rows):
+        for pi, en in enumerate(row.fiber):
+            table_families.setdefault((en.levi_name, en.d_semantic), []).append((ri, pi, en))
+
+    extra = set(table_families) - set(enum_families)
+    if extra:
+        key = sorted(extra)[0]
+        raise PlacementMismatch(
+            f"table for {t.name} places entries with Levi/d {key} "
+            "outside the cuspidal-support enumeration",
+            offending=str(key),
+        )
+
+    resolved: dict[tuple[int, int], str] = {}
+    notes: list[str] = []
+    for key, fam in enum_families.items():
+        remaining = dict(fam)
+        entries = table_families.get(key, [])
+        deferred: list[tuple[int, int, FiberEntry]] = []
+        for ri, pi, en in entries:
+            txt = en.character.text
+            if remaining.get(txt, 0) >= en.mult:
+                remaining[txt] -= en.mult
+                resolved[(ri, pi)] = txt
+            else:
+                deferred.append((ri, pi, en))
+        leftovers = [txt for txt in label_order[key] if remaining.get(txt, 0) > 0]
+        for ri, pi, en in deferred:
+            if en.disamb is None:
+                raise PlacementMismatch(
+                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
+                    f"match the enumeration for {t.name}",
+                    offending=en.describe(),
+                )
+            match = next(
+                (txt for txt in leftovers if remaining[txt] == en.mult), None
+            )
+            if match is None:
+                raise PlacementMismatch(
+                    f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
+                    "cannot be assigned a remaining character",
+                    offending=en.describe(),
+                )
+            remaining[match] -= en.mult
+            leftovers.remove(match)
+            resolved[(ri, pi)] = match
+            if match != en.character.text:
+                notes.append(
+                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
+                    f"stands for character {match!r}"
+                )
+        missing = {txt: c for txt, c in remaining.items() if c}
+        if missing:
+            txt = next(iter(missing))
+            raise PlacementMismatch(
+                f"table for {t.name} misses {missing[txt]} triple(s) "
+                f"({key[0]}, {txt}, d={key[1]})",
+                offending=f"({key[0]},{txt},{key[1]})",
+            )
+    total = sum(en.mult for _, _, en in
+                (x for fam in table_families.values() for x in fam))
+    if total != len(enum):
+        raise PlacementMismatch(
+            f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
+        )
+    row_of_triple: dict[tuple, int] = {}
+    for (ri, pi), txt in resolved.items():
+        en = rows[ri].fiber[pi]
+        row_of_triple.setdefault((en.levi_name, txt, en.d_semantic), ri)
+    row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
+    return Placement(t.name, rows, total, resolved, tuple(notes), row_of_head, row_of_triple)
 
 
 @lru_cache(maxsize=None)
@@ -315,15 +422,21 @@ def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
     return build_rows(t, tabledata.TABLES[t.name])
 
 
+@lru_cache(maxsize=None)
+def _embedded_placement(t: CartanType) -> Placement:
+    return resolve_placement(t, embedded_table(t))
+
+
 class TableStore:
-    """Embedded tables plus any tables registered for classical types.
+    """Embedded tables plus any tables registered for classical types,
+    each registered one held as its resolved placement.
 
     Registration is expected at startup, before queries; lookups never
     mutate the store.
     """
 
     def __init__(self) -> None:
-        self._registered: dict[str, tuple[StrataRow, ...]] = {}
+        self._registered: dict[str, Placement] = {}
 
     def has_table(self, t: CartanType) -> bool:
         return t.name in tabledata.TABLES or t.name in self._registered
@@ -331,19 +444,30 @@ class TableStore:
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
         if t.name in tabledata.TABLES:
             return embedded_table(t)
-        if t.name in self._registered:
-            return self._registered[t.name]
-        raise NoTableAvailable(
-            f"no strata table for {t.name}; register one for classical types"
-        )
+        return placement(t, self).rows
 
-    def install(self, t: CartanType, rows: tuple[StrataRow, ...]) -> None:
-        if t.name in tabledata.TABLES:
-            raise TableFormatError(f"{t.name} is embedded; external copies are only checked")
-        self._registered[t.name] = rows
+    def install(self, placed: Placement) -> None:
+        if placed.type_name in tabledata.TABLES:
+            raise TableFormatError(
+                f"{placed.type_name} is embedded; external copies are only checked"
+            )
+        self._registered[placed.type_name] = placed
 
 
 DEFAULT_STORE = TableStore()
+
+
+def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
+    """The resolved table of t: built once per process for an embedded
+    type, at registration for a registered one."""
+    if t.name in tabledata.TABLES:
+        return _embedded_placement(t)
+    try:
+        return store._registered[t.name]
+    except KeyError:
+        raise NoTableAvailable(
+            f"no strata table for {t.name}; register one for classical types"
+        ) from None
 
 
 def component_group(
@@ -360,11 +484,8 @@ def component_group(
 def find_row(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> StrataRow:
-    text = stratum if isinstance(stratum, str) else stratum.text
-    for row in store.table(t):
-        if row.stratum.text == text:
-            return row
-    raise UnknownStratum(f"{text!r} is not a stratum of {t.name}")
+    pl = placement(t, store)
+    return pl.rows[pl.row_index(stratum)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ without an available table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanType, MAX_ENUMERATION_RANK, datum, is_pseudo_levi
@@ -15,15 +17,17 @@ from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
 from .labels import enumerate_irr, relative_character_labels
 from .schema import canonical_json, parse_table_document, table_document
-from .strata import (
+from .strata import bijection_witness, regular_fiber_labels, unit_stratum_fiber_size
+from .tables import (
+    DEFAULT_STORE,
     PlacementMismatch,
-    bijection_witness,
+    StrataRow,
+    TableFormatError,
+    TableStore,
+    centralizer_profiles,
     placement,
-    regular_fiber_labels,
     resolve_placement,
-    unit_stratum_fiber_size,
 )
-from .tables import DEFAULT_STORE, TableFormatError, TableStore, centralizer_profiles
 
 CHECK_IDS = (
     "cuspidal-enumeration",
@@ -54,10 +58,6 @@ class VerificationReport:
     def lines(self) -> list[str]:
         return [f"{cid}: {status}" + (f"  [{detail}]" if detail else "")
                 for cid, status, detail in self.checks]
-
-
-def _has_table(t: CartanType, store: TableStore) -> bool:
-    return store.has_table(t)
 
 
 def _check_enumeration(t: CartanType) -> tuple[str, str]:
@@ -94,33 +94,29 @@ def _check_placement(t: CartanType, store: TableStore) -> tuple[str, str]:
 def _check_retraction(t: CartanType, store: TableStore) -> tuple[str, str]:
     if t.series == "A" or t.is_torus:
         return "pass", "every stratum is its own fiber head"
-    rows = store.table(t)
-    heads = [r.stratum.text for r in rows]
-    if len(set(heads)) != len(heads):
-        dup = next(h for h in heads if heads.count(h) > 1)
-        return "fail", f"duplicate head {dup!r}"
-    for r in rows:
-        first = r.fiber[0]
-        if first.levi is not None or first.character != r.stratum:
-            return "fail", f"row {r.stratum.text!r} does not start with its own entry"
-    return "pass", f"{len(rows)} distinct heads, each heading its own fiber"
+    # Row construction rejects duplicate heads and puts each head first
+    # in its own fiber, so the count is the whole report.
+    return "pass", f"{len(store.table(t))} distinct heads, each heading its own fiber"
+
+
+def _registry_gaps(t: CartanType, rows: tuple[StrataRow, ...]) -> tuple[list[str], list[str]]:
+    """The registry labels that no empty-Levi fiber entry names, and
+    those named more than once, both sorted; two empty lists when the
+    empty-Levi entries list Irr(t) exactly once.  Row construction
+    parses every empty-Levi entry against the registry, so no other
+    label can occur."""
+    seen = Counter(en.character.text for r in rows for en in r.fiber if en.levi is None)
+    missing = sorted(set(enumerate_irr(t).texts) - set(seen))
+    return missing, sorted(txt for txt, n in seen.items() if n > 1)
 
 
 def _check_empty_completeness(t: CartanType, store: TableStore) -> tuple[str, str]:
     if t.series == "A" or t.is_torus:
         return "pass", "registry equals the strata by construction"
-    rows = store.table(t)
-    seen: list[str] = []
-    for r in rows:
-        for en in r.fiber:
-            if en.levi is None:
-                seen.append(en.character.text)
-    registry = [lab.text for lab in enumerate_irr(t)]
-    if sorted(seen) != sorted(registry):
-        missing = set(registry) - set(seen)
-        dupes = {x for x in seen if seen.count(x) > 1}
-        return "fail", f"missing {sorted(missing)}, duplicated {sorted(dupes)}"
-    return "pass", f"{len(seen)} empty-Levi labels exhaust the registry"
+    missing, duplicated = _registry_gaps(t, store.table(t))
+    if missing or duplicated:
+        return "fail", f"missing {missing}, duplicated {duplicated}"
+    return "pass", f"{len(enumerate_irr(t))} empty-Levi labels exhaust the registry"
 
 
 def _check_boxed(t: CartanType, store: TableStore) -> tuple[str, str]:
@@ -194,7 +190,9 @@ def _check_centralizers(t: CartanType) -> tuple[str, str]:
     return "pass", f"{len(profiles)} profiles verified"
 
 
+@lru_cache(maxsize=None)
 def _check_group_inventories() -> tuple[str, str]:
+    """The same for every type, so it runs once per process."""
     for tag in GROUP_TAGS:
         if conjugacy_class_count(tag) != len(inventory(tag)):
             return "fail", f"{tag}: classes {conjugacy_class_count(tag)} != inventory"
@@ -207,7 +205,7 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     status, detail = _check_enumeration(t)
     report.add("cuspidal-enumeration", status, detail)
 
-    table_backed = _has_table(t, store) or t.series == "A" or t.is_torus
+    table_backed = store.has_table(t) or t.series == "A" or t.is_torus
     table_checks = (
         ("triple-placement", _check_placement),
         ("retraction", _check_retraction),
@@ -280,15 +278,13 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
         raise TableFormatError("the torus needs no table")
     # placement must hold before the table becomes visible
     placed = resolve_placement(t, rows)
-    seen = [en.character.text for r in rows for en in r.fiber if en.levi is None]
-    registry = [lab.text for lab in enumerate_irr(t)]
-    if sorted(seen) != sorted(registry):
-        missing = sorted(set(registry) - set(seen))
+    missing, duplicated = _registry_gaps(t, rows)
+    if missing or duplicated:
         raise PlacementMismatch(
             f"table for {t.name} does not exhaust the registry; missing {missing}",
             offending=missing[0] if missing else None,
         )
     if t.series == "A":
         return f"{t.name}: accepted (the identity parametrization is built in)"
-    store.install(t, rows)
+    store.install(placed)
     return f"{t.name}: registered ({len(rows)} rows, {placed.total} triples placed)"

@@ -16,8 +16,7 @@ def _constant_row(head: str, extra=(), group="1"):
     }
 
 
-@pytest.fixture
-def synthetic_b3_doc():
+def synthetic_b3_table() -> dict:
     """A structurally valid table for B3: a test fixture for the
     plug-in seam, not real correspondence data.  Places the two
     B2-cuspidal triples so that every generic invariant holds (the
@@ -36,3 +35,8 @@ def synthetic_b3_doc():
         else:
             rows.append(_constant_row(head))
     return {"schema": "strata-table/1", "type": "B3", "rows": rows}
+
+
+@pytest.fixture
+def synthetic_b3_doc():
+    return synthetic_b3_table()

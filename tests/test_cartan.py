@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from charstrata.cartan import (
@@ -7,11 +9,50 @@ from charstrata.cartan import (
     TORUS,
     datum,
     is_pseudo_levi,
-    levi_subsystems,
     parse_type,
     pseudo_levi_types,
+    Edge,
+    _classify_component,
     _deletion_children,
 )
+
+
+def levi_subsystems(t: CartanType) -> frozenset[Subsystem]:
+    """Oracle: semisimple types of Levi subsystems, by deletions from
+    the plain (unextended) diagram.  A sanity floor for the closure.
+    """
+    if t.is_torus:
+        return frozenset({Subsystem(())})
+    edges = [e for e in datum(t).extended_diagram if 0 not in (e[0], e[1])]
+    nbr: dict[int, set[int]] = {i: set() for i in range(1, t.rank + 1)}
+    pair: dict[tuple[int, int], Edge] = {}
+    for u, v, m, s in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+        pair[(min(u, v), max(u, v))] = (u, v, m, s)
+    out: set[Subsystem] = set()
+    nodes = list(range(1, t.rank + 1))
+    for r in range(len(nodes) + 1):
+        for kept in itertools.combinations(nodes, r):
+            keptset = set(kept)
+            factors = []
+            todo = set(kept)
+            while todo:
+                comp = {todo.pop()}
+                frontier = set(comp)
+                while frontier:
+                    grown = set()
+                    for x in frontier:
+                        grown |= nbr[x] & (keptset - comp)
+                    comp |= grown
+                    frontier = grown
+                todo -= comp
+                cn = tuple(sorted(comp))
+                ce = [pair[(u, v)] for u, v in itertools.combinations(cn, 2) if (u, v) in pair]
+                factors.append(_classify_component(cn, ce))
+            out.add(Subsystem(tuple(sorted(factors))))
+    return frozenset(out)
+
 
 ALL_SAMPLE_TYPES = [
     "A1", "A2", "A5", "B2", "B3", "B6", "C2", "C3", "C6",

@@ -118,6 +118,15 @@ def test_tables_dir_loading(tmp_path, capsys, synthetic_b3_doc):
     assert code == 0 and out.strip() == "(3|)"
 
 
+def test_bad_singleton_membership_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
+    synthetic_b3_doc["rows"][1]["membership"] = "singleton:abc"
+    path = tmp_path / "b3.json"
+    path.write_text(canonical_json(synthetic_b3_doc))
+    code, out, err = run(capsys, "register", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: bad membership 'singleton:abc'\n"
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "info", "Z9")
     assert code == 2 and "error:" in err

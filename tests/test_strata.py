@@ -1,5 +1,8 @@
+import copy
+
 import pytest
 
+from charstrata import tables, verify
 from charstrata.cartan import TORUS, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
@@ -17,7 +20,8 @@ from charstrata.strata import (
     tau,
     unit_stratum_fiber_size,
 )
-from charstrata.tables import DEFAULT_STORE, NoTableAvailable
+from charstrata.tables import DEFAULT_STORE, NoTableAvailable, TableStore, find_row
+from charstrata.verify import register_external_table
 
 TABLE_TYPES = ["G2", "F4", "E6", "E7", "E8"]
 TOTALS = {"G2": 10, "F4": 37, "E6": 30, "E7": 76, "E8": 165}
@@ -209,3 +213,84 @@ def test_enumeration_order_is_documented_shape():
     assert last.levi.levi_name == "E8" and last.d == 0 and last.index == 5
     d_vals = [tr.d for tr in triples if tr.levi.levi_name == "E8"]
     assert d_vals == [16, 7, 6, 3, 3, 1, 1, 0, 0, 0, 0, 0, 0]
+
+
+def _count_resolutions(monkeypatch) -> list[str]:
+    """Route every placement resolution through a counter; returns the
+    list of type names it was called for."""
+    calls: list[str] = []
+    original = tables.resolve_placement
+
+    def counting(t, rows):
+        calls.append(t.name)
+        return original(t, rows)
+
+    monkeypatch.setattr(tables, "resolve_placement", counting)
+    monkeypatch.setattr(verify, "resolve_placement", counting)
+    return calls
+
+
+def _query_everything(t, store) -> None:
+    for tr in enumerate_cs_prime(t):
+        tau(t, tr, store)
+    for lab in strata(t, store):
+        fiber(t, lab, store)
+        fiber(t, lab, store, expand=True)
+        c_star(t, lab, store)
+        find_row(t, lab, store)
+
+
+def test_registered_table_is_resolved_once(monkeypatch, synthetic_b3_doc):
+    calls = _count_resolutions(monkeypatch)
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    b3 = parse_type("B3")
+    for _ in range(3):
+        _query_everything(b3, store)
+    assert calls == ["B3"]
+    assert placement(b3, store) is placement(b3, store)
+
+
+def test_embedded_table_is_resolved_once_per_process(monkeypatch):
+    calls = _count_resolutions(monkeypatch)
+    tables._embedded_placement.cache_clear()
+    f4 = parse_type("F4")
+    assert len(TableStore().table(f4)) == len(strata(f4)) == 20
+    assert calls == []  # the rows alone do not pay for placement
+    first = placement(f4, TableStore())
+    for store in (TableStore(), TableStore(), DEFAULT_STORE):
+        assert placement(f4, store) is first
+        _query_everything(f4, store)
+    assert calls == ["F4"]
+
+
+def test_stores_holding_different_tables_answer_independently(synthetic_b3_doc):
+    swapped = copy.deepcopy(synthetic_b3_doc)
+    first, last = swapped["rows"][0]["fiber"], swapped["rows"][-1]["fiber"]
+    first[1], last[1] = last[1], first[1]
+    plain, other = TableStore(), TableStore()
+    register_external_table(synthetic_b3_doc, plain)
+    register_external_table(swapped, other)
+    b3 = parse_type("B3")
+    triple = find_triple(b3, "B2", "(2)")
+    assert tau(b3, triple, plain).text == "(3|)"
+    assert tau(b3, triple, other).text == "(|1,1,1)"
+    assert [tr.describe() for tr, _ in fiber(b3, "(3|)", plain)] == ["(3|)", "(B2,(2),*)[0]"]
+    assert [tr.describe() for tr, _ in fiber(b3, "(3|)", other)] == ["(3|)", "(B2,(1,1),*)[0]"]
+    assert placement(b3, plain) is not placement(b3, other)
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_tau_index_agrees_with_a_scan_of_the_placement(name):
+    t = parse_type(name)
+    pl = placement(t)
+
+    def scan(tr):
+        for (ri, pi), txt in pl.resolved.items():
+            en = pl.rows[ri].fiber[pi]
+            if (en.levi_name, txt, en.d_semantic) == tr.key:
+                return pl.rows[ri].stratum
+        raise AssertionError(f"{tr.describe()} is not placed")
+
+    for tr in enumerate_cs_prime(t):
+        assert tau(t, tr) == scan(tr)
