@@ -9,14 +9,13 @@ No root vectors or Weyl group elements are manipulated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "Torus")
 
-# Enumeration of subsystems walks every node subset of an extended
-# diagram; keep that exponential step within a sane budget.
+# The subsystem closure grows quickly with rank (B20 alone has 11,928
+# members); cap the rank it is enumerated for.
 MAX_ENUMERATION_RANK = 16
 
 
@@ -345,60 +344,41 @@ def _classify_component(nodes: tuple[int, ...], edges: list[Edge]) -> CartanType
     raise CartanError("unrecognized branched component")
 
 
+def _deletion_type(t: CartanType, deleted: frozenset[int]) -> Subsystem:
+    """Semisimple type of the extended diagram of t minus the deleted
+    nodes: one classified factor per connected component."""
+    kept = [e for e in datum(t).extended_diagram if e[0] not in deleted and e[1] not in deleted]
+    adj: dict[int, list[int]] = {v: [] for v in range(t.rank + 1) if v not in deleted}
+    for u, v, _, _ in kept:
+        adj[u].append(v)
+        adj[v].append(u)
+    factors: list[CartanType] = []
+    placed: set[int] = set()
+    for seed in adj:
+        if seed in placed:
+            continue
+        comp, stack = {seed}, [seed]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        placed |= comp
+        comp_edges = [e for e in kept if e[0] in comp]
+        factors.append(_classify_component(tuple(sorted(comp)), comp_edges))
+    return Subsystem(tuple(sorted(factors)))
+
+
 @lru_cache(maxsize=None)
-def _deletion_children(t: CartanType) -> frozenset[Subsystem]:
-    """Semisimple types of the extended diagram of t minus any nonempty
-    node subset.  Classification is memoized per connected-component
-    bitmask, so the subset walk stays cheap.
-    """
-    edges = datum(t).extended_diagram
-    n_nodes = t.rank + 1
-    nbr = [0] * n_nodes
-    edge_by_pair: dict[tuple[int, int], Edge] = {}
-    for u, v, m, s in edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        edge_by_pair[(min(u, v), max(u, v))] = (u, v, m, s)
-
-    comp_type: dict[int, CartanType] = {}
-
-    def classify(mask: int) -> CartanType:
-        cached = comp_type.get(mask)
-        if cached is not None:
-            return cached
-        nodes = tuple(i for i in range(n_nodes) if mask >> i & 1)
-        comp_edges = [
-            edge_by_pair[(u, v)]
-            for u, v in itertools.combinations(nodes, 2)
-            if (u, v) in edge_by_pair
-        ]
-        ct = _classify_component(nodes, comp_edges)
-        comp_type[mask] = ct
-        return ct
-
-    results: set[Subsystem] = set()
-    full = (1 << n_nodes) - 1
-    for kept in range(full):  # every proper subset, including empty
-        factors: list[CartanType] = []
-        rest = kept
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                grown = 0
-                f = frontier
-                while f:
-                    bit = f & -f
-                    f ^= bit
-                    grown |= nbr[bit.bit_length() - 1]
-                grown &= rest & ~comp
-                comp |= grown
-                frontier = grown
-            factors.append(classify(comp))
-            rest &= ~comp
-        results.add(Subsystem(tuple(sorted(factors))))
-    return frozenset(results)
+def _moves(t: CartanType) -> frozenset[Subsystem]:
+    """The one-move children of a simple factor t: for each node v >= 1
+    of its extended diagram, delete {v} (Borel-de Siebenthal move) or
+    {0, v} (Levi move)."""
+    return frozenset(
+        _deletion_type(t, deleted)
+        for v in range(1, t.rank + 1)
+        for deleted in (frozenset({v}), frozenset({0, v}))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -406,6 +386,13 @@ def pseudo_levi_types(t: CartanType) -> frozenset[Subsystem]:
     """All semisimple types of connected-centralizer subsystems of t:
     the closure of {t} under extending any simple factor and deleting
     a nonempty node subset.  Contains t itself and the empty subsystem.
+
+    The closure is generated by single-node moves on one factor f:
+    delete {v} or {0, v} from the extended diagram of f, for a node
+    v >= 1.  Both are subset deletions, and they reach every subset
+    deletion S: delete one node of S first (with 0 if 0 is in S); each
+    further node of S then lies in a factor of the result, whose
+    diagram it is a node of, so deleting it is one Levi move there.
     """
     if t.is_torus:
         return frozenset({Subsystem(())})
@@ -421,7 +408,7 @@ def pseudo_levi_types(t: CartanType) -> frozenset[Subsystem]:
         for f in counted:
             remainder = list(sub.factors)
             remainder.remove(f)
-            for child in _deletion_children(f):
+            for child in _moves(f):
                 nxt = Subsystem(tuple(sorted(remainder + list(child.factors))))
                 if nxt not in seen:
                     seen.add(nxt)

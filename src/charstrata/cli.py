@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         TripleNotFound,
         TableFormatError,
         PlacementMismatch,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,10 +138,6 @@ def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLa
 # Group collections and their representation inventories.
 
 
-_ALLOWED_PAIRS = {("C2", "C3"), ("C4", "C3"), ("C2xC2", "C2xC3")}
-_TRIPLE = ("C4", "C3", "C5")
-
-
 @dataclass(frozen=True)
 class GroupCollection:
     """c(E): a single group, the deviating pair, or the full cyclic
@@ -169,18 +165,14 @@ def c_collection(
     g = dict(row.groups)
     if row.membership.kind == "singleton":
         return GroupCollection("single", (g[row.membership.r0],))
-    deviating = [r for r in (2, 3, 5) if row.group_at(r) != g[0]]
-    if not deviating:
+    # the table's validation admits only the allowed pairs and the triple
+    tags = row.deviating
+    if not tags:
         return GroupCollection("single", (g[0],))
-    tags = tuple(row.group_at(r) for r in deviating)
     if len(tags) == 1:
         return GroupCollection("single", tags)
     if len(tags) == 2:
-        if tags not in _ALLOWED_PAIRS:
-            raise ValueError(f"unexpected deviating pair {tags} at {row.stratum.text}")
         return GroupCollection("pair", tags, quotient=g[0])
-    if tags != _TRIPLE:
-        raise ValueError(f"unexpected deviating triple {tags} at {row.stratum.text}")
     return GroupCollection("triple", tags)
 
 

@@ -7,7 +7,7 @@ table store that holds plug-in tables for classical types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import tabledata
 from .cartan import CartanType, Subsystem, CartanError, parse_type, simple_type
@@ -34,6 +34,12 @@ class TableFormatError(ValueError):
 
 
 PRIME_SLOTS = (0, 2, 3, 5)
+
+# The deviations from the characteristic-0 group that a full-membership
+# row may carry at two or three primes: the pairs at (2, 3) and the
+# cyclic triple at (2, 3, 5).
+_ALLOWED_PAIRS = {("C2", "C3"), ("C4", "C3"), ("C2xC2", "C2xC3")}
+_TRIPLE = ("C4", "C3", "C5")
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,13 @@ class StrataRow:
             return g[0]
         return None
 
+    @cached_property
+    def deviating(self) -> tuple[str, ...]:
+        """Groups at characteristics 2, 3, 5 that differ from the
+        characteristic-0 group, in that order (full membership)."""
+        g0 = dict(self.groups)[0]
+        return tuple(g for g in map(self.group_at, (2, 3, 5)) if g != g0)
+
     @property
     def fiber_size(self) -> int:
         return sum(en.mult for en in self.fiber)
@@ -198,15 +211,27 @@ def _relative_map(t: CartanType) -> dict[str, CuspidalLevi]:
     return {levi.levi_name: levi for levi in cuspidal_levis(t)}
 
 
+@lru_cache(maxsize=None)
+def _relative_characters(
+    t: CartanType, relative: CartanType | None
+) -> dict[str, CharacterLabel]:
+    """Text to label for the characters of a relative group; the first
+    label wins where two print alike."""
+    by_text: dict[str, CharacterLabel] = {}
+    for lab in relative_character_labels(t, relative):
+        by_text.setdefault(lab.text, lab)
+    return by_text
+
+
 def _parse_fiber_character(
     t: CartanType, levi: CuspidalLevi, text: str
 ) -> CharacterLabel:
-    for lab in relative_character_labels(t, levi.relative_weyl_type):
-        if lab.text == text:
-            return lab
-    raise TableFormatError(
-        f"{text!r} is not a character of the relative group of {levi.levi_name} in {t.name}"
-    )
+    lab = _relative_characters(t, levi.relative_weyl_type).get(text)
+    if lab is None:
+        raise TableFormatError(
+            f"{text!r} is not a character of the relative group of {levi.levi_name} in {t.name}"
+        )
+    return lab
 
 
 def validate_row_annotation(
@@ -286,6 +311,16 @@ def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
             raise TableFormatError(
                 f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
             )
+        if r.membership.kind == "full":
+            tags = r.deviating
+            if len(tags) == 2 and tags not in _ALLOWED_PAIRS:
+                raise TableFormatError(
+                    f"unexpected deviating pair {tags} in row {r.stratum.text!r} of {t.name}"
+                )
+            if len(tags) == 3 and tags != _TRIPLE:
+                raise TableFormatError(
+                    f"unexpected deviating triple {tags} in row {r.stratum.text!r} of {t.name}"
+                )
 
 
 class PlacementMismatch(ValueError):

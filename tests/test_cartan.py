@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -13,7 +14,6 @@ from charstrata.cartan import (
     pseudo_levi_types,
     Edge,
     _classify_component,
-    _deletion_children,
 )
 
 
@@ -52,6 +52,90 @@ def levi_subsystems(t: CartanType) -> frozenset[Subsystem]:
                 factors.append(_classify_component(cn, ce))
             out.add(Subsystem(tuple(sorted(factors))))
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _deletion_children(t: CartanType) -> frozenset[Subsystem]:
+    """Oracle: semisimple types of the extended diagram of t minus any
+    nonempty node subset, by walking every subset.  Classification is
+    memoized per connected-component bitmask.
+    """
+    edges = datum(t).extended_diagram
+    n_nodes = t.rank + 1
+    nbr = [0] * n_nodes
+    edge_by_pair: dict[tuple[int, int], Edge] = {}
+    for u, v, m, s in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        edge_by_pair[(min(u, v), max(u, v))] = (u, v, m, s)
+
+    comp_type: dict[int, CartanType] = {}
+
+    def classify(mask: int) -> CartanType:
+        cached = comp_type.get(mask)
+        if cached is not None:
+            return cached
+        nodes = tuple(i for i in range(n_nodes) if mask >> i & 1)
+        comp_edges = [
+            edge_by_pair[(u, v)]
+            for u, v in itertools.combinations(nodes, 2)
+            if (u, v) in edge_by_pair
+        ]
+        ct = _classify_component(nodes, comp_edges)
+        comp_type[mask] = ct
+        return ct
+
+    results: set[Subsystem] = set()
+    full = (1 << n_nodes) - 1
+    for kept in range(full):  # every proper subset, including empty
+        factors: list[CartanType] = []
+        rest = kept
+        while rest:
+            seed = rest & -rest
+            comp = seed
+            frontier = seed
+            while frontier:
+                grown = 0
+                f = frontier
+                while f:
+                    bit = f & -f
+                    f ^= bit
+                    grown |= nbr[bit.bit_length() - 1]
+                grown &= rest & ~comp
+                comp |= grown
+                frontier = grown
+            factors.append(classify(comp))
+            rest &= ~comp
+        results.add(Subsystem(tuple(sorted(factors))))
+    return frozenset(results)
+
+
+def subset_closure(t: CartanType) -> frozenset[Subsystem]:
+    """Oracle: the closure of {t} under replacing one simple factor by
+    the extended diagram of that factor minus any nonempty node subset.
+    """
+    seen = {Subsystem.of(t)}
+    work = [Subsystem.of(t)]
+    while work:
+        sub = work.pop()
+        for f in set(sub.factors):
+            rest = list(sub.factors)
+            rest.remove(f)
+            for child in _deletion_children(f):
+                nxt = Subsystem(tuple(sorted(rest + list(child.factors))))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    work.append(nxt)
+    return frozenset(seen)
+
+
+RANK_10_TYPES = (
+    [f"A{n}" for n in range(1, 11)]
+    + [f"B{n}" for n in range(2, 11)]
+    + [f"C{n}" for n in range(3, 11)]
+    + [f"D{n}" for n in range(4, 11)]
+    + ["G2", "F4", "E6", "E7", "E8"]
+)
 
 
 ALL_SAMPLE_TYPES = [
@@ -150,6 +234,12 @@ def test_closure_is_closed_and_contains_levis(name):
     assert levi_subsystems(t) <= closure
     assert Subsystem.of(t) in closure
     assert Subsystem(()) in closure
+
+
+@pytest.mark.parametrize("name", RANK_10_TYPES)
+def test_closure_by_single_node_moves_matches_subset_walk(name):
+    t = parse_type(name)
+    assert pseudo_levi_types(t) == subset_closure(t)
 
 
 def test_subsystem_alias_normalization():

@@ -127,6 +127,39 @@ def test_bad_singleton_membership_exits_2_naming_it(tmp_path, capsys, synthetic_
     assert err == "error: bad membership 'singleton:abc'\n"
 
 
+def test_register_in_a_directory_exits_2_naming_it(tmp_path, capsys):
+    code, out, err = run(capsys, "register", "--in", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_tables_dir_with_an_unreadable_entry_exits_2_naming_it(tmp_path, capsys):
+    entry = tmp_path / "B3.json"
+    entry.mkdir()
+    code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(entry) in err
+
+
+def test_unexpected_deviating_pair_exits_2_naming_row_and_pair(
+    tmp_path, capsys, synthetic_b3_doc
+):
+    row = synthetic_b3_doc["rows"][1]
+    row["groups"] = {"0": "1", "2": "C3", "3": "C2"}
+    row["boxed"] = ["2", "3"]
+    path = tmp_path / "b3.json"
+    path.write_text(canonical_json(synthetic_b3_doc))
+    code, out, err = run(capsys, "register", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: unexpected deviating pair ('C3', 'C2') in row {row['stratum']!r} of B3\n"
+    )
+    code, out, err = run(capsys, "--tables", str(tmp_path), "cstar", "B3",
+                         "--stratum", row["stratum"])
+    assert (code, out) == (2, "")
+    assert "unexpected deviating pair ('C3', 'C2')" in err
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "info", "Z9")
     assert code == 2 and "error:" in err

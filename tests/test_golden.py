@@ -62,6 +62,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "B3-cstar": ("--tables", TABLES, "cstar", "B3", "--stratum", "(3|)"),
     "B3-verify": ("--tables", TABLES, "verify", "B3"),
     "B3-export-table": ("--tables", TABLES, "export", "B3", "--what", "table"),
+    "E8-pseudo-levi": ("pseudo-levi", "E8"),
+    "B12-pseudo-levi": ("pseudo-levi", "B12"),
+    "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
     "error-unknown-stratum": ("fiber", "E8", "--stratum", "nope"),
     "error-no-table": ("tau", "B3", "--levi", "B2", "--char", "(2)"),
 }

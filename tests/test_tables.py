@@ -14,6 +14,7 @@ from charstrata.tables import (
     find_row,
     parse_annotation,
 )
+from charstrata.schema import parse_table_document
 
 ROW_COUNTS = {"G2": 6, "F4": 20, "E6": 21, "E7": 46, "E8": 74}
 
@@ -171,3 +172,26 @@ def test_characteristic_5_only_on_e8_unit_row():
             has5 = any(slot == 5 for slot, _ in row.groups)
             if has5:
                 assert (name, row.stratum.text) == ("E8", "1_0")
+
+
+@pytest.mark.parametrize(
+    "groups,accepted",
+    [
+        ({"0": "1", "2": "C4", "3": "C3"}, True),
+        ({"0": "1", "2": "C3", "3": "C2"}, False),
+        ({"0": "1", "2": "C4", "3": "C3", "5": "C5"}, True),
+        ({"0": "1", "2": "C3", "3": "C4", "5": "C5"}, False),
+    ],
+)
+def test_deviations_at_two_or_three_primes_are_checked_at_parse(
+    synthetic_b3_doc, groups, accepted
+):
+    unit_row = synthetic_b3_doc["rows"][0]
+    unit_row["groups"] = groups
+    unit_row["boxed"] = sorted(k for k in groups if k != "0")
+    if accepted:
+        _, rows = parse_table_document(synthetic_b3_doc)
+        assert rows[0].deviating == tuple(groups[k] for k in sorted(groups) if k != "0")
+    else:
+        with pytest.raises(TableFormatError, match=r"unexpected deviating (pair|triple)"):
+            parse_table_document(synthetic_b3_doc)
