@@ -117,10 +117,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_tables(store: TableStore, directory: str) -> None:
-    for path in sorted(Path(directory).glob("*.json")):
-        doc = json.loads(path.read_text())
-        register_external_table(doc, store)
+def _read_document(path: Path) -> dict:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path} is not UTF-8: {exc}") from None
+    return json.loads(text)
+
+
+def _load_tables(store: TableStore, directory: str, source: str) -> None:
+    root = Path(directory)
+    if not root.is_dir():
+        if root.exists():
+            raise NotADirectoryError(f"{source} {directory} is not a directory")
+        raise FileNotFoundError(f"{source} {directory} does not exist")
+    for path in sorted(root.glob("*.json")):
+        register_external_table(_read_document(path), store)
 
 
 def _print_info(t: CartanType) -> None:
@@ -321,8 +333,7 @@ def _cmd(args, store: TableStore) -> int:
         return 0
 
     if args.command == "register":
-        doc = json.loads(Path(args.path).read_text())
-        message = register_external_table(doc, store)
+        message = register_external_table(_read_document(Path(args.path)), store)
         print(message)
         return 0
 
@@ -334,9 +345,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     store = TableStore()
     try:
-        tables_dir = args.tables or os.environ.get(TABLES_ENV)
-        if tables_dir:
-            _load_tables(store, tables_dir)
+        env_tables = os.environ.get(TABLES_ENV)
+        if args.tables:
+            _load_tables(store, args.tables, "--tables")
+        elif env_tables:
+            _load_tables(store, env_tables, f"${TABLES_ENV}")
         return _cmd(args, store)
     except (
         CartanError,

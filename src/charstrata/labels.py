@@ -29,27 +29,33 @@ class LabelError(ValueError):
 Partition = tuple[int, ...]
 
 
-def partitions(n: int, max_part: int | None = None):
+def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """Partitions of n, largest part first, in descending lex order."""
+    return _partitions(n, n if max_part is None else min(n, max_part))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, top: int) -> tuple[Partition, ...]:
     if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(top, 0, -1)
+        for rest in _partitions(n - first, min(n - first, first))
+    )
 
 
 def _check_partition(parts: Partition) -> Partition:
-    if any(p <= 0 for p in parts):
-        raise LabelError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    # One sort decides the common case; the scans below only name the fault.
+    if list(parts) != sorted(parts, reverse=True) or (parts and parts[-1] <= 0):
+        if any(p <= 0 for p in parts):
+            raise LabelError(f"partition parts must be positive: {parts}")
         raise LabelError(f"partition must be weakly decreasing: {parts}")
     return tuple(parts)
 
 
 def _parts_text(parts: Partition) -> str:
-    return ",".join(str(p) for p in parts)
+    return ",".join(map(str, parts))
 
 
 def _parse_parts(text: str) -> Partition:

@@ -62,78 +62,95 @@ def table_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
     return {"schema": TABLE_SCHEMA, "type": t.name, "rows": rows_out}
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise TableFormatError(message)
+_ROW_KEYS = frozenset({"stratum", "fiber", "groups", "boxed", "membership"})
+_ENTRY_KEYS = frozenset({"levi", "character", "d", "mult", "disamb"})
+_GROUP_KEYS = {"0": 0, "2": 2, "3": 3, "5": 5}
+_BOXED_FLAGS = {"single": "single", "2": 2, "3": 3, "5": 5}
 
 
 def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     """Validate a strata-table/1 document and build typed rows.
 
     Raises TableFormatError on any schema violation; label and
-    annotation problems carry the offending text.
+    annotation problems carry the offending text.  Each check raises
+    inside its own branch, so no message is formatted unless it fails.
     """
-    _expect(isinstance(doc, dict), "document must be a JSON object")
-    _expect(doc.get("schema") == TABLE_SCHEMA, f"schema must be {TABLE_SCHEMA!r}")
+    if not isinstance(doc, dict):
+        raise TableFormatError("document must be a JSON object")
+    if doc.get("schema") != TABLE_SCHEMA:
+        raise TableFormatError(f"schema must be {TABLE_SCHEMA!r}")
     try:
         t = parse_type(str(doc.get("type", "")))
     except CartanError as exc:
         raise TableFormatError(f"bad type field: {exc}") from exc
     rows_raw = doc.get("rows")
-    _expect(isinstance(rows_raw, list) and rows_raw, "rows must be a nonempty list")
+    if not (isinstance(rows_raw, list) and rows_raw):
+        raise TableFormatError("rows must be a nonempty list")
     structured = []
     for i, row in enumerate(rows_raw):
-        _expect(isinstance(row, dict), f"row {i} must be an object")
-        extra = set(row) - {"stratum", "fiber", "groups", "boxed", "membership"}
-        _expect(not extra, f"row {i} has unknown keys {sorted(extra)}")
+        if not isinstance(row, dict):
+            raise TableFormatError(f"row {i} must be an object")
+        if not _ROW_KEYS.issuperset(row):
+            raise TableFormatError(f"row {i} has unknown keys {sorted(set(row) - _ROW_KEYS)}")
         head = row.get("stratum")
-        _expect(isinstance(head, str), f"row {i}: stratum must be a string")
+        if not isinstance(head, str):
+            raise TableFormatError(f"row {i}: stratum must be a string")
         fiber = row.get("fiber")
-        _expect(isinstance(fiber, list) and fiber, f"row {i}: fiber must be nonempty")
+        if not (isinstance(fiber, list) and fiber):
+            raise TableFormatError(f"row {i}: fiber must be nonempty")
         entries = []
         for j, en in enumerate(fiber):
-            _expect(isinstance(en, dict), f"row {i} entry {j} must be an object")
-            extra = set(en) - {"levi", "character", "d", "mult", "disamb"}
-            _expect(not extra, f"row {i} entry {j} has unknown keys {sorted(extra)}")
+            if not isinstance(en, dict):
+                raise TableFormatError(f"row {i} entry {j} must be an object")
+            if not _ENTRY_KEYS.issuperset(en):
+                extra = sorted(set(en) - _ENTRY_KEYS)
+                raise TableFormatError(f"row {i} entry {j} has unknown keys {extra}")
             levi = en.get("levi")
             char = en.get("character")
             d = en.get("d")
             mult = en.get("mult")
-            _expect(isinstance(levi, str), f"row {i} entry {j}: levi must be a string")
-            _expect(isinstance(char, str), f"row {i} entry {j}: character must be a string")
-            _expect(isinstance(d, int) and d >= 0, f"row {i} entry {j}: d must be >= 0")
-            _expect(isinstance(mult, int) and mult >= 1, f"row {i} entry {j}: mult must be >= 1")
             disamb = en.get("disamb")
-            _expect(
-                disamb is None or (isinstance(disamb, str) and disamb),
-                f"row {i} entry {j}: disamb must be a nonempty string",
-            )
+            if not isinstance(levi, str):
+                raise TableFormatError(f"row {i} entry {j}: levi must be a string")
+            if not isinstance(char, str):
+                raise TableFormatError(f"row {i} entry {j}: character must be a string")
+            if not (isinstance(d, int) and d >= 0):
+                raise TableFormatError(f"row {i} entry {j}: d must be >= 0")
+            if not (isinstance(mult, int) and mult >= 1):
+                raise TableFormatError(f"row {i} entry {j}: mult must be >= 1")
+            if not (disamb is None or (isinstance(disamb, str) and disamb)):
+                raise TableFormatError(f"row {i} entry {j}: disamb must be a nonempty string")
             entries.append((levi, char, d, mult, disamb))
-        _expect(
-            entries and entries[0][0] == "-" and entries[0][1] == head
-            and entries[0][2] == 0 and entries[0][3] == 1,
-            f"row {i}: first fiber entry must be ('-', {head!r}, d=0, mult=1)",
-        )
+        if entries[0][:4] != ("-", head, 0, 1):
+            raise TableFormatError(
+                f"row {i}: first fiber entry must be ('-', {head!r}, d=0, mult=1)"
+            )
         groups_raw = row.get("groups")
-        _expect(isinstance(groups_raw, dict), f"row {i}: groups must be an object")
+        if not isinstance(groups_raw, dict):
+            raise TableFormatError(f"row {i}: groups must be an object")
         groups: dict[int, str] = {}
         for key, val in groups_raw.items():
-            _expect(key in ("0", "2", "3", "5"), f"row {i}: bad groups key {key!r}")
+            slot = _GROUP_KEYS.get(key)
+            if slot is None:
+                raise TableFormatError(f"row {i}: bad groups key {key!r}")
             try:
-                groups[int(key)] = normalize_tag(str(val))
+                groups[slot] = normalize_tag(str(val))
             except GroupError as exc:
                 raise TableFormatError(f"row {i}: {exc}") from exc
         boxed_raw = row.get("boxed")
-        _expect(isinstance(boxed_raw, list) and boxed_raw, f"row {i}: boxed must be nonempty")
+        if not (isinstance(boxed_raw, list) and boxed_raw):
+            raise TableFormatError(f"row {i}: boxed must be nonempty")
         boxed: set = set()
         for b in boxed_raw:
-            _expect(b in ("single", "2", "3", "5"), f"row {i}: bad boxed flag {b!r}")
-            boxed.add(b if b == "single" else int(b))
+            flag = _BOXED_FLAGS.get(b) if isinstance(b, str) else None
+            if flag is None:
+                raise TableFormatError(f"row {i}: bad boxed flag {b!r}")
+            boxed.add(flag)
         mem = Membership.parse(str(row.get("membership", "")))
         structured.append((head, entries[1:], groups, frozenset(boxed), mem))
     try:
         rows = assemble_rows(t, structured)
-    except (LabelError, GroupError) as exc:
+    except LabelError as exc:
         raise TableFormatError(str(exc)) from exc
     return t, rows
 

@@ -6,12 +6,12 @@ table store that holds plug-in tables for classical types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanType, Subsystem, CartanError, parse_type, simple_type
-from .cuspidal import CuspidalLevi, cuspidal_levis, cuspidal_counts, enumerate_cs_prime
+from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
 from .groups import normalize_tag
 from .labels import (
     CharacterLabel,
@@ -184,31 +184,33 @@ class StrataRow:
     groups: tuple[tuple[int, str], ...]  # (characteristic, group tag)
     boxed: frozenset
     membership: Membership
+    # Derived once, at construction: the groups by characteristic, and
+    # for full membership the groups at 2, 3, 5 that differ from the
+    # characteristic-0 group, in that order (() for singleton rows).
+    group_of: dict[int, str] = field(init=False, repr=False, compare=False)
+    deviating: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "group_of", dict(self.groups))
+        deviating: tuple[str, ...] = ()
+        if self.membership.kind == "full":
+            g0 = self.group_of[0]
+            deviating = tuple(g for g in map(self.group_at, (2, 3, 5)) if g != g0)
+        object.__setattr__(self, "deviating", deviating)
 
     def group_at(self, r: int) -> str | None:
         """Annotation at characteristic r; full-membership rows repeat
         the characteristic-0 group at r=5 unless 5 is explicit."""
-        g = dict(self.groups)
+        g = self.group_of
         if r in g:
             return g[r]
         if self.membership.kind == "full" and r == 5:
             return g[0]
         return None
 
-    @cached_property
-    def deviating(self) -> tuple[str, ...]:
-        """Groups at characteristics 2, 3, 5 that differ from the
-        characteristic-0 group, in that order (full membership)."""
-        g0 = dict(self.groups)[0]
-        return tuple(g for g in map(self.group_at, (2, 3, 5)) if g != g0)
-
     @property
     def fiber_size(self) -> int:
         return sum(en.mult for en in self.fiber)
-
-
-def _relative_map(t: CartanType) -> dict[str, CuspidalLevi]:
-    return {levi.levi_name: levi for levi in cuspidal_levis(t)}
 
 
 @lru_cache(maxsize=None)
@@ -223,15 +225,15 @@ def _relative_characters(
     return by_text
 
 
-def _parse_fiber_character(
-    t: CartanType, levi: CuspidalLevi, text: str
-) -> CharacterLabel:
-    lab = _relative_characters(t, levi.relative_weyl_type).get(text)
-    if lab is None:
-        raise TableFormatError(
-            f"{text!r} is not a character of the relative group of {levi.levi_name} in {t.name}"
-        )
-    return lab
+@lru_cache(maxsize=None)
+def _fiber_levis(t: CartanType) -> dict[str, tuple[CartanType, dict[str, CharacterLabel]]]:
+    """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
+    type and the characters of its relative group by text."""
+    return {
+        levi.levi_name: (levi.levi_weyl_type, _relative_characters(t, levi.relative_weyl_type))
+        for levi in cuspidal_levis(t)
+        if levi.levi_weyl_type is not None
+    }
 
 
 def validate_row_annotation(
@@ -256,46 +258,41 @@ def validate_row_annotation(
         raise TableFormatError(f"bad boxed flags {sorted(map(str, boxed))}")
 
 
-def _assemble_row(
-    t: CartanType,
-    head: str | CharacterLabel,
-    entries,
-    groups: dict[int, str],
-    boxed: frozenset,
-    mem: Membership,
-) -> StrataRow:
-    registry = enumerate_irr(t)
-    relatives = _relative_map(t)
-    head_label = registry.by_text(head) if isinstance(head, str) else head
-    fiber = [FiberEntry(None, head_label, 0, 1)]
-    for levi_name, char, d, mult, disamb in entries:
-        if levi_name in ("", "-"):
-            fiber.append(FiberEntry(None, registry.by_text(char), int(d), int(mult), disamb))
-            continue
-        levi = relatives.get(parse_type(levi_name).name)
-        if levi is None or levi.levi_weyl_type is None:
-            raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}")
-        lab = _parse_fiber_character(t, levi, char)
-        fiber.append(FiberEntry(levi.levi_weyl_type, lab, int(d), int(mult), disamb))
-    validate_row_annotation(groups, boxed, mem)
-    groups = {r: normalize_tag(g) for r, g in groups.items()}
-    return StrataRow(head_label, tuple(fiber), tuple(sorted(groups.items())), boxed, mem)
-
-
 def build_rows(t: CartanType, raw_rows) -> tuple[StrataRow, ...]:
     """Typed rows from raw (head, entries, annotation) triples."""
-    rows: list[StrataRow] = []
-    for head, entries, ann in raw_rows:
-        groups, boxed, mem = parse_annotation(ann)
-        rows.append(_assemble_row(t, head, entries, groups, boxed, mem))
-    _validate_rows(t, rows)
-    return tuple(rows)
+    return assemble_rows(
+        t, ((head, entries, *parse_annotation(ann)) for head, entries, ann in raw_rows)
+    )
 
 
 def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     """Typed rows from structured (head, entries, groups, boxed,
-    membership) tuples, as produced by the JSON loader."""
-    rows = [_assemble_row(t, *item) for item in structured]
+    membership) tuples with normalized group tags, as produced by the
+    JSON loader and by parse_annotation."""
+    label_of = enumerate_irr(t).by_text
+    levis = _fiber_levis(t)
+    rows: list[StrataRow] = []
+    for head, entries, groups, boxed, mem in structured:
+        head_label = label_of(head)
+        fiber = [FiberEntry(None, head_label, 0, 1)]
+        for levi_name, char, d, mult, disamb in entries:
+            if levi_name in ("", "-"):
+                fiber.append(FiberEntry(None, label_of(char), int(d), int(mult), disamb))
+                continue
+            # Canonical names hit at once; other spellings are parsed.
+            found = levis.get(levi_name) or levis.get(parse_type(levi_name).name)
+            if found is None:
+                raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}")
+            levi, characters = found
+            lab = characters.get(char)
+            if lab is None:
+                raise TableFormatError(
+                    f"{char!r} is not a character of the relative group of {levi.name} "
+                    f"in {t.name}"
+                )
+            fiber.append(FiberEntry(levi, lab, int(d), int(mult), disamb))
+        validate_row_annotation(groups, boxed, mem)
+        rows.append(StrataRow(head_label, tuple(fiber), tuple(sorted(groups.items())), boxed, mem))
     _validate_rows(t, rows)
     return tuple(rows)
 
@@ -307,20 +304,19 @@ def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
         raise TableFormatError(f"duplicate stratum head {dup!r} in table for {t.name}")
     unit = unit_label(t).text
     for r in rows:
-        if any(slot == 5 for slot, _ in r.groups) and r.stratum.text != unit:
+        if 5 in r.group_of and r.stratum.text != unit:
             raise TableFormatError(
                 f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
             )
-        if r.membership.kind == "full":
-            tags = r.deviating
-            if len(tags) == 2 and tags not in _ALLOWED_PAIRS:
-                raise TableFormatError(
-                    f"unexpected deviating pair {tags} in row {r.stratum.text!r} of {t.name}"
-                )
-            if len(tags) == 3 and tags != _TRIPLE:
-                raise TableFormatError(
-                    f"unexpected deviating triple {tags} in row {r.stratum.text!r} of {t.name}"
-                )
+        tags = r.deviating
+        if len(tags) == 2 and tags not in _ALLOWED_PAIRS:
+            raise TableFormatError(
+                f"unexpected deviating pair {tags} in row {r.stratum.text!r} of {t.name}"
+            )
+        if len(tags) == 3 and tags != _TRIPLE:
+            raise TableFormatError(
+                f"unexpected deviating triple {tags} in row {r.stratum.text!r} of {t.name}"
+            )
 
 
 class PlacementMismatch(ValueError):
@@ -366,22 +362,22 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     PlacementMismatch naming the first offending entry."""
     enum = enumerate_cs_prime(t)
     enum_families: dict[tuple, dict[str, int]] = {}
-    label_order: dict[tuple, list[str]] = {}
     for tr in enum:
-        key = (tr.levi.levi_name, tr.d)
-        fam = enum_families.setdefault(key, {})
+        fam = enum_families.setdefault((tr.levi.levi_name, tr.d), {})
         txt = tr.character.text
-        if txt not in fam:
-            fam[txt] = 0
-            label_order.setdefault(key, []).append(txt)
-        fam[txt] += 1
+        fam[txt] = fam.get(txt, 0) + 1
 
-    table_families: dict[tuple, list[tuple[int, int, FiberEntry]]] = {}
+    # Each entry with its character text, read once.
+    table_families: dict[tuple, list[tuple[int, int, FiberEntry, str]]] = {}
+    total = 0
     for ri, row in enumerate(rows):
         for pi, en in enumerate(row.fiber):
-            table_families.setdefault((en.levi_name, en.d_semantic), []).append((ri, pi, en))
+            table_families.setdefault((en.levi_name, en.d_semantic), []).append(
+                (ri, pi, en, en.character.text)
+            )
+            total += en.mult
 
-    extra = set(table_families) - set(enum_families)
+    extra = table_families.keys() - enum_families.keys()
     if extra:
         key = sorted(extra)[0]
         raise PlacementMismatch(
@@ -391,20 +387,23 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         )
 
     resolved: dict[tuple[int, int], str] = {}
+    row_of_triple: dict[tuple, int] = {}
     notes: list[str] = []
     for key, fam in enum_families.items():
+        levi_name, d = key
         remaining = dict(fam)
-        entries = table_families.get(key, [])
-        deferred: list[tuple[int, int, FiberEntry]] = []
-        for ri, pi, en in entries:
-            txt = en.character.text
+        deferred: list[tuple[int, int, FiberEntry, str]] = []
+        for item in table_families.get(key, ()):
+            ri, pi, en, txt = item
             if remaining.get(txt, 0) >= en.mult:
                 remaining[txt] -= en.mult
                 resolved[(ri, pi)] = txt
+                row_of_triple.setdefault((levi_name, txt, d), ri)
             else:
-                deferred.append((ri, pi, en))
-        leftovers = [txt for txt in label_order[key] if remaining.get(txt, 0) > 0]
-        for ri, pi, en in deferred:
+                deferred.append(item)
+        # fam lists each character text once, in enumeration order
+        leftovers = [txt for txt in fam if remaining[txt] > 0]
+        for ri, pi, en, txt in deferred:
             if en.disamb is None:
                 raise PlacementMismatch(
                     f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
@@ -412,7 +411,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                     offending=en.describe(),
                 )
             match = next(
-                (txt for txt in leftovers if remaining[txt] == en.mult), None
+                (cand for cand in leftovers if remaining[cand] == en.mult), None
             )
             if match is None:
                 raise PlacementMismatch(
@@ -423,7 +422,8 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             remaining[match] -= en.mult
             leftovers.remove(match)
             resolved[(ri, pi)] = match
-            if match != en.character.text:
+            row_of_triple.setdefault((levi_name, match, d), ri)
+            if match != txt:
                 notes.append(
                     f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
                     f"stands for character {match!r}"
@@ -433,19 +433,13 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             txt = next(iter(missing))
             raise PlacementMismatch(
                 f"table for {t.name} misses {missing[txt]} triple(s) "
-                f"({key[0]}, {txt}, d={key[1]})",
-                offending=f"({key[0]},{txt},{key[1]})",
+                f"({levi_name}, {txt}, d={d})",
+                offending=f"({levi_name},{txt},{d})",
             )
-    total = sum(en.mult for _, _, en in
-                (x for fam in table_families.values() for x in fam))
     if total != len(enum):
         raise PlacementMismatch(
             f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
         )
-    row_of_triple: dict[tuple, int] = {}
-    for (ri, pi), txt in resolved.items():
-        en = rows[ri].fiber[pi]
-        row_of_triple.setdefault((en.levi_name, txt, en.d_semantic), ri)
     row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
     return Placement(t.name, rows, total, resolved, tuple(notes), row_of_head, row_of_triple)
 

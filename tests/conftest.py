@@ -3,6 +3,10 @@ import pytest
 from charstrata.cartan import parse_type
 from charstrata.labels import enumerate_irr
 
+# The constant group whose inventory has as many elements as a fiber of
+# this size, so that every row balances.
+_GROUP_FOR_FIBER = {1: "1", 2: "C2", 3: "C3"}
+
 
 def _constant_row(head: str, extra=(), group="1"):
     fiber = [{"levi": "-", "character": head, "d": 0, "mult": 1}]
@@ -16,25 +20,55 @@ def _constant_row(head: str, extra=(), group="1"):
     }
 
 
+def _balanced_table(type_name: str, placed: dict[str, list[tuple[str, str]]]) -> dict:
+    """A table with one constant row per registry character; placed
+    maps a head to the (Levi, character) triples its fiber carries
+    besides the head, each with d = 0."""
+    heads = [lab.text for lab in enumerate_irr(parse_type(type_name))]
+    assert set(placed) <= set(heads)
+    rows = []
+    for head in heads:
+        extra = [{"levi": levi, "character": char, "d": 0, "mult": 1}
+                 for levi, char in placed.get(head, ())]
+        rows.append(_constant_row(head, extra, _GROUP_FOR_FIBER[1 + len(extra)]))
+    return {"schema": "strata-table/1", "type": type_name, "rows": rows}
+
+
 def synthetic_b3_table() -> dict:
     """A structurally valid table for B3: a test fixture for the
     plug-in seam, not real correspondence data.  Places the two
     B2-cuspidal triples so that every generic invariant holds (the
     trivial-character one in the unit stratum, the sign one with the
     sign character)."""
-    heads = [lab.text for lab in enumerate_irr(parse_type("B3"))]
-    assert heads[0] == "(3|)" and heads[-1] == "(|1,1,1)"
-    rows = []
-    for head in heads:
-        if head == "(3|)":
-            rows.append(_constant_row(
-                head, [{"levi": "B2", "character": "(2)", "d": 0, "mult": 1}], "C2"))
-        elif head == "(|1,1,1)":
-            rows.append(_constant_row(
-                head, [{"levi": "B2", "character": "(1,1)", "d": 0, "mult": 1}], "C2"))
-        else:
-            rows.append(_constant_row(head))
-    return {"schema": "strata-table/1", "type": "B3", "rows": rows}
+    return _balanced_table("B3", {
+        "(3|)": [("B2", "(2)")],
+        "(|1,1,1)": [("B2", "(1,1)")],
+    })
+
+
+def synthetic_c4_table() -> dict:
+    """A balanced C4 table in the manner of the B3 one: the five
+    B2-cuspidal triples (relative group B2, bipartition characters),
+    one in the unit stratum, two sharing a row."""
+    return _balanced_table("C4", {
+        "(4|)": [("B2", "(2|)")],
+        "(2|2)": [("B2", "(1,1|)"), ("B2", "(1|1)")],
+        "(1|3)": [("B2", "(|2)")],
+        "(|1,1,1,1)": [("B2", "(|1,1)")],
+    })
+
+
+def synthetic_d6_table() -> dict:
+    """A balanced D6 table in the manner of the B3 one, with the
+    D4-cuspidal triples in rows headed by split labels (:I / :II); D6 is
+    the smallest D type with both split labels and a cuspidal Levi other
+    than the whole group."""
+    return _balanced_table("D6", {
+        "{6|}": [("D4", "(2|)")],
+        "{3|3}:I": [("D4", "(1,1|)")],
+        "{3|3}:II": [("D4", "(|2)"), ("D4", "(1|1)")],
+        "{1,1,1|1,1,1}:II": [("D4", "(|1,1)")],
+    })
 
 
 @pytest.fixture

@@ -190,3 +190,45 @@ def test_export_report_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "verification-report/1"
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_register_in_a_non_utf8_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "b3.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "register", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_tables_dir_with_a_non_utf8_entry_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
+    (tmp_path / "B3.json").write_text(canonical_json(synthetic_b3_doc))
+    entry = tmp_path / "C4.json"
+    entry.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(entry) in err
+
+
+def test_missing_tables_dir_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(capsys, "--tables", str(missing), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: --tables {missing} does not exist\n"
+
+
+def test_tables_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "B3.json"
+    path.write_text("{}")
+    code, out, err = run(capsys, "--tables", str(path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: --tables {path} is not a directory\n"
+
+
+def test_missing_tables_dir_from_the_environment_exits_2_naming_it(
+    tmp_path, capsys, monkeypatch
+):
+    missing = tmp_path / "nonexistent"
+    monkeypatch.setenv("CHARSTRATA_TABLES", str(missing))
+    code, out, err = run(capsys, "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: $CHARSTRATA_TABLES {missing} does not exist\n"

@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from charstrata.cli import main
-from conftest import synthetic_b3_table
+from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TABLES = "{tables}"  # replaced by a directory holding B3.json
+TABLES = "{tables}"  # replaced by a directory holding B3.json, C4.json and D6.json
 
 CASES: dict[str, tuple[str, ...]] = {
     "verify-all": ("verify", "all"),
@@ -62,6 +62,14 @@ CASES: dict[str, tuple[str, ...]] = {
     "B3-cstar": ("--tables", TABLES, "cstar", "B3", "--stratum", "(3|)"),
     "B3-verify": ("--tables", TABLES, "verify", "B3"),
     "B3-export-table": ("--tables", TABLES, "export", "B3", "--what", "table"),
+    "C4-register": ("register", "--in", f"{TABLES}/C4.json"),
+    "C4-tau": ("--tables", TABLES, "tau", "C4", "--levi", "B2", "--char", "(1|1)"),
+    "C4-fiber-expand": ("--tables", TABLES, "fiber", "C4", "--stratum", "(2|2)", "--expand"),
+    "D6-register": ("register", "--in", f"{TABLES}/D6.json"),
+    "D6-strata": ("--tables", TABLES, "strata", "D6"),
+    "D6-tau": ("--tables", TABLES, "tau", "D6", "--levi", "D4", "--char", "(|2)"),
+    "D6-fiber-expand": ("--tables", TABLES, "fiber", "D6", "--stratum", "{3|3}:II", "--expand"),
+    "D6-fiber-json": ("--json", "--tables", TABLES, "fiber", "D6", "--stratum", "{3|3}:I"),
     "E8-pseudo-levi": ("pseudo-levi", "E8"),
     "B12-pseudo-levi": ("pseudo-levi", "B12"),
     "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
@@ -83,7 +91,8 @@ def transcript(argv: tuple[str, ...], tables_dir: str) -> str:
 
 
 def write_tables(directory: Path) -> str:
-    (directory / "B3.json").write_text(json.dumps(synthetic_b3_table()))
+    for table in (synthetic_b3_table(), synthetic_c4_table(), synthetic_d6_table()):
+        (directory / f"{table['type']}.json").write_text(json.dumps(table))
     return str(directory)
 
 

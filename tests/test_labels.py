@@ -2,9 +2,11 @@ import pytest
 
 from charstrata.cartan import CartanType, TORUS, parse_type
 from charstrata.labels import (
+    BipartitionLabel,
     DPairLabel,
     LabelError,
     NamedLabel,
+    PartitionLabel,
     TrivialLabel,
     enumerate_irr,
     irr_count,
@@ -157,3 +159,63 @@ def test_unit_labels():
     assert unit_label(parse_type("E8")).text == "1_0"
     assert unit_label(parse_type("F4")).text == "chi_{1,1}"
     assert unit_label(TORUS) == TrivialLabel()
+
+
+def _oracle_partitions(n: int, max_part: int | None = None):
+    """The recursive generator enumerate_irr once used, kept as the
+    reference for the order of its labels."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(n, max_part)
+    for first in range(top, 0, -1):
+        for rest in _oracle_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _oracle_texts(t: CartanType) -> list[str]:
+    def parts(p):
+        return ",".join(map(str, p))
+
+    n = t.rank
+    if t.series == "A":
+        return [f"({parts(p)})" for p in _oracle_partitions(n + 1)]
+    pairs = [(alpha, beta) for a in range(n, -1, -1)
+             for alpha in _oracle_partitions(a) for beta in _oracle_partitions(n - a)]
+    if t.series in ("B", "C"):
+        return [f"({parts(a)}|{parts(b)})" for a, b in pairs]
+    out = []
+    for alpha, beta in pairs:
+        if alpha < beta:
+            continue
+        base = f"{{{parts(alpha)}|{parts(beta)}}}"
+        out.extend([f"{base}:I", f"{base}:II"] if alpha == beta else [base])
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 15)] + [f"B{n}" for n in range(2, 15)]
+    + [f"C{n}" for n in range(3, 15)] + [f"D{n}" for n in range(4, 15)],
+)
+def test_registry_order_matches_the_recursive_enumeration(name):
+    t = parse_type(name)
+    assert list(enumerate_irr(t).texts) == _oracle_texts(t)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_partitions_match_the_recursive_enumeration(n):
+    assert list(partitions(n)) == list(_oracle_partitions(n))
+    for max_part in range(0, n + 2):
+        assert list(partitions(n, max_part)) == list(_oracle_partitions(n, max_part))
+
+
+def test_malformed_partitions_are_rejected_with_their_parts():
+    with pytest.raises(LabelError, match=r"^partition parts must be positive: \(0, 1\)$"):
+        PartitionLabel((0, 1))
+    with pytest.raises(LabelError, match=r"^partition parts must be positive: \(2, -1\)$"):
+        BipartitionLabel((1,), (2, -1))
+    with pytest.raises(LabelError, match=r"^partition must be weakly decreasing: \(1, 2\)$"):
+        PartitionLabel((1, 2))
+    with pytest.raises(LabelError, match=r"^partition must be weakly decreasing: \(1, 3\)$"):
+        DPairLabel((2, 2), (1, 3))

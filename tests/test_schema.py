@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from charstrata.cartan import parse_type
+from charstrata.cartan import CartanError, parse_type
 from charstrata.schema import (
     canonical_json,
     parse_table_document,
@@ -205,3 +205,136 @@ def test_duplicate_head_rejected(synthetic_b3_doc):
     doc["rows"][1]["fiber"][0]["character"] = doc["rows"][2]["stratum"]
     with pytest.raises(TableFormatError):
         register_external_table(doc, TableStore())
+
+
+def _put(*path, value):
+    """A mutation that sets doc[path[0]]...[path[-1]] = value."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _replace(value):
+    return lambda doc: value
+
+
+def _deviating(groups, boxed, row=1):
+    def mutate(doc):
+        doc["rows"][row]["groups"] = groups
+        doc["rows"][row]["boxed"] = boxed
+    return mutate
+
+
+def _duplicate_row(doc):
+    doc["rows"][2] = copy.deepcopy(doc["rows"][1])
+
+
+def _unknown_head(doc):
+    doc["rows"][1]["stratum"] = "(9|)"
+    doc["rows"][1]["fiber"][0]["character"] = "(9|)"
+
+
+_ENTRY = ("rows", 0, "fiber", 1)
+
+# One malformed B3 document per rejection of parse_table_document and
+# the row assembly and validation behind it, with the exact message.
+REJECTIONS = [
+    ("not-an-object", _replace([]), TableFormatError, "document must be a JSON object"),
+    ("schema", _put("schema", value="strata-table/2"), TableFormatError,
+     "schema must be 'strata-table/1'"),
+    ("type", _put("type", value="Z9"), TableFormatError, "bad type field: unknown series 'Z'"),
+    ("rows-empty", _put("rows", value=[]), TableFormatError, "rows must be a nonempty list"),
+    ("row-not-an-object", _put("rows", 1, value="x"), TableFormatError,
+     "row 1 must be an object"),
+    ("row-unknown-keys", _put("rows", 1, "zz", value=1), TableFormatError,
+     "row 1 has unknown keys ['zz']"),
+    ("stratum-not-a-string", _put("rows", 1, "stratum", value=3), TableFormatError,
+     "row 1: stratum must be a string"),
+    ("fiber-empty", _put("rows", 1, "fiber", value=[]), TableFormatError,
+     "row 1: fiber must be nonempty"),
+    ("entry-not-an-object", _put("rows", 0, "fiber", 1, value=[]), TableFormatError,
+     "row 0 entry 1 must be an object"),
+    ("entry-unknown-keys", _put(*_ENTRY, "index", value=0), TableFormatError,
+     "row 0 entry 1 has unknown keys ['index']"),
+    ("levi-not-a-string", _put(*_ENTRY, "levi", value=None), TableFormatError,
+     "row 0 entry 1: levi must be a string"),
+    ("character-not-a-string", _put(*_ENTRY, "character", value=5), TableFormatError,
+     "row 0 entry 1: character must be a string"),
+    ("d-negative", _put(*_ENTRY, "d", value=-1), TableFormatError,
+     "row 0 entry 1: d must be >= 0"),
+    ("d-not-an-int", _put(*_ENTRY, "d", value="0"), TableFormatError,
+     "row 0 entry 1: d must be >= 0"),
+    ("mult-zero", _put(*_ENTRY, "mult", value=0), TableFormatError,
+     "row 0 entry 1: mult must be >= 1"),
+    ("disamb-empty", _put(*_ENTRY, "disamb", value=""), TableFormatError,
+     "row 0 entry 1: disamb must be a nonempty string"),
+    ("first-entry", _put("rows", 1, "fiber", 0, "d", value=1), TableFormatError,
+     "row 1: first fiber entry must be ('-', '(2,1|)', d=0, mult=1)"),
+    ("groups-not-an-object", _put("rows", 1, "groups", value=[]), TableFormatError,
+     "row 1: groups must be an object"),
+    ("groups-key", _put("rows", 1, "groups", "7", value="1"), TableFormatError,
+     "row 1: bad groups key '7'"),
+    ("group-tag", _put("rows", 1, "groups", "0", value="C9"), TableFormatError,
+     "row 1: unknown component group 'C9'"),
+    ("boxed-empty", _put("rows", 1, "boxed", value=[]), TableFormatError,
+     "row 1: boxed must be nonempty"),
+    ("boxed-flag", _put("rows", 1, "boxed", value=["7"]), TableFormatError,
+     "row 1: bad boxed flag '7'"),
+    ("membership", _put("rows", 1, "membership", value="partial"), TableFormatError,
+     "bad membership 'partial'"),
+    ("singleton-prime", _put("rows", 1, "membership", value="singleton:7"), TableFormatError,
+     "bad singleton characteristic 7"),
+    ("unknown-head", _unknown_head, TableFormatError, "unknown label '(9|)' for B3"),
+    ("unknown-empty-levi-character", _put(*_ENTRY, value={
+        "levi": "-", "character": "(8|)", "d": 0, "mult": 1}), TableFormatError,
+     "unknown label '(8|)' for B3"),
+    ("levi-unparsable", _put(*_ENTRY, "levi", value="Z9"), CartanError,
+     "unknown series 'Z'"),
+    ("levi-not-cuspidal", _put(*_ENTRY, "levi", value="A2"), TableFormatError,
+     "A2 is not a cuspidal Levi of B3"),
+    ("levi-alias-not-cuspidal", _put(*_ENTRY, "levi", value="C2"), TableFormatError,
+     "C2 is not a cuspidal Levi of B3"),
+    ("relative-character", _put(*_ENTRY, "character", value="(3)"), TableFormatError,
+     "'(3)' is not a character of the relative group of B2 in B3"),
+    ("singleton-row", lambda doc: doc["rows"][1].update(
+        groups={"2": "1"}, boxed=["2"], membership="singleton:3"), TableFormatError,
+     "singleton row must define and box exactly characteristic 3"),
+    ("full-row-slots", _put("rows", 1, "groups", value={"0": "1", "2": "1"}),
+     TableFormatError, "full-membership row must define characteristics 0, 2, 3"),
+    ("constant-row-differs", _put("rows", 1, "groups", "2", value="C2"), TableFormatError,
+     "constant row carries differing groups"),
+    ("boxed-flags", _put("rows", 1, "boxed", value=["single", "2"]), TableFormatError,
+     "bad boxed flags ['2', 'single']"),
+    ("duplicate-head", _duplicate_row, TableFormatError,
+     "duplicate stratum head '(2,1|)' in table for B3"),
+    ("five-outside-unit", _put("rows", 1, "groups", "5", value="1"), TableFormatError,
+     "characteristic-5 annotation outside the unit stratum ((2,1|))"),
+    ("deviating-pair", _deviating({"0": "1", "2": "C3", "3": "C2"}, ["2", "3"]),
+     TableFormatError, "unexpected deviating pair ('C3', 'C2') in row '(2,1|)' of B3"),
+    ("deviating-triple",
+     _deviating({"0": "1", "2": "C2", "3": "C2", "5": "C2"}, ["2", "3", "5"], row=0),
+     TableFormatError, "unexpected deviating triple ('C2', 'C2', 'C2') in row '(3|)' of B3"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message", [case[1:] for case in REJECTIONS],
+    ids=[case[0] for case in REJECTIONS],
+)
+def test_rejection_message_is_exact(synthetic_b3_doc, mutate, error, message):
+    doc = copy.deepcopy(synthetic_b3_doc)
+    replaced = mutate(doc)
+    if replaced is not None:
+        doc = replaced
+    with pytest.raises(error) as err:
+        parse_table_document(doc)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_levi_names_are_read_in_any_accepted_spelling(synthetic_b3_doc):
+    doc = copy.deepcopy(synthetic_b3_doc)
+    doc["rows"][0]["fiber"][1]["levi"] = " b_2"
+    assert parse_table_document(doc) == parse_table_document(synthetic_b3_doc)
