@@ -9,7 +9,7 @@ No root vectors or Weyl group elements are manipulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "Torus")
@@ -29,6 +29,8 @@ class CartanType:
 
     series: str
     rank: int
+    # Derived once, at construction: the printed name ('E8', 'Torus').
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.series not in SERIES:
@@ -46,6 +48,8 @@ class CartanType:
         }[self.series]
         if not ok:
             raise CartanError(f"non-canonical type {self.series}{self.rank}")
+        name = "Torus" if self.series == "Torus" else f"{self.series}{self.rank}"
+        object.__setattr__(self, "name", name)
 
     @property
     def is_torus(self) -> bool:
@@ -58,10 +62,6 @@ class CartanType:
     @property
     def is_classical(self) -> bool:
         return self.series in ("B", "C", "D")
-
-    @property
-    def name(self) -> str:
-        return "Torus" if self.is_torus else f"{self.series}{self.rank}"
 
     def __str__(self) -> str:  # pragma: no cover - repr helper
         return self.name

@@ -122,7 +122,10 @@ def _read_document(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TableFormatError(f"{path} is not UTF-8: {exc}") from None
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TableFormatError(f"{path}: {exc}") from None
 
 
 def _load_tables(store: TableStore, directory: str, source: str) -> None:
@@ -132,7 +135,11 @@ def _load_tables(store: TableStore, directory: str, source: str) -> None:
             raise NotADirectoryError(f"{source} {directory} is not a directory")
         raise FileNotFoundError(f"{source} {directory} does not exist")
     for path in sorted(root.glob("*.json")):
-        register_external_table(_read_document(path), store)
+        doc = _read_document(path)
+        try:
+            register_external_table(doc, store)
+        except (TableFormatError, PlacementMismatch, CartanError) as exc:
+            raise TableFormatError(f"{path}: {exc}") from None
 
 
 def _print_info(t: CartanType) -> None:
@@ -361,7 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         TableFormatError,
         PlacementMismatch,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ cuspidal object whose dimension invariant is opaque (d=None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cartan import CartanType
@@ -32,6 +32,12 @@ class CuspidalLevi:
     ambient: CartanType
     levi_weyl_type: CartanType | None
     relative_weyl_type: CartanType | None
+    # Derived once, at construction: the Levi's name, '-' when empty.
+    levi_name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        levi = self.levi_weyl_type
+        object.__setattr__(self, "levi_name", "-" if levi is None else levi.name)
 
     @property
     def is_empty(self) -> bool:
@@ -42,10 +48,6 @@ class CuspidalLevi:
         return self.levi_weyl_type == self.ambient or (
             self.ambient.is_torus and self.is_empty
         )
-
-    @property
-    def levi_name(self) -> str:
-        return "-" if self.is_empty else self.levi_weyl_type.name
 
 
 def _relative_b_type(m: int) -> CartanType | None:
@@ -161,10 +163,12 @@ class SheafTriple:
     character: CharacterLabel
     d: int | None
     index: int
+    # Derived once, at construction: (Levi name, character text, d), the
+    # coordinates a table places the triple by; cuspidal indices share it.
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        return (self.levi.levi_name, self.character.text, self.d)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.levi.levi_name, self.character.text, self.d))
 
     def describe(self) -> str:
         if self.levi.is_empty and not self.levi.ambient.is_torus:

@@ -55,19 +55,9 @@ _INVENTORIES: dict[str, tuple[str, ...]] = {
     "S3xC2": ("(1,+)", "(sgn,+)", "(std,+)", "(1,-)", "(sgn,-)", "(std,-)"),
 }
 
-_ORDERS: dict[str, int] = {
-    "1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6,
-    "C2xC2": 4, "C2xC3": 6, "S3": 6, "S4": 24, "S5": 120,
-    "D8": 8, "S3xC2": 12,
-}
-
 
 def inventory(tag: str) -> tuple[str, ...]:
     return _INVENTORIES[normalize_tag(tag)]
-
-
-def group_order(tag: str) -> int:
-    return _ORDERS[normalize_tag(tag)]
 
 
 def faithful_cyclic_inventory(m: int) -> tuple[str, ...]:

@@ -59,12 +59,13 @@ def tau(
     """The stratum of a cuspidal-support triple."""
     if t.is_torus:
         return TrivialLabel()
-    if triple.key not in _triples_by_key(t):
+    key = triple.key
+    if key not in _triples_by_key(t):
         raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
     if t.series == "A":
         return triple.character
     pl = placement(t, store)
-    return pl.rows[pl.row_of_triple[triple.key]].stratum
+    return pl.rows[pl.row_of_triple[key]].stratum
 
 
 def find_triple(

@@ -151,20 +151,20 @@ class FiberEntry:
     d_printed: int
     mult: int
     disamb: str | None = None
+    # Derived once, at construction: the Levi's name ('-' when empty),
+    # the d of the triple it stands for (None, opaque, for classical
+    # Levis) and the triple key (Levi name, character text, d).
+    levi_name: str = field(init=False, repr=False, compare=False)
+    d_semantic: int | None = field(init=False, repr=False, compare=False)
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def d_semantic(self) -> int | None:
-        if self.levi is not None and self.levi.is_classical:
-            return None
-        return self.d_printed
-
-    @property
-    def levi_name(self) -> str:
-        return "-" if self.levi is None else self.levi.name
-
-    @property
-    def key(self) -> tuple:
-        return (self.levi_name, self.character.text, self.d_semantic)
+    def __post_init__(self) -> None:
+        levi = self.levi
+        levi_name = "-" if levi is None else levi.name
+        d = None if levi is not None and levi.is_classical else self.d_printed
+        object.__setattr__(self, "levi_name", levi_name)
+        object.__setattr__(self, "d_semantic", d)
+        object.__setattr__(self, "key", (levi_name, self.character.text, d))
 
     def describe(self) -> str:
         if self.levi is None:
@@ -363,18 +363,16 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     enum = enumerate_cs_prime(t)
     enum_families: dict[tuple, dict[str, int]] = {}
     for tr in enum:
-        fam = enum_families.setdefault((tr.levi.levi_name, tr.d), {})
-        txt = tr.character.text
+        levi_name, txt, d = tr.key
+        fam = enum_families.setdefault((levi_name, d), {})
         fam[txt] = fam.get(txt, 0) + 1
 
-    # Each entry with its character text, read once.
     table_families: dict[tuple, list[tuple[int, int, FiberEntry, str]]] = {}
     total = 0
     for ri, row in enumerate(rows):
         for pi, en in enumerate(row.fiber):
-            table_families.setdefault((en.levi_name, en.d_semantic), []).append(
-                (ri, pi, en, en.character.text)
-            )
+            levi_name, txt, d = en.key
+            table_families.setdefault((levi_name, d), []).append((ri, pi, en, txt))
             total += en.mult
 
     extra = table_families.keys() - enum_families.keys()
@@ -489,13 +487,14 @@ DEFAULT_STORE = TableStore()
 def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
     """The resolved table of t: built once per process for an embedded
     type, at registration for a registered one."""
-    if t.name in tabledata.TABLES:
+    name = t.name
+    if name in tabledata.TABLES:
         return _embedded_placement(t)
     try:
-        return store._registered[t.name]
+        return store._registered[name]
     except KeyError:
         raise NoTableAvailable(
-            f"no strata table for {t.name}; register one for classical types"
+            f"no strata table for {name}; register one for classical types"
         ) from None
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from charstrata.cartan import parse_type
+from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.labels import enumerate_irr
 
 # The constant group whose inventory has as many elements as a fiber of
@@ -68,6 +69,20 @@ def synthetic_d6_table() -> dict:
         "{3|3}:I": [("D4", "(1,1|)")],
         "{3|3}:II": [("D4", "(|2)"), ("D4", "(1|1)")],
         "{1,1,1|1,1,1}:II": [("D4", "(|1,1)")],
+    })
+
+
+def synthetic_spread_table(type_name: str) -> dict:
+    """A balanced table for any B, C or D type: the triples with a
+    nonempty cuspidal Levi, in enumeration order, two to a row over the
+    rows in registry order."""
+    t = parse_type(type_name)
+    extras = [(tr.levi.levi_name, tr.character.text)
+              for tr in enumerate_cs_prime(t) if not tr.levi.is_empty]
+    heads = [lab.text for lab in enumerate_irr(t)]
+    assert len(extras) <= 2 * len(heads)
+    return _balanced_table(type_name, {
+        head: extras[2 * i:2 * i + 2] for i, head in enumerate(heads) if 2 * i < len(extras)
     })
 
 

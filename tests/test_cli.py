@@ -232,3 +232,36 @@ def test_missing_tables_dir_from_the_environment_exits_2_naming_it(
     code, out, err = run(capsys, "strata", "B3")
     assert (code, out) == (2, "")
     assert err == f"error: $CHARSTRATA_TABLES {missing} does not exist\n"
+
+
+def test_register_in_an_empty_file_exits_2_naming_it(capsys):
+    code, out, err = run(capsys, "register", "--in", "/dev/null")
+    assert (code, out) == (2, "")
+    assert err == "error: /dev/null: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_tables_dir_with_an_undecodable_entry_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
+    (tmp_path / "B3.json").write_text(canonical_json(synthetic_b3_doc))
+    entry = tmp_path / "X.json"
+    entry.write_text('{"schema": \n')
+    code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {entry}: Expecting value: line 2 column 1 (char 12)\n"
+
+
+def test_tables_dir_with_a_misplaced_entry_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
+    synthetic_b3_doc["rows"][0]["fiber"].pop()
+    entry = tmp_path / "X.json"
+    entry.write_text(canonical_json(synthetic_b3_doc))
+    code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {entry}: table for B3 misses 1 triple(s) (B2, (2), d=None)\n"
+
+
+def test_tables_dir_with_an_unparsable_levi_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
+    synthetic_b3_doc["rows"][0]["fiber"][1]["levi"] = "Z9"
+    entry = tmp_path / "X.json"
+    entry.write_text(canonical_json(synthetic_b3_doc))
+    code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {entry}: unknown series 'Z'\n"

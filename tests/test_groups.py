@@ -3,13 +3,18 @@ import pytest
 from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
+    _model,
     conjugacy_class_count,
     faithful_cyclic_inventory,
-    group_order,
     inventory,
     normalize_tag,
     pullback_inventory,
 )
+
+
+def group_order(tag: str) -> int:
+    """The number of elements of the group's explicit element model."""
+    return len(_model(tag)[0])
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)

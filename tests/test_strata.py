@@ -22,6 +22,7 @@ from charstrata.strata import (
 )
 from charstrata.tables import DEFAULT_STORE, NoTableAvailable, TableStore, find_row
 from charstrata.verify import register_external_table
+from conftest import synthetic_spread_table
 
 TABLE_TYPES = ["G2", "F4", "E6", "E7", "E8"]
 TOTALS = {"G2": 10, "F4": 37, "E6": 30, "E7": 76, "E8": 165}
@@ -280,17 +281,27 @@ def test_stores_holding_different_tables_answer_independently(synthetic_b3_doc):
     assert placement(b3, plain) is not placement(b3, other)
 
 
-@pytest.mark.parametrize("name", TABLE_TYPES)
+@pytest.mark.parametrize("name", TABLE_TYPES + ["B12"])
 def test_tau_index_agrees_with_a_scan_of_the_placement(name):
     t = parse_type(name)
-    pl = placement(t)
+    store = DEFAULT_STORE
+    if not store.has_table(t):
+        store = TableStore()
+        register_external_table(synthetic_spread_table(name), store)
+    pl = placement(t, store)
+    # Every resolved entry as (triple key, stratum), in resolved order.
+    placed = [
+        ((pl.rows[ri].fiber[pi].levi_name, txt, pl.rows[ri].fiber[pi].d_semantic),
+         pl.rows[ri].stratum)
+        for (ri, pi), txt in pl.resolved.items()
+    ]
 
     def scan(tr):
-        for (ri, pi), txt in pl.resolved.items():
-            en = pl.rows[ri].fiber[pi]
-            if (en.levi_name, txt, en.d_semantic) == tr.key:
-                return pl.rows[ri].stratum
+        wanted = tr.key
+        for key, stratum in placed:
+            if key == wanted:
+                return stratum
         raise AssertionError(f"{tr.describe()} is not placed")
 
     for tr in enumerate_cs_prime(t):
-        assert tau(t, tr) == scan(tr)
+        assert tau(t, tr, store) == scan(tr)
