@@ -5,14 +5,28 @@ Everything here is diagram-level combinatorics: types, Weyl group
 orders, highest-root coefficients, extended Dynkin diagrams, and the
 closure of a type under "extend a simple factor and delete nodes".
 No root vectors or Weyl group elements are manipulated.
+
+ValueObject, the base of the package's immutable value classes, lives
+here because every other module imports this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
-SERIES = ("A", "B", "C", "D", "E", "F", "G", "Torus")
+# The admissible ranks of each series.
+_RANK_OK = {
+    "A": lambda n: n >= 1,
+    "B": lambda n: n >= 2,
+    "C": lambda n: n >= 2,
+    "D": lambda n: n >= 4,
+    "E": lambda n: n in (6, 7, 8),
+    "F": lambda n: n == 4,
+    "G": lambda n: n == 2,
+    "Torus": lambda n: n == 0,
+}
+SERIES = tuple(_RANK_OK)
 
 # The subsystem closure grows quickly with rank (B20 alone has 11,928
 # members); cap the rank it is enumerated for.
@@ -23,33 +37,113 @@ class CartanError(ValueError):
     """Invalid type, alias, or out-of-range request."""
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
-    """A quasi-simple series/rank pair, or the torus."""
+_set = object.__setattr__
 
-    series: str
-    rank: int
-    # Derived once, at construction: the printed name ('E8', 'Torus').
-    name: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.series not in SERIES:
-            raise CartanError(f"unknown series {self.series!r}")
-        n = self.rank
-        ok = {
-            "A": n >= 1,
-            "B": n >= 2,
-            "C": n >= 2,
-            "D": n >= 4,
-            "E": n in (6, 7, 8),
-            "F": n == 4,
-            "G": n == 2,
-            "Torus": n == 0,
-        }[self.series]
-        if not ok:
-            raise CartanError(f"non-canonical type {self.series}{self.rank}")
-        name = "Torus" if self.series == "Torus" else f"{self.series}{self.rank}"
-        object.__setattr__(self, "name", name)
+def _fields_getter(fields: tuple[str, ...]):
+    """A function from an instance to the tuple of its named fields."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda value: (get(value),)
+    return lambda value: ()
+
+
+class ValueObject:
+    """Base of the package's immutable value classes.
+
+    A subclass names the fields its ==, hash and repr are made of in
+    _fields, in constructor order, lists them and any attribute derived
+    from them in __slots__, and sets all of them once in its own
+    __init__ through object.__setattr__.  Instances equal only instances
+    of the same class with equal fields, hash as the tuple of those
+    fields, and refuse every later assignment or deletion with
+    dataclasses.FrozenInstanceError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._values = staticmethod(_fields_getter(cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuild through __init__, which recomputes the derived slots
+        # (a stored hash of strings is only valid in its own process).
+        return self.__class__, self._values(self)
+
+
+class CartanType(ValueObject):
+    """A quasi-simple series/rank pair, or the torus.  Ordered by
+    (series, rank)."""
+
+    __slots__ = ("series", "rank", "name", "_hash")
+    _fields = ("series", "rank")
+
+    def __init__(self, series: str, rank: int) -> None:
+        ok = _RANK_OK.get(series)
+        if ok is None:
+            raise CartanError(f"unknown series {series!r}")
+        if not ok(rank):
+            raise CartanError(f"non-canonical type {series}{rank}")
+        _set(self, "series", series)
+        _set(self, "rank", rank)
+        # Derived once: the printed name ('E8', 'Torus') and the hash.
+        _set(self, "name", "Torus" if series == "Torus" else f"{series}{rank}")
+        _set(self, "_hash", hash((series, rank)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.series == other.series and self.rank == other.rank
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.series, self.rank) < (other.series, other.rank)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.series, self.rank) <= (other.series, other.rank)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.series, self.rank) > (other.series, other.rank)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.series, self.rank) >= (other.series, other.rank)
+        return NotImplemented
 
     @property
     def is_torus(self) -> bool:
@@ -104,15 +198,28 @@ def parse_type(text: str) -> CartanType:
     return CartanType(series, int(digits))
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(ValueObject):
     """A multiset of simple factors (the semisimple type of a subsystem).
 
     Factors are alias-normalized so comparisons against the names used
     for centralizer types are well defined.
     """
 
-    factors: tuple[CartanType, ...]
+    __slots__ = ("factors", "_hash")
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[CartanType, ...]) -> None:
+        _set(self, "factors", factors)
+        # Derived once: closures hold subsystems in sets.
+        _set(self, "_hash", hash((factors,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(*factors: CartanType) -> "Subsystem":
@@ -238,17 +345,31 @@ def _extended_edges(t: CartanType) -> tuple[Edge, ...]:
     return tuple(chain) + (affine,)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(ValueObject):
     """The full static record for one type."""
 
-    cartan_type: CartanType
-    weyl_order: int
-    degrees: tuple[int, ...]
-    bad_primes: frozenset[int]
-    highest_root_coeffs: tuple[int, ...]
-    z_value: int
-    extended_diagram: tuple[Edge, ...]
+    __slots__ = _fields = (
+        "cartan_type", "weyl_order", "degrees", "bad_primes", "highest_root_coeffs",
+        "z_value", "extended_diagram",
+    )
+
+    def __init__(
+        self,
+        cartan_type: CartanType,
+        weyl_order: int,
+        degrees: tuple[int, ...],
+        bad_primes: frozenset[int],
+        highest_root_coeffs: tuple[int, ...],
+        z_value: int,
+        extended_diagram: tuple[Edge, ...],
+    ) -> None:
+        _set(self, "cartan_type", cartan_type)
+        _set(self, "weyl_order", weyl_order)
+        _set(self, "degrees", degrees)
+        _set(self, "bad_primes", bad_primes)
+        _set(self, "highest_root_coeffs", highest_root_coeffs)
+        _set(self, "z_value", z_value)
+        _set(self, "extended_diagram", extended_diagram)
 
     @property
     def coxeter_number(self) -> int:

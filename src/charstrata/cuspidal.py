@@ -9,19 +9,19 @@ cuspidal object whose dimension invariant is opaque (d=None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanType
+from .cartan import CartanType, ValueObject
 from .labels import CharacterLabel, relative_character_labels
+
+_set = object.__setattr__
 
 
 class CuspidalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CuspidalLevi:
+class CuspidalLevi(ValueObject):
     """A cuspidal Levi, recorded by Weyl types.
 
     levi_weyl_type None means the empty subset (maximal torus); then the
@@ -29,15 +29,20 @@ class CuspidalLevi:
     means the trivial group (full-type Levi).
     """
 
-    ambient: CartanType
-    levi_weyl_type: CartanType | None
-    relative_weyl_type: CartanType | None
-    # Derived once, at construction: the Levi's name, '-' when empty.
-    levi_name: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("ambient", "levi_weyl_type", "relative_weyl_type", "levi_name")
+    _fields = ("ambient", "levi_weyl_type", "relative_weyl_type")
 
-    def __post_init__(self) -> None:
-        levi = self.levi_weyl_type
-        object.__setattr__(self, "levi_name", "-" if levi is None else levi.name)
+    def __init__(
+        self,
+        ambient: CartanType,
+        levi_weyl_type: CartanType | None,
+        relative_weyl_type: CartanType | None,
+    ) -> None:
+        _set(self, "ambient", ambient)
+        _set(self, "levi_weyl_type", levi_weyl_type)
+        _set(self, "relative_weyl_type", relative_weyl_type)
+        # Derived once: the Levi's name, '-' when empty.
+        _set(self, "levi_name", "-" if levi_weyl_type is None else levi_weyl_type.name)
 
     @property
     def is_empty(self) -> bool:
@@ -115,15 +120,17 @@ def _is_classical_cuspidal(t: CartanType) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CuspidalCounts:
+class CuspidalCounts(ValueObject):
     """d -> number of cuspidal objects with that dimension invariant.
 
     Classical cuspidal types use the single opaque key None.
     """
 
-    ambient: CartanType
-    counts: tuple[tuple[int | None, int], ...]  # (d, count), d descending
+    __slots__ = _fields = ("ambient", "counts")
+
+    def __init__(self, ambient: CartanType, counts: tuple[tuple[int | None, int], ...]) -> None:
+        _set(self, "ambient", ambient)
+        _set(self, "counts", counts)  # (d, count), d descending
 
     def as_dict(self) -> dict[int | None, int]:
         return dict(self.counts)
@@ -153,22 +160,24 @@ def cuspidal_counts(t: CartanType) -> CuspidalCounts:
     return CuspidalCounts(t, ())
 
 
-@dataclass(frozen=True)
-class SheafTriple:
+class SheafTriple(ValueObject):
     """One point of the parametrizing set: cuspidal Levi, character of
     the relative group, dimension invariant d (None = opaque), and an
     index below the cuspidal count for that d."""
 
-    levi: CuspidalLevi
-    character: CharacterLabel
-    d: int | None
-    index: int
-    # Derived once, at construction: (Levi name, character text, d), the
-    # coordinates a table places the triple by; cuspidal indices share it.
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("levi", "character", "d", "index", "key")
+    _fields = ("levi", "character", "d", "index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (self.levi.levi_name, self.character.text, self.d))
+    def __init__(
+        self, levi: CuspidalLevi, character: CharacterLabel, d: int | None, index: int
+    ) -> None:
+        _set(self, "levi", levi)
+        _set(self, "character", character)
+        _set(self, "d", d)
+        _set(self, "index", index)
+        # Derived once: (Levi name, character text, d), the coordinates a
+        # table places the triple by; cuspidal indices share it.
+        _set(self, "key", (levi.levi_name, character.text, d))
 
     def describe(self) -> str:
         if self.levi.is_empty and not self.levi.ambient.is_torus:
@@ -201,8 +210,7 @@ def enumerate_cs_prime(t: CartanType) -> tuple[SheafTriple, ...]:
 # dimension invariant d are unipotently supported.
 
 
-@dataclass(frozen=True)
-class SupportCase:
+class SupportCase(ValueObject):
     """tag:
     'unique-prime': unipotently supported in exactly one characteristic r0;
     'all-primes'  : unipotently supported in every characteristic;
@@ -212,8 +220,11 @@ class SupportCase:
                     part (handled like 'no-prime' by the strata map).
     """
 
-    tag: str
-    r0: int | None = None
+    __slots__ = _fields = ("tag", "r0")
+
+    def __init__(self, tag: str, r0: int | None = None) -> None:
+        _set(self, "tag", tag)
+        _set(self, "r0", r0)
 
 
 _UNIQUE_PRIME: dict[tuple[str, int], int] = {

@@ -15,11 +15,12 @@ README.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .cartan import CartanType
+from .cartan import CartanType, ValueObject
 from . import tabledata
+
+_set = object.__setattr__
 
 
 class LabelError(ValueError):
@@ -69,9 +70,11 @@ def _parse_parts(text: str) -> Partition:
     return _check_partition(parts)
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
-    """Base class; concrete labels compare by canonical text."""
+class CharacterLabel(ValueObject):
+    """Base class; concrete labels compare by their fields within one
+    class and carry their canonical text, fixed at construction."""
+
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -81,75 +84,67 @@ class CharacterLabel:
         return self.text
 
 
-@dataclass(frozen=True)
 class TrivialLabel(CharacterLabel):
-    @property
-    def text(self) -> str:
-        return "1"
+    __slots__ = ()
+    text = "1"
 
 
-@dataclass(frozen=True)
 class PartitionLabel(CharacterLabel):
-    parts: Partition
+    __slots__ = ("parts", "text")
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        _check_partition(self.parts)
-
-    @cached_property
-    def text(self) -> str:
-        return f"({_parts_text(self.parts)})"
+    def __init__(self, parts: Partition) -> None:
+        _check_partition(parts)
+        _set(self, "parts", parts)
+        _set(self, "text", f"({_parts_text(parts)})")
 
 
-@dataclass(frozen=True)
 class BipartitionLabel(CharacterLabel):
-    alpha: Partition
-    beta: Partition
+    __slots__ = ("alpha", "beta", "text")
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        _check_partition(self.alpha)
-        _check_partition(self.beta)
+    def __init__(self, alpha: Partition, beta: Partition) -> None:
+        _check_partition(alpha)
+        _check_partition(beta)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "text", f"({_parts_text(alpha)}|{_parts_text(beta)})")
 
-    @cached_property
-    def text(self) -> str:
-        return f"({_parts_text(self.alpha)}|{_parts_text(self.beta)})"
 
-
-@dataclass(frozen=True)
 class DPairLabel(CharacterLabel):
     """Unordered pair {alpha, beta}; split I/II is mandatory iff alpha==beta."""
 
-    alpha: Partition
-    beta: Partition
-    split: str | None = None
+    __slots__ = ("alpha", "beta", "split", "text")
+    _fields = ("alpha", "beta", "split")
 
-    def __post_init__(self) -> None:
-        _check_partition(self.alpha)
-        _check_partition(self.beta)
-        if self.alpha < self.beta:
+    def __init__(self, alpha: Partition, beta: Partition, split: str | None = None) -> None:
+        _check_partition(alpha)
+        _check_partition(beta)
+        if alpha < beta:
             raise LabelError("D-pair stored with alpha >= beta")
-        if self.alpha == self.beta:
-            if self.split not in ("I", "II"):
+        if alpha == beta:
+            if split not in ("I", "II"):
                 raise LabelError("symmetric D-pair needs split tag I or II")
-        elif self.split is not None:
+        elif split is not None:
             raise LabelError("split tag only allowed on symmetric pairs")
-
-    @cached_property
-    def text(self) -> str:
-        base = f"{{{_parts_text(self.alpha)}|{_parts_text(self.beta)}}}"
-        return f"{base}:{self.split}" if self.split else base
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "split", split)
+        base = f"{{{_parts_text(alpha)}|{_parts_text(beta)}}}"
+        _set(self, "text", f"{base}:{split}" if split else base)
 
 
 _DB_NAME = re.compile(r"^(\d+)_(\d+)$")
 _CHI_NAME = re.compile(r"^chi_\{(\d+)(?:,(\d+))?\}$|^chi_(\d+)$")
 
 
-@dataclass(frozen=True)
 class NamedLabel(CharacterLabel):
-    name: str
+    __slots__ = ("name", "text")
+    _fields = ("name",)
 
-    @property
-    def text(self) -> str:
-        return self.name
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "text", name)
 
     @property
     def dim(self) -> int | None:
@@ -167,17 +162,17 @@ class NamedLabel(CharacterLabel):
         return int(m.group(2)) if m else None
 
 
-@dataclass(frozen=True)
-class IrrRegistry:
-    cartan_type: CartanType
-    labels: tuple[CharacterLabel, ...]
-    _by_text: dict[str, CharacterLabel] = field(init=False, repr=False, compare=False)
+class IrrRegistry(ValueObject):
+    __slots__ = ("cartan_type", "labels", "_by_text")
+    _fields = ("cartan_type", "labels")
 
-    def __post_init__(self) -> None:
-        by_text = {lab.text: lab for lab in self.labels}
-        if len(by_text) != len(self.labels):
-            raise LabelError(f"duplicate labels in registry for {self.cartan_type}")
-        object.__setattr__(self, "_by_text", by_text)
+    def __init__(self, cartan_type: CartanType, labels: tuple[CharacterLabel, ...]) -> None:
+        by_text = {lab.text: lab for lab in labels}
+        if len(by_text) != len(labels):
+            raise LabelError(f"duplicate labels in registry for {cartan_type}")
+        _set(self, "cartan_type", cartan_type)
+        _set(self, "labels", labels)
+        _set(self, "_by_text", by_text)
 
     @property
     def texts(self) -> tuple[str, ...]:

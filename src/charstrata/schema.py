@@ -114,9 +114,11 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
                 raise TableFormatError(f"row {i} entry {j}: levi must be a string")
             if not isinstance(char, str):
                 raise TableFormatError(f"row {i} entry {j}: character must be a string")
-            if not (isinstance(d, int) and d >= 0):
+            # type() rather than isinstance(): JSON true and false are bools,
+            # which isinstance() would pass as the integers 1 and 0.
+            if not (type(d) is int and d >= 0):
                 raise TableFormatError(f"row {i} entry {j}: d must be >= 0")
-            if not (isinstance(mult, int) and mult >= 1):
+            if not (type(mult) is int and mult >= 1):
                 raise TableFormatError(f"row {i} entry {j}: mult must be >= 1")
             if not (disamb is None or (isinstance(disamb, str) and disamb)):
                 raise TableFormatError(f"row {i} entry {j}: disamb must be a nonempty string")

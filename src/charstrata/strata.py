@@ -11,11 +11,10 @@ resolve_placement are re-exported here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cartan import CartanType, datum
+from .cartan import CartanType, ValueObject, datum
 from .cuspidal import SheafTriple, enumerate_cs_prime
 from .groups import (
     faithful_cyclic_inventory,
@@ -33,6 +32,8 @@ from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     placement,
     resolve_placement,
 )
+
+_set = object.__setattr__
 
 
 class TripleNotFound(LookupError):
@@ -139,14 +140,16 @@ def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLa
 # Group collections and their representation inventories.
 
 
-@dataclass(frozen=True)
-class GroupCollection:
+class GroupCollection(ValueObject):
     """c(E): a single group, the deviating pair, or the full cyclic
     triple of the unit stratum in E8."""
 
-    kind: str  # "single" | "pair" | "triple"
-    tags: tuple[str, ...]
-    quotient: str | None = None  # characteristic-0 group under a pair
+    __slots__ = _fields = ("kind", "tags", "quotient")
+
+    def __init__(self, kind: str, tags: tuple[str, ...], quotient: str | None = None) -> None:
+        _set(self, "kind", kind)  # "single" | "pair" | "triple"
+        _set(self, "tags", tags)
+        _set(self, "quotient", quotient)  # characteristic-0 group under a pair
 
     @property
     def text(self) -> str:
@@ -177,11 +180,13 @@ def c_collection(
     return GroupCollection("triple", tags)
 
 
-@dataclass(frozen=True)
-class CStarElement:
-    group: str
-    irrep: str
-    origin: str  # "single" | "first" | "second" | "faithful-Cm"
+class CStarElement(ValueObject):
+    __slots__ = _fields = ("group", "irrep", "origin")
+
+    def __init__(self, group: str, irrep: str, origin: str) -> None:
+        _set(self, "group", group)
+        _set(self, "irrep", irrep)
+        _set(self, "origin", origin)  # "single" | "first" | "second" | "faithful-Cm"
 
 
 def c_star(
@@ -249,10 +254,12 @@ def bijection_pairing(
 # The regular stratum and roots of unity.
 
 
-@dataclass(frozen=True)
-class RootOfUnityLabel:
-    m: int
-    k: int
+class RootOfUnityLabel(ValueObject):
+    __slots__ = _fields = ("m", "k")
+
+    def __init__(self, m: int, k: int) -> None:
+        _set(self, "m", m)
+        _set(self, "k", k)
 
     @property
     def text(self) -> str:

@@ -6,11 +6,10 @@ table store that holds plug-in tables for classical types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import tabledata
-from .cartan import CartanType, Subsystem, CartanError, parse_type, simple_type
+from .cartan import CartanType, Subsystem, CartanError, ValueObject, parse_type, simple_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
 from .groups import normalize_tag
 from .labels import (
@@ -19,6 +18,9 @@ from .labels import (
     relative_character_labels,
     unit_label,
 )
+
+
+_set = object.__setattr__
 
 
 class NoTableAvailable(LookupError):
@@ -42,13 +44,15 @@ _ALLOWED_PAIRS = {("C2", "C3"), ("C4", "C3"), ("C2xC2", "C2xC3")}
 _TRIPLE = ("C4", "C3", "C5")
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(ValueObject):
     """Which characteristics the stratum's class exists in: all of them,
     or a single prime r0."""
 
-    kind: str  # "full" | "singleton"
-    r0: int | None = None
+    __slots__ = _fields = ("kind", "r0")
+
+    def __init__(self, kind: str, r0: int | None = None) -> None:
+        _set(self, "kind", kind)  # "full" | "singleton"
+        _set(self, "r0", r0)
 
     @property
     def text(self) -> str:
@@ -140,31 +144,37 @@ def parse_annotation(ann: str) -> tuple[dict[int, str], frozenset, Membership]:
     raise TableFormatError(f"partial annotation is neither full nor singleton: {ann!r}")
 
 
-@dataclass(frozen=True)
-class FiberEntry:
+class FiberEntry(ValueObject):
     """One printed fiber symbol: Levi (None = empty subset), character of
     the relative group, the printed d, its multiplicity, and the
     occurrence disambiguator for labels printed identically in two rows."""
 
-    levi: CartanType | None
-    character: CharacterLabel
-    d_printed: int
-    mult: int
-    disamb: str | None = None
-    # Derived once, at construction: the Levi's name ('-' when empty),
-    # the d of the triple it stands for (None, opaque, for classical
-    # Levis) and the triple key (Levi name, character text, d).
-    levi_name: str = field(init=False, repr=False, compare=False)
-    d_semantic: int | None = field(init=False, repr=False, compare=False)
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "levi", "character", "d_printed", "mult", "disamb", "levi_name", "d_semantic", "key",
+    )
+    _fields = ("levi", "character", "d_printed", "mult", "disamb")
 
-    def __post_init__(self) -> None:
-        levi = self.levi
+    def __init__(
+        self,
+        levi: CartanType | None,
+        character: CharacterLabel,
+        d_printed: int,
+        mult: int,
+        disamb: str | None = None,
+    ) -> None:
+        _set(self, "levi", levi)
+        _set(self, "character", character)
+        _set(self, "d_printed", d_printed)
+        _set(self, "mult", mult)
+        _set(self, "disamb", disamb)
+        # Derived once: the Levi's name ('-' when empty), the d of the
+        # triple it stands for (None, opaque, for classical Levis) and
+        # the triple key (Levi name, character text, d).
         levi_name = "-" if levi is None else levi.name
-        d = None if levi is not None and levi.is_classical else self.d_printed
-        object.__setattr__(self, "levi_name", levi_name)
-        object.__setattr__(self, "d_semantic", d)
-        object.__setattr__(self, "key", (levi_name, self.character.text, d))
+        d = None if levi is not None and levi.is_classical else d_printed
+        _set(self, "levi_name", levi_name)
+        _set(self, "d_semantic", d)
+        _set(self, "key", (levi_name, character.text, d))
 
     def describe(self) -> str:
         if self.levi is None:
@@ -177,26 +187,32 @@ class FiberEntry:
         return s
 
 
-@dataclass(frozen=True)
-class StrataRow:
-    stratum: CharacterLabel
-    fiber: tuple[FiberEntry, ...]  # first entry is (empty, stratum, 0, 1)
-    groups: tuple[tuple[int, str], ...]  # (characteristic, group tag)
-    boxed: frozenset
-    membership: Membership
-    # Derived once, at construction: the groups by characteristic, and
-    # for full membership the groups at 2, 3, 5 that differ from the
-    # characteristic-0 group, in that order (() for singleton rows).
-    group_of: dict[int, str] = field(init=False, repr=False, compare=False)
-    deviating: tuple[str, ...] = field(init=False, repr=False, compare=False)
+class StrataRow(ValueObject):
+    __slots__ = ("stratum", "fiber", "groups", "boxed", "membership", "group_of", "deviating")
+    _fields = ("stratum", "fiber", "groups", "boxed", "membership")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group_of", dict(self.groups))
+    def __init__(
+        self,
+        stratum: CharacterLabel,
+        fiber: tuple[FiberEntry, ...],  # first entry is (empty, stratum, 0, 1)
+        groups: tuple[tuple[int, str], ...],  # (characteristic, group tag)
+        boxed: frozenset,
+        membership: Membership,
+    ) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "fiber", fiber)
+        _set(self, "groups", groups)
+        _set(self, "boxed", boxed)
+        _set(self, "membership", membership)
+        # Derived once: the groups by characteristic, and for full
+        # membership the groups at 2, 3, 5 that differ from the
+        # characteristic-0 group, in that order (() for singleton rows).
+        _set(self, "group_of", dict(groups))
         deviating: tuple[str, ...] = ()
-        if self.membership.kind == "full":
+        if membership.kind == "full":
             g0 = self.group_of[0]
             deviating = tuple(g for g in map(self.group_at, (2, 3, 5)) if g != g0)
-        object.__setattr__(self, "deviating", deviating)
+        _set(self, "deviating", deviating)
 
     def group_at(self, r: int) -> str | None:
         """Annotation at characteristic r; full-membership rows repeat
@@ -327,8 +343,7 @@ class PlacementMismatch(ValueError):
         self.offending = offending
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
@@ -341,13 +356,27 @@ class Placement:
     first row, in resolved order, whose fiber holds that triple.
     """
 
-    type_name: str
-    rows: tuple[StrataRow, ...]
-    total: int
-    resolved: dict[tuple[int, int], str]
-    notes: tuple[str, ...]
-    row_of_head: dict[str, int]
-    row_of_triple: dict[tuple, int]
+    __slots__ = _fields = (
+        "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
+    )
+
+    def __init__(
+        self,
+        type_name: str,
+        rows: tuple[StrataRow, ...],
+        total: int,
+        resolved: dict[tuple[int, int], str],
+        notes: tuple[str, ...],
+        row_of_head: dict[str, int],
+        row_of_triple: dict[tuple, int],
+    ) -> None:
+        _set(self, "type_name", type_name)
+        _set(self, "rows", rows)
+        _set(self, "total", total)
+        _set(self, "resolved", resolved)
+        _set(self, "notes", notes)
+        _set(self, "row_of_head", row_of_head)
+        _set(self, "row_of_triple", row_of_triple)
 
     def row_index(self, stratum: CharacterLabel | str) -> int:
         text = stratum if isinstance(stratum, str) else stratum.text
@@ -520,13 +549,22 @@ def find_row(
 # Centralizer profiles.
 
 
-@dataclass(frozen=True)
-class CentralizerProfile:
-    ambient: CartanType
-    d: int | None
-    characteristic_class: str  # "generic" or the prime as a string
-    entries: tuple[tuple[Subsystem | None, int], ...]  # None = full group
-    note: str | None = None
+class CentralizerProfile(ValueObject):
+    __slots__ = _fields = ("ambient", "d", "characteristic_class", "entries", "note")
+
+    def __init__(
+        self,
+        ambient: CartanType,
+        d: int | None,
+        characteristic_class: str,  # "generic" or the prime as a string
+        entries: tuple[tuple[Subsystem | None, int], ...],  # None = full group
+        note: str | None = None,
+    ) -> None:
+        _set(self, "ambient", ambient)
+        _set(self, "d", d)
+        _set(self, "characteristic_class", characteristic_class)
+        _set(self, "entries", entries)
+        _set(self, "note", note)
 
     @property
     def total(self) -> int:

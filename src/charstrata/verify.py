@@ -8,11 +8,10 @@ without an available table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import tabledata
-from .cartan import CartanType, MAX_ENUMERATION_RANK, datum, is_pseudo_levi
+from .cartan import CartanType, MAX_ENUMERATION_RANK, ValueObject, datum, is_pseudo_levi
 from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
 from .labels import enumerate_irr, relative_character_labels
@@ -42,11 +41,25 @@ CHECK_IDS = (
 )
 
 
-@dataclass
-class VerificationReport:
-    type_name: str
-    checks: list[tuple[str, str, str]] = field(default_factory=list)
-    errata: list[str] = field(default_factory=list)
+class VerificationReport(ValueObject):
+    """The checks of one type, in order, and the errata that touch it.
+    Unlike the other value classes it is built up in place: mutable and
+    unhashable."""
+
+    __slots__ = _fields = ("type_name", "checks", "errata")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        type_name: str,
+        checks: list[tuple[str, str, str]] | None = None,
+        errata: list[str] | None = None,
+    ) -> None:
+        self.type_name = type_name
+        self.checks = [] if checks is None else checks
+        self.errata = [] if errata is None else errata
 
     def add(self, check_id: str, status: str, detail: str) -> None:
         self.checks.append((check_id, status, detail))

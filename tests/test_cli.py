@@ -127,6 +127,18 @@ def test_bad_singleton_membership_exits_2_naming_it(tmp_path, capsys, synthetic_
     assert err == "error: bad membership 'singleton:abc'\n"
 
 
+def test_boolean_d_or_mult_exits_2_naming_the_entry(tmp_path, capsys, synthetic_b3_doc):
+    # JSON false and true are not the integers 0 and 1 of the schema.
+    path = tmp_path / "b3.json"
+    for key, value, message in (("d", False, "d must be >= 0"), ("mult", True, "mult must be >= 1")):
+        doc = json.loads(json.dumps(synthetic_b3_doc))
+        doc["rows"][1]["fiber"][0][key] = value
+        path.write_text(canonical_json(doc))
+        code, out, err = run(capsys, "register", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: row 1 entry 0: {message}\n"
+
+
 def test_register_in_a_directory_exits_2_naming_it(tmp_path, capsys):
     code, out, err = run(capsys, "register", "--in", str(tmp_path))
     assert (code, out) == (2, "")

@@ -268,6 +268,14 @@ REJECTIONS = [
      "row 0 entry 1: d must be >= 0"),
     ("mult-zero", _put(*_ENTRY, "mult", value=0), TableFormatError,
      "row 0 entry 1: mult must be >= 1"),
+    ("d-bool", _put(*_ENTRY, "d", value=False), TableFormatError,
+     "row 0 entry 1: d must be >= 0"),
+    ("mult-bool", _put(*_ENTRY, "mult", value=True), TableFormatError,
+     "row 0 entry 1: mult must be >= 1"),
+    ("first-entry-d-bool", _put("rows", 1, "fiber", 0, "d", value=False), TableFormatError,
+     "row 1 entry 0: d must be >= 0"),
+    ("first-entry-mult-bool", _put("rows", 1, "fiber", 0, "mult", value=True),
+     TableFormatError, "row 1 entry 0: mult must be >= 1"),
     ("disamb-empty", _put(*_ENTRY, "disamb", value=""), TableFormatError,
      "row 0 entry 1: disamb must be a nonempty string"),
     ("first-entry", _put("rows", 1, "fiber", 0, "d", value=1), TableFormatError,

@@ -1,18 +1,42 @@
-"""Semantics of the value objects every query hashes and compares:
-CartanType, CuspidalLevi, SheafTriple and FiberEntry.  Equality, hash,
-ordering, repr and immutability are part of the API; the derived
-identity fields (name, levi_name, d_semantic, key) must agree with the
-stored fields they are computed from."""
+"""Semantics of the value objects every query hashes and compares.
+Equality, hash, ordering, repr, immutability and pickling are part of
+the API for every value class of the package; the derived identity
+fields (name, levi_name, d_semantic, key) must agree with the stored
+fields they are computed from."""
 
+import copy
 import dataclasses
+import functools
+import operator
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from charstrata.cartan import TORUS, CartanType, parse_type
-from charstrata.cuspidal import CuspidalLevi, SheafTriple, cuspidal_levis, enumerate_cs_prime
-from charstrata.labels import NamedLabel, PartitionLabel, TrivialLabel
-from charstrata.tables import FiberEntry, TableStore, placement
-from charstrata.verify import register_external_table
+import charstrata
+from charstrata.cartan import (
+    TORUS, CartanDatum, CartanType, Subsystem, datum, parse_type, pseudo_levi_types,
+)
+from charstrata.cuspidal import (
+    CuspidalCounts, CuspidalLevi, SheafTriple, SupportCase, cuspidal_counts, cuspidal_levis,
+    enumerate_cs_prime, support_case,
+)
+from charstrata.labels import (
+    BipartitionLabel, CharacterLabel, DPairLabel, IrrRegistry, NamedLabel, PartitionLabel,
+    TrivialLabel, enumerate_irr,
+)
+from charstrata.strata import (
+    CStarElement, GroupCollection, RootOfUnityLabel, c_collection, c_star,
+    regular_fiber_labels,
+)
+from charstrata.tables import (
+    CentralizerProfile, FiberEntry, Membership, Placement, StrataRow, TableStore,
+    centralizer_profiles, placement,
+)
+from charstrata.verify import VerificationReport, register_external_table, run_all
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 E8 = CartanType("E", 8)
@@ -136,3 +160,289 @@ def test_keys_agree_with_the_fields_they_name(name):
             classical = en.levi is not None and en.levi.is_classical
             assert en.d_semantic == (None if classical else en.d_printed)
             assert en.key == (en.levi_name, en.character.text, en.d_semantic)
+
+
+# ---------------------------------------------------------------------------
+# Every value class of the package: the fields its ==, hash and repr are
+# made of, in constructor order.  The contract below holds for all of them.
+
+COMPARED = {
+    CartanType: ("series", "rank"),
+    Subsystem: ("factors",),
+    CartanDatum: ("cartan_type", "weyl_order", "degrees", "bad_primes",
+                  "highest_root_coeffs", "z_value", "extended_diagram"),
+    CuspidalLevi: ("ambient", "levi_weyl_type", "relative_weyl_type"),
+    CuspidalCounts: ("ambient", "counts"),
+    SheafTriple: ("levi", "character", "d", "index"),
+    SupportCase: ("tag", "r0"),
+    CharacterLabel: (),
+    TrivialLabel: (),
+    PartitionLabel: ("parts",),
+    BipartitionLabel: ("alpha", "beta"),
+    DPairLabel: ("alpha", "beta", "split"),
+    NamedLabel: ("name",),
+    IrrRegistry: ("cartan_type", "labels"),
+    Membership: ("kind", "r0"),
+    FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
+    StrataRow: ("stratum", "fiber", "groups", "boxed", "membership"),
+    Placement: ("type_name", "rows", "total", "resolved", "notes", "row_of_head",
+                "row_of_triple"),
+    CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
+    GroupCollection: ("kind", "tags", "quotient"),
+    CStarElement: ("group", "irrep", "origin"),
+    RootOfUnityLabel: ("m", "k"),
+    VerificationReport: ("type_name", "checks", "errata"),
+}
+
+# Attributes computed at construction from the compared fields.
+DERIVED = {
+    CartanType: ("name",),
+    CuspidalLevi: ("levi_name",),
+    SheafTriple: ("key",),
+    PartitionLabel: ("text",),
+    BipartitionLabel: ("text",),
+    DPairLabel: ("text",),
+    NamedLabel: ("text",),
+    TrivialLabel: ("text",),
+    IrrRegistry: ("_by_text",),
+    FiberEntry: ("levi_name", "d_semantic", "key"),
+    StrataRow: ("group_of", "deviating"),
+}
+
+CLASSES = list(COMPARED)
+CLASS_IDS = [cls.__name__ for cls in CLASSES]
+
+
+def _fields(value):
+    return tuple(getattr(value, f) for f in COMPARED[type(value)])
+
+
+@functools.lru_cache(maxsize=None)
+def _samples():
+    """Instances of every class, as the package builds them: E8, G2 and
+    the B3/D6 fixtures (D6 for the split D-pair labels)."""
+    b3, d6, g2 = parse_type("B3"), parse_type("D6"), parse_type("G2")
+    store = TableStore()
+    register_external_table(synthetic_b3_table(), store)
+    register_external_table(synthetic_d6_table(), store)
+    e8_rows = placement(E8).rows
+    e8_strata = [row.stratum for row in e8_rows]
+    out = [
+        E8, TORUS, b3, d6, g2, CartanType("B", 12),
+        Subsystem.parse("E7xA1"), Subsystem(()), *sorted(pseudo_levi_types(g2), key=repr),
+        datum(E8), datum(TORUS), datum(b3),
+        *cuspidal_levis(E8), *cuspidal_levis(b3), *cuspidal_levis(TORUS),
+        cuspidal_counts(E8), cuspidal_counts(b3), cuspidal_counts(d6),
+        *enumerate_cs_prime(E8)[100:140], *enumerate_cs_prime(b3), *enumerate_cs_prime(TORUS),
+        *(support_case(E8, d) for d, _ in cuspidal_counts(E8).counts),
+        support_case(g2, 0), support_case(CartanType("B", 2), None),
+        CharacterLabel(), TrivialLabel(), PartitionLabel((2, 1)), PartitionLabel(()),
+        *enumerate_irr(b3), *enumerate_irr(d6), *enumerate_irr(g2), *e8_strata[:10],
+        enumerate_irr(b3), enumerate_irr(d6), enumerate_irr(g2),
+        *e8_rows[:12], *placement(b3, store).rows, *placement(d6, store).rows[:8],
+        *(en for row in e8_rows[:12] for en in row.fiber),
+        *(row.membership for row in e8_rows),
+        placement(g2), placement(b3, store),
+        *centralizer_profiles(E8), *centralizer_profiles(parse_type("B6")),
+        *(c_collection(E8, s) for s in e8_strata),
+        *c_star(E8, "1_0"), *c_star(E8, e8_strata[0]), *c_star(d6, "{3|3}:I", store),
+        *regular_fiber_labels(E8), *regular_fiber_labels(TORUS),
+        run_all(g2), run_all(b3, store), VerificationReport("B3"),
+    ]
+    return out
+
+
+def _of(cls):
+    values = [v for v in _samples() if type(v) is cls]
+    assert values, cls
+    return values
+
+
+def test_samples_cover_every_kind():
+    kinds = {(type(v).__name__, getattr(v, "kind", None)) for v in _samples()}
+    assert {("GroupCollection", k) for k in ("single", "pair", "triple")} <= kinds
+    assert {("Membership", k) for k in ("full", "singleton")} <= kinds
+    assert {lab.split for lab in _of(DPairLabel)} == {None, "I", "II"}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=CLASS_IDS)
+def test_equality_is_by_compared_fields_within_one_class(cls):
+    values = _of(cls)
+    for v in values:
+        rebuilt = cls(*_fields(v))
+        assert rebuilt == v and not (rebuilt != v) and rebuilt is not v
+        assert v.__eq__(_fields(v)) is NotImplemented
+        assert v != _fields(v) and not (v == _fields(v))
+        assert v.__eq__(object()) is NotImplemented
+    for v in values[:12]:
+        for w in values[:12]:
+            assert (v == w) is (_fields(v) == _fields(w))
+            assert (v != w) is (_fields(v) != _fields(w))
+
+
+def test_equality_never_crosses_classes():
+    assert NamedLabel("1") != TrivialLabel() and TrivialLabel() != NamedLabel("1")
+    assert CharacterLabel() != TrivialLabel() and TrivialLabel() == TrivialLabel()
+    assert PartitionLabel((2, 1)) != BipartitionLabel((2, 1), ())
+    assert DPairLabel((2,), (1,)) != BipartitionLabel((2,), (1,))
+    assert Membership("full") != SupportCase("full")
+    assert CartanType("E", 8) != ("E", 8) and ("E", 8) != CartanType("E", 8)
+    assert Subsystem((E8,)) != (E8,)
+    assert RootOfUnityLabel(2, 1) != (2, 1)
+    assert VerificationReport("G2") != ("G2", [], [])
+    assert len({NamedLabel("1"), TrivialLabel(), CharacterLabel()}) == 3
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=CLASS_IDS)
+def test_hash_is_the_hash_of_the_compared_fields(cls):
+    if cls is VerificationReport:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(_of(cls)[0])
+        return
+    for v in _of(cls):
+        try:
+            expected = hash(_fields(v))
+        except TypeError:  # a Placement holds dicts
+            with pytest.raises(TypeError):
+                hash(v)
+            continue
+        assert hash(v) == expected
+        assert hash(cls(*_fields(v))) == expected
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=CLASS_IDS)
+def test_repr_names_the_class_and_its_compared_fields(cls):
+    for v in _of(cls):
+        body = ", ".join(f"{f}={getattr(v, f)!r}" for f in COMPARED[cls])
+        assert repr(v) == f"{cls.__name__}({body})"
+
+
+def test_repr_is_exact():
+    assert repr(Subsystem.parse("E7xA1")) == (
+        "Subsystem(factors=(CartanType(series='A', rank=1), CartanType(series='E', rank=7)))"
+    )
+    assert repr(CharacterLabel()) == "CharacterLabel()"
+    assert repr(PartitionLabel((2, 1))) == "PartitionLabel(parts=(2, 1))"
+    assert repr(BipartitionLabel((1,), ())) == "BipartitionLabel(alpha=(1,), beta=())"
+    assert repr(DPairLabel((3,), (3,), "I")) == "DPairLabel(alpha=(3,), beta=(3,), split='I')"
+    assert repr(DPairLabel((2,), (1,))) == "DPairLabel(alpha=(2,), beta=(1,), split=None)"
+    assert repr(cuspidal_counts(E8)) == (
+        "CuspidalCounts(ambient=CartanType(series='E', rank=8), "
+        "counts=((16, 1), (7, 1), (6, 1), (3, 2), (1, 2), (0, 6)))"
+    )
+    assert repr(support_case(E8, 3)) == "SupportCase(tag='unique-prime', r0=3)"
+    assert repr(support_case(E8, 0)) == "SupportCase(tag='no-prime', r0=None)"
+    assert repr(Membership.parse("singleton:3")) == "Membership(kind='singleton', r0=3)"
+    assert repr(c_collection(E8, "1_0")) == (
+        "GroupCollection(kind='triple', tags=('C4', 'C3', 'C5'), quotient=None)"
+    )
+    assert repr(c_star(E8, "1_0")[0]) == (
+        "CStarElement(group='1', irrep='1', origin='faithful-C1')"
+    )
+    assert repr(RootOfUnityLabel(6, 5)) == "RootOfUnityLabel(m=6, k=5)"
+    assert repr(VerificationReport("B3")) == (
+        "VerificationReport(type_name='B3', checks=[], errata=[])"
+    )
+    registry = enumerate_irr(CartanType("A", 2))
+    assert repr(registry) == (
+        "IrrRegistry(cartan_type=CartanType(series='A', rank=2), "
+        "labels=(PartitionLabel(parts=(3,)), PartitionLabel(parts=(2, 1)), "
+        "PartitionLabel(parts=(1, 1, 1))))"
+    )
+    assert repr(datum(TORUS)) == (
+        "CartanDatum(cartan_type=CartanType(series='Torus', rank=0), weyl_order=1, "
+        "degrees=(), bad_primes=frozenset(), highest_root_coeffs=(), z_value=1, "
+        "extended_diagram=())"
+    )
+
+
+@pytest.mark.parametrize("cls", [c for c in CLASSES if c is not CartanType],
+                         ids=[n for n in CLASS_IDS if n != "CartanType"])
+def test_only_cartan_type_is_ordered(cls):
+    v = _of(cls)[0]
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(v, v)
+
+
+def test_cartan_type_orders_by_series_then_rank_in_every_comparison():
+    types = _of(CartanType)
+    for a in types:
+        for b in types:
+            ka, kb = (a.series, a.rank), (b.series, b.rank)
+            assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    assert E8.__lt__(("E", 9)) is NotImplemented
+    with pytest.raises(TypeError):
+        E8 < ("E", 9)
+
+
+def test_value_objects_are_not_sequences():
+    with pytest.raises(TypeError):
+        iter(E8)
+    with pytest.raises(TypeError):
+        len(RootOfUnityLabel(2, 1))
+
+
+@pytest.mark.parametrize("cls", [c for c in CLASSES if c is not VerificationReport],
+                         ids=[n for n in CLASS_IDS if n != "VerificationReport"])
+def test_assigning_or_deleting_any_attribute_raises_frozen_instance_error(cls):
+    v = _of(cls)[-1]
+    for attr in COMPARED[cls] + DERIVED.get(cls, ()) + ("not_a_field",):
+        before = getattr(v, attr, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{attr}'"):
+            setattr(v, attr, before)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{attr}'"):
+            delattr(v, attr)
+        assert getattr(v, attr, None) == before
+
+
+def test_verification_report_is_mutable():
+    report = VerificationReport("G2")
+    report.type_name = "F4"
+    report.checks.append(("x", "pass", ""))
+    assert report == VerificationReport("F4", [("x", "pass", "")], [])
+    assert VerificationReport("G2").checks is not VerificationReport("G2").checks
+    del report.errata
+    with pytest.raises(AttributeError):
+        report.errata
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=CLASS_IDS)
+def test_pickle_and_copy_round_trips_give_equal_objects(cls):
+    for v in _of(cls)[:6]:
+        copies = [pickle.loads(pickle.dumps(v, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(v), copy.deepcopy(v)]
+        for c in copies:
+            assert type(c) is cls and c == v and repr(c) == repr(v)
+            for attr in DERIVED.get(cls, ()):
+                assert getattr(c, attr) == getattr(v, attr)
+            if cls.__hash__ is not None and cls is not Placement:
+                assert hash(c) == hash(v)
+
+
+def test_copies_keep_working():
+    registry = copy.deepcopy(enumerate_irr(CartanType("D", 6)))
+    assert registry.by_text("{3|3}:II") == DPairLabel((3,), (3,), "II")
+    row = pickle.loads(pickle.dumps(placement(E8).rows[0]))
+    assert row.group_at(5) == placement(E8).rows[0].group_at(5)
+    report = copy.deepcopy(run_all(CartanType("G", 2)))
+    report.add("x", "fail", "")
+    assert report.failed and not run_all(CartanType("G", 2)).failed
+
+
+def test_import_loads_no_class_building_machinery():
+    # The value classes are plain slotted classes: importing the package
+    # and its CLI must not load dataclasses or what it pulls in.
+    src = str(Path(charstrata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    script = (
+        "import sys, charstrata, charstrata.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+        " if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
