@@ -1,5 +1,6 @@
 """Static root-system data for the quasi-simple types, plus the
-Borel-de Siebenthal subsystem enumerator.
+Borel-de Siebenthal subsystem enumerator and, for series A-D, a
+closed-form test of membership in its closure.
 
 Everything here is diagram-level combinatorics: types, Weyl group
 orders, highest-root coefficients, extended Dynkin diagrams, and the
@@ -234,7 +235,7 @@ class Subsystem(ValueObject):
         factors: list[CartanType] = []
         for part in s.replace("*", "x").split("x"):
             part = part.strip().replace("_", "")
-            series, digits = part[0].upper(), part[1:]
+            series, digits = part[:1].upper(), part[1:]
             if not digits.isdigit():
                 raise CartanError(f"cannot parse subsystem factor {part!r}")
             rank = int(digits)
@@ -537,9 +538,60 @@ def pseudo_levi_types(t: CartanType) -> frozenset[Subsystem]:
     return frozenset(seen)
 
 
+# (factor series, ambient series) pairs where a factor of rank k uses k
+# nodes and may repeat; the one B factor of B_n is counted apart.
+_FULL_FACTORS = frozenset({("D", "B"), ("D", "D"), ("C", "C")})
+
+
+def _fits_classical(t: CartanType, s: Subsystem) -> bool:
+    """Closed-form membership of s in pseudo_levi_types(t) for t of
+    series A, B, C or D, at any rank.
+
+    The closure of A_n holds the Levi types A_{k1} x ... with
+    sum(k_i + 1) <= n + 1.  That of C_n holds C and A factors, that of
+    D_n D and A factors, and that of B_n those of D_n plus at most one
+    B factor.  Outside A_n each factor uses a budget of nodes that must
+    total at most n: B_k, C_k and D_k use k, and A_k uses k + 1 (as
+    GL_{k+1}) except where a low-rank identification is cheaper:
+    A1 = C1 uses 1 in C_n, A3 = D3 uses 3 in B_n and D_n, and there
+    A1s pair up as D2 = A1 x A1, an odd one out using 2 as GL2, or 1
+    as B1 in B_n when no other B factor is present.
+    """
+    ambient = t.series
+    cost = ones = 0
+    has_b = False
+    for f in s.factors:
+        series, k = f.series, f.rank
+        if series == "A":
+            if k == 1 and ambient != "A":
+                ones += 1
+            elif k == 3 and ambient in ("B", "D"):
+                cost += 3
+            else:
+                cost += k + 1
+        elif series == "B" and ambient == "B" and not has_b:
+            has_b = True
+            cost += k
+        elif (series, ambient) in _FULL_FACTORS or (f.name, ambient) == ("B2", "C"):
+            cost += k
+        else:
+            return False
+    if ambient == "C" or (ambient == "B" and not has_b):
+        cost += ones
+    else:
+        cost += ones + ones % 2
+    return cost <= (t.rank + 1 if ambient == "A" else t.rank)
+
+
 def is_pseudo_levi(t: CartanType, s: Subsystem | str) -> bool:
-    """Whether s occurs as the type of a connected centralizer in t."""
+    """Whether s occurs as the type of a connected centralizer in t.
+
+    Series A-D are decided in closed form at any rank; the torus and
+    the exceptional types look s up in their closure.
+    """
     if isinstance(s, str):
         s = Subsystem.parse(s)
+    if t.series in ("A", "B", "C", "D"):
+        return _fits_classical(t, s)
     return s in pseudo_levi_types(t)
 

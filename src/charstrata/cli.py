@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from math import isqrt
 from pathlib import Path
 
 from .cartan import (
@@ -142,6 +144,20 @@ def _load_tables(store: TableStore, directory: str, source: str) -> None:
             raise TableFormatError(f"{path}: {exc}") from None
 
 
+def _char_class(text: str) -> str | None:
+    """The profile class that a --char-class value selects ('generic'
+    for generic and 0, else the prime itself), or None when the value is
+    none of these.  Primes are written in decimal without leading zeros
+    and, to bound the trial division, below 10^12."""
+    if text in ("generic", "0"):
+        return "generic"
+    if re.fullmatch("[1-9][0-9]{0,11}", text):
+        n = int(text)
+        if n > 1 and all(n % q for q in range(2, isqrt(n) + 1)):
+            return text
+    return None
+
+
 def _print_info(t: CartanType) -> None:
     d = datum(t)
     print(f"type: {t.name}")
@@ -262,12 +278,18 @@ def _cmd(args, store: TableStore) -> int:
         return 0
 
     if args.command == "centralizers":
+        wanted = None
+        if args.char_class is not None:
+            wanted = _char_class(args.char_class)
+            if wanted is None:
+                print(f"error: bad --char-class {args.char_class!r}; "
+                      "expected generic, 0 or a prime", file=sys.stderr)
+                return 2
         profiles = [
             p
             for p in centralizer_profiles(t)
             if (args.d is None or p.d == args.d)
-            and (args.char_class is None or p.characteristic_class ==
-                 ("generic" if args.char_class in ("0", "generic") else args.char_class))
+            and (wanted is None or p.characteristic_class == wanted)
         ]
         if args.json:
             doc = {

@@ -145,13 +145,19 @@ def _model(tag: str):
     raise GroupError(tag)
 
 
+def _inverse(g, identity, mul):
+    """g^(m-1) for the order m of g: its inverse, in m products."""
+    power, following = g, mul(g, g)
+    while following != identity:
+        power, following = following, mul(following, g)
+    return power
+
+
 def conjugacy_class_count(tag: str) -> int:
     """Brute-force class count over the explicit element list."""
     els, mul = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
-    inv = {}
-    for g in els:
-        inv[g] = next(h for h in els if mul(g, h) == identity)
+    inv = {g: _inverse(g, identity, mul) for g in els}
     remaining = set(els)
     classes = 0
     while remaining:

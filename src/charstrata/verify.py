@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import tabledata
-from .cartan import CartanType, MAX_ENUMERATION_RANK, ValueObject, datum, is_pseudo_levi
+from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
 from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
 from .labels import enumerate_irr, relative_character_labels
@@ -185,8 +185,6 @@ def _check_centralizers(t: CartanType) -> tuple[str, str]:
     profiles = centralizer_profiles(t)
     if not profiles:
         return "skipped", "no cuspidal centralizer data for this type"
-    if t.rank > MAX_ENUMERATION_RANK:
-        return "skipped", "subsystem enumeration capped below this rank"
     counts = cuspidal_counts(t).as_dict()
     for p in profiles:
         if p.total != counts[p.d]:

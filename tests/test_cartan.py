@@ -13,6 +13,7 @@ from charstrata.cartan import (
     parse_type,
     pseudo_levi_types,
     Edge,
+    _RANK_OK,
     _classify_component,
 )
 
@@ -240,6 +241,48 @@ def test_closure_is_closed_and_contains_levis(name):
 def test_closure_by_single_node_moves_matches_subset_walk(name):
     t = parse_type(name)
     assert pseudo_levi_types(t) == subset_closure(t)
+
+
+def factor_multisets(n: int):
+    """Every multiset of canonical simple factors of total rank <= n,
+    the empty one included, as a Subsystem."""
+    simple = sorted(
+        CartanType(series, k)
+        for k in range(1, n + 1)
+        for series in "ABCDEFG"
+        if (series, k) != ("C", 2) and _RANK_OK[series](k)
+    )
+
+    def rec(start: int, budget: int, chosen: list[CartanType]):
+        yield Subsystem(tuple(chosen))
+        for i in range(start, len(simple)):
+            if simple[i].rank <= budget:
+                chosen.append(simple[i])
+                yield from rec(i, budget - simple[i].rank, chosen)
+                chosen.pop()
+
+    return rec(0, n, [])
+
+
+CLASSICAL_RANK_12_TYPES = [
+    f"{series}{n}" for series in "ABCD" for n in range(1, 13) if _RANK_OK[series](n)
+]
+
+
+@pytest.mark.parametrize("name", CLASSICAL_RANK_12_TYPES)
+def test_classical_membership_matches_closure(name):
+    """The closed-form test agrees with the closure on every candidate
+    of rank <= n, members and non-members alike."""
+    t = parse_type(name)
+    closure = pseudo_levi_types(t)
+    for s in factor_multisets(t.rank):
+        assert is_pseudo_levi(t, s) == (s in closure), (name, s.name)
+
+
+@pytest.mark.parametrize("text", ["A1x", "x", "A1xxA2", "A1*"])
+def test_subsystem_parse_rejects_empty_factor(text):
+    with pytest.raises(CartanError, match=r"^cannot parse subsystem factor ''$"):
+        is_pseudo_levi(parse_type("E8"), text)
 
 
 def test_subsystem_alias_normalization():

@@ -68,6 +68,15 @@ def test_centralizers(capsys):
     assert "E6xA2 x2" in out
 
 
+def test_centralizers_rejects_bad_char_class(capsys):
+    for bad in ("foo", "4"):
+        code, out, err = run(capsys, "centralizers", "E8", "--char-class", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --char-class '{bad}'; expected generic, 0 or a prime\n"
+    code, out, err = run(capsys, "centralizers", "E8", "--char-class", "7")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_pseudo_levi(capsys):
     code, out, _ = run(capsys, "pseudo-levi", "G2")
     assert code == 0

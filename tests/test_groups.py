@@ -3,6 +3,7 @@ import pytest
 from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
+    _inverse,
     _model,
     conjugacy_class_count,
     faithful_cyclic_inventory,
@@ -20,6 +21,15 @@ def group_order(tag: str) -> int:
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_inventory_size_equals_class_count(tag):
     assert len(inventory(tag)) == conjugacy_class_count(tag)
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+def test_inverse_by_powers_matches_scan(tag):
+    els, mul = _model(tag)
+    identity = next(g for g in els if mul(g, g) == g)
+    for g in els:
+        scanned = next(h for h in els if mul(g, h) == identity)
+        assert _inverse(g, identity, mul) == scanned
 
 
 def test_explicit_class_counts():

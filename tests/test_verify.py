@@ -1,6 +1,6 @@
 import pytest
 
-from charstrata.cartan import parse_type
+from charstrata.cartan import is_pseudo_levi, parse_type
 from charstrata.tables import TableStore
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
@@ -36,9 +36,20 @@ def test_skipped_not_pass_without_table():
 
 
 def test_high_rank_centralizer_check_skips_not_passes():
-    report = run_all(parse_type("B20"), TableStore())
+    # B19 has no cuspidal centralizer data, so the check cannot run.
+    report = run_all(parse_type("B19"), TableStore())
     statuses = {cid: status for cid, status, _ in report.checks}
     assert statuses["centralizer-profiles"] == "skipped"
+
+
+def test_classical_centralizer_check_runs_past_rank_16():
+    report = run_all(parse_type("B20"), TableStore())
+    assert ("centralizer-profiles", "pass", "2 profiles verified") in report.checks
+    b30, d36 = parse_type("B30"), parse_type("D36")
+    assert is_pseudo_levi(b30, "B12xD18")
+    assert is_pseudo_levi(d36, "D18xD18")
+    assert not is_pseudo_levi(b30, "B12xB2")
+    assert not is_pseudo_levi(d36, "D18xD18xA1")
 
 
 def test_errata_touched_by_run():
