@@ -182,6 +182,17 @@ def simple_type(series: str, rank: int) -> CartanType:
     return CartanType(series, rank)
 
 
+def ascii_decimal(text: str) -> int | None:
+    """int(text) if text is ASCII digits only (no sign, space, '_' or other script), else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _series_rank(text: str) -> tuple[str, int] | None:
+    """('B', 30) for 'B30' or 'b30'; None unless the rank is ASCII decimal."""
+    rank = ascii_decimal(text[1:])
+    return None if rank is None else (text[:1].upper(), rank)
+
+
 def parse_type(text: str) -> CartanType:
     """Parse 'E8', 'e_8', 'B30', 'Torus', 'T' into a CartanType.
 
@@ -191,12 +202,10 @@ def parse_type(text: str) -> CartanType:
     s = text.strip().replace("_", "")
     if s.lower() in ("torus", "t"):
         return TORUS
-    if not s or not s[0].isalpha():
+    parsed = _series_rank(s) if s[:1].isalpha() else None
+    if parsed is None:
         raise CartanError(f"cannot parse type {text!r}")
-    series, digits = s[0].upper(), s[1:]
-    if not digits.isdigit():
-        raise CartanError(f"cannot parse type {text!r}")
-    return CartanType(series, int(digits))
+    return CartanType(*parsed)
 
 
 class Subsystem(ValueObject):
@@ -235,10 +244,10 @@ class Subsystem(ValueObject):
         factors: list[CartanType] = []
         for part in s.replace("*", "x").split("x"):
             part = part.strip().replace("_", "")
-            series, digits = part[:1].upper(), part[1:]
-            if not digits.isdigit():
+            parsed = _series_rank(part)
+            if parsed is None:
                 raise CartanError(f"cannot parse subsystem factor {part!r}")
-            rank = int(digits)
+            series, rank = parsed
             if series == "D" and rank == 2:
                 factors.extend([CartanType("A", 1), CartanType("A", 1)])
             else:

@@ -26,6 +26,7 @@ from .cuspidal import (
     cuspidal_counts,
     cuspidal_levis,
     enumerate_cs_prime,
+    levi_counts,
     support_case,
 )
 from .labels import LabelError
@@ -169,11 +170,10 @@ def _print_info(t: CartanType) -> None:
     print("cuspidal levis:")
     for levi in cuspidal_levis(t):
         rel = levi.relative_weyl_type.name if levi.relative_weyl_type else "1"
-        counts = cuspidal_counts(t if levi.is_empty else levi.levi_weyl_type)
         if levi.is_empty and not t.is_torus:
             print(f"  {levi.levi_name:>4}  relative {rel}")
             continue
-        shown = {("*" if k is None else k): v for k, v in counts.counts}
+        shown = {("*" if k is None else k): v for k, v in levi_counts(levi).counts}
         print(f"  {levi.levi_name:>4}  relative {rel}  counts {shown}")
     counts = cuspidal_counts(t)
     if counts.counts:

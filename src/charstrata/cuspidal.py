@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import CartanType, ValueObject
+from .cartan import TORUS, CartanType, ValueObject, simple_type
 from .labels import CharacterLabel, relative_character_labels
 
 _set = object.__setattr__
@@ -55,32 +55,24 @@ class CuspidalLevi(ValueObject):
         )
 
 
-def _relative_b_type(m: int) -> CartanType | None:
-    """Weyl type B_m with low-rank normalization; None for m=0."""
-    if m == 0:
-        return None
-    if m == 1:
-        return CartanType("A", 1)
-    return CartanType("B", m)
-
-
 @lru_cache(maxsize=None)
 def cuspidal_levis(t: CartanType) -> tuple[CuspidalLevi, ...]:
-    """Cuspidal Levi types of t, empty subset first, full type last."""
+    """Cuspidal Levi types of t, empty subset first, full type last.
+
+    B_n and C_n have one of Weyl type B_m for each m = k(k+1) <= n, and
+    D_n one of type D_m for each m = 4k^2 <= n (Lusztig, Invent. Math.
+    43, 1977); its relative group is of type B_{n-m}.
+    """
     if t.is_torus:
         return (CuspidalLevi(t, None, None),)
     out = [CuspidalLevi(t, None, t)]
-    if t.series in ("B", "C"):
+    if t.is_classical:
+        series = "D" if t.series == "D" else "B"
         k = 1
-        while k * (k + 1) <= t.rank:
-            m = k * (k + 1)
-            out.append(CuspidalLevi(t, CartanType("B", m), _relative_b_type(t.rank - m)))
-            k += 1
-    elif t.series == "D":
-        k = 1
-        while 4 * k * k <= t.rank:
-            m = 4 * k * k
-            out.append(CuspidalLevi(t, CartanType("D", m), _relative_b_type(t.rank - m)))
+        while (m := 4 * k * k if series == "D" else k * (k + 1)) <= t.rank:
+            rest = t.rank - m
+            relative = simple_type("B", rest) if rest else None
+            out.append(CuspidalLevi(t, CartanType(series, m), relative))
             k += 1
     elif t.series == "G":
         out.append(CuspidalLevi(t, t, None))
@@ -100,24 +92,6 @@ def cuspidal_levis(t: CartanType) -> tuple[CuspidalLevi, ...]:
         out.append(CuspidalLevi(t, t, None))
     # A series: the empty subset only.
     return tuple(out)
-
-
-def _is_classical_cuspidal(t: CartanType) -> bool:
-    if t.series in ("B", "C"):
-        k = 1
-        while k * (k + 1) <= t.rank:
-            if k * (k + 1) == t.rank:
-                return True
-            k += 1
-        return False
-    if t.series == "D":
-        k = 1
-        while 4 * k * k <= t.rank:
-            if 4 * k * k == t.rank:
-                return True
-            k += 1
-        return False
-    return False
 
 
 class CuspidalCounts(ValueObject):
@@ -140,7 +114,8 @@ class CuspidalCounts(ValueObject):
         return sum(c for _, c in self.counts)
 
 
-_EXCEPTIONAL_COUNTS: dict[str, tuple[tuple[int, int], ...]] = {
+_FIXED_COUNTS: dict[str, tuple[tuple[int, int], ...]] = {
+    "Torus": ((0, 1),),
     "G2": ((1, 1), (0, 3)),
     "F4": ((4, 1), (2, 1), (1, 1), (0, 4)),
     "E6": ((0, 2),),
@@ -151,13 +126,19 @@ _EXCEPTIONAL_COUNTS: dict[str, tuple[tuple[int, int], ...]] = {
 
 @lru_cache(maxsize=None)
 def cuspidal_counts(t: CartanType) -> CuspidalCounts:
-    if t.is_torus:
-        return CuspidalCounts(t, ((0, 1),))
-    if t.is_exceptional:
-        return CuspidalCounts(t, _EXCEPTIONAL_COUNTS[t.name])
-    if _is_classical_cuspidal(t):
+    fixed = _FIXED_COUNTS.get(t.name)
+    if fixed is not None:
+        return CuspidalCounts(t, fixed)
+    # A classical type is cuspidal when it is its own last cuspidal Levi.
+    if cuspidal_levis(t)[-1].relative_weyl_type is None:
         return CuspidalCounts(t, ((None, 1),))
     return CuspidalCounts(t, ())
+
+
+def levi_counts(levi: CuspidalLevi) -> CuspidalCounts:
+    """The cuspidal objects on a Levi: those of its Weyl type, or the
+    torus's on the empty Levi."""
+    return cuspidal_counts(TORUS if levi.is_empty else levi.levi_weyl_type)
 
 
 class SheafTriple(ValueObject):
@@ -192,14 +173,9 @@ def enumerate_cs_prime(t: CartanType) -> tuple[SheafTriple, ...]:
     characters in registry order, d descending, index ascending."""
     out: list[SheafTriple] = []
     for levi in cuspidal_levis(t):
-        if levi.is_empty and not t.is_torus:
-            for lab in relative_character_labels(t, levi.relative_weyl_type):
-                out.append(SheafTriple(levi, lab, 0, 0))
-            continue
-        counts = cuspidal_counts(t if levi.is_empty else levi.levi_weyl_type)
-        chars = relative_character_labels(t, levi.relative_weyl_type)
-        for lab in chars:
-            for d, n in counts.counts:
+        counts = levi_counts(levi).counts
+        for lab in relative_character_labels(t, levi.relative_weyl_type):
+            for d, n in counts:
                 for i in range(n):
                     out.append(SheafTriple(levi, lab, d, i))
     return tuple(out)

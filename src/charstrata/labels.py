@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .cartan import CartanType, ValueObject
+from .cartan import CartanType, ValueObject, ascii_decimal
 from . import tabledata
 
 _set = object.__setattr__
@@ -63,10 +63,9 @@ def _parse_parts(text: str) -> Partition:
     text = text.strip()
     if not text:
         return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise LabelError(f"cannot parse partition {text!r}") from exc
+    parts = tuple(map(ascii_decimal, text.split(",")))
+    if None in parts:
+        raise LabelError(f"cannot parse partition {text!r}")
     return _check_partition(parts)
 
 

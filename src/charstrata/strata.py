@@ -21,7 +21,7 @@ from .groups import (
     inventory,
     pullback_inventory,
 )
-from .labels import CharacterLabel, TrivialLabel, enumerate_irr, unit_label
+from .labels import CharacterLabel, enumerate_irr, unit_label
 from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     DEFAULT_STORE,
     Placement,
@@ -40,6 +40,9 @@ class TripleNotFound(LookupError):
     pass
 
 
+_IDENTITY_SERIES = ("A", "Torus")
+
+
 @lru_cache(maxsize=None)
 def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
     """The enumerated triples of t grouped by SheafTriple.key, in
@@ -50,6 +53,15 @@ def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
     return by_key
 
 
+def _identity_stratum(t: CartanType, stratum: CharacterLabel | str) -> CharacterLabel:
+    """The stratum named by stratum in a type of _IDENTITY_SERIES, whose
+    strata are its characters, each its own fiber, with no table."""
+    text = stratum if isinstance(stratum, str) else stratum.text
+    if t.is_torus and text != "1":
+        raise UnknownStratum(f"torus has a single stratum '1', got {text!r}")
+    return enumerate_irr(t).by_text(text)
+
+
 # ---------------------------------------------------------------------------
 # The map itself.
 
@@ -58,12 +70,10 @@ def tau(
     t: CartanType, triple: SheafTriple, store: TableStore = DEFAULT_STORE
 ) -> CharacterLabel:
     """The stratum of a cuspidal-support triple."""
-    if t.is_torus:
-        return TrivialLabel()
     key = triple.key
     if key not in _triples_by_key(t):
         raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
-    if t.series == "A":
+    if t.series in _IDENTITY_SERIES:
         return triple.character
     pl = placement(t, store)
     return pl.rows[pl.row_of_triple[key]].stratum
@@ -105,14 +115,10 @@ def fiber(
     """The fiber over a stratum as (triple, multiplicity) pairs; the
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
-    text = stratum if isinstance(stratum, str) else stratum.text
-    if t.is_torus:
-        if text != "1":
-            raise UnknownStratum(f"torus has a single stratum '1', got {text!r}")
-        return [(enumerate_cs_prime(t)[0], 1)]
-    if t.series == "A":
-        lab = enumerate_irr(t).by_text(text)
+    if t.series in _IDENTITY_SERIES:
+        lab = _identity_stratum(t, stratum)
         return [(_triples_by_key(t)[("-", lab.text, 0)][0], 1)]
+    text = stratum if isinstance(stratum, str) else stratum.text
     pl = placement(t, store)
     ri = pl.row_index(text)
     by_key = _triples_by_key(t)
@@ -129,9 +135,7 @@ def fiber(
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
     """All strata of t, in table order (classical types need a table;
     for the A series every character is a stratum)."""
-    if t.is_torus:
-        return [TrivialLabel()]
-    if t.series == "A":
+    if t.series in _IDENTITY_SERIES:
         return list(enumerate_irr(t).labels)
     return [row.stratum for row in store.table(t)]
 
@@ -160,13 +164,11 @@ class GroupCollection(ValueObject):
 def c_collection(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> GroupCollection:
-    if t.is_torus:
-        return GroupCollection("single", ("1",))
-    if t.series == "A":
-        enumerate_irr(t).by_text(stratum if isinstance(stratum, str) else stratum.text)
+    if t.series in _IDENTITY_SERIES:
+        _identity_stratum(t, stratum)
         return GroupCollection("single", ("1",))
     row = find_row(t, stratum, store)
-    g = dict(row.groups)
+    g = row.group_of
     if row.membership.kind == "singleton":
         return GroupCollection("single", (g[row.membership.r0],))
     # the table's validation admits only the allowed pairs and the triple
@@ -270,8 +272,6 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
     """Primitive m-th roots of unity for m up to the largest
     highest-root coefficient; they index the fiber over the stratum of
     regular elements."""
-    if t.is_torus:
-        return [RootOfUnityLabel(1, 1)]
     z = datum(t).z_value
     out = []
     for m in range(1, z + 1):
@@ -282,6 +282,6 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
 
 
 def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) -> int:
-    if t.is_torus or t.series == "A":
+    if t.series in _IDENTITY_SERIES:
         return 1
     return find_row(t, unit_label(t), store).fiber_size

@@ -7,9 +7,10 @@ table store that holds plug-in tables for classical types.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from . import tabledata
-from .cartan import CartanType, Subsystem, CartanError, ValueObject, parse_type, simple_type
+from .cartan import CartanError, CartanType, Subsystem, ValueObject, ascii_decimal, parse_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
 from .groups import normalize_tag
 from .labels import (
@@ -63,10 +64,9 @@ class Membership(ValueObject):
         if text == "full":
             return Membership("full")
         if text.startswith("singleton:"):
-            try:
-                r0 = int(text.split(":", 1)[1])
-            except ValueError:
-                raise TableFormatError(f"bad membership {text!r}") from None
+            r0 = ascii_decimal(text[len("singleton:"):])
+            if r0 is None:
+                raise TableFormatError(f"bad membership {text!r}")
             if r0 not in (2, 3, 5):
                 raise TableFormatError(f"bad singleton characteristic {r0}")
             return Membership("singleton", r0)
@@ -576,47 +576,28 @@ class CentralizerProfile(ValueObject):
         )
 
 
-def _classical_profiles(t: CartanType) -> list[CentralizerProfile]:
+def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
+    """The generic and characteristic-2 profiles of a cuspidal classical
+    type.  The generic centralizer is B_a x D_b in B_n (n = k(k+1), B_0
+    trivial), and two equal factors of half the rank in C_n and D_n."""
     n = t.rank
-    if t.series == "C":
-        half = n // 2
-        sub = Subsystem.of(*(simple_type("C", half),) * 2) if half > 1 else Subsystem.parse("A1xA1")
-        generic = ((sub, 1),)
-    elif t.series == "B":
-        k = next(k for k in range(1, n) if k * (k + 1) == n)
+    if t.series == "B":
+        k = isqrt(n)
         if k % 2 == 0:
             a, b = ((k + 1) ** 2 - 1) // 2, k * k // 2
         else:
             a, b = (k * k - 1) // 2, (k + 1) ** 2 // 2
-        factors = []
-        if a == 1:
-            factors.append(CartanType("A", 1))
-        elif a >= 2:
-            factors.append(CartanType("B", a))
-        if b == 2:
-            factors.extend([CartanType("A", 1), CartanType("A", 1)])
-        elif b == 3:
-            factors.append(CartanType("A", 3))
-        elif b >= 4:
-            factors.append(CartanType("D", b))
-        generic = ((Subsystem.of(*factors), 1),)
-    else:  # D series
-        half = n // 2
-        if half == 2:
-            factors = [CartanType("A", 1)] * 4
-        else:
-            factors = [CartanType("D", half), CartanType("D", half)]
-        generic = ((Subsystem.of(*factors), 1),)
-    return [
-        CentralizerProfile(t, None, "generic", generic),
+        generic = f"B{a}xD{b}" if a else f"D{b}"
+    else:
+        generic = f"{t.series}{n // 2}x{t.series}{n // 2}"
+    return (
+        CentralizerProfile(t, None, "generic", ((Subsystem.parse(generic), 1),)),
         CentralizerProfile(t, None, "2", ((None, 1),)),
-    ]
+    )
 
 
 def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
     """All recorded profiles for t (every cuspidal d, every class)."""
-    if t.is_torus or t.series == "A":
-        return ()
     if t.is_exceptional:
         out = []
         for (name, d), classes in tabledata.CENTRALIZER_PROFILES.items():
@@ -632,8 +613,8 @@ def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
                     CentralizerProfile(t, d, str(char_class), typed, note)
                 )
         return tuple(out)
-    if cuspidal_counts(t).counts:
-        return tuple(_classical_profiles(t))
+    if t.is_classical and cuspidal_counts(t).counts:
+        return _classical_profiles(t)
     return ()
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
-from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime
+from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime, levi_counts
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
 from .labels import enumerate_irr, relative_character_labels
 from .schema import canonical_json, parse_table_document, table_document
@@ -75,15 +75,10 @@ class VerificationReport(ValueObject):
 
 def _check_enumeration(t: CartanType) -> tuple[str, str]:
     triples = enumerate_cs_prime(t)
-    expected = 0
-    for levi in cuspidal_levis(t):
-        chars = relative_character_labels(t, levi.relative_weyl_type)
-        if levi.is_empty and not t.is_torus:
-            expected += len(chars)
-        else:
-            expected += len(chars) * cuspidal_counts(
-                t if levi.is_empty else levi.levi_weyl_type
-            ).total
+    expected = sum(
+        len(relative_character_labels(t, levi.relative_weyl_type)) * levi_counts(levi).total
+        for levi in cuspidal_levis(t)
+    )
     if len(triples) != expected:
         return "fail", f"enumerated {len(triples)}, product formula gives {expected}"
     for tr in triples:
@@ -141,7 +136,7 @@ def _check_boxed(t: CartanType, store: TableStore) -> tuple[str, str]:
             if r.boxed != frozenset({r.membership.r0}):
                 return "fail", f"singleton row {r.stratum.text!r} boxes {sorted(map(str, r.boxed))}"
             continue
-        g0 = dict(r.groups)[0]
+        g0 = r.group_of[0]
         deviation = frozenset(p for p in (2, 3, 5) if r.group_at(p) != g0)
         expected = deviation if deviation else frozenset({"single"})
         if r.boxed != expected:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -296,3 +297,16 @@ def test_subsystem_alias_normalization():
 def test_enumeration_rank_cap():
     with pytest.raises(CartanError):
         pseudo_levi_types(parse_type("B20"))
+
+
+@pytest.mark.parametrize("text", ["B²", "B٣", "D¹⁶", "E８"])
+def test_type_ranks_are_ascii_decimal_only(text):
+    with pytest.raises(CartanError, match=rf"^cannot parse type {re.escape(repr(text))}$"):
+        parse_type(text)
+
+
+@pytest.mark.parametrize("factor", ["A²", "A٣", "E7xA¹"])
+def test_subsystem_ranks_are_ascii_decimal_only(factor):
+    bad = factor.split("x")[-1]
+    with pytest.raises(CartanError, match=rf"^cannot parse subsystem factor {re.escape(repr(bad))}$"):
+        is_pseudo_levi(parse_type("E8"), factor)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charstrata.cli import main
 from charstrata.schema import canonical_json
 
@@ -286,3 +288,15 @@ def test_tables_dir_with_an_unparsable_levi_exits_2_naming_it(tmp_path, capsys, 
     code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
     assert (code, out) == (2, "")
     assert err == f"error: {entry}: unknown series 'Z'\n"
+
+
+@pytest.mark.parametrize("name", ["B²", "B٣"])
+def test_info_with_a_non_ascii_rank_exits_2_naming_it(capsys, name):
+    assert run(capsys, "info", name) == (2, "", f"error: cannot parse type {name!r}\n")
+
+
+@pytest.mark.parametrize("command", ["fiber", "cstar"])
+def test_unknown_torus_stratum_exits_2_naming_it(capsys, command):
+    assert run(capsys, command, "Torus", "--stratum", "nope") == (
+        2, "", "error: torus has a single stratum '1', got 'nope'\n",
+    )

@@ -1,14 +1,16 @@
 import pytest
 
-from charstrata.cartan import CartanType, TORUS, parse_type
+from charstrata.cartan import CartanType, Subsystem, TORUS, parse_type
 from charstrata.cuspidal import (
     CuspidalError,
+    CuspidalLevi,
     cuspidal_counts,
     cuspidal_levis,
     enumerate_cs_prime,
     support_case,
 )
 from charstrata.labels import irr_count, relative_character_labels
+from charstrata.tables import centralizer_profile, centralizer_profiles
 
 
 def _levi_names(name):
@@ -141,3 +143,84 @@ def test_levi_relative_invariants():
                 assert levi.relative_weyl_type == expected
             if levi.levi_weyl_type == t:
                 assert levi.relative_weyl_type is None
+
+
+# ---------------------------------------------------------------------------
+# An independent statement of the classical rule: B_n and C_n carry a
+# cuspidal Levi of Weyl type B_m for each m = k(k+1) <= n, D_n one of
+# type D_m for each m = 4k^2 <= n, with relative group B_{n-m} (B1 = A1,
+# trivial for m = n).  The generic centralizer of the cuspidal object
+# is spelled out factor by factor with its low-rank aliases.
+
+
+def _oracle_relative(m):
+    if m == 0:
+        return None
+    return CartanType("A", 1) if m == 1 else CartanType("B", m)
+
+
+def _oracle_levi_ranks(t):
+    step = (lambda k: k * (k + 1)) if t.series in ("B", "C") else (lambda k: 4 * k * k)
+    k, out = 1, []
+    while step(k) <= t.rank:
+        out.append(step(k))
+        k += 1
+    return out
+
+
+def _oracle_generic_factors(t):
+    n = t.rank
+    if t.series == "C":
+        half = n // 2
+        if half == 1:
+            return [CartanType("A", 1)] * 2
+        return [CartanType("B", 2) if half == 2 else CartanType("C", half)] * 2
+    if t.series == "D":
+        half = n // 2
+        return [CartanType("A", 1)] * 4 if half == 2 else [CartanType("D", half)] * 2
+    k = next(k for k in range(1, n) if k * (k + 1) == n)
+    if k % 2 == 0:
+        a, b = ((k + 1) ** 2 - 1) // 2, k * k // 2
+    else:
+        a, b = (k * k - 1) // 2, (k + 1) ** 2 // 2
+    factors = []
+    if a == 1:
+        factors.append(CartanType("A", 1))
+    elif a >= 2:
+        factors.append(CartanType("B", a))
+    if b == 2:
+        factors.extend([CartanType("A", 1), CartanType("A", 1)])
+    elif b == 3:
+        factors.append(CartanType("A", 3))
+    elif b >= 4:
+        factors.append(CartanType("D", b))
+    return factors
+
+
+CLASSICAL_TYPES_TO_200 = [
+    CartanType(series, n)
+    for series, low in (("B", 2), ("C", 2), ("D", 4))
+    for n in range(low, 201)
+]
+
+
+def test_classical_rule_matches_the_oracle_to_rank_200():
+    cuspidal = 0
+    for t in CLASSICAL_TYPES_TO_200:
+        levi_series = "D" if t.series == "D" else "B"
+        expected = [CuspidalLevi(t, None, t)] + [
+            CuspidalLevi(t, CartanType(levi_series, m), _oracle_relative(t.rank - m))
+            for m in _oracle_levi_ranks(t)
+        ]
+        assert list(cuspidal_levis(t)) == expected, t.name
+        is_cuspidal = t.rank in _oracle_levi_ranks(t)
+        assert cuspidal_counts(t).counts == (((None, 1),) if is_cuspidal else ()), t.name
+        if not is_cuspidal:
+            assert centralizer_profiles(t) == (), t.name
+            continue
+        cuspidal += 1
+        generic = Subsystem.of(*_oracle_generic_factors(t))
+        assert centralizer_profile(t, None, "generic").entries == ((generic, 1),), t.name
+        assert centralizer_profile(t, None, 2).entries == ((None, 1),), t.name
+    # B/C: k(k+1) <= 200 for k = 1..13; D: 4k^2 <= 200 for k = 1..7.
+    assert cuspidal == 13 + 13 + 7

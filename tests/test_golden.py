@@ -73,6 +73,22 @@ CASES: dict[str, tuple[str, ...]] = {
     "E8-pseudo-levi": ("pseudo-levi", "E8"),
     "B12-pseudo-levi": ("pseudo-levi", "B12"),
     "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
+    "Torus-info": ("info", "Torus"),
+    "A3-info": ("info", "A3"),
+    "B6-info": ("info", "B6"),
+    "C6-info": ("info", "C6"),
+    "D4-info": ("info", "D4"),
+    "D5-info": ("info", "D5"),
+    "D16-info": ("info", "D16"),
+    "B2-centralizers": ("centralizers", "B2"),
+    "B6-centralizers": ("centralizers", "B6"),
+    "B30-centralizers": ("centralizers", "B30"),
+    "C2-centralizers": ("centralizers", "C2"),
+    "C6-centralizers": ("centralizers", "C6"),
+    "D4-centralizers": ("centralizers", "D4"),
+    "D16-centralizers-json": ("--json", "centralizers", "D16"),
+    "C6-triples": ("triples", "C6"),
+    "D5-triples": ("triples", "D5"),
     "error-unknown-stratum": ("fiber", "E8", "--stratum", "nope"),
     "error-no-table": ("tau", "B3", "--levi", "B2", "--char", "(2)"),
 }

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from charstrata.cartan import CartanType, TORUS, parse_type
@@ -219,3 +221,19 @@ def test_malformed_partitions_are_rejected_with_their_parts():
         PartitionLabel((1, 2))
     with pytest.raises(LabelError, match=r"^partition must be weakly decreasing: \(1, 3\)$"):
         DPairLabel((2, 2), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "name,text,parts",
+    [
+        ("A9", "(1_0)", "1_0"),
+        ("A2", "(٣)", "٣"),
+        ("A2", "(+3)", "+3"),
+        ("A2", "(2, 1)", "2, 1"),
+        ("B3", "(2|+1)", "+1"),
+        ("D4", "{٣|1}", "٣"),
+    ],
+)
+def test_partition_parts_are_ascii_decimal_only(name, text, parts):
+    with pytest.raises(LabelError, match=rf"^cannot parse partition {re.escape(repr(parts))}$"):
+        parse_label(parse_type(name), text)

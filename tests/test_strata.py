@@ -20,7 +20,7 @@ from charstrata.strata import (
     tau,
     unit_stratum_fiber_size,
 )
-from charstrata.tables import DEFAULT_STORE, NoTableAvailable, TableStore, find_row
+from charstrata.tables import DEFAULT_STORE, NoTableAvailable, TableStore, UnknownStratum, find_row
 from charstrata.verify import register_external_table
 from conftest import synthetic_spread_table
 
@@ -305,3 +305,18 @@ def test_tau_index_agrees_with_a_scan_of_the_placement(name):
 
     for tr in enumerate_cs_prime(t):
         assert tau(t, tr, store) == scan(tr)
+
+
+def test_torus_rejects_foreign_triples_and_unknown_strata():
+    for tr in enumerate_cs_prime(parse_type("E8")):
+        with pytest.raises(TripleNotFound, match=r"is not a triple of Torus$"):
+            tau(TORUS, tr)
+    (only,) = enumerate_cs_prime(TORUS)
+    assert only.key == ("-", "1", 0)
+    assert tau(TORUS, only).text == "1"
+    assert [lab.text for lab in strata(TORUS)] == ["1"]
+    assert fiber(TORUS, "1") == [(only, 1)]
+    assert c_collection(TORUS, "1").text == "1"
+    for query in (fiber, c_collection, c_star):
+        with pytest.raises(UnknownStratum, match=r"^torus has a single stratum '1', got 'nope'$"):
+            query(TORUS, "nope")

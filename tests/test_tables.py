@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from charstrata.cartan import CartanError, Subsystem, parse_type
@@ -125,6 +127,12 @@ def test_classical_profiles_match_stated_shapes():
         "B12": "B4xD8",
         "D4": "A1xA1xA1xA1",
         "D16": "D8xD8",
+        "B20": "B12xD8",
+        "B30": "B12xD18",
+        "C20": "C10xC10",
+        "C30": "C15xC15",
+        "D36": "D18xD18",
+        "D64": "D32xD32",
     }
     for name, sub in expected_generic.items():
         t = parse_type(name)
@@ -195,3 +203,11 @@ def test_deviations_at_two_or_three_primes_are_checked_at_parse(
     else:
         with pytest.raises(TableFormatError, match=r"unexpected deviating (pair|triple)"):
             parse_table_document(synthetic_b3_doc)
+
+
+@pytest.mark.parametrize(
+    "text", ["singleton:٢", "singleton:+2", "singleton: 2", "singleton:0_2"]
+)
+def test_singleton_membership_takes_ascii_decimal_only(text):
+    with pytest.raises(TableFormatError, match=rf"^bad membership {re.escape(repr(text))}$"):
+        Membership.parse(text)
