@@ -50,9 +50,7 @@ class CuspidalLevi(ValueObject):
 
     @property
     def is_full(self) -> bool:
-        return self.levi_weyl_type == self.ambient or (
-            self.ambient.is_torus and self.is_empty
-        )
+        return self.relative_weyl_type is None
 
 
 @lru_cache(maxsize=None)

@@ -21,13 +21,12 @@ from .groups import (
     inventory,
     pullback_inventory,
 )
-from .labels import CharacterLabel, enumerate_irr, unit_label
+from .labels import CharacterLabel, unit_label
 from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     DEFAULT_STORE,
     Placement,
     PlacementMismatch,
     TableStore,
-    UnknownStratum,
     find_row,
     placement,
     resolve_placement,
@@ -40,9 +39,6 @@ class TripleNotFound(LookupError):
     pass
 
 
-_IDENTITY_SERIES = ("A", "Torus")
-
-
 @lru_cache(maxsize=None)
 def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
     """The enumerated triples of t grouped by SheafTriple.key, in
@@ -53,15 +49,6 @@ def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
     return by_key
 
 
-def _identity_stratum(t: CartanType, stratum: CharacterLabel | str) -> CharacterLabel:
-    """The stratum named by stratum in a type of _IDENTITY_SERIES, whose
-    strata are its characters, each its own fiber, with no table."""
-    text = stratum if isinstance(stratum, str) else stratum.text
-    if t.is_torus and text != "1":
-        raise UnknownStratum(f"torus has a single stratum '1', got {text!r}")
-    return enumerate_irr(t).by_text(text)
-
-
 # ---------------------------------------------------------------------------
 # The map itself.
 
@@ -70,13 +57,11 @@ def tau(
     t: CartanType, triple: SheafTriple, store: TableStore = DEFAULT_STORE
 ) -> CharacterLabel:
     """The stratum of a cuspidal-support triple."""
-    key = triple.key
-    if key not in _triples_by_key(t):
-        raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
-    if t.series in _IDENTITY_SERIES:
-        return triple.character
     pl = placement(t, store)
-    return pl.rows[pl.row_of_triple[key]].stratum
+    ri = pl.row_of_triple.get(triple.key)
+    if ri is None:
+        raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
+    return pl.rows[ri].stratum
 
 
 def find_triple(
@@ -115,12 +100,8 @@ def fiber(
     """The fiber over a stratum as (triple, multiplicity) pairs; the
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
-    if t.series in _IDENTITY_SERIES:
-        lab = _identity_stratum(t, stratum)
-        return [(_triples_by_key(t)[("-", lab.text, 0)][0], 1)]
-    text = stratum if isinstance(stratum, str) else stratum.text
     pl = placement(t, store)
-    ri = pl.row_index(text)
+    ri = pl.row_index(stratum)
     by_key = _triples_by_key(t)
     out: list[tuple[SheafTriple, int]] = []
     for pi, en in enumerate(pl.rows[ri].fiber):
@@ -135,8 +116,6 @@ def fiber(
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
     """All strata of t, in table order (classical types need a table;
     for the A series every character is a stratum)."""
-    if t.series in _IDENTITY_SERIES:
-        return list(enumerate_irr(t).labels)
     return [row.stratum for row in store.table(t)]
 
 
@@ -164,9 +143,6 @@ class GroupCollection(ValueObject):
 def c_collection(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> GroupCollection:
-    if t.series in _IDENTITY_SERIES:
-        _identity_stratum(t, stratum)
-        return GroupCollection("single", ("1",))
     row = find_row(t, stratum, store)
     g = row.group_of
     if row.membership.kind == "singleton":
@@ -282,6 +258,4 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
 
 
 def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) -> int:
-    if t.series in _IDENTITY_SERIES:
-        return 1
     return find_row(t, unit_label(t), store).fiber_size

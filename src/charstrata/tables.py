@@ -1,7 +1,8 @@
 """Typed access to the strata tables: rows, their placement against
 the cuspidal-support enumeration and the indexes built from it,
-component-group annotations, centralizer profiles, and the session
-table store that holds plug-in tables for classical types.
+component-group annotations, centralizer profiles, the built-in
+identity table of series A and the torus, and the session table store
+that holds plug-in tables for classical types.
 """
 
 from __future__ import annotations
@@ -230,23 +231,14 @@ class StrataRow(ValueObject):
 
 
 @lru_cache(maxsize=None)
-def _relative_characters(
-    t: CartanType, relative: CartanType | None
-) -> dict[str, CharacterLabel]:
-    """Text to label for the characters of a relative group; the first
-    label wins where two print alike."""
-    by_text: dict[str, CharacterLabel] = {}
-    for lab in relative_character_labels(t, relative):
-        by_text.setdefault(lab.text, lab)
-    return by_text
-
-
-@lru_cache(maxsize=None)
 def _fiber_levis(t: CartanType) -> dict[str, tuple[CartanType, dict[str, CharacterLabel]]]:
     """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
     type and the characters of its relative group by text."""
     return {
-        levi.levi_name: (levi.levi_weyl_type, _relative_characters(t, levi.relative_weyl_type))
+        levi.levi_name: (
+            levi.levi_weyl_type,
+            {lab.text: lab for lab in relative_character_labels(t, levi.relative_weyl_type)},
+        )
         for levi in cuspidal_levis(t)
         if levi.levi_weyl_type is not None
     }
@@ -483,9 +475,26 @@ def _embedded_placement(t: CartanType) -> Placement:
     return resolve_placement(t, embedded_table(t))
 
 
+def is_identity(t: CartanType) -> bool:
+    """Whether t's only cuspidal Levi is the empty one (series A and the
+    torus), so that each character is its own stratum and fiber."""
+    return len(cuspidal_levis(t)) == 1
+
+
+@lru_cache(maxsize=None)
+def _identity_placement(t: CartanType) -> Placement:
+    """The built-in table of an identity type: one constant row with
+    trivial groups per character, its fiber the row's own triple."""
+    trivial = {0: "1", 2: "1", 3: "1"}
+    single, full = frozenset({"single"}), Membership("full")
+    structured = ((lab.text, (), trivial, single, full) for lab in enumerate_irr(t).labels)
+    return resolve_placement(t, assemble_rows(t, structured))
+
+
 class TableStore:
     """Embedded tables plus any tables registered for classical types,
-    each registered one held as its resolved placement.
+    each registered one held as its resolved placement.  Identity types
+    answer from their built-in table, which is never stored.
 
     Registration is expected at startup, before queries; lookups never
     mutate the store.
@@ -515,13 +524,15 @@ DEFAULT_STORE = TableStore()
 
 def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
     """The resolved table of t: built once per process for an embedded
-    type, at registration for a registered one."""
+    or identity type, at registration for a registered one."""
     name = t.name
     if name in tabledata.TABLES:
         return _embedded_placement(t)
     try:
         return store._registered[name]
     except KeyError:
+        if is_identity(t):
+            return _identity_placement(t)
         raise NoTableAvailable(
             f"no strata table for {name}; register one for classical types"
         ) from None

@@ -298,5 +298,15 @@ def test_info_with_a_non_ascii_rank_exits_2_naming_it(capsys, name):
 @pytest.mark.parametrize("command", ["fiber", "cstar"])
 def test_unknown_torus_stratum_exits_2_naming_it(capsys, command):
     assert run(capsys, command, "Torus", "--stratum", "nope") == (
-        2, "", "error: torus has a single stratum '1', got 'nope'\n",
+        2, "", "error: 'nope' is not a stratum of Torus\n",
+    )
+
+
+def test_identity_table_export_round_trips_through_register(tmp_path, capsys):
+    path = tmp_path / "A2.json"
+    assert run(capsys, "export", "A2", "--what", "table", "--out", str(path)) == (0, "", "")
+    rows = json.loads(path.read_text())["rows"]
+    assert [row["stratum"] for row in rows] == ["(3)", "(2,1)", "(1,1,1)"]
+    assert run(capsys, "register", "--in", str(path)) == (
+        0, "A2: accepted (the identity parametrization is built in)\n", "",
     )

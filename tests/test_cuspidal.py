@@ -100,10 +100,14 @@ def test_a_series_is_empty_levi_only():
 
 
 def test_full_levi_forces_trivial_character():
-    for name in ["G2", "F4", "E6", "E7", "E8", "B6", "D4"]:
+    for name in ["G2", "F4", "E6", "E7", "E8", "B6", "C2", "C6", "D4"]:
         for tr in enumerate_cs_prime(parse_type(name)):
             if tr.levi.is_full:
                 assert tr.character.text == "1"
+    # C_n records its full cuspidal Levi by the Weyl type B_n.
+    full = cuspidal_levis(parse_type("C6"))[-1]
+    assert full.levi_name == "B6" and full.is_full
+    assert not cuspidal_levis(parse_type("C6"))[-2].is_full
 
 
 def test_indices_stay_below_counts():

@@ -3,10 +3,13 @@ import copy
 import pytest
 
 from charstrata import tables, verify
-from charstrata.cartan import TORUS, parse_type
+from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
+from charstrata.labels import enumerate_irr
 from charstrata.strata import (
+    CStarElement,
+    GroupCollection,
     TripleNotFound,
     bijection_pairing,
     bijection_witness,
@@ -20,7 +23,15 @@ from charstrata.strata import (
     tau,
     unit_stratum_fiber_size,
 )
-from charstrata.tables import DEFAULT_STORE, NoTableAvailable, TableStore, UnknownStratum, find_row
+from charstrata.tables import (
+    DEFAULT_STORE,
+    NoTableAvailable,
+    TableStore,
+    UnknownStratum,
+    component_group,
+    find_row,
+    is_identity,
+)
 from charstrata.verify import register_external_table
 from conftest import synthetic_spread_table
 
@@ -318,5 +329,47 @@ def test_torus_rejects_foreign_triples_and_unknown_strata():
     assert fiber(TORUS, "1") == [(only, 1)]
     assert c_collection(TORUS, "1").text == "1"
     for query in (fiber, c_collection, c_star):
-        with pytest.raises(UnknownStratum, match=r"^torus has a single stratum '1', got 'nope'$"):
+        with pytest.raises(UnknownStratum, match=r"^'nope' is not a stratum of Torus$"):
             query(TORUS, "nope")
+
+
+def test_is_identity_exactly_for_series_a_and_the_torus():
+    seen = set()
+    for series in SERIES:
+        for rank in range(13):
+            try:
+                t = CartanType(series, rank)
+            except CartanError:
+                continue
+            assert is_identity(t) == (series in ("A", "Torus")), t.name
+            seen.add(series)
+    assert seen == set(SERIES)
+
+
+IDENTITY_TYPES = ["Torus"] + [f"A{n}" for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("name", IDENTITY_TYPES)
+def test_identity_types_answer_as_the_identity(name):
+    # The parametrization of a type whose only cuspidal Levi is the empty
+    # one, stated directly: each character is its own stratum, fibered by
+    # its own empty-Levi triple, with the trivial group attached.
+    t = parse_type(name)
+    store = TableStore()
+    labels = list(enumerate_irr(t).labels)
+    triples = enumerate_cs_prime(t)
+    assert [tr.character for tr in triples] == labels
+    assert strata(t, store) == labels
+    trivial = [CStarElement("1", irrep, "single") for irrep in inventory("1")]
+    for tr, lab in zip(triples, labels):
+        assert tau(t, tr, store) == lab
+        for query in (lab, lab.text):
+            assert fiber(t, query, store) == [(tr, 1)]
+            assert fiber(t, query, store, expand=True) == [(tr, 1)]
+            assert c_collection(t, query, store) == GroupCollection("single", ("1",))
+            assert c_star(t, query, store) == trivial
+        assert find_row(t, lab, store).fiber_size == 1
+        assert component_group(t, lab, 3, store) == "1"
+    assert unit_stratum_fiber_size(t, store) == 1
+    assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
+    assert not store.has_table(t)
