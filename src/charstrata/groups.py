@@ -1,6 +1,7 @@
 """The finitely many component groups appearing in the tables, with
-their irreducible-representation inventories and explicit element
-models.
+their irreducible-representation inventories, the group collections
+c(E) a stratum carries and their label sets c*(E), and explicit
+element models.
 
 The inventories are data; the element models exist so that the
 inventory sizes can be re-derived by brute force (conjugacy-class
@@ -12,6 +13,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
+
+from .cartan import ValueObject
+
+_set = object.__setattr__
 
 
 class GroupError(ValueError):
@@ -83,6 +88,86 @@ def pullback_inventory(second: str, quotient: str) -> tuple[str, ...]:
         return _PULLBACKS[key]
     except KeyError as exc:
         raise GroupError(f"no recorded surjection {key[0]} -> {key[1]}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Group collections and their label sets.
+
+# The deviations from the characteristic-0 group that a full-membership
+# row may carry at two or three primes: the pairs at (2, 3) and the
+# cyclic triple at (2, 3, 5).
+_ALLOWED_PAIRS = {("C2", "C3"), ("C4", "C3"), ("C2xC2", "C2xC3")}
+_TRIPLE = ("C4", "C3", "C5")
+
+
+class CStarElement(ValueObject):
+    __slots__ = _fields = ("group", "irrep", "origin")
+
+    def __init__(self, group: str, irrep: str, origin: str) -> None:
+        _set(self, "group", group)
+        _set(self, "irrep", irrep)
+        _set(self, "origin", origin)  # "single" | "first" | "second" | "faithful-Cm"
+
+
+class GroupCollection(ValueObject):
+    """c(E): a single group, the deviating pair, or the full cyclic
+    triple of the unit stratum in E8.
+
+    Its label set c*(E) is derived once, at construction: the
+    inventories of c(E), with the pulled-back part of a pair's second
+    group removed, or the faithful cyclic characters for the triple.
+    A pair or triple outside the allowed deviations, or a pair whose
+    surjection onto the characteristic-0 group is not recorded, raises
+    GroupError.
+    """
+
+    __slots__ = ("kind", "tags", "quotient", "labels")
+    _fields = ("kind", "tags", "quotient")
+
+    def __init__(self, kind: str, tags: tuple[str, ...], quotient: str | None = None) -> None:
+        _set(self, "kind", kind)  # "single" | "pair" | "triple"
+        _set(self, "tags", tags)
+        _set(self, "quotient", quotient)  # characteristic-0 group under a pair
+        _set(self, "labels", _label_set(kind, tags, quotient))
+
+    @property
+    def text(self) -> str:
+        body = ",".join(self.tags)
+        return body if self.kind == "single" else f"({body})"
+
+
+def _label_set(
+    kind: str, tags: tuple[str, ...], quotient: str | None
+) -> tuple[CStarElement, ...]:
+    if kind == "single":
+        g = tags[0]
+        return tuple(CStarElement(g, name, "single") for name in inventory(g))
+    if kind == "pair":
+        if tags not in _ALLOWED_PAIRS:
+            raise GroupError(f"unexpected deviating pair {tags}")
+        first, second = tags
+        excluded = set(pullback_inventory(second, quotient))
+        return tuple(
+            [CStarElement(first, name, "first") for name in inventory(first)]
+            + [CStarElement(second, name, "second")
+               for name in inventory(second) if name not in excluded]
+        )
+    if tags != _TRIPLE:
+        raise GroupError(f"unexpected deviating triple {tags}")
+    return tuple(
+        CStarElement("1" if m == 1 else f"C{m}", name, f"faithful-C{m}")
+        for m in range(1, 7)
+        for name in faithful_cyclic_inventory(m)
+    )
+
+
+@lru_cache(maxsize=None)
+def group_collection(
+    kind: str, tags: tuple[str, ...], quotient: str | None = None
+) -> GroupCollection:
+    """The GroupCollection of these fields.  Only a few of them occur,
+    so every row that carries one shares it and its label set."""
+    return GroupCollection(kind, tags, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,7 @@ from math import gcd
 
 from .cartan import CartanType, ValueObject, datum
 from .cuspidal import SheafTriple, enumerate_cs_prime
-from .groups import (
-    faithful_cyclic_inventory,
-    inventory,
-    pullback_inventory,
-)
+from .groups import CStarElement, GroupCollection  # noqa: F401 - re-exported
 from .labels import CharacterLabel, unit_label
 from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     DEFAULT_STORE,
@@ -40,13 +36,13 @@ class TripleNotFound(LookupError):
 
 
 @lru_cache(maxsize=None)
-def _triples_by_key(t: CartanType) -> dict[tuple, list[SheafTriple]]:
-    """The enumerated triples of t grouped by SheafTriple.key, in
+def _triples_by_coordinates(t: CartanType) -> dict[tuple[str, str], list[SheafTriple]]:
+    """The enumerated triples of t by (Levi name, character text), in
     enumeration order."""
-    by_key: dict[tuple, list[SheafTriple]] = {}
+    by_coordinates: dict[tuple[str, str], list[SheafTriple]] = {}
     for tr in enumerate_cs_prime(t):
-        by_key.setdefault(tr.key, []).append(tr)
-    return by_key
+        by_coordinates.setdefault((tr.levi.levi_name, tr.character.text), []).append(tr)
+    return by_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +70,8 @@ def find_triple(
     """Locate an enumerated triple by its printable coordinates."""
     matches = [
         tr
-        for tr in enumerate_cs_prime(t)
-        if tr.levi.levi_name == levi_name
-        and tr.character.text == character_text
-        and (d is None or tr.d == d)
-        and tr.index == index
+        for tr in _triples_by_coordinates(t).get((levi_name, character_text), ())
+        if (d is None or tr.d == d) and tr.index == index
     ]
     if len(matches) == 1:
         return matches[0]
@@ -101,16 +94,7 @@ def fiber(
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
     pl = placement(t, store)
-    ri = pl.row_index(stratum)
-    by_key = _triples_by_key(t)
-    out: list[tuple[SheafTriple, int]] = []
-    for pi, en in enumerate(pl.rows[ri].fiber):
-        triples = by_key[(en.levi_name, pl.resolved[(ri, pi)], en.d_semantic)]
-        if expand:
-            out.extend((tr, 1) for tr in triples)
-        else:
-            out.append((triples[0], en.mult))
-    return out
+    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[pl.row_index(stratum)])
 
 
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
@@ -123,48 +107,10 @@ def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLa
 # Group collections and their representation inventories.
 
 
-class GroupCollection(ValueObject):
-    """c(E): a single group, the deviating pair, or the full cyclic
-    triple of the unit stratum in E8."""
-
-    __slots__ = _fields = ("kind", "tags", "quotient")
-
-    def __init__(self, kind: str, tags: tuple[str, ...], quotient: str | None = None) -> None:
-        _set(self, "kind", kind)  # "single" | "pair" | "triple"
-        _set(self, "tags", tags)
-        _set(self, "quotient", quotient)  # characteristic-0 group under a pair
-
-    @property
-    def text(self) -> str:
-        body = ",".join(self.tags)
-        return body if self.kind == "single" else f"({body})"
-
-
 def c_collection(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> GroupCollection:
-    row = find_row(t, stratum, store)
-    g = row.group_of
-    if row.membership.kind == "singleton":
-        return GroupCollection("single", (g[row.membership.r0],))
-    # the table's validation admits only the allowed pairs and the triple
-    tags = row.deviating
-    if not tags:
-        return GroupCollection("single", (g[0],))
-    if len(tags) == 1:
-        return GroupCollection("single", tags)
-    if len(tags) == 2:
-        return GroupCollection("pair", tags, quotient=g[0])
-    return GroupCollection("triple", tags)
-
-
-class CStarElement(ValueObject):
-    __slots__ = _fields = ("group", "irrep", "origin")
-
-    def __init__(self, group: str, irrep: str, origin: str) -> None:
-        _set(self, "group", group)
-        _set(self, "irrep", irrep)
-        _set(self, "origin", origin)  # "single" | "first" | "second" | "faithful-Cm"
+    return find_row(t, stratum, store).collection
 
 
 def c_star(
@@ -173,28 +119,7 @@ def c_star(
     """The label set attached to a stratum: inventories of c(E), with
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
-    coll = c_collection(t, stratum, store)
-    if coll.kind == "single":
-        g = coll.tags[0]
-        return [CStarElement(g, name, "single") for name in inventory(g)]
-    if coll.kind == "pair":
-        first, second = coll.tags
-        excluded = set(pullback_inventory(second, coll.quotient))
-        out = [CStarElement(first, name, "first") for name in inventory(first)]
-        out.extend(
-            CStarElement(second, name, "second")
-            for name in inventory(second)
-            if name not in excluded
-        )
-        return out
-    out = []
-    for m in range(1, 7):
-        g = "1" if m == 1 else f"C{m}"
-        out.extend(
-            CStarElement(g, name, f"faithful-C{m}")
-            for name in faithful_cyclic_inventory(m)
-        )
-    return out
+    return list(find_row(t, stratum, store).collection.labels)
 
 
 def bijection_witness(
@@ -203,12 +128,10 @@ def bijection_witness(
     """Per stratum: (head, fiber size, inventory size).  The counting
     content of the parametrization is that the two sizes agree row by
     row."""
-    out = []
-    for row in store.table(t):
-        out.append(
-            (row.stratum.text, row.fiber_size, len(c_star(t, row.stratum, store)))
-        )
-    return out
+    return [
+        (row.stratum.text, row.fiber_size, len(row.collection.labels))
+        for row in store.table(t)
+    ]
 
 
 def bijection_pairing(

@@ -13,7 +13,7 @@ from math import isqrt
 from . import tabledata
 from .cartan import CartanError, CartanType, Subsystem, ValueObject, ascii_decimal, parse_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
-from .groups import normalize_tag
+from .groups import GroupError, group_collection, normalize_tag
 from .labels import (
     CharacterLabel,
     enumerate_irr,
@@ -38,12 +38,6 @@ class TableFormatError(ValueError):
 
 
 PRIME_SLOTS = (0, 2, 3, 5)
-
-# The deviations from the characteristic-0 group that a full-membership
-# row may carry at two or three primes: the pairs at (2, 3) and the
-# cyclic triple at (2, 3, 5).
-_ALLOWED_PAIRS = {("C2", "C3"), ("C4", "C3"), ("C2xC2", "C2xC3")}
-_TRIPLE = ("C4", "C3", "C5")
 
 
 class Membership(ValueObject):
@@ -189,7 +183,10 @@ class FiberEntry(ValueObject):
 
 
 class StrataRow(ValueObject):
-    __slots__ = ("stratum", "fiber", "groups", "boxed", "membership", "group_of", "deviating")
+    __slots__ = (
+        "stratum", "fiber", "groups", "boxed", "membership", "group_of", "deviating",
+        "collection",
+    )
     _fields = ("stratum", "fiber", "groups", "boxed", "membership")
 
     def __init__(
@@ -205,15 +202,28 @@ class StrataRow(ValueObject):
         _set(self, "groups", groups)
         _set(self, "boxed", boxed)
         _set(self, "membership", membership)
-        # Derived once: the groups by characteristic, and for full
+        # Derived once: the groups by characteristic; for full
         # membership the groups at 2, 3, 5 that differ from the
-        # characteristic-0 group, in that order (() for singleton rows).
-        _set(self, "group_of", dict(groups))
-        deviating: tuple[str, ...] = ()
-        if membership.kind == "full":
-            g0 = self.group_of[0]
-            deviating = tuple(g for g in map(self.group_at, (2, 3, 5)) if g != g0)
+        # characteristic-0 group, in that order (() for singleton rows);
+        # and the group collection c(E) with its label set, which raises
+        # GroupError for a deviation that has none.
+        group_of = dict(groups)
+        _set(self, "group_of", group_of)
+        if membership.kind == "singleton":
+            deviating: tuple[str, ...] = ()
+            collection = group_collection("single", (group_of[membership.r0],))
+        else:
+            g0 = group_of[0]
+            at = (group_of.get(2), group_of.get(3), group_of.get(5, g0))
+            deviating = tuple([g for g in at if g != g0])
+            if len(deviating) < 2:
+                collection = group_collection("single", deviating or (g0,))
+            elif len(deviating) == 2:
+                collection = group_collection("pair", deviating, g0)
+            else:
+                collection = group_collection("triple", deviating)
         _set(self, "deviating", deviating)
+        _set(self, "collection", collection)
 
     def group_at(self, r: int) -> str | None:
         """Annotation at characteristic r; full-membership rows repeat
@@ -300,7 +310,11 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                 )
             fiber.append(FiberEntry(levi, lab, int(d), int(mult), disamb))
         validate_row_annotation(groups, boxed, mem)
-        rows.append(StrataRow(head_label, tuple(fiber), tuple(sorted(groups.items())), boxed, mem))
+        try:
+            row = StrataRow(head_label, tuple(fiber), tuple(sorted(groups.items())), boxed, mem)
+        except GroupError as exc:
+            raise TableFormatError(f"{exc} in row {head_label.text!r} of {t.name}") from None
+        rows.append(row)
     _validate_rows(t, rows)
     return tuple(rows)
 
@@ -315,15 +329,6 @@ def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
         if 5 in r.group_of and r.stratum.text != unit:
             raise TableFormatError(
                 f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
-            )
-        tags = r.deviating
-        if len(tags) == 2 and tags not in _ALLOWED_PAIRS:
-            raise TableFormatError(
-                f"unexpected deviating pair {tags} in row {r.stratum.text!r} of {t.name}"
-            )
-        if len(tags) == 3 and tags != _TRIPLE:
-            raise TableFormatError(
-                f"unexpected deviating triple {tags} in row {r.stratum.text!r} of {t.name}"
             )
 
 
@@ -346,9 +351,16 @@ class Placement(ValueObject):
     row_of_head maps each stratum's text to its row index, and
     row_of_triple each triple key (Levi name, character text, d) to the
     first row, in resolved order, whose fiber holds that triple.
+    Derived from these: fiber_pairs holds for each row its fiber as
+    (triple, multiplicity) pairs, and fiber_expanded the same fiber with
+    one (triple, 1) pair per triple (the same tuple when the two agree).
     """
 
-    __slots__ = _fields = (
+    __slots__ = (
+        "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
+        "fiber_pairs", "fiber_expanded",
+    )
+    _fields = (
         "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
     )
 
@@ -369,6 +381,28 @@ class Placement(ValueObject):
         _set(self, "notes", notes)
         _set(self, "row_of_head", row_of_head)
         _set(self, "row_of_triple", row_of_triple)
+        # The triples of one key are adjacent in the enumeration, index 0
+        # first (enumerate_cs_prime's order), so the position of the last
+        # one locates them all.
+        enum = enumerate_cs_prime(parse_type(type_name))
+        last_of = {tr.key: i for i, tr in enumerate(enum)}
+        fiber_pairs, fiber_expanded = [], []
+        for ri, row in enumerate(rows):
+            pairs, expanded = [], []
+            for pi, en in enumerate(row.fiber):
+                last = last_of[en.levi_name, resolved[ri, pi], en.d_semantic]
+                first = last - enum[last].index
+                pair = (enum[first], en.mult)
+                pairs.append(pair)
+                if first == last and en.mult == 1:
+                    expanded.append(pair)
+                else:
+                    expanded += [(tr, 1) for tr in enum[first:last + 1]]
+            pairs, expanded = tuple(pairs), tuple(expanded)
+            fiber_pairs.append(pairs)
+            fiber_expanded.append(pairs if expanded == pairs else expanded)
+        _set(self, "fiber_pairs", tuple(fiber_pairs))
+        _set(self, "fiber_expanded", tuple(fiber_expanded))
 
     def row_index(self, stratum: CharacterLabel | str) -> int:
         text = stratum if isinstance(stratum, str) else stratum.text

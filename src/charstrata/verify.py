@@ -96,9 +96,20 @@ def _check_placement(t: CartanType, store: TableStore) -> tuple[str, str]:
 
 
 def _check_retraction(t: CartanType, store: TableStore) -> tuple[str, str]:
-    # Row construction rejects duplicate heads and puts each head first
-    # in its own fiber, so the count is the whole report.
-    return "pass", f"{len(store.table(t))} distinct heads, each heading its own fiber"
+    """Every stratum's own empty-Levi triple maps back to the stratum's
+    row through the placement's triple index."""
+    try:
+        pl = placement(t, store)
+    except PlacementMismatch:
+        return "skipped", "the table does not place"
+    row_of_triple = pl.row_of_triple
+    for ri, row in enumerate(pl.rows):
+        head = row.stratum.text
+        got = row_of_triple.get(("-", head, 0))
+        if got != ri:
+            where = "no row" if got is None else f"row {pl.rows[got].stratum.text!r}"
+            return "fail", f"the triple of head {head!r} maps to {where}"
+    return "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber"
 
 
 def _registry_gaps(t: CartanType, rows: tuple[StrataRow, ...]) -> tuple[list[str], list[str]]:

@@ -183,6 +183,25 @@ def test_unexpected_deviating_pair_exits_2_naming_row_and_pair(
     assert "unexpected deviating pair ('C3', 'C2')" in err
 
 
+def test_unrecorded_surjection_exits_2_naming_row_and_surjection(
+    tmp_path, capsys, synthetic_b3_doc
+):
+    # (C2, C3) is an allowed pair, but nothing records how C3 maps onto
+    # the characteristic-0 group C6, so the row has no label set.
+    row = synthetic_b3_doc["rows"][1]
+    assert row["stratum"] == "(2,1|)" and len(row["fiber"]) == 1
+    row["groups"] = {"0": "C6", "2": "C2", "3": "C3"}
+    row["boxed"] = ["2", "3"]
+    path = tmp_path / "b3.json"
+    path.write_text(canonical_json(synthetic_b3_doc))
+    message = "no recorded surjection C3 -> C6 in row '(2,1|)' of B3"
+    code, out, err = run(capsys, "register", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    for argv in (["cstar", "B3", "--stratum", "(2,1|)"], ["verify", "B3"]):
+        code, out, err = run(capsys, "--tables", str(tmp_path), *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "info", "Z9")
     assert code == 2 and "error:" in err

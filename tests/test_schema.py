@@ -321,6 +321,8 @@ REJECTIONS = [
      "characteristic-5 annotation outside the unit stratum ((2,1|))"),
     ("deviating-pair", _deviating({"0": "1", "2": "C3", "3": "C2"}, ["2", "3"]),
      TableFormatError, "unexpected deviating pair ('C3', 'C2') in row '(2,1|)' of B3"),
+    ("unrecorded-surjection", _deviating({"0": "C6", "2": "C2", "3": "C3"}, ["2", "3"]),
+     TableFormatError, "no recorded surjection C3 -> C6 in row '(2,1|)' of B3"),
     ("deviating-triple",
      _deviating({"0": "1", "2": "C2", "3": "C2", "5": "C2"}, ["2", "3", "5"], row=0),
      TableFormatError, "unexpected deviating triple ('C2', 'C2', 'C2') in row '(3|)' of B3"),

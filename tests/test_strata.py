@@ -1,8 +1,10 @@
 import copy
+import importlib
 
 import pytest
 
-from charstrata import tables, verify
+import oracle_strata
+from charstrata import cuspidal, groups, tables, verify
 from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
@@ -33,7 +35,12 @@ from charstrata.tables import (
     is_identity,
 )
 from charstrata.verify import register_external_table
-from conftest import synthetic_spread_table
+from conftest import (
+    synthetic_b3_table,
+    synthetic_c4_table,
+    synthetic_d6_table,
+    synthetic_spread_table,
+)
 
 TABLE_TYPES = ["G2", "F4", "E6", "E7", "E8"]
 TOTALS = {"G2": 10, "F4": 37, "E6": 30, "E7": 76, "E8": 165}
@@ -373,3 +380,118 @@ def test_identity_types_answer_as_the_identity(name):
     assert unit_stratum_fiber_size(t, store) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
     assert not store.has_table(t)
+
+
+# ---------------------------------------------------------------------------
+# Stratum answers are read from rows and placements built once.
+
+FIXTURES = {"B3": synthetic_b3_table, "C4": synthetic_c4_table, "D6": synthetic_d6_table}
+ORACLE_TYPES = TABLE_TYPES + [f"A{n}" for n in range(1, 6)] + ["Torus"] + list(FIXTURES)
+
+
+def _answering_store(name: str) -> TableStore:
+    """A store that answers for name: empty for embedded and identity
+    types, holding the fixture table for B3, C4 and D6."""
+    store = TableStore()
+    if name in FIXTURES:
+        register_external_table(FIXTURES[name](), store)
+    return store
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_stratum_answers_agree_with_the_per_call_oracle(name):
+    t = parse_type(name)
+    store = _answering_store(name)
+    pl = placement(t, store)
+    for ri, row in enumerate(pl.rows):
+        want_labels = oracle_strata.labels(row)
+        for query in (row.stratum, row.stratum.text):
+            coll = c_collection(t, query, store)
+            assert (coll.kind, coll.tags, coll.quotient) == oracle_strata.collection(row)
+            got = [(e.group, e.irrep, e.origin) for e in c_star(t, query, store)]
+            assert got == want_labels
+            for expand in (False, True):
+                assert fiber(t, query, store, expand=expand) == oracle_strata.fiber(
+                    t, pl, ri, expand)
+    assert bijection_witness(t, store) == [
+        (row.stratum.text, row.fiber_size, len(oracle_strata.labels(row))) for row in pl.rows
+    ]
+
+
+@pytest.mark.parametrize("name", ["E8", "F4", "B3", "A3"])
+def test_mutating_an_answer_leaves_the_next_one_alone(name):
+    t = parse_type(name)
+    store = _answering_store(name)
+    queries = (
+        lambda s: c_star(t, s, store),
+        lambda s: fiber(t, s, store),
+        lambda s: fiber(t, s, store, expand=True),
+    )
+    for row in placement(t, store).rows:
+        for query in queries:
+            first = query(row.stratum)
+            expected = list(first)
+            first.reverse()
+            first.append(None)
+            assert query(row.stratum) == expected
+
+
+def test_built_tables_answer_without_recomputing(monkeypatch):
+    stores = {name: _answering_store(name) for name in ORACLE_TYPES}
+    built = {name: placement(parse_type(name), stores[name]) for name in ORACLE_TYPES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recomputed after the table was built")
+
+    patched = (
+        (groups, ("inventory", "pullback_inventory", "faithful_cyclic_inventory",
+                  "group_collection")),
+        (cuspidal, ("enumerate_cs_prime",)),
+        (tables, ("enumerate_cs_prime", "group_collection")),
+        # the package exports a function named strata, so the module is
+        # looked up by its full name
+        (importlib.import_module("charstrata.strata"), ("enumerate_cs_prime",)),
+    )
+    for module, names in patched:
+        for attr in names:
+            monkeypatch.setattr(module, attr, refuse)
+    for name, pl in built.items():
+        t, store = parse_type(name), stores[name]
+        for row in pl.rows:
+            assert c_collection(t, row.stratum, store) is row.collection
+            assert len(c_star(t, row.stratum, store)) == row.fiber_size
+            assert fiber(t, row.stratum, store)[0][0].character == row.stratum
+            assert len(fiber(t, row.stratum, store, expand=True)) == row.fiber_size
+        assert len(bijection_witness(t, store)) == len(pl.rows)
+
+
+def test_rows_share_one_collection_per_kind_tags_and_quotient():
+    by_fields: dict[tuple, GroupCollection] = {}
+    for name in TABLE_TYPES + ["A3"]:
+        for row in placement(parse_type(name)).rows:
+            coll = row.collection
+            assert by_fields.setdefault((coll.kind, coll.tags, coll.quotient), coll) is coll
+    assert ("single", ("1",), None) in by_fields and ("triple", ("C4", "C3", "C5"), None) in by_fields
+
+
+def test_find_triple_agrees_with_a_scan_of_the_enumeration():
+    for name in ("G2", "E8", "B5", "D6", "A3"):
+        t = parse_type(name)
+        triples = enumerate_cs_prime(t)
+        for tr in triples:
+            for d in (None, tr.d):
+                matches = [
+                    other for other in triples
+                    if other.levi.levi_name == tr.levi.levi_name
+                    and other.character.text == tr.character.text
+                    and (d is None or other.d == d) and other.index == tr.index
+                ]
+                args = (t, tr.levi.levi_name, tr.character.text, d, tr.index)
+                if len(matches) == 1:
+                    assert find_triple(*args) is matches[0]
+                else:
+                    with pytest.raises(TripleNotFound, match=r"is ambiguous in .*; give --d$"):
+                        find_triple(*args)
+    with pytest.raises(TripleNotFound) as err:
+        find_triple(parse_type("G2"), "-", "nope", 3, 1)
+    assert str(err.value) == "no triple (-,nope,d=3,i=1) in G2"

@@ -206,7 +206,9 @@ DERIVED = {
     TrivialLabel: ("text",),
     IrrRegistry: ("_by_text",),
     FiberEntry: ("levi_name", "d_semantic", "key"),
-    StrataRow: ("group_of", "deviating"),
+    StrataRow: ("group_of", "deviating", "collection"),
+    Placement: ("fiber_pairs", "fiber_expanded"),
+    GroupCollection: ("labels",),
 }
 
 CLASSES = list(COMPARED)

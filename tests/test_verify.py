@@ -1,7 +1,8 @@
 import pytest
 
+from charstrata import verify
 from charstrata.cartan import is_pseudo_levi, parse_type
-from charstrata.tables import TableStore
+from charstrata.tables import Placement, TableStore, placement
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
 
@@ -79,3 +80,28 @@ def test_placement_detail_reports_totals():
     report = run_all(parse_type("E8"), TableStore())
     detail = {cid: d for cid, _, d in report.checks}["triple-placement"]
     assert "165 = 165" in detail
+
+
+def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
+    b3 = parse_type("B3")
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    pl = placement(b3, store)
+    assert verify._check_retraction(b3, store) == (
+        "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber")
+    first, second = (("-", row.stratum.text, 0) for row in pl.rows[:2])
+    swapped = dict(pl.row_of_triple)
+    swapped[first], swapped[second] = swapped[second], swapped[first]
+    broken = TableStore()
+    broken.install(Placement(pl.type_name, pl.rows, pl.total, pl.resolved, pl.notes,
+                             pl.row_of_head, swapped))
+    detail = (f"the triple of head {pl.rows[0].stratum.text!r} maps to "
+              f"row {pl.rows[1].stratum.text!r}")
+    assert verify._check_retraction(b3, broken) == ("fail", detail)
+    assert ("retraction", "fail", detail) in run_all(b3, broken).checks
+    del swapped[first]
+    missing = TableStore()
+    missing.install(Placement(pl.type_name, pl.rows, pl.total, pl.resolved, pl.notes,
+                              pl.row_of_head, swapped))
+    assert verify._check_retraction(b3, missing) == (
+        "fail", f"the triple of head {pl.rows[0].stratum.text!r} maps to no row")
