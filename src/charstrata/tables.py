@@ -1,8 +1,8 @@
 """Typed access to the strata tables: rows, their placement against
 the cuspidal-support enumeration and the indexes built from it,
 component-group annotations, centralizer profiles, the built-in
-identity table of series A and the torus, and the session table store
-that holds plug-in tables for classical types.
+identity table of series A and the torus, and the table store that
+holds, by type name, every placement a session answers from.
 """
 
 from __future__ import annotations
@@ -526,18 +526,22 @@ def _identity_placement(t: CartanType) -> Placement:
 
 
 class TableStore:
-    """Embedded tables plus any tables registered for classical types,
-    each registered one held as its resolved placement.  Identity types
-    answer from their built-in table, which is never stored.
+    """The placements a session answers from, held in one dict by type
+    name: each registered table from install, and an embedded or
+    identity type's built-in table from its first query.  A built-in
+    placement is resolved once per process and shared by every store;
+    a failed lookup stores nothing.
 
-    Registration is expected at startup, before queries; lookups never
-    mutate the store.
+    Registration is expected at startup, before queries.
     """
 
     def __init__(self) -> None:
-        self._registered: dict[str, Placement] = {}
+        self._placements: dict[str, Placement] = {}
+        self._registered: set[str] = set()
 
     def has_table(self, t: CartanType) -> bool:
+        """Whether t has an embedded or a registered table; identity
+        types answer without one."""
         return t.name in tabledata.TABLES or t.name in self._registered
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
@@ -546,30 +550,39 @@ class TableStore:
         return placement(t, self).rows
 
     def install(self, placed: Placement) -> None:
-        if placed.type_name in tabledata.TABLES:
-            raise TableFormatError(
-                f"{placed.type_name} is embedded; external copies are only checked"
+        name = placed.type_name
+        if name in tabledata.TABLES:
+            raise TableFormatError(f"{name} is embedded; external copies are only checked")
+        self._placements[name] = placed
+        self._registered.add(name)
+
+    def _place_built_in(self, t: CartanType) -> Placement:
+        """The first query on a type with no placement in this store:
+        its embedded or identity table, else NoTableAvailable."""
+        name = t.name
+        if name in tabledata.TABLES:
+            placed = _embedded_placement(t)
+        elif is_identity(t):
+            placed = _identity_placement(t)
+        else:
+            raise NoTableAvailable(
+                f"no strata table for {name}; register one for classical types"
             )
-        self._registered[placed.type_name] = placed
+        self._placements[name] = placed
+        return placed
 
 
 DEFAULT_STORE = TableStore()
 
 
 def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
-    """The resolved table of t: built once per process for an embedded
-    or identity type, at registration for a registered one."""
-    name = t.name
-    if name in tabledata.TABLES:
-        return _embedded_placement(t)
+    """The resolved table of t: one lookup by name in the store, which
+    holds every placement it has answered from."""
     try:
-        return store._registered[name]
+        return store._placements[t.name]
     except KeyError:
-        if is_identity(t):
-            return _identity_placement(t)
-        raise NoTableAvailable(
-            f"no strata table for {name}; register one for classical types"
-        ) from None
+        pass
+    return store._place_built_in(t)
 
 
 def component_group(

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import isqrt
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
 from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime, levi_counts
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
-from .labels import enumerate_irr, relative_character_labels
+from .labels import enumerate_irr
 from .schema import canonical_json, parse_table_document, table_document
 from .strata import bijection_witness, regular_fiber_labels, unit_stratum_fiber_size
 from .tables import (
@@ -74,15 +75,71 @@ class VerificationReport(ValueObject):
                 for cid, status, detail in self.checks]
 
 
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n): the partitions of each size, counted by adding
+    one part size at a time."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for size in range(part, n + 1):
+            p[size] += p[size - part]
+    return p
+
+
+def _bipartitions(p: list[int], m: int) -> int:
+    """bip(m), the bipartitions of m, from the partition numbers p."""
+    return sum(p[j] * p[m - j] for j in range(m + 1))
+
+
+def _irr_count(t: CartanType | None) -> int:
+    """|Irr W| in closed form for the torus (or the trivial group,
+    None) and the classical series; the registry size otherwise."""
+    if t is None or t.is_torus:
+        return 1
+    if t.is_exceptional:
+        return len(enumerate_irr(t))
+    n = t.rank
+    p = _partition_numbers(n + 1)
+    if t.series == "A":
+        return p[n + 1]
+    if t.series == "D" and n % 2 == 0:
+        return (_bipartitions(p, n) + 3 * p[n // 2]) // 2
+    if t.series == "D":
+        return _bipartitions(p, n) // 2
+    return _bipartitions(p, n)
+
+
+def _closed_form_total(t: CartanType) -> int:
+    """The number of cuspidal-support triples of t, counted without
+    enumerating them.  For the classical series these count the Lusztig
+    symbols of rank n (Lusztig, Invent. Math. 43, 1977; Carter, Finite
+    Groups of Lie Type, 1985, 13.8): p(n+1) for A_n, the sum of
+    bip(n - k(k+1)) over k >= 0 for B_n and C_n, and |Irr W(D_n)| plus
+    the sum of bip(n - 4k^2) over k >= 1 for D_n.  An exceptional type
+    sums, over its cuspidal Levis, the character count of the relative
+    group (registry data for exceptional groups) times the Levi's
+    cuspidal count."""
+    if t.is_exceptional:
+        return sum(
+            _irr_count(levi.relative_weyl_type) * levi_counts(levi).total
+            for levi in cuspidal_levis(t)
+        )
+    if t.series in ("A", "Torus"):
+        return _irr_count(t)
+    n = t.rank
+    p = _partition_numbers(n)
+    if t.series == "D":
+        return _irr_count(t) + sum(
+            _bipartitions(p, n - 4 * k * k) for k in range(1, isqrt(n) // 2 + 1)
+        )
+    return sum(_bipartitions(p, n - k * (k + 1)) for k in range(isqrt(n) + 1) if k * (k + 1) <= n)
+
+
 def _check_enumeration(t: CartanType) -> tuple[str, str]:
-    triples = enumerate_cs_prime(t)
-    expected = sum(
-        len(relative_character_labels(t, levi.relative_weyl_type)) * levi_counts(levi).total
-        for levi in cuspidal_levis(t)
-    )
-    if len(triples) != expected:
-        return "fail", f"enumerated {len(triples)}, product formula gives {expected}"
-    return "pass", f"{len(triples)} triples"
+    enumerated = len(enumerate_cs_prime(t))
+    expected = _closed_form_total(t)
+    if enumerated != expected:
+        return "fail", f"enumerated {enumerated}, closed form gives {expected}"
+    return "pass", f"{enumerated} triples"
 
 
 def _check_placement(t: CartanType, store: TableStore) -> tuple[str, str]:
@@ -249,12 +306,13 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     return report
 
 
-def _first_table_difference(ours: dict, theirs: dict) -> str:
+def _first_table_difference(ours: dict, theirs: dict, source: str) -> str:
     """Human description of the first row/entry where two table
-    documents disagree; names the offending fiber entry when one moved."""
+    documents disagree; names the offending fiber entry when one moved.
+    source says where ours comes from ('embedded', 'built in')."""
     rows_a, rows_b = ours["rows"], theirs["rows"]
     if len(rows_a) != len(rows_b):
-        return f"{len(rows_b)} rows submitted, {len(rows_a)} embedded"
+        return f"{len(rows_b)} rows submitted, {len(rows_a)} {source}"
     for ra, rb in zip(rows_a, rows_b):
         if ra == rb:
             continue
@@ -276,24 +334,29 @@ def _first_table_difference(ours: dict, theirs: dict) -> str:
 
 
 def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str:
-    """Validate a strata-table/1 document; install it for classical
-    types, or check it byte-for-byte against an embedded table.
+    """Validate a strata-table/1 document.  A type whose table is built
+    in (embedded, or the identity table of series A and the torus) has
+    the submission compared byte for byte with that table; any other
+    type has it placed and installed.
 
-    Raises TableFormatError (schema problems) or PlacementMismatch
-    (placement problems, naming the first offending triple).
+    Raises TableFormatError (schema problems, or a built-in table that
+    differs) or PlacementMismatch (placement problems, naming the first
+    offending triple).
     """
     t, rows = parse_table_document(doc)
-    if t.name in tabledata.TABLES:
+    embedded = t.name in tabledata.TABLES
+    if embedded or is_identity(t):
+        source = "embedded" if embedded else "built in"
         ours = table_document(t, store)
         theirs = {"schema": doc["schema"], "type": t.name, "rows": doc["rows"]}
         if canonical_json(ours) != canonical_json(theirs):
             raise TableFormatError(
-                f"{t.name} is embedded and the submitted table differs: "
-                + _first_table_difference(ours, theirs)
+                f"{t.name} is {source} and the submitted table differs: "
+                + _first_table_difference(ours, theirs, source)
             )
-        return f"{t.name}: matches the embedded table"
-    if t.is_torus:
-        raise TableFormatError("the torus needs no table")
+        if embedded:
+            return f"{t.name}: matches the embedded table"
+        return f"{t.name}: accepted (the identity parametrization is built in)"
     # placement must hold before the table becomes visible
     placed = resolve_placement(t, rows)
     missing, duplicated = _registry_gaps(t, rows)
@@ -302,7 +365,5 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
             f"table for {t.name} does not exhaust the registry; missing {missing}",
             offending=missing[0] if missing else None,
         )
-    if is_identity(t):
-        return f"{t.name}: accepted (the identity parametrization is built in)"
     store.install(placed)
     return f"{t.name}: registered ({len(rows)} rows, {placed.total} triples placed)"

@@ -329,3 +329,36 @@ def test_identity_table_export_round_trips_through_register(tmp_path, capsys):
     assert run(capsys, "register", "--in", str(path)) == (
         0, "A2: accepted (the identity parametrization is built in)\n", "",
     )
+
+
+def test_torus_table_export_round_trips_through_register(tmp_path, capsys):
+    path = tmp_path / "Torus.json"
+    assert run(capsys, "export", "Torus", "--what", "table", "--out", str(path)) == (0, "", "")
+    assert run(capsys, "register", "--in", str(path)) == (
+        0, "Torus: accepted (the identity parametrization is built in)\n", "",
+    )
+
+
+def test_identity_table_that_differs_exits_2_naming_the_difference(tmp_path, capsys):
+    path = tmp_path / "A2.json"
+    assert run(capsys, "export", "A2", "--what", "table", "--out", str(path)) == (0, "", "")
+    doc = json.loads(path.read_text())
+    for row in doc["rows"]:
+        row["groups"] = {slot: "C2" for slot in row["groups"]}
+    path.write_text(canonical_json(doc))
+    assert run(capsys, "register", "--in", str(path)) == (
+        2, "", "error: A2 is built in and the submitted table differs: "
+        "row '(3)' differs in its annotations\n",
+    )
+    doc["rows"].reverse()
+    path.write_text(canonical_json(doc))
+    assert run(capsys, "register", "--in", str(path)) == (
+        2, "", "error: A2 is built in and the submitted table differs: "
+        "row head '(1,1,1)' where '(3)' expected\n",
+    )
+    del doc["rows"][0]
+    path.write_text(canonical_json(doc))
+    assert run(capsys, "register", "--in", str(path)) == (
+        2, "", "error: A2 is built in and the submitted table differs: "
+        "2 rows submitted, 3 built in\n",
+    )

@@ -121,7 +121,7 @@ def test_schema_violations(synthetic_b3_doc):
         register_external_table(bad, store)
 
 
-def test_torus_table_refused():
+def test_torus_table_is_checked_against_the_built_in_one():
     store = TableStore()
     doc = {
         "schema": "strata-table/1",
@@ -134,7 +134,14 @@ def test_torus_table_refused():
             "membership": "full",
         }],
     }
-    with pytest.raises(TableFormatError):
+    message = register_external_table(doc, store)
+    assert message == "Torus: accepted (the identity parametrization is built in)"
+    assert not store.has_table(parse_type("Torus"))
+    doc["rows"][0]["groups"] = {"0": "C2", "2": "C2", "3": "C2"}
+    with pytest.raises(TableFormatError, match=(
+        r"^Torus is built in and the submitted table differs: "
+        r"row '1' differs in its annotations$"
+    )):
         register_external_table(doc, store)
 
 

@@ -272,7 +272,7 @@ def test_registered_table_is_resolved_once(monkeypatch, synthetic_b3_doc):
 
 def test_embedded_table_is_resolved_once_per_process(monkeypatch):
     calls = _count_resolutions(monkeypatch)
-    tables._embedded_placement.cache_clear()
+    tables._embedded_placement.cache_clear(); DEFAULT_STORE._placements.clear()
     f4 = parse_type("F4")
     assert len(TableStore().table(f4)) == len(strata(f4)) == 20
     assert calls == []  # the rows alone do not pay for placement
@@ -281,6 +281,78 @@ def test_embedded_table_is_resolved_once_per_process(monkeypatch):
         assert placement(f4, store) is first
         _query_everything(f4, store)
     assert calls == ["F4"]
+
+
+# ---------------------------------------------------------------------------
+# The store holds every placement it answers from, keyed by type name.
+
+
+def test_failed_lookup_caches_nothing():
+    store = TableStore()
+    b5 = parse_type("B5")
+    message = "^no strata table for B5; register one for classical types$"
+    for query in (placement, strata, lambda t, s: c_star(t, "(5|)", s)):
+        with pytest.raises(NoTableAvailable, match=message):
+            query(b5, store)
+    assert not store.has_table(b5)
+    register_external_table(synthetic_spread_table("B5"), store)
+    assert store.has_table(b5)
+    for tr in enumerate_cs_prime(b5):
+        assert tr in [got for got, _ in fiber(b5, tau(b5, tr, store), store, expand=True)]
+
+
+def test_registering_again_replaces_the_placement(synthetic_b3_doc):
+    swapped = copy.deepcopy(synthetic_b3_doc)
+    first, last = swapped["rows"][0]["fiber"], swapped["rows"][-1]["fiber"]
+    first[1], last[1] = last[1], first[1]
+    store = TableStore()
+    b3 = parse_type("B3")
+    triple = find_triple(b3, "B2", "(2)")
+    register_external_table(synthetic_b3_doc, store)
+    before = placement(b3, store)
+    assert tau(b3, triple, store).text == "(3|)"
+    register_external_table(swapped, store)
+    assert placement(b3, store) is not before
+    assert tau(b3, triple, store).text == "(|1,1,1)"
+
+
+def test_stores_share_one_built_in_placement():
+    for name in ("E8", "A3", "Torus"):
+        t = parse_type(name)
+        assert placement(t, TableStore()) is placement(t, TableStore())
+
+
+def test_has_table_means_embedded_or_registered(synthetic_b3_doc):
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    for name, expected in (("A2", False), ("Torus", False), ("E8", True), ("B3", True)):
+        t = parse_type(name)
+        placement(t, store)  # a built-in placement held by the store is no table
+        assert store.has_table(t) is expected, name
+    assert not TableStore().has_table(parse_type("B3"))
+
+
+def test_warm_queries_hash_no_cartan_type(monkeypatch, synthetic_b3_doc):
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+
+    def ask(t, triple, head):
+        return (tau(t, triple, store), fiber(t, head, store), c_star(t, head, store),
+                c_collection(t, head, store), find_row(t, head, store))
+
+    warm = []
+    for name in ("E8", "A3", "B3"):
+        t = parse_type(name)
+        triple = enumerate_cs_prime(t)[-1]
+        head = placement(t, store).rows[-1].stratum.text
+        warm.append((t, triple, head, ask(t, triple, head)))
+
+    def refuse(self):
+        raise AssertionError(f"{self.name} was hashed")
+
+    monkeypatch.setattr(CartanType, "__hash__", refuse)
+    for t, triple, head, answer in warm:
+        assert ask(t, triple, head) == answer
 
 
 def test_stores_holding_different_tables_answer_independently(synthetic_b3_doc):

@@ -1,7 +1,8 @@
 import pytest
 
 from charstrata import verify
-from charstrata.cartan import is_pseudo_levi, parse_type
+from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
+from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.tables import Placement, TableStore, placement
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
@@ -105,3 +106,27 @@ def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
                               pl.row_of_head, swapped))
     assert verify._check_retraction(b3, missing) == (
         "fail", f"the triple of head {pl.rows[0].stratum.text!r} maps to no row")
+
+
+def test_closed_form_total_equals_the_enumeration():
+    types = [parse_type(name) for name in ("Torus", "G2", "F4", "E6", "E7", "E8")]
+    for series in SERIES:
+        for rank in range(13):
+            try:
+                types.append(CartanType(series, rank))
+            except CartanError:
+                continue
+    for t in types:
+        assert verify._closed_form_total(t) == len(enumerate_cs_prime(t)), t.name
+    # p(5) for A4; bip(5) + bip(3) for B5; |Irr W(D8)| + bip(4) for D8.
+    assert [verify._closed_form_total(parse_type(n)) for n in ("A4", "B5", "D8")] == [
+        7, 36 + 10, 100 + 20]
+
+
+def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
+    e7 = parse_type("E7")
+    assert verify._check_enumeration(e7) == ("pass", "76 triples")
+    monkeypatch.setattr(verify, "enumerate_cs_prime", lambda t: enumerate_cs_prime(t)[:-1])
+    failing = ("fail", "enumerated 75, closed form gives 76")
+    assert verify._check_enumeration(e7) == failing
+    assert ("cuspidal-enumeration", *failing) in run_all(e7, TableStore()).checks
