@@ -2,7 +2,9 @@
 the cuspidal-support enumeration and the indexes built from it,
 component-group annotations, centralizer profiles, the built-in
 identity table of series A and the torus, and the table store that
-holds, by type name, every placement a session answers from.
+holds, by type name, every placement a session answers from.  Every
+table, embedded, identity or registered, is read through its resolved
+placement; a built-in one is resolved once per process.
 """
 
 from __future__ import annotations
@@ -351,17 +353,15 @@ class Placement(ValueObject):
     row_of_head maps each stratum's text to its row index, and
     row_of_triple each triple key (Levi name, character text, d) to the
     first row, in resolved order, whose fiber holds that triple.
-    Derived from these: fiber_pairs holds for each row its fiber as
-    (triple, multiplicity) pairs, and fiber_expanded the same fiber with
-    one (triple, 1) pair per triple (the same tuple when the two agree).
+    fiber_pairs holds for each row its fiber as (triple, multiplicity)
+    pairs, and fiber_expanded the same fiber with one (triple, 1) pair
+    per triple (the same tuple when the two agree).  resolve_placement
+    builds all of them in one walk of the enumeration.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded",
-    )
-    _fields = (
-        "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
     )
 
     def __init__(
@@ -373,6 +373,8 @@ class Placement(ValueObject):
         notes: tuple[str, ...],
         row_of_head: dict[str, int],
         row_of_triple: dict[tuple, int],
+        fiber_pairs: tuple[tuple, ...],
+        fiber_expanded: tuple[tuple, ...],
     ) -> None:
         _set(self, "type_name", type_name)
         _set(self, "rows", rows)
@@ -381,28 +383,8 @@ class Placement(ValueObject):
         _set(self, "notes", notes)
         _set(self, "row_of_head", row_of_head)
         _set(self, "row_of_triple", row_of_triple)
-        # The triples of one key are adjacent in the enumeration, index 0
-        # first (enumerate_cs_prime's order), so the position of the last
-        # one locates them all.
-        enum = enumerate_cs_prime(parse_type(type_name))
-        last_of = {tr.key: i for i, tr in enumerate(enum)}
-        fiber_pairs, fiber_expanded = [], []
-        for ri, row in enumerate(rows):
-            pairs, expanded = [], []
-            for pi, en in enumerate(row.fiber):
-                last = last_of[en.levi_name, resolved[ri, pi], en.d_semantic]
-                first = last - enum[last].index
-                pair = (enum[first], en.mult)
-                pairs.append(pair)
-                if first == last and en.mult == 1:
-                    expanded.append(pair)
-                else:
-                    expanded += [(tr, 1) for tr in enum[first:last + 1]]
-            pairs, expanded = tuple(pairs), tuple(expanded)
-            fiber_pairs.append(pairs)
-            fiber_expanded.append(pairs if expanded == pairs else expanded)
-        _set(self, "fiber_pairs", tuple(fiber_pairs))
-        _set(self, "fiber_expanded", tuple(fiber_expanded))
+        _set(self, "fiber_pairs", fiber_pairs)
+        _set(self, "fiber_expanded", fiber_expanded)
 
     def row_index(self, stratum: CharacterLabel | str) -> int:
         text = stratum if isinstance(stratum, str) else stratum.text
@@ -417,10 +399,12 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     PlacementMismatch naming the first offending entry."""
     enum = enumerate_cs_prime(t)
     enum_families: dict[tuple, dict[str, int]] = {}
-    for tr in enum:
+    last_of: dict[tuple, int] = {}
+    for i, tr in enumerate(enum):
         levi_name, txt, d = tr.key
         fam = enum_families.setdefault((levi_name, d), {})
         fam[txt] = fam.get(txt, 0) + 1
+        last_of[tr.key] = i
 
     table_families: dict[tuple, list[tuple[int, int, FiberEntry, str]]] = {}
     total = 0
@@ -493,20 +477,36 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         raise PlacementMismatch(
             f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
         )
+    # The triples of one key are adjacent in the enumeration, index 0
+    # first (enumerate_cs_prime's order), so the position of the last
+    # one locates them all.
+    fiber_pairs, fiber_expanded = [], []
+    for ri, row in enumerate(rows):
+        pairs, expanded = [], []
+        for pi, en in enumerate(row.fiber):
+            last = last_of[en.levi_name, resolved[ri, pi], en.d_semantic]
+            first = last - enum[last].index
+            pair = (enum[first], en.mult)
+            pairs.append(pair)
+            if first == last and en.mult == 1:
+                expanded.append(pair)
+            else:
+                expanded += [(tr, 1) for tr in enum[first:last + 1]]
+        pairs, expanded = tuple(pairs), tuple(expanded)
+        fiber_pairs.append(pairs)
+        fiber_expanded.append(pairs if expanded == pairs else expanded)
     row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
-    return Placement(t.name, rows, total, resolved, tuple(notes), row_of_head, row_of_triple)
+    return Placement(
+        t.name, rows, total, resolved, tuple(notes), row_of_head, row_of_triple,
+        tuple(fiber_pairs), tuple(fiber_expanded),
+    )
 
 
-@lru_cache(maxsize=None)
 def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
+    """The rows of t's embedded table, built anew on each call."""
     if t.name not in tabledata.TABLES:
         raise NoTableAvailable(f"no embedded table for {t.name}")
     return build_rows(t, tabledata.TABLES[t.name])
-
-
-@lru_cache(maxsize=None)
-def _embedded_placement(t: CartanType) -> Placement:
-    return resolve_placement(t, embedded_table(t))
 
 
 def is_identity(t: CartanType) -> bool:
@@ -516,37 +516,38 @@ def is_identity(t: CartanType) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _identity_placement(t: CartanType) -> Placement:
-    """The built-in table of an identity type: one constant row with
-    trivial groups per character, its fiber the row's own triple."""
-    trivial = {0: "1", 2: "1", 3: "1"}
-    single, full = frozenset({"single"}), Membership("full")
-    structured = ((lab.text, (), trivial, single, full) for lab in enumerate_irr(t).labels)
-    return resolve_placement(t, assemble_rows(t, structured))
+def _built_in_placement(t: CartanType) -> Placement:
+    """The resolved built-in table of t, once per process: the embedded
+    table, or for an identity type one constant row with trivial groups
+    per character, its fiber the row's own triple.  NoTableAvailable
+    for any other type, caching nothing."""
+    if t.name in tabledata.TABLES:
+        rows = embedded_table(t)
+    elif is_identity(t):
+        trivial = {0: "1", 2: "1", 3: "1"}
+        single, full = frozenset({"single"}), Membership("full")
+        rows = assemble_rows(
+            t, ((lab.text, (), trivial, single, full) for lab in enumerate_irr(t).labels)
+        )
+    else:
+        raise NoTableAvailable(f"no strata table for {t.name}; register one for classical types")
+    return resolve_placement(t, rows)
 
 
 class TableStore:
     """The placements a session answers from, held in one dict by type
     name: each registered table from install, and an embedded or
-    identity type's built-in table from its first query.  A built-in
-    placement is resolved once per process and shared by every store;
-    a failed lookup stores nothing.
+    identity type's built-in placement from its first query, shared
+    with every other store.  A failed lookup stores nothing, and every
+    table is read through its placement.
 
     Registration is expected at startup, before queries.
     """
 
     def __init__(self) -> None:
         self._placements: dict[str, Placement] = {}
-        self._registered: set[str] = set()
-
-    def has_table(self, t: CartanType) -> bool:
-        """Whether t has an embedded or a registered table; identity
-        types answer without one."""
-        return t.name in tabledata.TABLES or t.name in self._registered
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
-        if t.name in tabledata.TABLES:
-            return embedded_table(t)
         return placement(t, self).rows
 
     def install(self, placed: Placement) -> None:
@@ -554,22 +555,6 @@ class TableStore:
         if name in tabledata.TABLES:
             raise TableFormatError(f"{name} is embedded; external copies are only checked")
         self._placements[name] = placed
-        self._registered.add(name)
-
-    def _place_built_in(self, t: CartanType) -> Placement:
-        """The first query on a type with no placement in this store:
-        its embedded or identity table, else NoTableAvailable."""
-        name = t.name
-        if name in tabledata.TABLES:
-            placed = _embedded_placement(t)
-        elif is_identity(t):
-            placed = _identity_placement(t)
-        else:
-            raise NoTableAvailable(
-                f"no strata table for {name}; register one for classical types"
-            )
-        self._placements[name] = placed
-        return placed
 
 
 DEFAULT_STORE = TableStore()
@@ -582,7 +567,8 @@ def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
         return store._placements[t.name]
     except KeyError:
         pass
-    return store._place_built_in(t)
+    placed = store._placements[t.name] = _built_in_placement(t)
+    return placed
 
 
 def component_group(

@@ -1,8 +1,10 @@
 """The verification suite: per-type invariant checks, report assembly,
 and registration of external strata tables for classical types.
 
-Table-dependent checks report 'skipped' (never 'pass') for types
-without an available table.
+The table checks read the type's placement, resolved once per run.
+They report 'skipped' (never 'pass') for types without an available
+table; for a table that does not place, the placement check fails and
+the checks after it report 'skipped'.
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
 from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime, levi_counts
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
-from .labels import enumerate_irr
+from .labels import enumerate_irr, unit_label
 from .schema import canonical_json, parse_table_document, table_document
-from .strata import bijection_witness, regular_fiber_labels, unit_stratum_fiber_size
+from .strata import regular_fiber_labels
 from .tables import (
     DEFAULT_STORE,
+    NoTableAvailable,
+    Placement,
     PlacementMismatch,
     StrataRow,
     TableFormatError,
     TableStore,
+    UnknownStratum,
     centralizer_profiles,
     is_identity,
     placement,
@@ -142,23 +147,15 @@ def _check_enumeration(t: CartanType) -> tuple[str, str]:
     return "pass", f"{enumerated} triples"
 
 
-def _check_placement(t: CartanType, store: TableStore) -> tuple[str, str]:
-    try:
-        pl = placement(t, store)
-    except PlacementMismatch as exc:
-        return "fail", str(exc)
+def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
     n = len(enumerate_cs_prime(t))
     note = f"; {len(pl.notes)} duplicated label(s) resolved" if pl.notes else ""
     return "pass", f"{pl.total} = {n} triples placed{note}"
 
 
-def _check_retraction(t: CartanType, store: TableStore) -> tuple[str, str]:
+def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Every stratum's own empty-Levi triple maps back to the stratum's
     row through the placement's triple index."""
-    try:
-        pl = placement(t, store)
-    except PlacementMismatch:
-        return "skipped", "the table does not place"
     row_of_triple = pl.row_of_triple
     for ri, row in enumerate(pl.rows):
         head = row.stratum.text
@@ -180,16 +177,16 @@ def _registry_gaps(t: CartanType, rows: tuple[StrataRow, ...]) -> tuple[list[str
     return missing, sorted(txt for txt, n in seen.items() if n > 1)
 
 
-def _check_empty_completeness(t: CartanType, store: TableStore) -> tuple[str, str]:
-    missing, duplicated = _registry_gaps(t, store.table(t))
+def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
+    missing, duplicated = _registry_gaps(t, pl.rows)
     if missing or duplicated:
         return "fail", f"missing {missing}, duplicated {duplicated}"
     return "pass", f"{len(enumerate_irr(t))} empty-Levi labels exhaust the registry"
 
 
-def _check_boxed(t: CartanType, store: TableStore) -> tuple[str, str]:
+def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
     bad = datum(t).bad_primes
-    for r in store.table(t):
+    for r in pl.rows:
         if r.membership.kind == "singleton":
             if r.boxed != frozenset({r.membership.r0}):
                 return "fail", f"singleton row {r.stratum.text!r} boxes {sorted(map(str, r.boxed))}"
@@ -208,25 +205,35 @@ def _check_boxed(t: CartanType, store: TableStore) -> tuple[str, str]:
     return "pass", "boxed flags match recomputed deviation sets"
 
 
-def _check_row_balance(t: CartanType, store: TableStore) -> tuple[str, str]:
-    witness = bijection_witness(t, store)
-    bad = [(h, f, c) for h, f, c in witness if f != c]
-    if bad:
-        h, f, c = bad[0]
-        return "fail", f"row {h!r}: fiber {f} != inventory {c}"
-    total = sum(f for _, f, _ in witness)
-    return "pass", f"{len(witness)} rows balanced; totals {total} = {total}"
+def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
+    """The counting witness row by row: each fiber as large as the
+    inventory of its group collection."""
+    for row in pl.rows:
+        f, c = row.fiber_size, len(row.collection.labels)
+        if f != c:
+            return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
+    return "pass", f"{len(pl.rows)} rows balanced; totals {pl.total} = {pl.total}"
 
 
-def _check_phi(t: CartanType, store: TableStore) -> tuple[str, str]:
+def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
     expected = len(regular_fiber_labels(t))
     try:
-        got = unit_stratum_fiber_size(t, store)
-    except LookupError as exc:
+        got = pl.rows[pl.row_index(unit_label(t))].fiber_size
+    except UnknownStratum as exc:
         return "fail", f"unit stratum not found: {exc}"
     if got != expected:
         return "fail", f"unit stratum fiber {got}, phi-sum {expected}"
     return "pass", f"unit stratum fiber {got} = phi-sum {expected}"
+
+
+_TABLE_CHECKS = (
+    ("triple-placement", _check_placement),
+    ("retraction", _check_retraction),
+    ("empty-completeness", _check_empty_completeness),
+    ("boxed-recomputation", _check_boxed),
+    ("row-balance", _check_row_balance),
+    ("regular-fiber-phi", _check_phi),
+)
 
 
 def _check_centralizers(t: CartanType) -> tuple[str, str]:
@@ -278,23 +285,24 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     status, detail = _check_enumeration(t)
     report.add("cuspidal-enumeration", status, detail)
 
-    fixed = _identity_details(t) if is_identity(t) else {}
-    table_backed = bool(fixed) or store.has_table(t)
-    table_checks = (
-        ("triple-placement", _check_placement),
-        ("retraction", _check_retraction),
-        ("empty-completeness", _check_empty_completeness),
-        ("boxed-recomputation", _check_boxed),
-        ("row-balance", _check_row_balance),
-        ("regular-fiber-phi", _check_phi),
-    )
-    for cid, fn in table_checks:
-        if cid in fixed:
+    # The table is resolved once; a table that does not place fails the
+    # placement check and leaves nothing for the checks that read it.
+    checks = _TABLE_CHECKS
+    try:
+        pl = placement(t, store)
+    except NoTableAvailable:
+        pl, skip = None, "no strata table available"
+    except PlacementMismatch as exc:
+        report.add("triple-placement", "fail", str(exc))
+        pl, skip, checks = None, "the table does not place", _TABLE_CHECKS[1:]
+    fixed = _identity_details(t) if pl is not None and is_identity(t) else {}
+    for cid, check in checks:
+        if pl is None:
+            report.add(cid, "skipped", skip)
+        elif cid in fixed:
             report.add(cid, "pass", fixed[cid])
-        elif table_backed:
-            report.add(cid, *fn(t, store))
         else:
-            report.add(cid, "skipped", "no strata table available")
+            report.add(cid, *check(t, pl))
 
     status, detail = _check_centralizers(t)
     report.add("centralizer-profiles", status, detail)

@@ -1,0 +1,141 @@
+"""Table registration under mutated documents.  Every seed is a table
+that registers (or matches its built-in table); each example drops,
+duplicates or swaps entries of one, moves a fiber entry to another row,
+or replaces values with ones of the wrong type, and registration must
+either accept the result or reject it with one of the errors the CLI
+reports as malformed input."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charstrata import cli
+from charstrata.cartan import CartanError, parse_type
+from charstrata.schema import canonical_json, table_document
+from charstrata.tables import PlacementMismatch, TableFormatError, TableStore
+from charstrata.verify import register_external_table
+from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
+
+SEEDS = {
+    **{name: json.loads(canonical_json(table_document(parse_type(name))))
+       for name in ("E7", "A2", "Torus")},
+    "B3": synthetic_b3_table(),
+    "C4": synthetic_c4_table(),
+    "D6": synthetic_d6_table(),
+}
+
+# Values of the wrong type, and strings that are valid somewhere in a
+# table document but mostly not where they land.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.just(1.5),
+    st.builds(list),
+    st.builds(dict),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.text(max_size=5),
+    st.sampled_from([
+        "", "-", "0", "1", "2", "5", "B2", "D4", "E6", "E7", "(2)", "(1,1)", "(2|)", "1_0",
+        "{3|3}:I", "full", "singleton:2", "singleton:7", "single", "[C2]", "C2", "S3",
+        "strata-table/1", "A2", "B3", "Torus", "²",
+    ]),
+)
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def _containers(node, out):
+    """Every list and dict in a JSON tree, parents first."""
+    if isinstance(node, (list, dict)):
+        out.append(node)
+        for child in node.values() if isinstance(node, dict) else node:
+            _containers(child, out)
+    return out
+
+
+def _move_fiber_entry(doc: dict, data) -> None:
+    """Move a fiber entry other than a row's head entry to another row,
+    which keeps the document well formed and the fiber multiset whole."""
+    rows = doc.get("rows")
+    if not isinstance(rows, list):
+        return
+    fibers = [row["fiber"] for row in rows
+              if isinstance(row, dict) and isinstance(row.get("fiber"), list)]
+    sources = [fib for fib in fibers if len(fib) > 1]
+    if sources:
+        source = data.draw(st.sampled_from(sources))
+        entry = source.pop(data.draw(st.integers(1, len(source) - 1)))
+        data.draw(st.sampled_from(fibers)).append(entry)
+
+
+def _mutate(doc: dict, data) -> None:
+    """Apply one random edit to doc, in place: a move of a fiber entry,
+    or an edit of some list or dict in it."""
+    if data.draw(st.integers(0, 3)) == 0:
+        _move_fiber_entry(doc, data)
+        return
+    node = data.draw(st.sampled_from(_containers(doc, [])))
+    keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "replace", "add"]))
+    if op == "add" or not keys:
+        junk = data.draw(JUNK)
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(["levi", "d", "rows", "extra", "5"]))] = junk
+        else:
+            node.append(junk)
+        return
+    key = data.draw(st.sampled_from(keys))
+    if op == "drop":
+        del node[key]
+    elif op == "duplicate" and isinstance(node, list):
+        node.insert(key, copy.deepcopy(node[key]))
+    elif op == "swap":
+        other = data.draw(st.sampled_from(keys))
+        node[key], node[other] = node[other], node[key]
+    else:
+        node[key] = data.draw(JUNK)
+
+
+def _mutated(data) -> dict:
+    doc = copy.deepcopy(SEEDS[data.draw(st.sampled_from(sorted(SEEDS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    return doc
+
+
+def test_every_seed_registers():
+    for name, doc in SEEDS.items():
+        assert register_external_table(copy.deepcopy(doc), TableStore()).startswith(name + ":")
+
+
+@SETTINGS
+@given(st.data())
+def test_registration_accepts_or_rejects_a_mutated_table(data):
+    doc = _mutated(data)
+    try:
+        register_external_table(doc, TableStore())
+    except (TableFormatError, PlacementMismatch, CartanError):
+        pass
+
+
+@SETTINGS
+@given(st.data())
+def test_register_command_exits_0_or_2_on_a_mutated_table(data):
+    doc = _mutated(data)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["register", "--in", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

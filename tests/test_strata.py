@@ -9,6 +9,7 @@ from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
 from charstrata.labels import enumerate_irr
+from charstrata.schema import table_document
 from charstrata.strata import (
     CStarElement,
     GroupCollection,
@@ -272,14 +273,14 @@ def test_registered_table_is_resolved_once(monkeypatch, synthetic_b3_doc):
 
 def test_embedded_table_is_resolved_once_per_process(monkeypatch):
     calls = _count_resolutions(monkeypatch)
-    tables._embedded_placement.cache_clear(); DEFAULT_STORE._placements.clear()
+    tables._built_in_placement.cache_clear(); DEFAULT_STORE._placements.clear()
     f4 = parse_type("F4")
-    assert len(TableStore().table(f4)) == len(strata(f4)) == 20
-    assert calls == []  # the rows alone do not pay for placement
     first = placement(f4, TableStore())
     for store in (TableStore(), TableStore(), DEFAULT_STORE):
+        assert store.table(f4) is first.rows
         assert placement(f4, store) is first
         _query_everything(f4, store)
+    assert len(strata(f4)) == 20
     assert calls == ["F4"]
 
 
@@ -294,9 +295,9 @@ def test_failed_lookup_caches_nothing():
     for query in (placement, strata, lambda t, s: c_star(t, "(5|)", s)):
         with pytest.raises(NoTableAvailable, match=message):
             query(b5, store)
-    assert not store.has_table(b5)
+    assert not store._placements
     register_external_table(synthetic_spread_table("B5"), store)
-    assert store.has_table(b5)
+    assert placement(b5, store).type_name == "B5"
     for tr in enumerate_cs_prime(b5):
         assert tr in [got for got, _ in fiber(b5, tau(b5, tr, store), store, expand=True)]
 
@@ -322,14 +323,20 @@ def test_stores_share_one_built_in_placement():
         assert placement(t, TableStore()) is placement(t, TableStore())
 
 
-def test_has_table_means_embedded_or_registered(synthetic_b3_doc):
+def test_registration_installs_only_tables_that_are_not_built_in(synthetic_b3_doc):
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
-    for name, expected in (("A2", False), ("Torus", False), ("E8", True), ("B3", True)):
+    b3 = parse_type("B3")
+    registered = placement(b3, store)
+    for name in ("A2", "Torus", "E8"):
         t = parse_type(name)
-        placement(t, store)  # a built-in placement held by the store is no table
-        assert store.has_table(t) is expected, name
-    assert not TableStore().has_table(parse_type("B3"))
+        # A built-in table is checked against the submission, not installed.
+        register_external_table(table_document(t), store)
+        assert placement(t, store) is tables._built_in_placement(t), name
+        assert store.table(t) is placement(t, TableStore()).rows, name
+    assert placement(b3, store) is registered
+    with pytest.raises(NoTableAvailable):
+        placement(b3, TableStore())
 
 
 def test_warm_queries_hash_no_cartan_type(monkeypatch, synthetic_b3_doc):
@@ -375,7 +382,7 @@ def test_stores_holding_different_tables_answer_independently(synthetic_b3_doc):
 def test_tau_index_agrees_with_a_scan_of_the_placement(name):
     t = parse_type(name)
     store = DEFAULT_STORE
-    if not store.has_table(t):
+    if name not in TABLE_TYPES:
         store = TableStore()
         register_external_table(synthetic_spread_table(name), store)
     pl = placement(t, store)
@@ -451,7 +458,7 @@ def test_identity_types_answer_as_the_identity(name):
         assert component_group(t, lab, 3, store) == "1"
     assert unit_stratum_fiber_size(t, store) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
-    assert not store.has_table(t)
+    assert placement(t, store) is tables._built_in_placement(t)
 
 
 # ---------------------------------------------------------------------------

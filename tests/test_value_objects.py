@@ -186,7 +186,7 @@ COMPARED = {
     FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
     StrataRow: ("stratum", "fiber", "groups", "boxed", "membership"),
     Placement: ("type_name", "rows", "total", "resolved", "notes", "row_of_head",
-                "row_of_triple"),
+                "row_of_triple", "fiber_pairs", "fiber_expanded"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),
     CStarElement: ("group", "irrep", "origin"),
@@ -207,7 +207,6 @@ DERIVED = {
     IrrRegistry: ("_by_text",),
     FiberEntry: ("levi_name", "d_semantic", "key"),
     StrataRow: ("group_of", "deviating", "collection"),
-    Placement: ("fiber_pairs", "fiber_expanded"),
     GroupCollection: ("labels",),
 }
 

@@ -1,6 +1,6 @@
 import pytest
 
-from charstrata import verify
+from charstrata import cli, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.tables import Placement, TableStore, placement
@@ -88,23 +88,25 @@ def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
     pl = placement(b3, store)
-    assert verify._check_retraction(b3, store) == (
+    assert verify._check_retraction(b3, pl) == (
         "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber")
+
+    def with_triple_index(row_of_triple):
+        fields = [getattr(pl, f) for f in Placement._fields]
+        fields[Placement._fields.index("row_of_triple")] = row_of_triple
+        return Placement(*fields)
+
     first, second = (("-", row.stratum.text, 0) for row in pl.rows[:2])
     swapped = dict(pl.row_of_triple)
     swapped[first], swapped[second] = swapped[second], swapped[first]
     broken = TableStore()
-    broken.install(Placement(pl.type_name, pl.rows, pl.total, pl.resolved, pl.notes,
-                             pl.row_of_head, swapped))
+    broken.install(with_triple_index(swapped))
     detail = (f"the triple of head {pl.rows[0].stratum.text!r} maps to "
               f"row {pl.rows[1].stratum.text!r}")
-    assert verify._check_retraction(b3, broken) == ("fail", detail)
+    assert verify._check_retraction(b3, placement(b3, broken)) == ("fail", detail)
     assert ("retraction", "fail", detail) in run_all(b3, broken).checks
     del swapped[first]
-    missing = TableStore()
-    missing.install(Placement(pl.type_name, pl.rows, pl.total, pl.resolved, pl.notes,
-                              pl.row_of_head, swapped))
-    assert verify._check_retraction(b3, missing) == (
+    assert verify._check_retraction(b3, with_triple_index(swapped)) == (
         "fail", f"the triple of head {pl.rows[0].stratum.text!r} maps to no row")
 
 
@@ -130,3 +132,37 @@ def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
     failing = ("fail", "enumerated 75, closed form gives 76")
     assert verify._check_enumeration(e7) == failing
     assert ("cuspidal-enumeration", *failing) in run_all(e7, TableStore()).checks
+
+
+@pytest.fixture
+def e7_missing_a_triple(monkeypatch):
+    """E7 with the last triple, (E7,1,0)[1], dropped from the
+    enumeration the tables module places against; no built-in placement
+    is cached before or after."""
+    original = tables.enumerate_cs_prime
+    monkeypatch.setattr(
+        tables, "enumerate_cs_prime", lambda t: original(t)[:-1] if t.name == "E7" else original(t)
+    )
+    tables._built_in_placement.cache_clear()
+    yield parse_type("E7")
+    tables._built_in_placement.cache_clear()
+
+
+def test_a_table_that_does_not_place_fails_placement_and_skips_its_readers(
+    e7_missing_a_triple, capsys
+):
+    mismatch = "entry (E7,1,0)#2 in row '1_0' does not match the enumeration for E7"
+    report = run_all(e7_missing_a_triple, TableStore())
+    assert [cid for cid, _, _ in report.checks] == list(CHECK_IDS)
+    checks = {cid: (status, detail) for cid, status, detail in report.checks}
+    assert checks["triple-placement"] == ("fail", mismatch)
+    for cid in CHECK_IDS[2:7]:
+        assert checks[cid] == ("skipped", "the table does not place"), cid
+    for cid in ("cuspidal-enumeration", "centralizer-profiles", "group-inventories"):
+        assert checks[cid][0] == "pass", cid
+    assert cli.main(["verify", "E7"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("== E7\n  cuspidal-enumeration: pass")
+    assert f"  triple-placement: fail  [{mismatch}]\n" in out
+    assert "  regular-fiber-phi: skipped  [the table does not place]\n" in out
