@@ -61,6 +61,15 @@ class ValueObject:
     of the same class with equal fields, hash as the tuple of those
     fields, and refuse every later assignment or deletion with
     dataclasses.FrozenInstanceError.
+
+    A class the package builds in bulk (thousands per table) sets its
+    slots through _setters instead, the __set__ of each slot it
+    declares in __slots__ order, at about half the cost of
+    object.__setattr__.  If it also defines _fill, which sets every slot
+    from what it is given and returns the instance, the package builds
+    instances of values valid by construction as
+    cls._fill(object.__new__(cls), ...), without __init__'s checks and
+    derivations.
     """
 
     __slots__ = ()
@@ -69,6 +78,8 @@ class ValueObject:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._values = staticmethod(_fields_getter(cls._fields))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

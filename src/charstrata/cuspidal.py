@@ -150,13 +150,14 @@ class SheafTriple(ValueObject):
     def __init__(
         self, levi: CuspidalLevi, character: CharacterLabel, d: int | None, index: int
     ) -> None:
-        _set(self, "levi", levi)
-        _set(self, "character", character)
-        _set(self, "d", d)
-        _set(self, "index", index)
+        set_levi, set_character, set_d, set_index, set_key = self._setters
+        set_levi(self, levi)
+        set_character(self, character)
+        set_d(self, d)
+        set_index(self, index)
         # Derived once: (Levi name, character text, d), the coordinates a
         # table places the triple by; cuspidal indices share it.
-        _set(self, "key", (levi.levi_name, character.text, d))
+        set_key(self, (levi.levi_name, character.text, d))
 
     def describe(self) -> str:
         if self.levi.is_empty and not self.levi.ambient.is_torus:

@@ -59,6 +59,12 @@ def _parts_text(parts: Partition) -> str:
     return ",".join(map(str, parts))
 
 
+# The text of a partition that partitions() generated: its parts are
+# ints, so equal keys have equal text.  B12's 1165 characters are built
+# from 77 partitions.
+_enumerated_text = lru_cache(maxsize=None)(_parts_text)
+
+
 def _parse_parts(text: str) -> Partition:
     text = text.strip()
     if not text:
@@ -94,8 +100,13 @@ class PartitionLabel(CharacterLabel):
 
     def __init__(self, parts: Partition) -> None:
         _check_partition(parts)
-        _set(self, "parts", parts)
-        _set(self, "text", f"({_parts_text(parts)})")
+        self._fill(_parts_text, parts)
+
+    def _fill(self, text_of, parts: Partition) -> PartitionLabel:
+        set_parts, set_text = self._setters
+        set_parts(self, parts)
+        set_text(self, f"({text_of(parts)})")
+        return self
 
 
 class BipartitionLabel(CharacterLabel):
@@ -105,9 +116,14 @@ class BipartitionLabel(CharacterLabel):
     def __init__(self, alpha: Partition, beta: Partition) -> None:
         _check_partition(alpha)
         _check_partition(beta)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "text", f"({_parts_text(alpha)}|{_parts_text(beta)})")
+        self._fill(_parts_text, alpha, beta)
+
+    def _fill(self, text_of, alpha: Partition, beta: Partition) -> BipartitionLabel:
+        set_alpha, set_beta, set_text = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_text(self, f"({text_of(alpha)}|{text_of(beta)})")
+        return self
 
 
 class DPairLabel(CharacterLabel):
@@ -126,11 +142,18 @@ class DPairLabel(CharacterLabel):
                 raise LabelError("symmetric D-pair needs split tag I or II")
         elif split is not None:
             raise LabelError("split tag only allowed on symmetric pairs")
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "split", split)
-        base = f"{{{_parts_text(alpha)}|{_parts_text(beta)}}}"
-        _set(self, "text", f"{base}:{split}" if split else base)
+        self._fill(_parts_text, alpha, beta, split)
+
+    def _fill(
+        self, text_of, alpha: Partition, beta: Partition, split: str | None
+    ) -> DPairLabel:
+        set_alpha, set_beta, set_split, set_text = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_split(self, split)
+        base = f"{{{text_of(alpha)}|{text_of(beta)}}}"
+        set_text(self, f"{base}:{split}" if split else base)
+        return self
 
 
 _DB_NAME = re.compile(r"^(\d+)_(\d+)$")
@@ -212,22 +235,27 @@ def enumerate_irr(t: CartanType) -> IrrRegistry:
     """The character registry of W(t), in the canonical order."""
     if t.is_torus:
         return IrrRegistry(t, (TrivialLabel(),))
+    # Labels of partitions() output are valid by construction: _fill
+    # builds them without __init__'s checks, with memoized partition texts.
+    new, text_of = object.__new__, _enumerated_text
     if t.series == "A":
-        labs = tuple(PartitionLabel(p) for p in partitions(t.rank + 1))
+        fill = PartitionLabel._fill
+        labs = tuple(fill(new(PartitionLabel), text_of, p) for p in partitions(t.rank + 1))
         return IrrRegistry(t, labs)
     if t.series in ("B", "C"):
-        labs = tuple(BipartitionLabel(a, b) for a, b in _bipartitions(t.rank))
+        fill = BipartitionLabel._fill
+        labs = tuple(
+            fill(new(BipartitionLabel), text_of, a, b) for a, b in _bipartitions(t.rank)
+        )
         return IrrRegistry(t, labs)
     if t.series == "D":
+        fill = DPairLabel._fill
         out: list[CharacterLabel] = []
         for alpha, beta in _bipartitions(t.rank):
             if alpha < beta:
                 continue  # unordered: keep the alpha >= beta representative
-            if alpha == beta:
-                out.append(DPairLabel(alpha, beta, "I"))
-                out.append(DPairLabel(alpha, beta, "II"))
-            else:
-                out.append(DPairLabel(alpha, beta))
+            for split in ("I", "II") if alpha == beta else (None,):
+                out.append(fill(new(DPairLabel), text_of, alpha, beta, split))
         return IrrRegistry(t, tuple(out))
     names = _exceptional_names(t.name)
     return IrrRegistry(t, tuple(NamedLabel(n) for n in names))

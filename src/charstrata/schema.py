@@ -87,6 +87,9 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     if not (isinstance(rows_raw, list) and rows_raw):
         raise TableFormatError("rows must be a nonempty list")
     structured = []
+    # Raw annotation -> its (groups, boxed, membership), for each
+    # distinct annotation that passed its checks: a table repeats a few.
+    annotations: dict = {}
     for i, row in enumerate(rows_raw):
         if not isinstance(row, dict):
             raise TableFormatError(f"row {i} must be an object")
@@ -128,33 +131,57 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
                 f"row {i}: first fiber entry must be ('-', {head!r}, d=0, mult=1)"
             )
         groups_raw = row.get("groups")
-        if not isinstance(groups_raw, dict):
-            raise TableFormatError(f"row {i}: groups must be an object")
-        groups: dict[int, str] = {}
-        for key, val in groups_raw.items():
-            slot = _GROUP_KEYS.get(key)
-            if slot is None:
-                raise TableFormatError(f"row {i}: bad groups key {key!r}")
-            try:
-                groups[slot] = normalize_tag(str(val))
-            except GroupError as exc:
-                raise TableFormatError(f"row {i}: {exc}") from exc
         boxed_raw = row.get("boxed")
-        if not (isinstance(boxed_raw, list) and boxed_raw):
-            raise TableFormatError(f"row {i}: boxed must be nonempty")
-        boxed: set = set()
-        for b in boxed_raw:
-            flag = _BOXED_FLAGS.get(b) if isinstance(b, str) else None
-            if flag is None:
-                raise TableFormatError(f"row {i}: bad boxed flag {b!r}")
-            boxed.add(flag)
-        mem = Membership.parse(str(row.get("membership", "")))
-        structured.append((head, entries[1:], groups, frozenset(boxed), mem))
+        mem_raw = row.get("membership", "")
+        # An accepted annotation holds only strings, in a dict and a
+        # list, so a value of another JSON type (1, true, 1.0) never
+        # matches its key; an unhashable key holds a list or an object
+        # where a string belongs, which the checks reject.
+        key = None
+        if isinstance(groups_raw, dict) and isinstance(boxed_raw, list):
+            key = (tuple(groups_raw.items()), tuple(boxed_raw), mem_raw)
+        try:
+            annotation = annotations[key]
+        except (KeyError, TypeError):
+            annotation = _checked_annotation(i, groups_raw, boxed_raw, mem_raw)
+            if key is not None:
+                annotations[key] = annotation
+        structured.append((head, entries[1:], *annotation))
     try:
         rows = assemble_rows(t, structured)
     except LabelError as exc:
         raise TableFormatError(str(exc)) from exc
     return t, rows
+
+
+def _checked_annotation(
+    i: int, groups_raw, boxed_raw, mem_raw
+) -> tuple[tuple[tuple[int, str], ...], frozenset, Membership]:
+    """Row i's groups as sorted (characteristic, tag) pairs, its boxed
+    flags and its membership, or TableFormatError."""
+    if not isinstance(groups_raw, dict):
+        raise TableFormatError(f"row {i}: groups must be an object")
+    groups: dict[int, str] = {}
+    for key, val in groups_raw.items():
+        slot = _GROUP_KEYS.get(key)
+        if slot is None:
+            raise TableFormatError(f"row {i}: bad groups key {key!r}")
+        if not isinstance(val, str):
+            raise TableFormatError(f"row {i}: group at {key!r} must be a string")
+        try:
+            groups[slot] = normalize_tag(val)
+        except GroupError as exc:
+            raise TableFormatError(f"row {i}: {exc}") from exc
+    if not (isinstance(boxed_raw, list) and boxed_raw):
+        raise TableFormatError(f"row {i}: boxed must be nonempty")
+    boxed: set = set()
+    for b in boxed_raw:
+        flag = _BOXED_FLAGS.get(b) if isinstance(b, str) else None
+        if flag is None:
+            raise TableFormatError(f"row {i}: bad boxed flag {b!r}")
+        boxed.add(flag)
+    mem = Membership.parse(str(mem_raw))
+    return tuple(sorted(groups.items())), frozenset(boxed), mem
 
 
 def triples_document(t: CartanType) -> dict:

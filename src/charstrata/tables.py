@@ -146,9 +146,7 @@ class FiberEntry(ValueObject):
     the relative group, the printed d, its multiplicity, and the
     occurrence disambiguator for labels printed identically in two rows."""
 
-    __slots__ = (
-        "levi", "character", "d_printed", "mult", "disamb", "levi_name", "d_semantic", "key",
-    )
+    __slots__ = ("levi", "character", "d_printed", "mult", "disamb", "key")
     _fields = ("levi", "character", "d_printed", "mult", "disamb")
 
     def __init__(
@@ -159,19 +157,31 @@ class FiberEntry(ValueObject):
         mult: int,
         disamb: str | None = None,
     ) -> None:
-        _set(self, "levi", levi)
-        _set(self, "character", character)
-        _set(self, "d_printed", d_printed)
-        _set(self, "mult", mult)
-        _set(self, "disamb", disamb)
-        # Derived once: the Levi's name ('-' when empty), the d of the
-        # triple it stands for (None, opaque, for classical Levis) and
-        # the triple key (Levi name, character text, d).
-        levi_name = "-" if levi is None else levi.name
-        d = None if levi is not None and levi.is_classical else d_printed
-        _set(self, "levi_name", levi_name)
-        _set(self, "d_semantic", d)
-        _set(self, "key", (levi_name, character.text, d))
+        if levi is None:
+            self._fill(None, "-", False, character, d_printed, mult, disamb)
+        else:
+            self._fill(levi, levi.name, levi.is_classical, character, d_printed, mult, disamb)
+
+    def _fill(self, levi, levi_name, opaque, character, d_printed, mult, disamb) -> FiberEntry:
+        set_levi, set_character, set_d, set_mult, set_disamb, set_key = self._setters
+        set_levi(self, levi)
+        set_character(self, character)
+        set_d(self, d_printed)
+        set_mult(self, mult)
+        set_disamb(self, disamb)
+        # Derived once: the triple key (Levi name, '-' when empty,
+        # character text, d), d None (opaque) for classical Levis.
+        set_key(self, (levi_name, character.text, None if opaque else d_printed))
+        return self
+
+    @property
+    def levi_name(self) -> str:
+        return self.key[0]
+
+    @property
+    def d_semantic(self) -> int | None:
+        """The d of the triple the entry stands for."""
+        return self.key[2]
 
     def describe(self) -> str:
         if self.levi is None:
@@ -195,37 +205,21 @@ class StrataRow(ValueObject):
         self,
         stratum: CharacterLabel,
         fiber: tuple[FiberEntry, ...],  # first entry is (empty, stratum, 0, 1)
-        groups: tuple[tuple[int, str], ...],  # (characteristic, group tag)
+        groups: tuple[tuple[int, str], ...],  # (characteristic, group tag), sorted
         boxed: frozenset,
         membership: Membership,
     ) -> None:
-        _set(self, "stratum", stratum)
-        _set(self, "fiber", fiber)
-        _set(self, "groups", groups)
-        _set(self, "boxed", boxed)
-        _set(self, "membership", membership)
-        # Derived once: the groups by characteristic; for full
-        # membership the groups at 2, 3, 5 that differ from the
-        # characteristic-0 group, in that order (() for singleton rows);
-        # and the group collection c(E) with its label set, which raises
-        # GroupError for a deviation that has none.
-        group_of = dict(groups)
-        _set(self, "group_of", group_of)
-        if membership.kind == "singleton":
-            deviating: tuple[str, ...] = ()
-            collection = group_collection("single", (group_of[membership.r0],))
-        else:
-            g0 = group_of[0]
-            at = (group_of.get(2), group_of.get(3), group_of.get(5, g0))
-            deviating = tuple([g for g in at if g != g0])
-            if len(deviating) < 2:
-                collection = group_collection("single", deviating or (g0,))
-            elif len(deviating) == 2:
-                collection = group_collection("pair", deviating, g0)
-            else:
-                collection = group_collection("triple", deviating)
-        _set(self, "deviating", deviating)
-        _set(self, "collection", collection)
+        (set_stratum, set_fiber, set_groups, set_boxed, set_membership, set_group_of,
+         set_deviating, set_collection) = self._setters
+        set_stratum(self, stratum)
+        set_fiber(self, fiber)
+        set_groups(self, groups)
+        set_boxed(self, boxed)
+        set_membership(self, membership)
+        group_of, deviating, collection = _row_annotation(groups, boxed, membership)
+        set_group_of(self, group_of)
+        set_deviating(self, deviating)
+        set_collection(self, collection)
 
     def group_at(self, r: int) -> str | None:
         """Annotation at characteristic r; full-membership rows repeat
@@ -243,23 +237,16 @@ class StrataRow(ValueObject):
 
 
 @lru_cache(maxsize=None)
-def _fiber_levis(t: CartanType) -> dict[str, tuple[CartanType, dict[str, CharacterLabel]]]:
-    """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
-    type and the characters of its relative group by text."""
-    return {
-        levi.levi_name: (
-            levi.levi_weyl_type,
-            {lab.text: lab for lab in relative_character_labels(t, levi.relative_weyl_type)},
-        )
-        for levi in cuspidal_levis(t)
-        if levi.levi_weyl_type is not None
-    }
-
-
-def validate_row_annotation(
-    groups: dict[int, str], boxed: frozenset, mem: Membership
-) -> None:
-    defined = set(groups)
+def _row_annotation(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
+    """What a row derives from its annotation, once per distinct one (a
+    table repeats a few, and their rows share the result): the groups
+    by characteristic; for full membership the groups at 2, 3, 5 that
+    differ from the characteristic-0 group, in that order (() for
+    singleton rows); and the group collection c(E) with its label set.
+    Raises TableFormatError for an invalid annotation and GroupError for
+    a deviation that has no collection; neither is cached."""
+    group_of = dict(groups)
+    defined = set(group_of)
     if not boxed:
         raise TableFormatError("a row must box at least one group")
     if mem.kind == "singleton":
@@ -267,53 +254,87 @@ def validate_row_annotation(
             raise TableFormatError(
                 f"singleton row must define and box exactly characteristic {mem.r0}"
             )
-        return
+        return group_of, (), group_collection("single", (group_of[mem.r0],))
     if not {0, 2, 3} <= defined:
         raise TableFormatError("full-membership row must define characteristics 0, 2, 3")
     if boxed == frozenset({"single"}):
-        if len({groups[r] for r in defined}) != 1:
+        if len(set(group_of.values())) != 1:
             raise TableFormatError("constant row carries differing groups")
-        return
-    if not boxed <= {2, 3, 5}:
+    elif not boxed <= {2, 3, 5}:
         raise TableFormatError(f"bad boxed flags {sorted(map(str, boxed))}")
+    g0 = group_of[0]
+    at = (group_of.get(2), group_of.get(3), group_of.get(5, g0))
+    deviating = tuple([g for g in at if g != g0])
+    if len(deviating) < 2:
+        collection = group_collection("single", deviating or (g0,))
+    elif len(deviating) == 2:
+        collection = group_collection("pair", deviating, g0)
+    else:
+        collection = group_collection("triple", deviating)
+    return group_of, deviating, collection
+
+
+@lru_cache(maxsize=None)
+def _fiber_levis(t: CartanType) -> dict[str, tuple]:
+    """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
+    type, that name, whether it is classical (so that its d is opaque)
+    and the characters of its relative group by text."""
+    return {
+        levi.levi_name: (
+            levi.levi_weyl_type, levi.levi_name, levi.levi_weyl_type.is_classical,
+            {lab.text: lab for lab in relative_character_labels(t, levi.relative_weyl_type)},
+        )
+        for levi in cuspidal_levis(t)
+        if levi.levi_weyl_type is not None
+    }
+
+
+@lru_cache(maxsize=None)
+def _annotation_fields(ann: str) -> tuple:
+    """parse_annotation's result with the groups as sorted pairs, once
+    per distinct annotation string."""
+    groups, boxed, mem = parse_annotation(ann)
+    return tuple(sorted(groups.items())), boxed, mem
 
 
 def build_rows(t: CartanType, raw_rows) -> tuple[StrataRow, ...]:
     """Typed rows from raw (head, entries, annotation) triples."""
     return assemble_rows(
-        t, ((head, entries, *parse_annotation(ann)) for head, entries, ann in raw_rows)
+        t, ((head, entries, *_annotation_fields(ann)) for head, entries, ann in raw_rows)
     )
 
 
 def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     """Typed rows from structured (head, entries, groups, boxed,
-    membership) tuples with normalized group tags, as produced by the
-    JSON loader and by parse_annotation."""
+    membership) tuples, the groups as sorted (characteristic, tag)
+    pairs of normalized tags, as produced by the JSON loader and from
+    parse_annotation.  Entries are (levi, character, d, mult, disamb)
+    with int d and mult."""
     label_of = enumerate_irr(t).by_text
     levis = _fiber_levis(t)
+    new, fill = object.__new__, FiberEntry._fill
     rows: list[StrataRow] = []
     for head, entries, groups, boxed, mem in structured:
         head_label = label_of(head)
-        fiber = [FiberEntry(None, head_label, 0, 1)]
+        fiber = [fill(new(FiberEntry), None, "-", False, head_label, 0, 1, None)]
         for levi_name, char, d, mult, disamb in entries:
             if levi_name in ("", "-"):
-                fiber.append(FiberEntry(None, label_of(char), int(d), int(mult), disamb))
-                continue
-            # Canonical names hit at once; other spellings are parsed.
-            found = levis.get(levi_name) or levis.get(parse_type(levi_name).name)
-            if found is None:
-                raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}")
-            levi, characters = found
-            lab = characters.get(char)
-            if lab is None:
-                raise TableFormatError(
-                    f"{char!r} is not a character of the relative group of {levi.name} "
-                    f"in {t.name}"
-                )
-            fiber.append(FiberEntry(levi, lab, int(d), int(mult), disamb))
-        validate_row_annotation(groups, boxed, mem)
+                levi, name, opaque, lab = None, "-", False, label_of(char)
+            else:
+                # Canonical names hit at once; other spellings are parsed.
+                found = levis.get(levi_name) or levis.get(parse_type(levi_name).name)
+                if found is None:
+                    raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}")
+                levi, name, opaque, characters = found
+                lab = characters.get(char)
+                if lab is None:
+                    raise TableFormatError(
+                        f"{char!r} is not a character of the relative group of {name} "
+                        f"in {t.name}"
+                    )
+            fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
         try:
-            row = StrataRow(head_label, tuple(fiber), tuple(sorted(groups.items())), boxed, mem)
+            row = StrataRow(head_label, tuple(fiber), groups, boxed, mem)
         except GroupError as exc:
             raise TableFormatError(f"{exc} in row {head_label.text!r} of {t.name}") from None
         rows.append(row)
@@ -398,93 +419,93 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     """Match every fiber entry to enumerated triples, or raise
     PlacementMismatch naming the first offending entry."""
     enum = enumerate_cs_prime(t)
-    enum_families: dict[tuple, dict[str, int]] = {}
-    last_of: dict[tuple, int] = {}
+    # The triples of one key (Levi name, character text, d) are adjacent
+    # in the enumeration, index 0 first (enumerate_cs_prime's order), so
+    # the position of the last one gives their number and locates them.
+    last_of, remaining = {}, {}
     for i, tr in enumerate(enum):
-        levi_name, txt, d = tr.key
-        fam = enum_families.setdefault((levi_name, d), {})
-        fam[txt] = fam.get(txt, 0) + 1
         last_of[tr.key] = i
+        remaining[tr.key] = tr.index + 1
 
-    table_families: dict[tuple, list[tuple[int, int, FiberEntry, str]]] = {}
+    # In table order, each entry takes triples of its own key while they
+    # last; the others wait for their family (Levi name, d).
+    resolved, row_of_triple, waiting = {}, {}, {}
     total = 0
     for ri, row in enumerate(rows):
         for pi, en in enumerate(row.fiber):
-            levi_name, txt, d = en.key
-            table_families.setdefault((levi_name, d), []).append((ri, pi, en, txt))
-            total += en.mult
-
-    extra = table_families.keys() - enum_families.keys()
-    if extra:
-        key = sorted(extra)[0]
-        raise PlacementMismatch(
-            f"table for {t.name} places entries with Levi/d {key} "
-            "outside the cuspidal-support enumeration",
-            offending=str(key),
-        )
-
-    resolved: dict[tuple[int, int], str] = {}
-    row_of_triple: dict[tuple, int] = {}
-    notes: list[str] = []
-    for key, fam in enum_families.items():
-        levi_name, d = key
-        remaining = dict(fam)
-        deferred: list[tuple[int, int, FiberEntry, str]] = []
-        for item in table_families.get(key, ()):
-            ri, pi, en, txt = item
-            if remaining.get(txt, 0) >= en.mult:
-                remaining[txt] -= en.mult
-                resolved[(ri, pi)] = txt
-                row_of_triple.setdefault((levi_name, txt, d), ri)
+            key, mult = en.key, en.mult
+            total += mult
+            left = remaining.get(key, 0)
+            if left >= mult:
+                remaining[key] = left - mult
+                resolved[ri, pi] = key[1]
+                row_of_triple.setdefault(key, ri)
             else:
-                deferred.append(item)
-        # fam lists each character text once, in enumeration order
-        leftovers = [txt for txt in fam if remaining[txt] > 0]
-        for ri, pi, en, txt in deferred:
-            if en.disamb is None:
-                raise PlacementMismatch(
-                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
-                    f"match the enumeration for {t.name}",
-                    offending=en.describe(),
-                )
-            match = next(
-                (cand for cand in leftovers if remaining[cand] == en.mult), None
-            )
-            if match is None:
-                raise PlacementMismatch(
-                    f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                    "cannot be assigned a remaining character",
-                    offending=en.describe(),
-                )
-            remaining[match] -= en.mult
-            leftovers.remove(match)
-            resolved[(ri, pi)] = match
-            row_of_triple.setdefault((levi_name, match, d), ri)
-            if match != txt:
-                notes.append(
-                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                    f"stands for character {match!r}"
-                )
-        missing = {txt: c for txt, c in remaining.items() if c}
-        if missing:
-            txt = next(iter(missing))
+                waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
+
+    # Waiting entries and unplaced triples, family by family in
+    # enumeration order: an entry printed with a duplicated label takes
+    # a remaining character of its family.
+    moved, notes = {}, []
+    if waiting or any(remaining.values()):
+        families = {}
+        for levi_name, txt, d in remaining:
+            families.setdefault((levi_name, d), []).append(txt)
+        extra = waiting.keys() - families.keys()
+        if extra:
+            key = sorted(extra)[0]
             raise PlacementMismatch(
-                f"table for {t.name} misses {missing[txt]} triple(s) "
-                f"({levi_name}, {txt}, d={d})",
-                offending=f"({levi_name},{txt},{d})",
+                f"table for {t.name} places entries with Levi/d {key} "
+                "outside the cuspidal-support enumeration",
+                offending=str(key),
             )
+        for (levi_name, d), texts in families.items():
+            leftovers = [txt for txt in texts if remaining[levi_name, txt, d] > 0]
+            for ri, pi, en in waiting.get((levi_name, d), ()):
+                if en.disamb is None:
+                    raise PlacementMismatch(
+                        f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
+                        f"match the enumeration for {t.name}",
+                        offending=en.describe(),
+                    )
+                match = next(
+                    (cand for cand in leftovers if remaining[levi_name, cand, d] == en.mult),
+                    None,
+                )
+                if match is None:
+                    raise PlacementMismatch(
+                        f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
+                        "cannot be assigned a remaining character",
+                        offending=en.describe(),
+                    )
+                key = (levi_name, match, d)
+                remaining[key] -= en.mult
+                leftovers.remove(match)
+                resolved[ri, pi] = match
+                moved[ri, pi] = key
+                row_of_triple.setdefault(key, ri)
+                if match != en.key[1]:
+                    notes.append(
+                        f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
+                        f"stands for character {match!r}"
+                    )
+            for txt in texts:
+                left = remaining[levi_name, txt, d]
+                if left:
+                    raise PlacementMismatch(
+                        f"table for {t.name} misses {left} triple(s) "
+                        f"({levi_name}, {txt}, d={d})",
+                        offending=f"({levi_name},{txt},{d})",
+                    )
     if total != len(enum):
         raise PlacementMismatch(
             f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
         )
-    # The triples of one key are adjacent in the enumeration, index 0
-    # first (enumerate_cs_prime's order), so the position of the last
-    # one locates them all.
     fiber_pairs, fiber_expanded = [], []
     for ri, row in enumerate(rows):
         pairs, expanded = [], []
         for pi, en in enumerate(row.fiber):
-            last = last_of[en.levi_name, resolved[ri, pi], en.d_semantic]
+            last = last_of[moved.get((ri, pi), en.key) if moved else en.key]
             first = last - enum[last].index
             pair = (enum[first], en.mult)
             pairs.append(pair)
@@ -519,16 +540,12 @@ def is_identity(t: CartanType) -> bool:
 def _built_in_placement(t: CartanType) -> Placement:
     """The resolved built-in table of t, once per process: the embedded
     table, or for an identity type one constant row with trivial groups
-    per character, its fiber the row's own triple.  NoTableAvailable
-    for any other type, caching nothing."""
+    (printed [1]) per character, its fiber the row's own triple.
+    NoTableAvailable for any other type, caching nothing."""
     if t.name in tabledata.TABLES:
         rows = embedded_table(t)
     elif is_identity(t):
-        trivial = {0: "1", 2: "1", 3: "1"}
-        single, full = frozenset({"single"}), Membership("full")
-        rows = assemble_rows(
-            t, ((lab.text, (), trivial, single, full) for lab in enumerate_irr(t).labels)
-        )
+        rows = build_rows(t, ((lab.text, (), "[1]") for lab in enumerate_irr(t).labels))
     else:
         raise NoTableAvailable(f"no strata table for {t.name}; register one for classical types")
     return resolve_placement(t, rows)

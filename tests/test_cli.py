@@ -150,6 +150,17 @@ def test_boolean_d_or_mult_exits_2_naming_the_entry(tmp_path, capsys, synthetic_
         assert err == f"error: row 1 entry 0: {message}\n"
 
 
+def test_non_string_group_exits_2_naming_row_and_slot(tmp_path, capsys, synthetic_b3_doc):
+    # JSON 1 and true are not group tags: neither is read as '1' or 'True'.
+    path = tmp_path / "b3.json"
+    for value in (1, True):
+        doc = json.loads(json.dumps(synthetic_b3_doc))
+        doc["rows"][2]["groups"]["0"] = value
+        path.write_text(canonical_json(doc))
+        code, out, err = run(capsys, "register", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: row 2: group at '0' must be a string\n")
+
+
 def test_register_in_a_directory_exits_2_naming_it(tmp_path, capsys):
     code, out, err = run(capsys, "register", "--in", str(tmp_path))
     assert (code, out) == (2, "")

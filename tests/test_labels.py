@@ -237,3 +237,17 @@ def test_malformed_partitions_are_rejected_with_their_parts():
 def test_partition_parts_are_ascii_decimal_only(name, text, parts):
     with pytest.raises(LabelError, match=rf"^cannot parse partition {re.escape(repr(parts))}$"):
         parse_label(parse_type(name), text)
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 10)] + [
+    f"{series}{n}" for series in "BCD" for n in range(2 if series != "D" else 4, 11)
+])
+def test_enumerated_labels_equal_their_parsed_text(name):
+    # The registry builds its labels without re-checking the parts that
+    # partitions() generated; parsing each text runs every check.
+    t = parse_type(name)
+    for lab in enumerate_irr(t):
+        parsed = parse_label(t, lab.text)
+        assert parsed == lab
+        assert parsed.text == lab.text
+        assert hash(parsed) == hash(lab)

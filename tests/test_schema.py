@@ -13,7 +13,13 @@ from charstrata.schema import (
     triples_document,
 )
 from charstrata.strata import PlacementMismatch, fiber, strata, tau, find_triple
-from charstrata.tables import TableFormatError, TableStore, placement
+from charstrata.tables import (
+    NoTableAvailable,
+    TableFormatError,
+    TableStore,
+    placement,
+    resolve_placement,
+)
 from charstrata.verify import register_external_table, run_all
 
 TABLE_TYPES = ["G2", "F4", "E6", "E7", "E8"]
@@ -294,6 +300,10 @@ REJECTIONS = [
      "row 1: bad groups key '7'"),
     ("group-tag", _put("rows", 1, "groups", "0", value="C9"), TableFormatError,
      "row 1: unknown component group 'C9'"),
+    ("group-number", _put("rows", 1, "groups", "0", value=1), TableFormatError,
+     "row 1: group at '0' must be a string"),
+    ("group-bool", _put("rows", 1, "groups", "2", value=True), TableFormatError,
+     "row 1: group at '2' must be a string"),
     ("boxed-empty", _put("rows", 1, "boxed", value=[]), TableFormatError,
      "row 1: boxed must be nonempty"),
     ("boxed-flag", _put("rows", 1, "boxed", value=["7"]), TableFormatError,
@@ -356,3 +366,82 @@ def test_levi_names_are_read_in_any_accepted_spelling(synthetic_b3_doc):
     doc = copy.deepcopy(synthetic_b3_doc)
     doc["rows"][0]["fiber"][1]["levi"] = " b_2"
     assert parse_table_document(doc) == parse_table_document(synthetic_b3_doc)
+
+
+def _shared_annotation(groups, boxed, membership):
+    """A mutation giving rows 1 and 4 of the B3 table the same annotation."""
+    def mutate(doc):
+        for i in (1, 4):
+            doc["rows"][i].update(groups=dict(groups), boxed=list(boxed), membership=membership)
+    return mutate
+
+
+# Rows repeat a few annotations, and each distinct one is checked once.
+# Row 4 repeats the accepted annotation of row 1 but for one value that
+# equals the accepted one in Python (2 == 2.0, 1 == True) or differs
+# from it only in a check made after the memo would answer.
+REPEATED_ANNOTATION = [
+    ("boxed-int", _shared_annotation({"0": "1", "2": "C2", "3": "1"}, ["2"], "full"),
+     _put("rows", 4, "boxed", value=[2]), "row 4: bad boxed flag 2"),
+    ("group-true", _shared_annotation({"0": "1", "2": "1", "3": "1"}, ["single"], "full"),
+     _put("rows", 4, "groups", "0", value=True), "row 4: group at '0' must be a string"),
+    ("singleton-prime", _shared_annotation({"3": "1"}, ["3"], "singleton:3"),
+     _put("rows", 4, "membership", value="singleton:7"), "bad singleton characteristic 7"),
+]
+
+
+@pytest.mark.parametrize(
+    "share, spoil, message", [case[1:] for case in REPEATED_ANNOTATION],
+    ids=[case[0] for case in REPEATED_ANNOTATION],
+)
+def test_a_repeated_annotation_is_checked_again_when_it_differs(
+    synthetic_b3_doc, share, spoil, message
+):
+    share(synthetic_b3_doc)
+    parse_table_document(synthetic_b3_doc)
+    spoil(synthetic_b3_doc)
+    with pytest.raises(TableFormatError) as err:
+        parse_table_document(synthetic_b3_doc)
+    assert str(err.value) == message
+
+
+def test_schema_errors_in_any_row_come_before_label_errors(synthetic_b3_doc):
+    synthetic_b3_doc["rows"][0]["fiber"][1]["character"] = "(8)"
+    synthetic_b3_doc["rows"][3]["fiber"][0]["d"] = -1
+    with pytest.raises(TableFormatError) as err:
+        parse_table_document(synthetic_b3_doc)
+    assert str(err.value) == "row 3 entry 0: d must be >= 0"
+
+
+def test_a_table_missing_a_head_row_is_rejected_by_placement(synthetic_b3_doc):
+    (row,) = [r for r in synthetic_b3_doc["rows"] if r["stratum"] == "(2,1|)"]
+    assert len(row["fiber"]) == 1
+    synthetic_b3_doc["rows"].remove(row)
+    store = TableStore()
+    with pytest.raises(PlacementMismatch) as err:
+        register_external_table(synthetic_b3_doc, store)
+    assert str(err.value) == "table for B3 misses 1 triple(s) (-, (2,1|), d=0)"
+    assert err.value.offending == "(-,(2,1|),0)"
+    with pytest.raises(NoTableAvailable):
+        placement(parse_type("B3"), store)
+
+
+def test_a_head_placed_only_through_a_disambiguated_duplicate_is_rejected(synthetic_b3_doc):
+    # An entry printed with a duplicated label and a disamb tag takes a
+    # remaining character of its family, so this table places every
+    # triple although no empty-Levi entry names (2,1|); the check that
+    # the empty-Levi entries list the registry once rejects it.
+    rows = synthetic_b3_doc["rows"]
+    (row,) = [r for r in rows if r["stratum"] == "(2,1|)"]
+    rows.remove(row)
+    rows[-1]["fiber"].append(
+        {"levi": "-", "character": rows[0]["stratum"], "d": 0, "mult": 1, "disamb": "a"}
+    )
+    assert "stands for character '(2,1|)'" in resolve_placement(
+        *parse_table_document(synthetic_b3_doc)).notes[0]
+    store = TableStore()
+    with pytest.raises(PlacementMismatch) as err:
+        register_external_table(synthetic_b3_doc, store)
+    assert str(err.value) == "table for B3 does not exhaust the registry; missing ['(2,1|)']"
+    with pytest.raises(NoTableAvailable):
+        placement(parse_type("B3"), store)
