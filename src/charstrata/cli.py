@@ -109,6 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the check suite")
     v.add_argument("type", help="a type name, or 'all'")
+    v.add_argument("--timings", action="store_true",
+                   help="write each check's wall time to stderr")
 
     ex = sub.add_parser("export", help="canonical JSON documents")
     ex.add_argument("type")
@@ -333,6 +335,9 @@ def _cmd(args, store: TableStore) -> int:
             tt = parse_type(name)
             report = run_all(tt, store)
             failed = failed or report.failed
+            if args.timings:
+                for cid, seconds in report.seconds.items():
+                    print(f"timing {tt.name} {cid}: {1e3 * seconds:.3f} ms", file=sys.stderr)
             if args.json:
                 docs.append(report_document(report))
             else:

@@ -4,8 +4,9 @@ c(E) a stratum carries and their label sets c*(E), and explicit
 element models.
 
 The inventories are data; the element models exist so that the
-inventory sizes can be re-derived by brute force (conjugacy-class
-counting over explicit element lists, all orders <= 120).
+inventory sizes can be re-derived by brute force (conjugacy classes
+counted over explicit element lists, all orders <= 120, as the orbits
+of conjugation by a generating set found from the list).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from .cartan import ValueObject
 
@@ -179,8 +181,8 @@ def _perms(n: int):
 
 
 def _perm_mul(p, q):
-    # (p*q)(i) = p(q(i))
-    return tuple(p[q[i]] for i in range(len(p)))
+    # (p*q)(i) = p(q(i)); itemgetter of two or more indices returns a tuple
+    return itemgetter(*q)(p)
 
 
 def _cyclic(m: int):
@@ -238,16 +240,44 @@ def _inverse(g, identity, mul):
     return power
 
 
+def _generators(els, identity, mul) -> list:
+    """A generating set picked greedily from the element list: each
+    element outside the subgroup that the earlier picks generate."""
+    gens: list = []
+    subgroup = {identity}
+    for g in els:
+        if g in subgroup:
+            continue
+        gens.append(g)
+        work = list(subgroup)
+        while work:
+            h = work.pop()
+            for s in gens:
+                x = mul(h, s)
+                if x not in subgroup:
+                    subgroup.add(x)
+                    work.append(x)
+    return gens
+
+
 def conjugacy_class_count(tag: str) -> int:
-    """Brute-force class count over the explicit element list."""
+    """Brute-force class count over the explicit element list: the
+    orbits of conjugation by a generating set found from that list, so
+    each element is conjugated once per generator."""
     els, mul = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
-    inv = {g: _inverse(g, identity, mul) for g in els}
+    gens = _generators(els, identity, mul)
+    conjugators = [(_inverse(g, identity, mul), g) for g in gens]
     remaining = set(els)
     classes = 0
     while remaining:
-        g = remaining.pop()
         classes += 1
-        for h in els:
-            remaining.discard(mul(mul(inv[h], g), h))
+        work = [remaining.pop()]
+        while work:
+            x = work.pop()
+            for inv, g in conjugators:
+                y = mul(mul(inv, x), g)
+                if y in remaining:
+                    remaining.remove(y)
+                    work.append(y)
     return classes

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import isqrt
+from time import perf_counter
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
@@ -51,9 +52,11 @@ CHECK_IDS = (
 class VerificationReport(ValueObject):
     """The checks of one type, in order, and the errata that touch it.
     Unlike the other value classes it is built up in place: mutable and
-    unhashable."""
+    unhashable.  seconds holds each added check's wall time, from the
+    report's creation or the check before; it is not compared or copied."""
 
-    __slots__ = _fields = ("type_name", "checks", "errata")
+    __slots__ = ("type_name", "checks", "errata", "seconds", "_since")
+    _fields = ("type_name", "checks", "errata")
     __hash__ = None
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -67,9 +70,14 @@ class VerificationReport(ValueObject):
         self.type_name = type_name
         self.checks = [] if checks is None else checks
         self.errata = [] if errata is None else errata
+        self.seconds: dict[str, float] = {}
+        self._since = perf_counter()
 
     def add(self, check_id: str, status: str, detail: str) -> None:
+        now = perf_counter()
         self.checks.append((check_id, status, detail))
+        self.seconds[check_id] = now - self._since
+        self._since = now
 
     @property
     def failed(self) -> bool:
@@ -185,8 +193,14 @@ def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 
 def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
-    bad = datum(t).bad_primes
+    """Reads the first row of each distinct annotation (r0 is None
+    exactly for full membership), so a failure names the first faulty
+    row in table order."""
+    first_of: dict[tuple, StrataRow] = {}
     for r in pl.rows:
+        first_of.setdefault((r.groups, r.boxed, r.membership.r0), r)
+    bad = datum(t).bad_primes
+    for r in first_of.values():
         if r.membership.kind == "singleton":
             if r.boxed != frozenset({r.membership.r0}):
                 return "fail", f"singleton row {r.stratum.text!r} boxes {sorted(map(str, r.boxed))}"

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from charstrata import cartan
 from charstrata.cartan import (
     CartanError,
     CartanType,
@@ -16,7 +17,10 @@ from charstrata.cartan import (
     Edge,
     _RANK_OK,
     _classify_component,
+    _closure,
 )
+from charstrata.tables import TableStore
+from charstrata.verify import run_all
 
 
 def levi_subsystems(t: CartanType) -> frozenset[Subsystem]:
@@ -278,6 +282,45 @@ def test_classical_membership_matches_closure(name):
     closure = pseudo_levi_types(t)
     for s in factor_multisets(t.rank):
         assert is_pseudo_levi(t, s) == (s in closure), (name, s.name)
+
+
+@pytest.mark.parametrize("name", ["Torus", "G2", "F4", "E6", "E7", "E8"])
+def test_rank_floored_membership_matches_closure(name):
+    """The search down to rank(s) agrees with the full closure on every
+    candidate of rank <= n, members and non-members alike (885 for
+    G2-E8)."""
+    t = parse_type(name)
+    closure = pseudo_levi_types(t)
+    for s in factor_multisets(t.rank):
+        assert is_pseudo_levi(t, s) == (s in closure), (name, s.name)
+
+
+@pytest.mark.parametrize("name", RANK_10_TYPES)
+def test_closure_above_each_floor_is_the_closure_filtered_by_rank(name):
+    t = parse_type(name)
+    closure = pseudo_levi_types(t)
+    for floor in range(t.rank + 2):
+        assert _closure(t, floor) == {s for s in closure if s.rank >= floor}, floor
+
+
+def test_exceptional_profiles_never_build_the_full_closure(monkeypatch):
+    """centralizer-profiles passes for E8 with the full listing refused,
+    and its searches all stop above rank 0."""
+    def refuse(t):
+        raise AssertionError(f"the full closure of {t.name} was asked for")
+
+    floors = []
+    search = cartan._closure
+
+    def recorded(t, floor):
+        floors.append(floor)
+        return search(t, floor)
+
+    monkeypatch.setattr(cartan, "pseudo_levi_types", refuse)
+    monkeypatch.setattr(cartan, "_closure", recorded)
+    report = run_all(parse_type("E8"), TableStore())
+    assert ("centralizer-profiles", "pass", "13 profiles verified") in report.checks
+    assert floors and 0 not in floors
 
 
 @pytest.mark.parametrize("text", ["A1x", "x", "A1xxA2", "A1*"])

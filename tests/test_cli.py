@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
-from charstrata.cli import main
+from charstrata.cli import VERIFY_ALL_TYPES, main
 from charstrata.schema import canonical_json
+from charstrata.verify import CHECK_IDS
 
 
 def run(capsys, *argv):
@@ -96,6 +98,19 @@ def test_verify_single_and_all(capsys):
     assert "no strata table available" in out
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_verify_timings_go_to_stderr_alone(capsys, json_flag):
+    code, plain, err = run(capsys, *json_flag, "verify", "all")
+    assert code == 0 and err == ""
+    code, timed, err = run(capsys, *json_flag, "verify", "--timings", "all")
+    assert code == 0 and timed == plain
+    lines = [re.fullmatch(r"timing (\S+) ([a-z-]+): \d+\.\d{3} ms", line)
+             for line in err.splitlines()]
+    assert all(lines), err
+    assert [m.groups() for m in lines] == [
+        (name, cid) for name in VERIFY_ALL_TYPES for cid in CHECK_IDS]
 
 
 def test_verify_json(capsys):

@@ -1,16 +1,20 @@
 import pytest
 
+import itertools
+
 from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
     _inverse,
     _model,
+    _perm_mul,
     conjugacy_class_count,
     faithful_cyclic_inventory,
     inventory,
     normalize_tag,
     pullback_inventory,
 )
+from oracle_groups import all_conjugators_class_count
 
 
 def group_order(tag: str) -> int:
@@ -21,6 +25,18 @@ def group_order(tag: str) -> int:
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_inventory_size_equals_class_count(tag):
     assert len(inventory(tag)) == conjugacy_class_count(tag)
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+def test_class_count_matches_all_conjugators_oracle(tag):
+    assert conjugacy_class_count(tag) == all_conjugators_class_count(tag)
+
+
+def test_permutation_product_composes_right_to_left():
+    perms = list(itertools.permutations(range(4)))
+    for p in perms:
+        for q in perms:
+            assert _perm_mul(p, q) == tuple(p[q[i]] for i in range(4))
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)

@@ -1,9 +1,9 @@
 import pytest
 
-from charstrata import cli, tables, verify
+from charstrata import cli, groups, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
-from charstrata.tables import Placement, TableStore, placement
+from charstrata.tables import Placement, StrataRow, TableStore, placement
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
 
@@ -166,3 +166,34 @@ def test_a_table_that_does_not_place_fails_placement_and_skips_its_readers(
     assert out.startswith("== E7\n  cuspidal-enumeration: pass")
     assert f"  triple-placement: fail  [{mismatch}]\n" in out
     assert "  regular-fiber-phi: skipped  [the table does not place]\n" in out
+
+
+def test_group_inventories_fail_when_an_irrep_is_dropped(monkeypatch):
+    dropped = groups.inventory("S5")[:-1]
+    monkeypatch.setattr(
+        verify, "inventory", lambda tag: dropped if tag == "S5" else groups.inventory(tag)
+    )
+    verify._check_group_inventories.cache_clear()
+    try:
+        report = run_all(parse_type("G2"), TableStore())
+    finally:
+        verify._check_group_inventories.cache_clear()
+    assert ("group-inventories", "fail", "S5: classes 7 != inventory") in report.checks
+    assert report.failed
+
+
+def test_boxed_check_names_the_first_faulty_row_in_table_order():
+    """Rows 3 and 12 of E7 get one faulty annotation and row 6 another;
+    the check reports row 3, the first faulty row in table order."""
+    e7 = parse_type("E7")
+    pl = placement(e7)
+    assert verify._check_boxed(e7, pl) == ("pass", "boxed flags match recomputed deviation sets")
+    rows = list(pl.rows)
+    for i, boxed in ((3, {3}), (6, {2}), (12, {3})):
+        r = rows[i]
+        assert r.boxed == {"single"} and r.membership.kind == "full", r.stratum.text
+        rows[i] = StrataRow(r.stratum, r.fiber, r.groups, frozenset(boxed), r.membership)
+    fields = [getattr(pl, f) for f in Placement._fields]
+    fields[Placement._fields.index("rows")] = tuple(rows)
+    assert verify._check_boxed(e7, Placement(*fields)) == (
+        "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
