@@ -1,6 +1,10 @@
 """charstrata: the cuspidal-support parametrization of unipotent
 character sheaves for quasi-simple types, the surjection onto strata,
 and machine checks for every counting identity the tables satisfy.
+
+charstrata.strata is the function, shadowing the submodule even in
+"import charstrata.strata as m"; "from charstrata.strata import fiber"
+still reads the module.
 """
 
 from .cartan import (

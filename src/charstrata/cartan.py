@@ -1,7 +1,8 @@
 """Static root-system data for the quasi-simple types, plus the
-Borel-de Siebenthal subsystem enumerator and, for series A-D, a
-closed-form test of membership in its closure.  The other types search
-the closure only down to the subsystem's rank, as no move raises rank.
+Borel-de Siebenthal subsystem enumerator, whose one-node moves are
+closed forms, and, for series A-D, a closed-form test of membership in
+its closure.  The other types search the closure only down to the
+subsystem's rank, as no move raises rank.
 
 Everything here is diagram-level combinatorics: types, Weyl group
 orders, highest-root coefficients, extended Dynkin diagrams, and the
@@ -427,100 +428,55 @@ def datum(t: CartanType) -> CartanDatum:
 
 # ---------------------------------------------------------------------------
 # Subsystem enumeration (extend-and-delete closure).
+#
+# What deleting {v} / {0, v} leaves of the extended diagram of an
+# exceptional type, for v = 1, 2, ... in Bourbaki numbering (Borel-de
+# Siebenthal 1949; Bourbaki, Lie VI, plates).
+_EXCEPTIONAL_MOVES = {
+    "G2": "A2/A1 A1xA1/A1",
+    "F4": "C3xA1/C3 A2xA2/A2xA1 A3xA1/A2xA1 B4/B3",
+    "E6": "E6/D5 A5xA1/A5 A5xA1/A4xA1 A2xA2xA2/A2xA2xA1 A5xA1/A4xA1 E6/D5",
+    "E7": "D6xA1/D6 A7/A6 A5xA2/A5xA1 A3xA3xA1/A3xA2xA1 A5xA2/A4xA2 D6xA1/D5xA1 E7/E6",
+    "E8": "D8/D7 A8/A7 A7xA1/A6xA1 A5xA2xA1/A4xA2xA1 A4xA4/A4xA3 D5xA3/D5xA2 E6xA2/E6xA1 E7xA1/E7",
+}
 
 
-def _classify_component(nodes: tuple[int, ...], edges: list[Edge]) -> CartanType:
-    """Recognize the finite type of a connected sub-diagram."""
-    n = len(nodes)
-    if n == 1:
-        return CartanType("A", 1)
-    deg: dict[int, int] = {v: 0 for v in nodes}
-    for u, v, _, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
-    mult2 = [e for e in edges if e[2] == 2]
-    mult3 = [e for e in edges if e[2] == 3]
-    if mult3:
-        if n != 2:
-            raise CartanError("triple bond in a component of size != 2")
-        return CartanType("G", 2)
-    if mult2:
-        if len(mult2) != 1 or max(deg.values()) > 2:
-            raise CartanError("unrecognized multiply-laced component")
-        u, v, _, short = mult2[0]
-        if n == 2:
-            return CartanType("B", 2)
-        if deg[u] == 2 and deg[v] == 2:
-            if n != 4:
-                raise CartanError("interior double bond outside F4 shape")
-            return CartanType("F", 4)
-        tail = u if deg[u] == 1 else v
-        return simple_type("B" if short == tail else "C", n)
-    # Simply laced: path or a single-branch tree.
-    branch_nodes = [v for v in nodes if deg[v] == 3]
-    if not branch_nodes:
-        if max(deg.values()) > 2:
-            raise CartanError("unexpected node of degree > 3")
-        return CartanType("A", n)
-    if len(branch_nodes) != 1 or max(deg.values()) != 3:
-        raise CartanError("unrecognized simply-laced component")
-    center = branch_nodes[0]
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v, _, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    lengths = []
-    for start in adj[center]:
-        ln, prev, cur = 1, center, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        lengths.append(ln)
-    a, b, c = sorted(lengths, reverse=True)
-    if b == 1 and c == 1:
-        return simple_type("D", a + 3)
-    if (b, c) == (2, 1) and a in (2, 3, 4):
-        return CartanType("E", a + 4)
-    raise CartanError("unrecognized branched component")
-
-
-def _deletion_type(t: CartanType, deleted: frozenset[int]) -> Subsystem:
-    """Semisimple type of the extended diagram of t minus the deleted
-    nodes: one classified factor per connected component."""
-    kept = [e for e in datum(t).extended_diagram if e[0] not in deleted and e[1] not in deleted]
-    adj: dict[int, list[int]] = {v: [] for v in range(t.rank + 1) if v not in deleted}
-    for u, v, _, _ in kept:
-        adj[u].append(v)
-        adj[v].append(u)
-    factors: list[CartanType] = []
-    placed: set[int] = set()
-    for seed in adj:
-        if seed in placed:
-            continue
-        comp, stack = {seed}, [seed]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        placed |= comp
-        comp_edges = [e for e in kept if e[0] in comp]
-        factors.append(_classify_component(tuple(sorted(comp)), comp_edges))
-    return Subsystem(tuple(sorted(factors)))
+def _factors(series: str, k: int) -> tuple[CartanType, ...]:
+    """The alias-normalized factors of X_k: none for X_0 and D_1."""
+    return () if k == 0 or (series, k) == ("D", 1) else Subsystem.parse(f"{series}{k}").factors
 
 
 @lru_cache(maxsize=None)
 def _moves(t: CartanType, levi: bool) -> tuple[tuple[CartanType, ...], ...]:
-    """The factors of the one-move children of a simple factor t: for
-    each node v >= 1 of its extended diagram, delete {v} (Borel-de
-    Siebenthal move) or, with levi, {0, v} (Levi move)."""
-    return tuple({
-        _deletion_type(t, frozenset({0, v} if levi else {v})).factors
-        for v in range(1, t.rank + 1)
-    })
+    """The factors of the one-move children of a canonical simple factor
+    t: for each node v >= 1 of its extended diagram, delete {v} (Borel-de
+    Siebenthal move) or, with levi, {0, v} (Levi move).  Deleting {0, v}
+    leaves A_{v-1} x X_{n-v}, or A_{n-1} at a spin node of D_n.  Deleting
+    {v} leaves A_n of A_n and splits B_n, C_n, D_n into D_k x B_{n-k},
+    C_k x C_{n-k}, D_k x D_{n-k} at v = k; v = 1 and the spin nodes
+    leave B_n and D_n."""
+    x, n = t.series, t.rank
+    if x in ("E", "F", "G"):
+        children = [
+            Subsystem.parse(node.split("/")[levi]).factors
+            for node in _EXCEPTIONAL_MOVES[t.name].split()
+        ]
+    elif levi:
+        spin = n - 1 if x == "D" else n + 1
+        children = [
+            _factors("A", v - 1) + _factors(x, n - v) if v < spin else _factors("A", n - 1)
+            for v in range(1, n + 1)
+        ]
+    elif x == "A":
+        children = [(t,)]
+    else:
+        low, first = ("C", 1) if x == "C" else ("D", 2)
+        children = [(t,)] + [
+            _factors(low, k) + _factors(x, n - k)
+            for k in range(first, n + 1)
+            if (x, k) != ("D", n - 1)
+        ]
+    return tuple({tuple(sorted(child)) for child in children})
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +484,7 @@ def _closure(t: CartanType, floor: int) -> frozenset[Subsystem]:
     """The members of rank >= floor of pseudo_levi_types(t).  No move
     raises rank, so no path to them passes below the floor: Levi moves
     start only from members above it."""
-    top = () if t.is_torus else (t,)
+    top = () if t.is_torus else (simple_type(t.series, t.rank),)
     seen = {top} if t.rank >= floor else set()
     work = [(top, t.rank)] if seen else []
     while work:

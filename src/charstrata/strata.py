@@ -11,7 +11,6 @@ resolve_placement are re-exported here).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .cartan import CartanType, ValueObject, datum
@@ -33,16 +32,6 @@ _set = object.__setattr__
 
 class TripleNotFound(LookupError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _triples_by_coordinates(t: CartanType) -> dict[tuple[str, str], list[SheafTriple]]:
-    """The enumerated triples of t by (Levi name, character text), in
-    enumeration order."""
-    by_coordinates: dict[tuple[str, str], list[SheafTriple]] = {}
-    for tr in enumerate_cs_prime(t):
-        by_coordinates.setdefault((tr.levi.levi_name, tr.character.text), []).append(tr)
-    return by_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +56,13 @@ def find_triple(
     d: int | None = None,
     index: int = 0,
 ) -> SheafTriple:
-    """Locate an enumerated triple by its printable coordinates."""
+    """Locate an enumerated triple by its printable coordinates (one
+    scan: callers look up one triple per query)."""
+    coordinates = (levi_name, character_text)
     matches = [
         tr
-        for tr in _triples_by_coordinates(t).get((levi_name, character_text), ())
-        if (d is None or tr.d == d) and tr.index == index
+        for tr in enumerate_cs_prime(t)
+        if tr.key[:2] == coordinates and (d is None or tr.d == d) and tr.index == index
     ]
     if len(matches) == 1:
         return matches[0]

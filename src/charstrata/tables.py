@@ -367,10 +367,10 @@ class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
-    resolved maps (row index, fiber position) to the character text the
-    entry stands for; for entries printed with a duplicated label this
-    may differ from the printed text (the assignment is the documented
-    row-order/registry-order convention, recorded in notes).
+    relabelled maps (row index, fiber position) to the triple key the
+    entry stands for, for entries printed with a duplicated label only
+    (the documented row-order/registry-order convention, one line of
+    notes each); every other entry stands for its own key.
     row_of_head maps each stratum's text to its row index, and
     row_of_triple each triple key (Levi name, character text, d) to the
     first row, in resolved order, whose fiber holds that triple.
@@ -381,7 +381,7 @@ class Placement(ValueObject):
     """
 
     __slots__ = _fields = (
-        "type_name", "rows", "total", "resolved", "notes", "row_of_head", "row_of_triple",
+        "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded",
     )
 
@@ -390,7 +390,7 @@ class Placement(ValueObject):
         type_name: str,
         rows: tuple[StrataRow, ...],
         total: int,
-        resolved: dict[tuple[int, int], str],
+        relabelled: dict[tuple[int, int], tuple],
         notes: tuple[str, ...],
         row_of_head: dict[str, int],
         row_of_triple: dict[tuple, int],
@@ -400,7 +400,7 @@ class Placement(ValueObject):
         _set(self, "type_name", type_name)
         _set(self, "rows", rows)
         _set(self, "total", total)
-        _set(self, "resolved", resolved)
+        _set(self, "relabelled", relabelled)
         _set(self, "notes", notes)
         _set(self, "row_of_head", row_of_head)
         _set(self, "row_of_triple", row_of_triple)
@@ -429,7 +429,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
 
     # In table order, each entry takes triples of its own key while they
     # last; the others wait for their family (Levi name, d).
-    resolved, row_of_triple, waiting = {}, {}, {}
+    row_of_triple, waiting = {}, {}
     total = 0
     for ri, row in enumerate(rows):
         for pi, en in enumerate(row.fiber):
@@ -438,7 +438,6 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             left = remaining.get(key, 0)
             if left >= mult:
                 remaining[key] = left - mult
-                resolved[ri, pi] = key[1]
                 row_of_triple.setdefault(key, ri)
             else:
                 waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
@@ -446,7 +445,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     # Waiting entries and unplaced triples, family by family in
     # enumeration order: an entry printed with a duplicated label takes
     # a remaining character of its family.
-    moved, notes = {}, []
+    relabelled, notes = {}, []
     if waiting or any(remaining.values()):
         families = {}
         for levi_name, txt, d in remaining:
@@ -481,14 +480,14 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                 key = (levi_name, match, d)
                 remaining[key] -= en.mult
                 leftovers.remove(match)
-                resolved[ri, pi] = match
-                moved[ri, pi] = key
+                relabelled[ri, pi] = key
                 row_of_triple.setdefault(key, ri)
-                if match != en.key[1]:
-                    notes.append(
-                        f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                        f"stands for character {match!r}"
-                    )
+                # It waited as its own key had fewer than mult triples
+                # left, and match has mult left: match is never its own.
+                notes.append(
+                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
+                    f"stands for character {match!r}"
+                )
             for txt in texts:
                 left = remaining[levi_name, txt, d]
                 if left:
@@ -505,7 +504,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     for ri, row in enumerate(rows):
         pairs, expanded = [], []
         for pi, en in enumerate(row.fiber):
-            last = last_of[moved.get((ri, pi), en.key) if moved else en.key]
+            last = last_of[relabelled.get((ri, pi), en.key) if relabelled else en.key]
             first = last - enum[last].index
             pair = (enum[first], en.mult)
             pairs.append(pair)
@@ -518,7 +517,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         fiber_expanded.append(pairs if expanded == pairs else expanded)
     row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
     return Placement(
-        t.name, rows, total, resolved, tuple(notes), row_of_head, row_of_triple,
+        t.name, rows, total, relabelled, tuple(notes), row_of_head, row_of_triple,
         tuple(fiber_pairs), tuple(fiber_expanded),
     )
 

@@ -56,7 +56,7 @@ def fiber(t, pl, ri: int, expand: bool) -> list[tuple]:
         by_key.setdefault(tr.key, []).append(tr)
     out = []
     for pi, en in enumerate(pl.rows[ri].fiber):
-        triples = by_key[(en.levi_name, pl.resolved[(ri, pi)], en.d_semantic)]
+        triples = by_key[pl.relabelled.get((ri, pi), en.key)]
         if expand:
             out.extend((tr, 1) for tr in triples)
         else:

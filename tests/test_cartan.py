@@ -16,11 +16,12 @@ from charstrata.cartan import (
     pseudo_levi_types,
     Edge,
     _RANK_OK,
-    _classify_component,
     _closure,
+    _moves,
 )
 from charstrata.tables import TableStore
 from charstrata.verify import run_all
+from oracle_cartan import _classify_component, moves as diagram_moves
 
 
 def levi_subsystems(t: CartanType) -> frozenset[Subsystem]:
@@ -246,6 +247,26 @@ def test_closure_is_closed_and_contains_levis(name):
 def test_closure_by_single_node_moves_matches_subset_walk(name):
     t = parse_type(name)
     assert pseudo_levi_types(t) == subset_closure(t)
+
+
+CANONICAL_RANK_16_TYPES = [
+    f"{series}{n}"
+    for series in "ABCD"
+    for n in range(1, 17)
+    if _RANK_OK[series](n) and (series, n) != ("C", 2)
+] + ["G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", CANONICAL_RANK_16_TYPES)
+def test_closed_form_moves_match_the_diagram_deletions(name):
+    t = parse_type(name)
+    for levi in (False, True):
+        assert set(_moves(t, levi)) == diagram_moves(t, levi), levi
+
+
+def test_c2_closure_is_that_of_b2():
+    """C2 is B2 as a subsystem, so its closure lists it once."""
+    assert pseudo_levi_types(parse_type("C2")) == pseudo_levi_types(parse_type("B2"))
 
 
 def factor_multisets(n: int):

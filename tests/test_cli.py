@@ -87,6 +87,12 @@ def test_pseudo_levi(capsys):
     assert set(out.split()) == {"G2", "A2", "A1xA1", "A1", "-"}
 
 
+def test_pseudo_levi_c2_lists_the_b2_subsystems_once(capsys):
+    code, out, _ = run(capsys, "pseudo-levi", "C2")
+    assert (code, out) == run(capsys, "pseudo-levi", "B2")[:2]
+    assert out.split() == ["A1xA1", "B2", "A1", "-"]
+
+
 def test_verify_single_and_all(capsys):
     code, out, _ = run(capsys, "verify", "E8")
     assert code == 0

@@ -114,6 +114,29 @@ def test_duplicated_labels_resolve_to_both_characters():
     assert chars8 == {"84_4", "1_0"}
 
 
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_relabelled_entries_are_the_noted_ones(name):
+    pl = placement(parse_type(name))
+    assert len(pl.relabelled) == len(pl.notes) == (1 if name in ("E7", "E8") else 0)
+    for (ri, pi), key in pl.relabelled.items():
+        assert key != pl.rows[ri].fiber[pi].key
+
+
+def test_package_attribute_strata_is_the_function_not_the_module():
+    # charstrata re-exports the function strata, which shadows the
+    # submodule of that name as a package attribute; from-imports and
+    # sys.modules still reach the module.
+    import sys
+
+    import charstrata
+    import charstrata.strata as by_import_as
+    from charstrata.strata import fiber as module_fiber
+
+    module = sys.modules["charstrata.strata"]
+    assert charstrata.strata is by_import_as is strata is module.strata
+    assert module_fiber is fiber is module.fiber
+
+
 def test_c_collection_examples():
     g2 = parse_type("G2")
     assert c_collection(g2, "theta'").tags == ("C2",)
@@ -386,12 +409,15 @@ def test_tau_index_agrees_with_a_scan_of_the_placement(name):
         store = TableStore()
         register_external_table(synthetic_spread_table(name), store)
     pl = placement(t, store)
-    # Every resolved entry as (triple key, stratum), in resolved order.
+    # Every entry as (resolved triple key, stratum), in resolved order:
+    # the entries that stand for their printed key in table order, then
+    # the relabelled ones in the order they were assigned.
     placed = [
-        ((pl.rows[ri].fiber[pi].levi_name, txt, pl.rows[ri].fiber[pi].d_semantic),
-         pl.rows[ri].stratum)
-        for (ri, pi), txt in pl.resolved.items()
-    ]
+        (en.key, row.stratum)
+        for ri, row in enumerate(pl.rows)
+        for pi, en in enumerate(row.fiber)
+        if (ri, pi) not in pl.relabelled
+    ] + [(key, pl.rows[ri].stratum) for (ri, pi), key in pl.relabelled.items()]
 
     def scan(tr):
         wanted = tr.key

@@ -185,7 +185,7 @@ COMPARED = {
     Membership: ("kind", "r0"),
     FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
     StrataRow: ("stratum", "fiber", "groups", "boxed", "membership"),
-    Placement: ("type_name", "rows", "total", "resolved", "notes", "row_of_head",
+    Placement: ("type_name", "rows", "total", "relabelled", "notes", "row_of_head",
                 "row_of_triple", "fiber_pairs", "fiber_expanded"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),
