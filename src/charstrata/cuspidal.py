@@ -10,9 +10,10 @@ cuspidal object whose dimension invariant is opaque (d=None).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .cartan import TORUS, CartanType, ValueObject, simple_type
-from .labels import CharacterLabel, relative_character_labels
+from .labels import CharacterLabel, enumerate_irr, relative_character_labels
 
 _set = object.__setattr__
 
@@ -137,6 +138,65 @@ def levi_counts(levi: CuspidalLevi) -> CuspidalCounts:
     """The cuspidal objects on a Levi: those of its Weyl type, or the
     torus's on the empty Levi."""
     return cuspidal_counts(TORUS if levi.is_empty else levi.levi_weyl_type)
+
+
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n): the partitions of each size, counted by adding
+    one part size at a time."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for size in range(part, n + 1):
+            p[size] += p[size - part]
+    return p
+
+
+def _bipartitions(p: list[int], m: int) -> int:
+    """bip(m), the bipartitions of m, from the partition numbers p."""
+    return sum(p[j] * p[m - j] for j in range(m + 1))
+
+
+def _irr_count(t: CartanType | None) -> int:
+    """|Irr W| in closed form for the torus (or the trivial group,
+    None) and the classical series; the registry size otherwise."""
+    if t is None or t.is_torus:
+        return 1
+    if t.is_exceptional:
+        return len(enumerate_irr(t))
+    n = t.rank
+    p = _partition_numbers(n + 1)
+    if t.series == "A":
+        return p[n + 1]
+    if t.series == "D" and n % 2 == 0:
+        return (_bipartitions(p, n) + 3 * p[n // 2]) // 2
+    if t.series == "D":
+        return _bipartitions(p, n) // 2
+    return _bipartitions(p, n)
+
+
+def triple_count(t: CartanType) -> int:
+    """The number of cuspidal-support triples of t, counted without
+    enumerating them.  For the classical series these count the Lusztig
+    symbols of rank n (Lusztig, Invent. Math. 43, 1977; Carter, Finite
+    Groups of Lie Type, 1985, 13.8): p(n+1) for A_n, the sum of
+    bip(n - k(k+1)) over k >= 0 for B_n and C_n, and |Irr W(D_n)| plus
+    the sum of bip(n - 4k^2) over k >= 1 for D_n.  An exceptional type
+    sums, over its cuspidal Levis, the character count of the relative
+    group (registry data for exceptional groups) times the Levi's
+    cuspidal count."""
+    if t.is_exceptional:
+        return sum(
+            _irr_count(levi.relative_weyl_type) * levi_counts(levi).total
+            for levi in cuspidal_levis(t)
+        )
+    if t.series in ("A", "Torus"):
+        return _irr_count(t)
+    n = t.rank
+    p = _partition_numbers(n)
+    if t.series == "D":
+        return _irr_count(t) + sum(
+            _bipartitions(p, n - 4 * k * k) for k in range(1, isqrt(n) // 2 + 1)
+        )
+    return sum(_bipartitions(p, n - k * (k + 1)) for k in range(isqrt(n) + 1) if k * (k + 1) <= n)
 
 
 class SheafTriple(ValueObject):

@@ -2,21 +2,23 @@
 and registration of external strata tables for classical types.
 
 The table checks read the type's placement, resolved once per run.
-They report 'skipped' (never 'pass') for types without an available
-table; for a table that does not place, the placement check fails and
-the checks after it report 'skipped'.
+An embedded, a registered and a built-in identity table (series A and
+the torus) all go through the same six; the enumeration and placement
+checks compare with cuspidal.triple_count.  The table checks report
+'skipped' (never 'pass') for types without an available table; for a
+table that does not place, the placement check fails and the checks
+after it report 'skipped'.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import isqrt
 from time import perf_counter
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
-from .cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime, levi_counts
+from .cuspidal import cuspidal_counts, enumerate_cs_prime, triple_count
 from .groups import GROUP_TAGS, conjugacy_class_count, inventory
 from .labels import enumerate_irr, unit_label
 from .schema import canonical_json, parse_table_document, table_document
@@ -88,75 +90,20 @@ class VerificationReport(ValueObject):
                 for cid, status, detail in self.checks]
 
 
-def _partition_numbers(n: int) -> list[int]:
-    """p(0), ..., p(n): the partitions of each size, counted by adding
-    one part size at a time."""
-    p = [1] + [0] * n
-    for part in range(1, n + 1):
-        for size in range(part, n + 1):
-            p[size] += p[size - part]
-    return p
-
-
-def _bipartitions(p: list[int], m: int) -> int:
-    """bip(m), the bipartitions of m, from the partition numbers p."""
-    return sum(p[j] * p[m - j] for j in range(m + 1))
-
-
-def _irr_count(t: CartanType | None) -> int:
-    """|Irr W| in closed form for the torus (or the trivial group,
-    None) and the classical series; the registry size otherwise."""
-    if t is None or t.is_torus:
-        return 1
-    if t.is_exceptional:
-        return len(enumerate_irr(t))
-    n = t.rank
-    p = _partition_numbers(n + 1)
-    if t.series == "A":
-        return p[n + 1]
-    if t.series == "D" and n % 2 == 0:
-        return (_bipartitions(p, n) + 3 * p[n // 2]) // 2
-    if t.series == "D":
-        return _bipartitions(p, n) // 2
-    return _bipartitions(p, n)
-
-
-def _closed_form_total(t: CartanType) -> int:
-    """The number of cuspidal-support triples of t, counted without
-    enumerating them.  For the classical series these count the Lusztig
-    symbols of rank n (Lusztig, Invent. Math. 43, 1977; Carter, Finite
-    Groups of Lie Type, 1985, 13.8): p(n+1) for A_n, the sum of
-    bip(n - k(k+1)) over k >= 0 for B_n and C_n, and |Irr W(D_n)| plus
-    the sum of bip(n - 4k^2) over k >= 1 for D_n.  An exceptional type
-    sums, over its cuspidal Levis, the character count of the relative
-    group (registry data for exceptional groups) times the Levi's
-    cuspidal count."""
-    if t.is_exceptional:
-        return sum(
-            _irr_count(levi.relative_weyl_type) * levi_counts(levi).total
-            for levi in cuspidal_levis(t)
-        )
-    if t.series in ("A", "Torus"):
-        return _irr_count(t)
-    n = t.rank
-    p = _partition_numbers(n)
-    if t.series == "D":
-        return _irr_count(t) + sum(
-            _bipartitions(p, n - 4 * k * k) for k in range(1, isqrt(n) // 2 + 1)
-        )
-    return sum(_bipartitions(p, n - k * (k + 1)) for k in range(isqrt(n) + 1) if k * (k + 1) <= n)
-
-
 def _check_enumeration(t: CartanType) -> tuple[str, str]:
     enumerated = len(enumerate_cs_prime(t))
-    expected = _closed_form_total(t)
+    expected = triple_count(t)
     if enumerated != expected:
         return "fail", f"enumerated {enumerated}, closed form gives {expected}"
     return "pass", f"{enumerated} triples"
 
 
 def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
-    n = len(enumerate_cs_prime(t))
+    """The placed total against the closed-form count, which does not
+    depend on the resolver."""
+    n = triple_count(t)
+    if pl.total != n:
+        return "fail", f"{pl.total} triples placed, closed form gives {n}"
     note = f"; {len(pl.notes)} duplicated label(s) resolved" if pl.notes else ""
     return "pass", f"{pl.total} = {n} triples placed{note}"
 
@@ -222,11 +169,14 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
 def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
     """The counting witness row by row: each fiber as large as the
     inventory of its group collection."""
+    fibers = inventories = 0
     for row in pl.rows:
         f, c = row.fiber_size, len(row.collection.labels)
         if f != c:
             return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
-    return "pass", f"{len(pl.rows)} rows balanced; totals {pl.total} = {pl.total}"
+        fibers += f
+        inventories += c
+    return "pass", f"{len(pl.rows)} rows balanced; totals {fibers} = {inventories}"
 
 
 def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -279,25 +229,10 @@ def _check_group_inventories() -> tuple[str, str]:
     return "pass", f"{len(GROUP_TAGS)} inventories match brute-force class counts"
 
 
-def _identity_details(t: CartanType) -> dict[str, str]:
-    """The fixed pass details of the checks that hold by construction of
-    the built-in identity table: one constant row per character, each
-    fibered by itself."""
-    n = len(enumerate_irr(t))
-    return {
-        "triple-placement": "identity parametrization, no table involved",
-        "retraction": "every stratum is its own fiber head",
-        "empty-completeness": "registry equals the strata by construction",
-        "boxed-recomputation": "no annotations in this type",
-        "row-balance": "1 = 1" if n == 1 else f"all {n} strata have fiber 1 = inventory 1",
-    }
-
-
 def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationReport:
     """Run the full check suite for one type."""
     report = VerificationReport(t.name)
-    status, detail = _check_enumeration(t)
-    report.add("cuspidal-enumeration", status, detail)
+    report.add("cuspidal-enumeration", *_check_enumeration(t))
 
     # The table is resolved once; a table that does not place fails the
     # placement check and leaves nothing for the checks that read it.
@@ -309,19 +244,11 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     except PlacementMismatch as exc:
         report.add("triple-placement", "fail", str(exc))
         pl, skip, checks = None, "the table does not place", _TABLE_CHECKS[1:]
-    fixed = _identity_details(t) if pl is not None and is_identity(t) else {}
     for cid, check in checks:
-        if pl is None:
-            report.add(cid, "skipped", skip)
-        elif cid in fixed:
-            report.add(cid, "pass", fixed[cid])
-        else:
-            report.add(cid, *check(t, pl))
+        report.add(cid, *(("skipped", skip) if pl is None else check(t, pl)))
 
-    status, detail = _check_centralizers(t)
-    report.add("centralizer-profiles", status, detail)
-    status, detail = _check_group_inventories()
-    report.add("group-inventories", status, detail)
+    report.add("centralizer-profiles", *_check_centralizers(t))
+    report.add("group-inventories", *_check_group_inventories())
 
     for entry in tabledata.errata_for(t.name):
         report.errata.append(f"{entry['id']}: {entry['detail']}")

@@ -3,7 +3,9 @@ that registers (or matches its built-in table); each example drops,
 duplicates or swaps entries of one, moves a fiber entry to another row,
 or replaces values with ones of the wrong type, and registration must
 either accept the result or reject it with one of the errors the CLI
-reports as malformed input."""
+reports as malformed input.  A second strategy edits only the non-head
+fiber entries of the classical seeds, so every document it makes passes
+the schema and reaches the resolver and, once registered, run_all."""
 
 import contextlib
 import copy
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from charstrata import cli
 from charstrata.cartan import CartanError, parse_type
+from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.schema import canonical_json, table_document
 from charstrata.tables import PlacementMismatch, TableFormatError, TableStore
-from charstrata.verify import register_external_table
+from charstrata.verify import CHECK_IDS, register_external_table, run_all
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 SEEDS = {
@@ -29,6 +32,16 @@ SEEDS = {
     "C4": synthetic_c4_table(),
     "D6": synthetic_d6_table(),
 }
+
+CLASSICAL = ("B3", "C4", "D6")
+
+# Seed type -> Levi name -> the characters of that Levi's relative group.
+RELATIVE = {name: {} for name in CLASSICAL}
+for name in CLASSICAL:
+    for triple in enumerate_cs_prime(parse_type(name)):
+        chars = RELATIVE[name].setdefault(triple.levi.levi_name, [])
+        if triple.character.text not in chars:
+            chars.append(triple.character.text)
 
 # Values of the wrong type, and strings that are valid somewhere in a
 # table document but mostly not where they land.
@@ -110,6 +123,31 @@ def _mutated(data) -> dict:
     return doc
 
 
+def _edit_fiber_entry(doc: dict, data) -> None:
+    """Edit one fiber entry other than a row's head entry, in place:
+    move it to another row, or set its d, character (of its Levi's
+    relative group), mult or disamb to a value the schema accepts."""
+    rows = doc["rows"]
+    row = data.draw(st.sampled_from([row for row in rows if len(row["fiber"]) > 1]))
+    j = data.draw(st.integers(1, len(row["fiber"]) - 1))
+    entry = row["fiber"][j]
+    op = data.draw(st.sampled_from(["move", "d", "character", "mult", "disamb"]))
+    if op == "move":
+        data.draw(st.sampled_from([r for r in rows if r is not row]))["fiber"].append(
+            row["fiber"].pop(j))
+    elif op == "d":
+        entry["d"] = data.draw(st.integers(0, 3))
+    elif op == "character":
+        others = [c for c in RELATIVE[doc["type"]][entry["levi"]] if c != entry["character"]]
+        entry["character"] = data.draw(st.sampled_from(others))
+    elif op == "mult":
+        entry["mult"] = data.draw(st.integers(1, 3))
+    elif data.draw(st.booleans()):
+        entry["disamb"] = data.draw(st.sampled_from(["a", "b"]))
+    else:
+        entry.pop("disamb", None)
+
+
 def test_every_seed_registers():
     for name, doc in SEEDS.items():
         assert register_external_table(copy.deepcopy(doc), TableStore()).startswith(name + ":")
@@ -139,3 +177,19 @@ def test_register_command_exits_0_or_2_on_a_mutated_table(data):
     if code == 2:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+@SETTINGS
+@given(st.data())
+def test_fiber_entry_edits_reach_the_resolver_and_run_all(data):
+    doc = copy.deepcopy(SEEDS[data.draw(st.sampled_from(CLASSICAL))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_fiber_entry(doc, data)
+    store = TableStore()
+    try:
+        register_external_table(doc, store)
+    except PlacementMismatch:
+        return
+    report = run_all(parse_type(doc["type"]), store)
+    assert [cid for cid, _, _ in report.checks] == list(CHECK_IDS)
+    assert report.checks[1][:2] == ("triple-placement", "pass")

@@ -2,7 +2,7 @@ import pytest
 
 from charstrata import cli, groups, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
-from charstrata.cuspidal import enumerate_cs_prime
+from charstrata.cuspidal import enumerate_cs_prime, triple_count
 from charstrata.tables import Placement, StrataRow, TableStore, placement
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
@@ -83,6 +83,11 @@ def test_placement_detail_reports_totals():
     assert "165 = 165" in detail
 
 
+def _replaced(pl: Placement, **fields) -> Placement:
+    """pl with the given fields replaced, every other field shared."""
+    return Placement(*(fields.get(f, getattr(pl, f)) for f in Placement._fields))
+
+
 def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
     b3 = parse_type("B3")
     store = TableStore()
@@ -91,22 +96,17 @@ def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
     assert verify._check_retraction(b3, pl) == (
         "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber")
 
-    def with_triple_index(row_of_triple):
-        fields = [getattr(pl, f) for f in Placement._fields]
-        fields[Placement._fields.index("row_of_triple")] = row_of_triple
-        return Placement(*fields)
-
     first, second = (("-", row.stratum.text, 0) for row in pl.rows[:2])
     swapped = dict(pl.row_of_triple)
     swapped[first], swapped[second] = swapped[second], swapped[first]
     broken = TableStore()
-    broken.install(with_triple_index(swapped))
+    broken.install(_replaced(pl, row_of_triple=swapped))
     detail = (f"the triple of head {pl.rows[0].stratum.text!r} maps to "
               f"row {pl.rows[1].stratum.text!r}")
     assert verify._check_retraction(b3, placement(b3, broken)) == ("fail", detail)
     assert ("retraction", "fail", detail) in run_all(b3, broken).checks
     del swapped[first]
-    assert verify._check_retraction(b3, with_triple_index(swapped)) == (
+    assert verify._check_retraction(b3, _replaced(pl, row_of_triple=swapped)) == (
         "fail", f"the triple of head {pl.rows[0].stratum.text!r} maps to no row")
 
 
@@ -119,9 +119,9 @@ def test_closed_form_total_equals_the_enumeration():
             except CartanError:
                 continue
     for t in types:
-        assert verify._closed_form_total(t) == len(enumerate_cs_prime(t)), t.name
+        assert triple_count(t) == len(enumerate_cs_prime(t)), t.name
     # p(5) for A4; bip(5) + bip(3) for B5; |Irr W(D8)| + bip(4) for D8.
-    assert [verify._closed_form_total(parse_type(n)) for n in ("A4", "B5", "D8")] == [
+    assert [triple_count(parse_type(n)) for n in ("A4", "B5", "D8")] == [
         7, 36 + 10, 100 + 20]
 
 
@@ -193,7 +193,49 @@ def test_boxed_check_names_the_first_faulty_row_in_table_order():
         r = rows[i]
         assert r.boxed == {"single"} and r.membership.kind == "full", r.stratum.text
         rows[i] = StrataRow(r.stratum, r.fiber, r.groups, frozenset(boxed), r.membership)
-    fields = [getattr(pl, f) for f in Placement._fields]
-    fields[Placement._fields.index("rows")] = tuple(rows)
-    assert verify._check_boxed(e7, Placement(*fields)) == (
+    assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
         "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
+
+
+@pytest.mark.parametrize("name", ["Torus"] + [f"A{n}" for n in range(1, 10)])
+def test_identity_types_run_the_same_table_checks(name):
+    t = parse_type(name)
+    pl = placement(t)
+    expected = [(cid, *check(t, pl)) for cid, check in verify._TABLE_CHECKS]
+    ran = [c for c in run_all(t).checks if c[0] in dict(verify._TABLE_CHECKS)]
+    assert ran == expected
+    assert all(status == "pass" for _, status, _ in ran)
+
+
+def test_placement_check_fails_when_the_total_is_off_by_one():
+    e8 = parse_type("E8")
+    pl = placement(e8)
+    assert verify._check_placement(e8, pl) == (
+        "pass", "165 = 165 triples placed; 1 duplicated label(s) resolved")
+    assert verify._check_placement(e8, _replaced(pl, total=pl.total + 1)) == (
+        "fail", "166 triples placed, closed form gives 165")
+
+
+def test_row_balance_and_phi_fail_when_a_triple_leaves_the_unit_stratum(synthetic_b3_doc):
+    """The B2-cuspidal triple with the trivial character moves from the
+    unit stratum (3|), whose group C2 still asks for two, to (|1,1,1)."""
+    rows = {row["stratum"]: row for row in synthetic_b3_doc["rows"]}
+    entry = rows["(3|)"]["fiber"].pop(1)
+    assert (entry["levi"], entry["character"], entry["d"]) == ("B2", "(2)", 0)
+    rows["(|1,1,1)"]["fiber"].append(entry)
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    checks = run_all(parse_type("B3"), store).checks
+    assert ("row-balance", "fail", "row '(3|)': fiber 1 != inventory 2") in checks
+    assert ("regular-fiber-phi", "fail", "unit stratum fiber 1, phi-sum 2") in checks
+
+
+def test_empty_completeness_fails_when_a_row_is_dropped(synthetic_b3_doc):
+    b3 = parse_type("B3")
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    pl = placement(b3, store)
+    assert verify._check_empty_completeness(b3, pl) == (
+        "pass", "10 empty-Levi labels exhaust the registry")
+    assert verify._check_empty_completeness(b3, _replaced(pl, rows=pl.rows[1:])) == (
+        "fail", "missing ['(3|)'], duplicated []")
