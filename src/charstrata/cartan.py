@@ -15,7 +15,7 @@ here because every other module imports this one.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import attrgetter
 
 # The admissible ranks of each series.
@@ -57,12 +57,19 @@ class ValueObject:
     """Base of the package's immutable value classes.
 
     A subclass names the fields its ==, hash and repr are made of in
-    _fields, in constructor order, lists them and any attribute derived
-    from them in __slots__, and sets all of them once in its own
-    __init__ through object.__setattr__.  Instances equal only instances
-    of the same class with equal fields, hash as the tuple of those
-    fields, and refuse every later assignment or deletion with
+    _fields, in constructor order, and lists them and any attribute
+    derived from them in __slots__.  Instances equal only instances of
+    the same class with equal fields, hash as the tuple of those fields,
+    and refuse every later assignment or deletion with
     dataclasses.FrozenInstanceError.
+
+    A class whose __slots__ is exactly _fields, every field required,
+    uses the shared constructor below, which takes the fields
+    positionally in _fields order (Placement, CartanDatum, CStarElement,
+    CuspidalCounts, RootOfUnityLabel and the field-less labels).  A
+    class with a default, a check, a derived slot or mutable state
+    writes its own __init__ and sets every slot once in it through
+    object.__setattr__.
 
     A class the package builds in bulk (thousands per table) sets its
     slots through _setters instead, the __set__ of each slot it
@@ -82,6 +89,16 @@ class ValueObject:
         cls._values = staticmethod(_fields_getter(cls._fields))
         slots = cls.__dict__.get("__slots__", ())
         cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(fields)} values "
+                f"({', '.join(fields)}), got {len(values)}"
+            )
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -112,9 +129,10 @@ class ValueObject:
         return self.__class__, self._values(self)
 
 
+@total_ordering
 class CartanType(ValueObject):
     """A quasi-simple series/rank pair, or the torus.  Ordered by
-    (series, rank)."""
+    (series, rank): __lt__ compares, total_ordering derives the rest."""
 
     __slots__ = ("series", "rank", "name", "_hash")
     _fields = ("series", "rank")
@@ -142,21 +160,6 @@ class CartanType(ValueObject):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.series, self.rank) < (other.series, other.rank)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.series, self.rank) <= (other.series, other.rank)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.series, self.rank) > (other.series, other.rank)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.series, self.rank) >= (other.series, other.rank)
         return NotImplemented
 
     @property
@@ -369,30 +372,14 @@ def _extended_edges(t: CartanType) -> tuple[Edge, ...]:
 
 
 class CartanDatum(ValueObject):
-    """The full static record for one type."""
+    """The full static record for one type: its CartanType, Weyl group
+    order, degrees (a tuple of int), bad primes (a frozenset), highest
+    root coefficients, z value and extended diagram (a tuple of Edge)."""
 
     __slots__ = _fields = (
         "cartan_type", "weyl_order", "degrees", "bad_primes", "highest_root_coeffs",
         "z_value", "extended_diagram",
     )
-
-    def __init__(
-        self,
-        cartan_type: CartanType,
-        weyl_order: int,
-        degrees: tuple[int, ...],
-        bad_primes: frozenset[int],
-        highest_root_coeffs: tuple[int, ...],
-        z_value: int,
-        extended_diagram: tuple[Edge, ...],
-    ) -> None:
-        _set(self, "cartan_type", cartan_type)
-        _set(self, "weyl_order", weyl_order)
-        _set(self, "degrees", degrees)
-        _set(self, "bad_primes", bad_primes)
-        _set(self, "highest_root_coeffs", highest_root_coeffs)
-        _set(self, "z_value", z_value)
-        _set(self, "extended_diagram", extended_diagram)
 
     @property
     def coxeter_number(self) -> int:

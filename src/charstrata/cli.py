@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from math import isqrt
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 from .cartan import (
     CartanError,
     CartanType,
+    ascii_decimal,
     datum,
     parse_type,
     pseudo_levi_types,
@@ -154,9 +154,9 @@ def _char_class(text: str) -> str | None:
     and, to bound the trial division, below 10^12."""
     if text in ("generic", "0"):
         return "generic"
-    if re.fullmatch("[1-9][0-9]{0,11}", text):
-        n = int(text)
-        if n > 1 and all(n % q for q in range(2, isqrt(n) + 1)):
+    n = ascii_decimal(text)
+    if n is not None and 1 < n < 10**12 and str(n) == text:
+        if all(n % q for q in range(2, isqrt(n) + 1)):
             return text
     return None
 

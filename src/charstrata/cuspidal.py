@@ -94,16 +94,13 @@ def cuspidal_levis(t: CartanType) -> tuple[CuspidalLevi, ...]:
 
 
 class CuspidalCounts(ValueObject):
-    """d -> number of cuspidal objects with that dimension invariant.
+    """d -> number of cuspidal objects with that dimension invariant,
+    for the type ambient, as (d, count) pairs in counts, d descending.
 
     Classical cuspidal types use the single opaque key None.
     """
 
     __slots__ = _fields = ("ambient", "counts")
-
-    def __init__(self, ambient: CartanType, counts: tuple[tuple[int | None, int], ...]) -> None:
-        _set(self, "ambient", ambient)
-        _set(self, "counts", counts)  # (d, count), d descending
 
     def as_dict(self) -> dict[int | None, int]:
         return dict(self.counts)

@@ -103,12 +103,10 @@ _TRIPLE = ("C4", "C3", "C5")
 
 
 class CStarElement(ValueObject):
-    __slots__ = _fields = ("group", "irrep", "origin")
+    """One irrep of one group of c*(E); origin is "single", "first",
+    "second" or "faithful-Cm"."""
 
-    def __init__(self, group: str, irrep: str, origin: str) -> None:
-        _set(self, "group", group)
-        _set(self, "irrep", irrep)
-        _set(self, "origin", origin)  # "single" | "first" | "second" | "faithful-Cm"
+    __slots__ = _fields = ("group", "irrep", "origin")
 
 
 class GroupCollection(ValueObject):

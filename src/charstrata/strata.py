@@ -27,8 +27,6 @@ from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     resolve_placement,
 )
 
-_set = object.__setattr__
-
 
 class TripleNotFound(LookupError):
     pass
@@ -147,11 +145,9 @@ def bijection_pairing(
 
 
 class RootOfUnityLabel(ValueObject):
-    __slots__ = _fields = ("m", "k")
+    """The root of unity e(k/m)."""
 
-    def __init__(self, m: int, k: int) -> None:
-        _set(self, "m", m)
-        _set(self, "k", k)
+    __slots__ = _fields = ("m", "k")
 
     @property
     def text(self) -> str:

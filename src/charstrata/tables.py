@@ -367,10 +367,12 @@ class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
-    relabelled maps (row index, fiber position) to the triple key the
-    entry stands for, for entries printed with a duplicated label only
-    (the documented row-order/registry-order convention, one line of
-    notes each); every other entry stands for its own key.
+    type_name names the type, rows are the table's rows in order and
+    total is the number of triples they place.  relabelled maps (row
+    index, fiber position) to the triple key the entry stands for, for
+    entries printed with a duplicated label only (the documented
+    row-order/registry-order convention, one line of notes each); every
+    other entry stands for its own key.
     row_of_head maps each stratum's text to its row index, and
     row_of_triple each triple key (Levi name, character text, d) to the
     first row, in resolved order, whose fiber holds that triple.
@@ -384,28 +386,6 @@ class Placement(ValueObject):
         "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded",
     )
-
-    def __init__(
-        self,
-        type_name: str,
-        rows: tuple[StrataRow, ...],
-        total: int,
-        relabelled: dict[tuple[int, int], tuple],
-        notes: tuple[str, ...],
-        row_of_head: dict[str, int],
-        row_of_triple: dict[tuple, int],
-        fiber_pairs: tuple[tuple, ...],
-        fiber_expanded: tuple[tuple, ...],
-    ) -> None:
-        _set(self, "type_name", type_name)
-        _set(self, "rows", rows)
-        _set(self, "total", total)
-        _set(self, "relabelled", relabelled)
-        _set(self, "notes", notes)
-        _set(self, "row_of_head", row_of_head)
-        _set(self, "row_of_triple", row_of_triple)
-        _set(self, "fiber_pairs", fiber_pairs)
-        _set(self, "fiber_expanded", fiber_expanded)
 
     def row_index(self, stratum: CharacterLabel | str) -> int:
         text = stratum if isinstance(stratum, str) else stratum.text
@@ -496,10 +476,6 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                         f"({levi_name}, {txt}, d={d})",
                         offending=f"({levi_name},{txt},{d})",
                     )
-    if total != len(enum):
-        raise PlacementMismatch(
-            f"table for {t.name} places {total} triples, enumeration has {len(enum)}"
-        )
     fiber_pairs, fiber_expanded = [], []
     for ri, row in enumerate(rows):
         pairs, expanded = [], []

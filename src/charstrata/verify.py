@@ -148,9 +148,7 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
         first_of.setdefault((r.groups, r.boxed, r.membership.r0), r)
     bad = datum(t).bad_primes
     for r in first_of.values():
-        if r.membership.kind == "singleton":
-            if r.boxed != frozenset({r.membership.r0}):
-                return "fail", f"singleton row {r.stratum.text!r} boxes {sorted(map(str, r.boxed))}"
+        if r.membership.kind == "singleton":  # StrataRow checks it boxes exactly r0
             continue
         g0 = r.group_of[0]
         deviation = frozenset(p for p in (2, 3, 5) if r.group_at(p) != g0)

@@ -73,12 +73,13 @@ def test_centralizers(capsys):
 
 
 def test_centralizers_rejects_bad_char_class(capsys):
-    for bad in ("foo", "4"):
+    for bad in ("foo", "4", "07", "\u0663", "+7", "1", "1000000000039"):
         code, out, err = run(capsys, "centralizers", "E8", "--char-class", bad)
         assert (code, out) == (2, "")
         assert err == f"error: bad --char-class '{bad}'; expected generic, 0 or a prime\n"
-    code, out, err = run(capsys, "centralizers", "E8", "--char-class", "7")
-    assert (code, out, err) == (0, "", "")
+    for prime in ("7", "999999999989"):
+        code, out, err = run(capsys, "centralizers", "E8", "--char-class", prime)
+        assert (code, out, err) == (0, "", "")
 
 
 def test_pseudo_levi(capsys):

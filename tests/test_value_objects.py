@@ -18,7 +18,8 @@ import pytest
 
 import charstrata
 from charstrata.cartan import (
-    TORUS, CartanDatum, CartanType, Subsystem, datum, parse_type, pseudo_levi_types,
+    TORUS, CartanDatum, CartanType, Subsystem, ValueObject, datum, parse_type,
+    pseudo_levi_types,
 )
 from charstrata.cuspidal import (
     CuspidalCounts, CuspidalLevi, SheafTriple, SupportCase, cuspidal_counts, cuspidal_levis,
@@ -373,9 +374,38 @@ def test_cartan_type_orders_by_series_then_rank_in_every_comparison():
         for b in types:
             ka, kb = (a.series, a.rank), (b.series, b.rank)
             assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
-    assert E8.__lt__(("E", 9)) is NotImplemented
+    for method in (E8.__lt__, E8.__le__, E8.__gt__, E8.__ge__):
+        assert method(("E", 9)) is NotImplemented
     with pytest.raises(TypeError):
         E8 < ("E", 9)
+
+
+SHARED_CONSTRUCTOR = [Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel]
+
+
+def _value_classes(cls=ValueObject):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_classes_without_their_own_constructor_slot_exactly_their_fields():
+    # The shared constructor stores its values through _setters, which
+    # follow __slots__: the two must list the same names in one order.
+    shared = {cls for cls in _value_classes() if "__init__" not in cls.__dict__}
+    assert shared == {*SHARED_CONSTRUCTOR, CharacterLabel, TrivialLabel}
+    for cls in shared:
+        assert cls.__dict__["__slots__"] == cls._fields, cls
+
+
+@pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
+def test_shared_constructor_takes_exactly_the_fields(cls):
+    values = _fields(_of(cls)[0])
+    message = rf"{cls.__name__}\(\) takes {len(values)} values \({', '.join(cls._fields)}\), got"
+    with pytest.raises(TypeError, match=f"{message} {len(values) - 1}$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"{message} {len(values) + 1}$"):
+        cls(*values, values[-1])
 
 
 def test_value_objects_are_not_sequences():
