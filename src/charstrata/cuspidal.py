@@ -15,9 +15,6 @@ from math import isqrt
 from .cartan import TORUS, CartanType, ValueObject, simple_type
 from .labels import CharacterLabel, enumerate_irr, relative_character_labels
 
-_set = object.__setattr__
-
-
 class CuspidalError(ValueError):
     pass
 
@@ -33,17 +30,10 @@ class CuspidalLevi(ValueObject):
     __slots__ = ("ambient", "levi_weyl_type", "relative_weyl_type", "levi_name")
     _fields = ("ambient", "levi_weyl_type", "relative_weyl_type")
 
-    def __init__(
-        self,
-        ambient: CartanType,
-        levi_weyl_type: CartanType | None,
-        relative_weyl_type: CartanType | None,
-    ) -> None:
-        _set(self, "ambient", ambient)
-        _set(self, "levi_weyl_type", levi_weyl_type)
-        _set(self, "relative_weyl_type", relative_weyl_type)
-        # Derived once: the Levi's name, '-' when empty.
-        _set(self, "levi_name", "-" if levi_weyl_type is None else levi_weyl_type.name)
+    @staticmethod
+    def _derive(ambient, levi_weyl_type: CartanType | None, relative_weyl_type) -> tuple:
+        # The Levi's name, '-' when empty.
+        return ("-" if levi_weyl_type is None else levi_weyl_type.name,)
 
     @property
     def is_empty(self) -> bool:
@@ -255,8 +245,7 @@ class SupportCase(ValueObject):
     __slots__ = _fields = ("tag", "r0")
 
     def __init__(self, tag: str, r0: int | None = None) -> None:
-        _set(self, "tag", tag)
-        _set(self, "r0", r0)
+        super().__init__(tag, r0)
 
 
 _UNIQUE_PRIME: dict[tuple[str, int], int] = {

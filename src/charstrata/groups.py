@@ -18,9 +18,6 @@ from operator import itemgetter
 
 from .cartan import ValueObject
 
-_set = object.__setattr__
-
-
 class GroupError(ValueError):
     pass
 
@@ -111,7 +108,8 @@ class CStarElement(ValueObject):
 
 class GroupCollection(ValueObject):
     """c(E): a single group, the deviating pair, or the full cyclic
-    triple of the unit stratum in E8.
+    triple of the unit stratum in E8 (kind "single", "pair" or
+    "triple"); quotient is the characteristic-0 group under a pair.
 
     Its label set c*(E) is derived once, at construction: the
     inventories of c(E), with the pulled-back part of a pair's second
@@ -125,10 +123,11 @@ class GroupCollection(ValueObject):
     _fields = ("kind", "tags", "quotient")
 
     def __init__(self, kind: str, tags: tuple[str, ...], quotient: str | None = None) -> None:
-        _set(self, "kind", kind)  # "single" | "pair" | "triple"
-        _set(self, "tags", tags)
-        _set(self, "quotient", quotient)  # characteristic-0 group under a pair
-        _set(self, "labels", _label_set(kind, tags, quotient))
+        super().__init__(kind, tags, quotient)
+
+    @staticmethod
+    def _derive(kind: str, tags: tuple[str, ...], quotient: str | None) -> tuple:
+        return (_label_set(kind, tags, quotient),)
 
     @property
     def text(self) -> str:

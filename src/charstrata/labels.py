@@ -20,9 +20,6 @@ from functools import lru_cache
 from .cartan import CartanType, ValueObject, ascii_decimal
 from . import tabledata
 
-_set = object.__setattr__
-
-
 class LabelError(ValueError):
     """Malformed or unknown character label."""
 
@@ -164,9 +161,9 @@ class NamedLabel(CharacterLabel):
     __slots__ = ("name", "text")
     _fields = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "text", name)
+    @staticmethod
+    def _derive(name: str) -> tuple:
+        return (name,)
 
     @property
     def dim(self) -> int | None:
@@ -188,13 +185,12 @@ class IrrRegistry(ValueObject):
     __slots__ = ("cartan_type", "labels", "_by_text")
     _fields = ("cartan_type", "labels")
 
-    def __init__(self, cartan_type: CartanType, labels: tuple[CharacterLabel, ...]) -> None:
+    @staticmethod
+    def _derive(cartan_type: CartanType, labels: tuple[CharacterLabel, ...]) -> tuple:
         by_text = {lab.text: lab for lab in labels}
         if len(by_text) != len(labels):
             raise LabelError(f"duplicate labels in registry for {cartan_type}")
-        _set(self, "cartan_type", cartan_type)
-        _set(self, "labels", labels)
-        _set(self, "_by_text", by_text)
+        return (by_text,)
 
     @property
     def texts(self) -> tuple[str, ...]:

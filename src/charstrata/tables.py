@@ -24,9 +24,6 @@ from .labels import (
 )
 
 
-_set = object.__setattr__
-
-
 class NoTableAvailable(LookupError):
     """No strata table embedded or registered for the requested type."""
 
@@ -43,14 +40,13 @@ PRIME_SLOTS = (0, 2, 3, 5)
 
 
 class Membership(ValueObject):
-    """Which characteristics the stratum's class exists in: all of them,
-    or a single prime r0."""
+    """Which characteristics the stratum's class exists in: all of them
+    (kind "full"), or a single prime r0 (kind "singleton")."""
 
     __slots__ = _fields = ("kind", "r0")
 
     def __init__(self, kind: str, r0: int | None = None) -> None:
-        _set(self, "kind", kind)  # "full" | "singleton"
-        _set(self, "r0", r0)
+        super().__init__(kind, r0)
 
     @property
     def text(self) -> str:
@@ -195,31 +191,17 @@ class FiberEntry(ValueObject):
 
 
 class StrataRow(ValueObject):
-    __slots__ = (
-        "stratum", "fiber", "groups", "boxed", "membership", "group_of", "deviating",
-        "collection",
-    )
+    """One table row: the stratum; its fiber, whose first entry is
+    (empty, stratum, 0, 1); the groups as sorted (characteristic, tag)
+    pairs; the boxed flags; and the membership.  group_of and
+    collection come from _row_annotation."""
+
+    __slots__ = ("stratum", "fiber", "groups", "boxed", "membership", "group_of", "collection")
     _fields = ("stratum", "fiber", "groups", "boxed", "membership")
 
-    def __init__(
-        self,
-        stratum: CharacterLabel,
-        fiber: tuple[FiberEntry, ...],  # first entry is (empty, stratum, 0, 1)
-        groups: tuple[tuple[int, str], ...],  # (characteristic, group tag), sorted
-        boxed: frozenset,
-        membership: Membership,
-    ) -> None:
-        (set_stratum, set_fiber, set_groups, set_boxed, set_membership, set_group_of,
-         set_deviating, set_collection) = self._setters
-        set_stratum(self, stratum)
-        set_fiber(self, fiber)
-        set_groups(self, groups)
-        set_boxed(self, boxed)
-        set_membership(self, membership)
-        group_of, deviating, collection = _row_annotation(groups, boxed, membership)
-        set_group_of(self, group_of)
-        set_deviating(self, deviating)
-        set_collection(self, collection)
+    @staticmethod
+    def _derive(stratum, fiber, groups: tuple, boxed: frozenset, membership) -> tuple:
+        return _row_annotation(groups, boxed, membership)
 
     def group_at(self, r: int) -> str | None:
         """Annotation at characteristic r; full-membership rows repeat
@@ -240,9 +222,9 @@ class StrataRow(ValueObject):
 def _row_annotation(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
     """What a row derives from its annotation, once per distinct one (a
     table repeats a few, and their rows share the result): the groups
-    by characteristic; for full membership the groups at 2, 3, 5 that
-    differ from the characteristic-0 group, in that order (() for
-    singleton rows); and the group collection c(E) with its label set.
+    by characteristic and the group collection c(E) with its label set,
+    whose tags for a deviating pair or triple are the groups at 2, 3, 5
+    that differ from the characteristic-0 group, in that order.
     Raises TableFormatError for an invalid annotation and GroupError for
     a deviation that has no collection; neither is cached."""
     group_of = dict(groups)
@@ -254,7 +236,7 @@ def _row_annotation(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
             raise TableFormatError(
                 f"singleton row must define and box exactly characteristic {mem.r0}"
             )
-        return group_of, (), group_collection("single", (group_of[mem.r0],))
+        return group_of, group_collection("single", (group_of[mem.r0],))
     if not {0, 2, 3} <= defined:
         raise TableFormatError("full-membership row must define characteristics 0, 2, 3")
     if boxed == frozenset({"single"}):
@@ -271,7 +253,7 @@ def _row_annotation(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
         collection = group_collection("pair", deviating, g0)
     else:
         collection = group_collection("triple", deviating)
-    return group_of, deviating, collection
+    return group_of, collection
 
 
 @lru_cache(maxsize=None)
@@ -586,21 +568,11 @@ def find_row(
 
 
 class CentralizerProfile(ValueObject):
-    __slots__ = _fields = ("ambient", "d", "characteristic_class", "entries", "note")
+    """The centralizer data of (ambient, d) in one characteristic class,
+    "generic" or the prime as a string: entries are (subsystem, count)
+    pairs, the subsystem None for the full group."""
 
-    def __init__(
-        self,
-        ambient: CartanType,
-        d: int | None,
-        characteristic_class: str,  # "generic" or the prime as a string
-        entries: tuple[tuple[Subsystem | None, int], ...],  # None = full group
-        note: str | None = None,
-    ) -> None:
-        _set(self, "ambient", ambient)
-        _set(self, "d", d)
-        _set(self, "characteristic_class", characteristic_class)
-        _set(self, "entries", entries)
-        _set(self, "note", note)
+    __slots__ = _fields = ("ambient", "d", "characteristic_class", "entries", "note")
 
     @property
     def total(self) -> int:
@@ -627,8 +599,8 @@ def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
     else:
         generic = f"{t.series}{n // 2}x{t.series}{n // 2}"
     return (
-        CentralizerProfile(t, None, "generic", ((Subsystem.parse(generic), 1),)),
-        CentralizerProfile(t, None, "2", ((None, 1),)),
+        CentralizerProfile(t, None, "generic", ((Subsystem.parse(generic), 1),), None),
+        CentralizerProfile(t, None, "2", ((None, 1),), None),
     )
 
 

@@ -99,8 +99,11 @@ def _check_enumeration(t: CartanType) -> tuple[str, str]:
 
 
 def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The placed total against the closed-form count, which does not
-    depend on the resolver."""
+    """The placed total against the closed-form count.  resolve_placement
+    returns only a placement of exactly len(enumerate_cs_prime(t))
+    triples, so on a resolved placement this fails exactly when
+    cuspidal-enumeration does; a table that does not place fails it in
+    run_all, through the PlacementMismatch."""
     n = triple_count(t)
     if pl.total != n:
         return "fail", f"{pl.total} triples placed, closed form gives {n}"

@@ -199,7 +199,7 @@ def test_deviations_at_two_or_three_primes_are_checked_at_parse(
     unit_row["boxed"] = sorted(k for k in groups if k != "0")
     if accepted:
         _, rows = parse_table_document(synthetic_b3_doc)
-        assert rows[0].deviating == tuple(groups[k] for k in sorted(groups) if k != "0")
+        assert rows[0].collection.tags == tuple(groups[k] for k in sorted(groups) if k != "0")
     else:
         with pytest.raises(TableFormatError, match=r"unexpected deviating (pair|triple)"):
             parse_table_document(synthetic_b3_doc)

@@ -18,7 +18,7 @@ import pytest
 
 import charstrata
 from charstrata.cartan import (
-    TORUS, CartanDatum, CartanType, Subsystem, ValueObject, datum, parse_type,
+    TORUS, CartanDatum, CartanError, CartanType, Subsystem, ValueObject, datum, parse_type,
     pseudo_levi_types,
 )
 from charstrata.cuspidal import (
@@ -26,8 +26,8 @@ from charstrata.cuspidal import (
     enumerate_cs_prime, support_case,
 )
 from charstrata.labels import (
-    BipartitionLabel, CharacterLabel, DPairLabel, IrrRegistry, NamedLabel, PartitionLabel,
-    TrivialLabel, enumerate_irr,
+    BipartitionLabel, CharacterLabel, DPairLabel, IrrRegistry, LabelError, NamedLabel,
+    PartitionLabel, TrivialLabel, enumerate_irr,
 )
 from charstrata.strata import (
     CStarElement, GroupCollection, RootOfUnityLabel, c_collection, c_star,
@@ -207,7 +207,7 @@ DERIVED = {
     TrivialLabel: ("text",),
     IrrRegistry: ("_by_text",),
     FiberEntry: ("levi_name", "d_semantic", "key"),
-    StrataRow: ("group_of", "deviating", "collection"),
+    StrataRow: ("group_of", "collection"),
     GroupCollection: ("labels",),
 }
 
@@ -380,7 +380,17 @@ def test_cartan_type_orders_by_series_then_rank_in_every_comparison():
         E8 < ("E", 9)
 
 
-SHARED_CONSTRUCTOR = [Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel]
+# Classes that build their instances in their own __init__; every other
+# value class uses the shared constructor, directly or through an
+# __init__ that only forwards a default to it.
+OWN_CONSTRUCTOR = {
+    SheafTriple, FiberEntry, PartitionLabel, BipartitionLabel, DPairLabel, VerificationReport,
+}
+FORWARDING = {Membership, SupportCase, GroupCollection}
+SHARED_CONSTRUCTOR = [
+    Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel, CartanType,
+    Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, StrataRow, CentralizerProfile,
+]
 
 
 def _value_classes(cls=ValueObject):
@@ -389,13 +399,21 @@ def _value_classes(cls=ValueObject):
         yield from _value_classes(sub)
 
 
-def test_classes_without_their_own_constructor_slot_exactly_their_fields():
-    # The shared constructor stores its values through _setters, which
-    # follow __slots__: the two must list the same names in one order.
-    shared = {cls for cls in _value_classes() if "__init__" not in cls.__dict__}
-    assert shared == {*SHARED_CONSTRUCTOR, CharacterLabel, TrivialLabel}
+def test_shared_constructor_fills_every_slot_from_the_fields_and_derive():
+    # The shared constructor stores the fields and what _derive returns
+    # through _setters, which follow __slots__: the fields come first,
+    # and _derive gives one value per remaining slot.
+    own = {cls for cls in _value_classes() if "__init__" in cls.__dict__}
+    assert own == OWN_CONSTRUCTOR | FORWARDING
+    shared = set(_value_classes()) - OWN_CONSTRUCTOR
+    assert shared == {*SHARED_CONSTRUCTOR, *FORWARDING, CharacterLabel, TrivialLabel}
     for cls in shared:
-        assert cls.__dict__["__slots__"] == cls._fields, cls
+        slots, fields = cls.__dict__["__slots__"], cls._fields
+        assert slots[:len(fields)] == fields, cls
+        for v in _of(cls):
+            derived = cls._derive(*_fields(v))
+            assert type(derived) is tuple and len(derived) == len(slots) - len(fields), cls
+            assert derived == tuple(getattr(v, name) for name in slots[len(fields):]), cls
 
 
 @pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
@@ -406,6 +424,16 @@ def test_shared_constructor_takes_exactly_the_fields(cls):
         cls(*values[:-1])
     with pytest.raises(TypeError, match=f"{message} {len(values) + 1}$"):
         cls(*values, values[-1])
+
+
+def test_checks_in_derive_raise_with_their_messages():
+    with pytest.raises(CartanError, match=r"^unknown series 'Q'$"):
+        CartanType("Q", 1)
+    with pytest.raises(CartanError, match=r"^non-canonical type E9$"):
+        CartanType("E", 9)
+    lab = NamedLabel("1_0")
+    with pytest.raises(LabelError, match=r"^duplicate labels in registry for E8$"):
+        IrrRegistry(E8, (lab, NamedLabel("8_z"), lab))
 
 
 def test_value_objects_are_not_sequences():
