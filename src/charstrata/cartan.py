@@ -35,6 +35,16 @@ SERIES = tuple(_RANK_OK)
 # members); cap the rank it is enumerated for.
 MAX_ENUMERATION_RANK = 16
 
+# The largest rank of any type.  Every integer a command prints for a
+# type stays printable below it: the Weyl order of A1558 has more than
+# the 4300 digits Python converts to text, and B, C and D reach that
+# from rank 1424.
+MAX_RANK = 1000
+
+# No decimal the package accepts is longer: a --char-class prime is
+# below 10^12, and ranks and partition parts are at most MAX_RANK.
+_MAX_DECIMAL_DIGITS = 12
+
 
 class CartanError(ValueError):
     """Invalid type, alias, or out-of-range request."""
@@ -147,6 +157,8 @@ class CartanType(ValueObject):
             raise CartanError(f"unknown series {series!r}")
         if not ok(rank):
             raise CartanError(f"non-canonical type {series}{rank}")
+        if rank > MAX_RANK:
+            raise CartanError(f"type {series}{rank} exceeds the rank ceiling {MAX_RANK}")
         return "Torus" if series == "Torus" else f"{series}{rank}", hash((series, rank))
 
     def __eq__(self, other):
@@ -199,8 +211,12 @@ def simple_type(series: str, rank: int) -> CartanType:
 
 
 def ascii_decimal(text: str) -> int | None:
-    """int(text) if text is ASCII digits only (no sign, space, '_' or other script), else None."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    """int(text) if text is ASCII digits only (no sign, space, '_' or
+    other script) and no longer than any decimal the package accepts,
+    else None."""
+    if len(text) > _MAX_DECIMAL_DIGITS or not (text.isascii() and text.isdigit()):
+        return None
+    return int(text)
 
 
 def _series_rank(text: str) -> tuple[str, int] | None:

@@ -129,7 +129,7 @@ def _read_document(path: Path) -> dict:
         raise TableFormatError(f"{path} is not UTF-8: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer too long to convert
         raise TableFormatError(f"{path}: {exc}") from None
 
 

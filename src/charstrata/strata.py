@@ -2,11 +2,13 @@
 fibers, the per-stratum group collections, and the counting witness
 that ties fiber sizes to representation inventories.
 
-The map is realized by index lookup in the resolved strata tables;
-the enumeration side is produced independently by the cuspidal-support
-module, so table placement is a falsifiable statement, checked by the
-resolver in the tables module (Placement, PlacementMismatch and
-resolve_placement are re-exported here).
+The map is realized by index lookup in the resolved strata tables:
+each query subscripts the store by type name and does one lookup in
+the placement's row_of_triple or row_of_head.  The enumeration side is
+produced independently by the cuspidal-support module, so table
+placement is a falsifiable statement, checked by the resolver in the
+tables module (Placement, PlacementMismatch and resolve_placement are
+re-exported here).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .cartan import CartanType, ValueObject, datum
 from .cuspidal import SheafTriple, enumerate_cs_prime
 from .groups import CStarElement, GroupCollection  # noqa: F401 - re-exported
 from .labels import CharacterLabel, unit_label
-from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
+from .tables import (  # noqa: F401 - placement, Placement and its resolver are re-exported
     DEFAULT_STORE,
     Placement,
     PlacementMismatch,
@@ -25,6 +27,7 @@ from .tables import (  # noqa: F401 - Placement and its resolver are re-exported
     find_row,
     placement,
     resolve_placement,
+    unknown_stratum,
 )
 
 
@@ -40,11 +43,11 @@ def tau(
     t: CartanType, triple: SheafTriple, store: TableStore = DEFAULT_STORE
 ) -> CharacterLabel:
     """The stratum of a cuspidal-support triple."""
-    pl = placement(t, store)
-    ri = pl.row_of_triple.get(triple.key)
-    if ri is None:
-        raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}")
-    return pl.rows[ri].stratum
+    pl = store[t.name]
+    try:
+        return pl.rows[pl.row_of_triple[triple.key]].stratum
+    except KeyError:
+        raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}") from None
 
 
 def find_triple(
@@ -82,8 +85,12 @@ def fiber(
     """The fiber over a stratum as (triple, multiplicity) pairs; the
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
-    pl = placement(t, store)
-    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[pl.row_index(stratum)])
+    pl = store[t.name]
+    try:
+        ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
+    except KeyError:
+        raise unknown_stratum(t.name, stratum) from None
+    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[ri])
 
 
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
@@ -108,7 +115,12 @@ def c_star(
     """The label set attached to a stratum: inventories of c(E), with
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
-    return list(find_row(t, stratum, store).collection.labels)
+    pl = store[t.name]
+    try:
+        ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
+    except KeyError:
+        raise unknown_stratum(t.name, stratum) from None
+    return list(pl.rows[ri].collection.labels)
 
 
 def bijection_witness(

@@ -32,6 +32,13 @@ class UnknownStratum(LookupError):
     pass
 
 
+def unknown_stratum(type_name: str, stratum: CharacterLabel | str) -> UnknownStratum:
+    """The error for a stratum, given as text or as a label, that heads
+    no row of type_name's table."""
+    text = stratum if isinstance(stratum, str) else stratum.text
+    return UnknownStratum(f"{text!r} is not a stratum of {type_name}")
+
+
 class TableFormatError(ValueError):
     pass
 
@@ -361,20 +368,14 @@ class Placement(ValueObject):
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
     per triple (the same tuple when the two agree).  resolve_placement
-    builds all of them in one walk of the enumeration.
+    builds all of them in one walk of the enumeration, and a query
+    answers with one lookup in row_of_head or row_of_triple.
     """
 
     __slots__ = _fields = (
         "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded",
     )
-
-    def row_index(self, stratum: CharacterLabel | str) -> int:
-        text = stratum if isinstance(stratum, str) else stratum.text
-        try:
-            return self.row_of_head[text]
-        except KeyError:
-            raise UnknownStratum(f"{text!r} is not a stratum of {self.type_name}") from None
 
 
 def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
@@ -508,41 +509,40 @@ def _built_in_placement(t: CartanType) -> Placement:
     return resolve_placement(t, rows)
 
 
-class TableStore:
-    """The placements a session answers from, held in one dict by type
-    name: each registered table from install, and an embedded or
-    identity type's built-in placement from its first query, shared
-    with every other store.  A failed lookup stores nothing, and every
-    table is read through its placement.
+class TableStore(dict):
+    """The placements a session answers from: the dict from type name to
+    Placement.  install stores each registered table; an embedded or
+    identity type's built-in placement, shared with every other store,
+    is stored by __missing__ on its first query.  A failed lookup
+    stores nothing, and every table is read through its placement, so
+    store[t.name] is the whole of a query's way to its table.
 
     Registration is expected at startup, before queries.
     """
 
-    def __init__(self) -> None:
-        self._placements: dict[str, Placement] = {}
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> Placement:
+        placed = self[name] = _built_in_placement(parse_type(name))
+        return placed
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
-        return placement(t, self).rows
+        return self[t.name].rows
 
     def install(self, placed: Placement) -> None:
         name = placed.type_name
         if name in tabledata.TABLES:
             raise TableFormatError(f"{name} is embedded; external copies are only checked")
-        self._placements[name] = placed
+        self[name] = placed
 
 
 DEFAULT_STORE = TableStore()
 
 
 def placement(t: CartanType, store: TableStore = DEFAULT_STORE) -> Placement:
-    """The resolved table of t: one lookup by name in the store, which
-    holds every placement it has answered from."""
-    try:
-        return store._placements[t.name]
-    except KeyError:
-        pass
-    placed = store._placements[t.name] = _built_in_placement(t)
-    return placed
+    """The resolved table of t, store[t.name]: the registered one, or
+    the built-in one, stored on first use."""
+    return store[t.name]
 
 
 def component_group(
@@ -559,8 +559,12 @@ def component_group(
 def find_row(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> StrataRow:
-    pl = placement(t, store)
-    return pl.rows[pl.row_index(stratum)]
+    """The row of a stratum given as its text or as its label."""
+    pl = store[t.name]
+    try:
+        return pl.rows[pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]]
+    except KeyError:
+        raise unknown_stratum(t.name, stratum) from None
 
 
 # ---------------------------------------------------------------------------

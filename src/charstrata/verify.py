@@ -31,11 +31,11 @@ from .tables import (
     StrataRow,
     TableFormatError,
     TableStore,
-    UnknownStratum,
     centralizer_profiles,
     is_identity,
     placement,
     resolve_placement,
+    unknown_stratum,
 )
 
 CHECK_IDS = (
@@ -182,10 +182,11 @@ def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
     expected = len(regular_fiber_labels(t))
+    unit = unit_label(t)
     try:
-        got = pl.rows[pl.row_index(unit_label(t))].fiber_size
-    except UnknownStratum as exc:
-        return "fail", f"unit stratum not found: {exc}"
+        got = pl.rows[pl.row_of_head[unit.text]].fiber_size
+    except KeyError:
+        return "fail", f"unit stratum not found: {unknown_stratum(t.name, unit)}"
     if got != expected:
         return "fail", f"unit stratum fiber {got}, phi-sum {expected}"
     return "pass", f"unit stratum fiber {got} = phi-sum {expected}"

@@ -6,10 +6,12 @@ import pytest
 
 from charstrata import cartan
 from charstrata.cartan import (
+    MAX_RANK,
     CartanError,
     CartanType,
     Subsystem,
     TORUS,
+    ascii_decimal,
     datum,
     is_pseudo_levi,
     parse_type,
@@ -374,3 +376,19 @@ def test_subsystem_ranks_are_ascii_decimal_only(factor):
     bad = factor.split("x")[-1]
     with pytest.raises(CartanError, match=rf"^cannot parse subsystem factor {re.escape(repr(bad))}$"):
         is_pseudo_levi(parse_type("E8"), factor)
+
+
+def test_ranks_stop_at_the_ceiling():
+    assert parse_type(f"A{MAX_RANK}").rank == MAX_RANK
+    for text in (f"A{MAX_RANK + 1}", "B1424", "D5000"):
+        with pytest.raises(CartanError, match=rf"^type {text} exceeds the rank ceiling {MAX_RANK}$"):
+            parse_type(text)
+    with pytest.raises(CartanError, match="exceeds the rank ceiling"):
+        Subsystem.parse(f"E8xA{MAX_RANK + 1}")
+
+
+def test_ascii_decimal_refuses_texts_longer_than_any_accepted_value():
+    assert ascii_decimal("999999999989") == 999999999989
+    assert ascii_decimal("0" * 12) == 0
+    for text in ("1" * 13, "9" * 4400):
+        assert ascii_decimal(text) is None

@@ -324,6 +324,22 @@ def test_tables_dir_with_an_undecodable_entry_exits_2_naming_it(tmp_path, capsys
     assert err == f"error: {entry}: Expecting value: line 2 column 1 (char 12)\n"
 
 
+@pytest.mark.parametrize("via", ["register", "tables"])
+def test_a_table_with_an_integer_too_long_to_convert_exits_2_naming_it(
+    tmp_path, capsys, synthetic_b3_doc, via
+):
+    synthetic_b3_doc["rows"][0]["fiber"][1]["mult"] = "HUGE"
+    entry = tmp_path / "B3.json"
+    entry.write_text(canonical_json(synthetic_b3_doc).replace('"HUGE"', "9" * 4400))
+    if via == "register":
+        code, out, err = run(capsys, "register", "--in", str(entry))
+    else:
+        code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
+    assert (code, out) == (2, "")
+    # Python refuses to convert an integer of more than 4300 digits.
+    assert err.startswith(f"error: {entry}: ") and "4300" in err
+
+
 def test_tables_dir_with_a_misplaced_entry_exits_2_naming_it(tmp_path, capsys, synthetic_b3_doc):
     synthetic_b3_doc["rows"][0]["fiber"].pop()
     entry = tmp_path / "X.json"
@@ -345,6 +361,29 @@ def test_tables_dir_with_an_unparsable_levi_exits_2_naming_it(tmp_path, capsys, 
 @pytest.mark.parametrize("name", ["B²", "B٣"])
 def test_info_with_a_non_ascii_rank_exits_2_naming_it(capsys, name):
     assert run(capsys, "info", name) == (2, "", f"error: cannot parse type {name!r}\n")
+
+
+@pytest.mark.parametrize("argv", [("info", "A1558"), ("--json", "info", "A3000"), ("info", "B5000")])
+def test_a_rank_above_the_ceiling_exits_2_naming_type_and_ceiling(capsys, argv):
+    # The Weyl order of A1558 has more digits than Python prints.
+    assert run(capsys, *argv) == (
+        2, "", f"error: type {argv[-1]} exceeds the rank ceiling 1000\n",
+    )
+
+
+def test_the_ceiling_rank_prints_its_info(capsys):
+    for name in ("A1000", "B1000", "C1000", "D1000"):
+        code, out, err = run(capsys, "--json", "info", name)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["type"] == name
+
+
+def test_a_number_too_long_to_print_exits_2_naming_it(capsys):
+    huge = "9" * 4400
+    assert run(capsys, "info", "A" + huge) == (2, "", f"error: cannot parse type 'A{huge}'\n")
+    assert run(capsys, "centralizers", "B6", "--char-class", huge) == (
+        2, "", f"error: bad --char-class '{huge}'; expected generic, 0 or a prime\n",
+    )
 
 
 @pytest.mark.parametrize("command", ["fiber", "cstar"])

@@ -45,10 +45,12 @@ CASES: dict[str, tuple[str, ...]] = {
     "F4-cstar": ("cstar", "F4", "--stratum", "chi_{9,1}"),
     "E7-strata": ("strata", "E7"),
     "E8-strata": ("strata", "E8"),
+    "E8-strata-json": ("--json", "strata", "E8"),
     "F4-strata": ("strata", "F4"),
     "E7-triples": ("triples", "E7"),
     "E8-triples": ("triples", "E8"),
     "F4-triples": ("triples", "F4"),
+    "E8-export-triples": ("export", "E8", "--what", "triples"),
     "E7-export-table": ("export", "E7", "--what", "table"),
     "E8-export-table": ("export", "E8", "--what", "table"),
     "F4-export-table": ("export", "F4", "--what", "table"),
@@ -63,6 +65,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "B3-cstar": ("--tables", TABLES, "cstar", "B3", "--stratum", "(3|)"),
     "B3-verify": ("--tables", TABLES, "verify", "B3"),
     "B3-export-table": ("--tables", TABLES, "export", "B3", "--what", "table"),
+    "B3-export-strata": ("--tables", TABLES, "export", "B3", "--what", "strata"),
     "C4-register": ("register", "--in", f"{TABLES}/C4.json"),
     "C4-tau": ("--tables", TABLES, "tau", "C4", "--levi", "B2", "--char", "(1|1)"),
     "C4-fiber-expand": ("--tables", TABLES, "fiber", "C4", "--stratum", "(2|2)", "--expand"),
@@ -90,6 +93,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "D16-centralizers-json": ("--json", "centralizers", "D16"),
     "C6-triples": ("triples", "C6"),
     "D5-triples": ("triples", "D5"),
+    "A1558-info": ("info", "A1558"),
     "error-unknown-stratum": ("fiber", "E8", "--stratum", "nope"),
     "error-no-table": ("tau", "B3", "--levi", "B2", "--char", "(2)"),
 }

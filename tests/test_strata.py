@@ -1,5 +1,6 @@
 import copy
 import importlib
+import sys
 
 import pytest
 
@@ -296,7 +297,7 @@ def test_registered_table_is_resolved_once(monkeypatch, synthetic_b3_doc):
 
 def test_embedded_table_is_resolved_once_per_process(monkeypatch):
     calls = _count_resolutions(monkeypatch)
-    tables._built_in_placement.cache_clear(); DEFAULT_STORE._placements.clear()
+    tables._built_in_placement.cache_clear(); DEFAULT_STORE.clear()
     f4 = parse_type("F4")
     first = placement(f4, TableStore())
     for store in (TableStore(), TableStore(), DEFAULT_STORE):
@@ -314,11 +315,19 @@ def test_embedded_table_is_resolved_once_per_process(monkeypatch):
 def test_failed_lookup_caches_nothing():
     store = TableStore()
     b5 = parse_type("B5")
+    triple = enumerate_cs_prime(b5)[0]
     message = "^no strata table for B5; register one for classical types$"
-    for query in (placement, strata, lambda t, s: c_star(t, "(5|)", s)):
+    for query in (
+        placement,
+        strata,
+        lambda t, s: tau(t, triple, s),
+        lambda t, s: fiber(t, "(5|)", s),
+        lambda t, s: c_star(t, "(5|)", s),
+        lambda t, s: find_row(t, "(5|)", s),
+    ):
         with pytest.raises(NoTableAvailable, match=message):
             query(b5, store)
-    assert not store._placements
+    assert not store
     register_external_table(synthetic_spread_table("B5"), store)
     assert placement(b5, store).type_name == "B5"
     for tr in enumerate_cs_prime(b5):
@@ -338,6 +347,53 @@ def test_registering_again_replaces_the_placement(synthetic_b3_doc):
     register_external_table(swapped, store)
     assert placement(b3, store) is not before
     assert tau(b3, triple, store).text == "(|1,1,1)"
+
+
+STRATUM_QUERIES = {
+    "fiber": fiber,
+    "fiber-expand": lambda t, s: fiber(t, s, expand=True),
+    "c_star": c_star,
+    "c_collection": c_collection,
+    "component_group": lambda t, s: component_group(t, s, 0),
+    "find_row": find_row,
+}
+
+
+@pytest.mark.parametrize("given", ["text", "label"])
+@pytest.mark.parametrize("query", sorted(STRATUM_QUERIES))
+def test_an_unknown_stratum_has_one_message(query, given):
+    e8 = parse_type("E8")
+    label = enumerate_irr(parse_type("A3")).by_text("(2,2)")  # no character of E8
+    with pytest.raises(UnknownStratum) as err:
+        STRATUM_QUERIES[query](e8, label.text if given == "text" else label)
+    assert str(err.value) == "'(2,2)' is not a stratum of E8"
+
+
+def test_warm_queries_call_no_python_function(synthetic_b3_doc):
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    asked = []
+    for name in ("E8", "A3", "B3"):
+        t = parse_type(name)
+        pl = placement(t, store)
+        asked.append((t, enumerate_cs_prime(t)[-1], pl.rows[-1].stratum))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for t, triple, label in asked:
+            tau(t, triple, store)
+            for stratum in (label.text, label):
+                fiber(t, stratum, store)
+                fiber(t, stratum, store, expand=True)
+                c_star(t, stratum, store)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["tau", "fiber", "fiber", "c_star", "fiber", "fiber", "c_star"] * 3
 
 
 def test_stores_share_one_built_in_placement():
