@@ -126,12 +126,13 @@ def c_star(
 def bijection_witness(
     t: CartanType, store: TableStore = DEFAULT_STORE
 ) -> list[tuple[str, int, int]]:
-    """Per stratum: (head, fiber size, inventory size).  The counting
-    content of the parametrization is that the two sizes agree row by
-    row."""
+    """Per stratum: (head, fiber size, inventory size), the fiber size
+    as resolve_placement recorded it.  The counting content of the
+    parametrization is that the two sizes agree row by row."""
+    pl = store[t.name]
     return [
-        (row.stratum.text, row.fiber_size, len(row.collection.labels))
-        for row in store.table(t)
+        (row.stratum.text, size, len(row.collection.labels))
+        for row, size in zip(pl.rows, pl.fiber_sizes)
     ]
 
 

@@ -9,6 +9,7 @@ placement; a built-in one is resolved once per process.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import isqrt
 
@@ -367,14 +368,20 @@ class Placement(ValueObject):
     first row, in resolved order, whose fiber holds that triple.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
-    per triple (the same tuple when the two agree).  resolve_placement
-    builds all of them in one walk of the enumeration, and a query
-    answers with one lookup in row_of_head or row_of_triple.
+    per triple (the same tuple when the two agree).  fiber_sizes holds
+    each row's fiber size, the sum of its multiplicities.
+    registry_gaps is (missing, duplicated), both sorted: the registry
+    labels that no empty-Levi entry prints, and those printed more than
+    once; two empty lists when the empty-Levi entries list Irr(t)
+    exactly once.  resolve_placement builds all of them in one walk of
+    the enumeration (fiber_sizes and registry_gaps in the walk of the
+    entries that places them), and a query answers with one lookup in
+    row_of_head or row_of_triple.
     """
 
     __slots__ = _fields = (
         "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
-        "fiber_pairs", "fiber_expanded",
+        "fiber_pairs", "fiber_expanded", "fiber_sizes", "registry_gaps",
     )
 
 
@@ -391,19 +398,24 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         remaining[tr.key] = tr.index + 1
 
     # In table order, each entry takes triples of its own key while they
-    # last; the others wait for their family (Levi name, d).
-    row_of_triple, waiting = {}, {}
-    total = 0
+    # last; the others wait for their family (Levi name, d).  The same
+    # walk sums each row's multiplicities and keeps the empty-Levi
+    # labels printed after a row's head.
+    row_of_triple, waiting, fiber_sizes, empty_after_head = {}, {}, [], []
     for ri, row in enumerate(rows):
+        size = 0
         for pi, en in enumerate(row.fiber):
             key, mult = en.key, en.mult
-            total += mult
+            size += mult
+            if pi and key[0] == "-":
+                empty_after_head.append(key[1])
             left = remaining.get(key, 0)
             if left >= mult:
                 remaining[key] = left - mult
                 row_of_triple.setdefault(key, ri)
             else:
                 waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
+        fiber_sizes.append(size)
 
     # Waiting entries and unplaced triples, family by family in
     # enumeration order: an entry printed with a duplicated label takes
@@ -475,9 +487,16 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         fiber_pairs.append(pairs)
         fiber_expanded.append(pairs if expanded == pairs else expanded)
     row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
+    # The heads are distinct registry labels (assemble_rows checks
+    # both), so a label is printed twice only if an entry after a head
+    # repeats it.
+    missing = sorted(set(enumerate_irr(t).texts).difference(row_of_head, empty_after_head))
+    duplicated = sorted(
+        txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
+    )
     return Placement(
-        t.name, rows, total, relabelled, tuple(notes), row_of_head, row_of_triple,
-        tuple(fiber_pairs), tuple(fiber_expanded),
+        t.name, rows, sum(fiber_sizes), relabelled, tuple(notes), row_of_head, row_of_triple,
+        tuple(fiber_pairs), tuple(fiber_expanded), tuple(fiber_sizes), (missing, duplicated),
     )
 
 

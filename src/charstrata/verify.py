@@ -4,7 +4,10 @@ and registration of external strata tables for classical types.
 The table checks read the type's placement, resolved once per run.
 An embedded, a registered and a built-in identity table (series A and
 the torus) all go through the same six; the enumeration and placement
-checks compare with cuspidal.triple_count.  The table checks report
+checks compare with cuspidal.triple_count.  empty-completeness,
+row-balance and regular-fiber-phi read what resolve_placement recorded
+in its walk of the table, the registry gaps and the fiber sizes, so no
+check walks the fiber entries again.  The table checks report
 'skipped' (never 'pass') for types without an available table; for a
 table that does not place, the placement check fails and the checks
 after it report 'skipped'.
@@ -12,7 +15,6 @@ after it report 'skipped'.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from time import perf_counter
 
@@ -124,19 +126,10 @@ def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
     return "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber"
 
 
-def _registry_gaps(t: CartanType, rows: tuple[StrataRow, ...]) -> tuple[list[str], list[str]]:
-    """The registry labels that no empty-Levi fiber entry names, and
-    those named more than once, both sorted; two empty lists when the
-    empty-Levi entries list Irr(t) exactly once.  Row construction
-    parses every empty-Levi entry against the registry, so no other
-    label can occur."""
-    seen = Counter(en.character.text for r in rows for en in r.fiber if en.levi is None)
-    missing = sorted(set(enumerate_irr(t).texts) - set(seen))
-    return missing, sorted(txt for txt, n in seen.items() if n > 1)
-
-
 def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
-    missing, duplicated = _registry_gaps(t, pl.rows)
+    """Irr(t) listed exactly once by the empty-Levi entries, read from
+    the gaps resolve_placement recorded."""
+    missing, duplicated = pl.registry_gaps
     if missing or duplicated:
         return "fail", f"missing {missing}, duplicated {duplicated}"
     return "pass", f"{len(enumerate_irr(t))} empty-Levi labels exhaust the registry"
@@ -168,23 +161,25 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 
 def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The counting witness row by row: each fiber as large as the
-    inventory of its group collection."""
-    fibers = inventories = 0
-    for row in pl.rows:
-        f, c = row.fiber_size, len(row.collection.labels)
+    """The counting witness row by row: each fiber, of the size
+    resolve_placement recorded, as large as the inventory of its group
+    collection."""
+    inventories = 0
+    for row, f in zip(pl.rows, pl.fiber_sizes):
+        c = len(row.collection.labels)
         if f != c:
             return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
-        fibers += f
         inventories += c
-    return "pass", f"{len(pl.rows)} rows balanced; totals {fibers} = {inventories}"
+    return "pass", f"{len(pl.rows)} rows balanced; totals {pl.total} = {inventories}"
 
 
 def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
+    """The unit stratum's fiber, of the size resolve_placement
+    recorded, against the primitive roots of unity that index it."""
     expected = len(regular_fiber_labels(t))
     unit = unit_label(t)
     try:
-        got = pl.rows[pl.row_of_head[unit.text]].fiber_size
+        got = pl.fiber_sizes[pl.row_of_head[unit.text]]
     except KeyError:
         return "fail", f"unit stratum not found: {unknown_stratum(t.name, unit)}"
     if got != expected:
@@ -310,7 +305,7 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
         return f"{t.name}: accepted (the identity parametrization is built in)"
     # placement must hold before the table becomes visible
     placed = resolve_placement(t, rows)
-    missing, duplicated = _registry_gaps(t, rows)
+    missing, duplicated = placed.registry_gaps
     if missing or duplicated:
         raise PlacementMismatch(
             f"table for {t.name} does not exhaust the registry; missing {missing}",

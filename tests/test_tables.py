@@ -15,6 +15,7 @@ from charstrata.tables import (
     component_group,
     find_row,
     parse_annotation,
+    placement,
 )
 from charstrata.schema import parse_table_document
 
@@ -88,6 +89,30 @@ def test_annotation_parser_rejects_garbage():
         parse_annotation("[C2],C3")  # truncated
     with pytest.raises(TableFormatError):
         parse_annotation("-,-,(-)")
+
+
+@pytest.mark.parametrize("ann,message", [
+    ("C2", "constant annotation must be boxed"),
+    ("[C2,S3],(1),(1)", "bad boxed-collection annotation"),
+    ("[C2,S3,C2,S3],(1)", "boxed collection of size 4"),
+    ("C2,S3", "expected 3 entries"),
+    ("[C2],1,1", "characteristic-0 entry must be (..)"),
+    ("1,1,(1)", "no boxed entry"),
+    ("-,1,(-)", "bad singleton annotation"),
+    ("[C2],[1],(-)", "partial annotation is neither full nor singleton"),
+])
+def test_annotation_parser_names_each_malformed_shape(ann, message):
+    with pytest.raises(TableFormatError) as err:
+        parse_annotation(ann)
+    assert str(err.value) == f"{message}: {ann!r}"
+
+
+@pytest.mark.parametrize("name", [*sorted(ROW_COUNTS), "A4", "Torus"])
+def test_placement_records_fiber_sizes_and_registry_gaps(name):
+    pl = placement(parse_type(name))
+    assert pl.fiber_sizes == tuple(row.fiber_size for row in pl.rows)
+    assert sum(pl.fiber_sizes) == pl.total
+    assert pl.registry_gaps == ([], [])
 
 
 def test_centralizer_profile_examples():

@@ -3,7 +3,10 @@ import pytest
 from charstrata import cli, groups, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime, triple_count
-from charstrata.tables import Placement, StrataRow, TableStore, placement
+from charstrata.schema import parse_table_document
+from charstrata.tables import (
+    Placement, PlacementMismatch, StrataRow, TableStore, placement, resolve_placement,
+)
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
 
@@ -230,12 +233,50 @@ def test_row_balance_and_phi_fail_when_a_triple_leaves_the_unit_stratum(syntheti
     assert ("regular-fiber-phi", "fail", "unit stratum fiber 1, phi-sum 2") in checks
 
 
-def test_empty_completeness_fails_when_a_row_is_dropped(synthetic_b3_doc):
+def test_empty_completeness_fails_when_a_head_stands_for_a_dropped_row(synthetic_b3_doc):
+    """The singleton row (|2,1) is dropped and the later row (|3) prints
+    the earlier head (2,1|) again, with a disamb: the resolver relabels
+    that entry as (|2,1), so the table places, but the empty-Levi
+    entries miss one label and print another twice."""
     b3 = parse_type("B3")
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
-    pl = placement(b3, store)
-    assert verify._check_empty_completeness(b3, pl) == (
+    assert verify._check_empty_completeness(b3, placement(b3, store)) == (
         "pass", "10 empty-Levi labels exhaust the registry")
-    assert verify._check_empty_completeness(b3, _replaced(pl, rows=pl.rows[1:])) == (
-        "fail", "missing ['(3|)'], duplicated []")
+
+    rows = synthetic_b3_doc["rows"]
+    heads = [row["stratum"] for row in rows]
+    del rows[heads.index("(|2,1)")]
+    later = rows[heads.index("(|3)")]
+    later["fiber"].append({"levi": "-", "character": "(2,1|)", "d": 0, "mult": 1, "disamb": "a"})
+    later["groups"] = {"0": "C2", "2": "C2", "3": "C2"}
+    pl = resolve_placement(*parse_table_document(synthetic_b3_doc))
+    assert pl.relabelled == {(heads.index("(|3)"), 1): ("-", "(|2,1)", 0)}
+    failing = ("fail", "missing ['(|2,1)'], duplicated ['(2,1|)']")
+    assert pl.registry_gaps == (["(|2,1)"], ["(2,1|)"])
+    assert verify._check_empty_completeness(b3, pl) == failing
+    broken = TableStore()
+    broken.install(pl)
+    assert ("empty-completeness", *failing) in run_all(b3, broken).checks
+    with pytest.raises(PlacementMismatch) as err:
+        register_external_table(synthetic_b3_doc, TableStore())
+    assert str(err.value) == "table for B3 does not exhaust the registry; missing ['(|2,1)']"
+
+
+def test_phi_fails_when_the_unit_label_heads_no_row(synthetic_b3_doc):
+    """The unit stratum's row (3|) is dropped and its two triples are
+    printed after the head of (2,1|): the table places, lists every
+    registry label once and registers, but (3|) heads no row."""
+    b3 = parse_type("B3")
+    rows = synthetic_b3_doc["rows"]
+    unit = rows.pop(0)
+    assert unit["stratum"] == "(3|)" and rows[0]["stratum"] == "(2,1|)"
+    rows[0]["fiber"] += unit["fiber"]
+    rows[0]["groups"] = {"0": "C3", "2": "C3", "3": "C3"}
+    store = TableStore()
+    assert register_external_table(synthetic_b3_doc, store) == (
+        "B3: registered (9 rows, 12 triples placed)")
+    checks = run_all(b3, store).checks
+    assert ("regular-fiber-phi", "fail",
+            "unit stratum not found: '(3|)' is not a stratum of B3") in checks
+    assert [cid for cid, status, _ in checks if status == "fail"] == ["regular-fiber-phi"]
