@@ -194,9 +194,9 @@ TORUS = CartanType("Torus", 0)
 
 
 def simple_type(series: str, rank: int) -> CartanType:
-    """Construct a type, normalizing the low-rank aliases
-    B1/C1 -> A1, C2 -> B2, D2 -> A1 x A1 (rejected here), D3 -> A3.
-    """
+    """Construct a type, normalizing the low-rank aliases B1/C1 -> A1,
+    C2 -> B2 and D3 -> A3.  D2 is not simple: CartanType rejects it as
+    non-canonical, and Subsystem.parse reads it as A1 x A1."""
     if series == "B" and rank == 1:
         return CartanType("A", 1)
     if series == "C" and rank == 1:
@@ -205,8 +205,6 @@ def simple_type(series: str, rank: int) -> CartanType:
         return CartanType("B", 2)
     if series == "D" and rank == 3:
         return CartanType("A", 3)
-    if series == "D" and rank == 2:
-        raise CartanError("D2 is not simple; use A1 x A1")
     return CartanType(series, rank)
 
 

@@ -223,10 +223,8 @@ def _model(tag: str):
         return _perms(n), _perm_mul
     if tag == "D8":
         return _dihedral8()
-    if tag == "S3xC2":
-        els1, mul1 = _perms(3), _perm_mul
-        return _product(els1, mul1, *_cyclic(2))
-    raise GroupError(tag)
+    # S3xC2, the one tag of GROUP_TAGS left
+    return _product(_perms(3), _perm_mul, *_cyclic(2))
 
 
 def _inverse(g, identity, mul):

@@ -17,6 +17,7 @@ from .labels import LabelError
 from .strata import strata
 from .tables import (
     DEFAULT_STORE,
+    Annotation,
     Membership,
     StrataRow,
     TableFormatError,
@@ -37,6 +38,7 @@ def canonical_json(doc: dict) -> str:
 def table_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
     rows_out = []
     for row in store.table(t):
+        a = row.annotation
         fiber = []
         for en in row.fiber:
             item: dict = {
@@ -48,15 +50,15 @@ def table_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
             if en.disamb is not None:
                 item["disamb"] = en.disamb
             fiber.append(item)
-        groups = {str(r): g for r, g in sorted(row.groups)}
-        boxed = sorted((str(b) for b in row.boxed), key=lambda s: (s != "single", s))
+        groups = {str(r): g for r, g in a.groups}
+        boxed = sorted((str(b) for b in a.boxed), key=lambda s: (s != "single", s))
         rows_out.append(
             {
                 "stratum": row.stratum.text,
                 "fiber": fiber,
                 "groups": groups,
                 "boxed": boxed,
-                "membership": row.membership.text,
+                "membership": a.membership.text,
             }
         )
     return {"schema": TABLE_SCHEMA, "type": t.name, "rows": rows_out}
@@ -87,8 +89,9 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     if not (isinstance(rows_raw, list) and rows_raw):
         raise TableFormatError("rows must be a nonempty list")
     structured = []
-    # Raw annotation -> its (groups, boxed, membership), for each
-    # distinct annotation that passed its checks: a table repeats a few.
+    # Raw annotation -> its Annotation, for each distinct annotation
+    # that passed its checks: a table repeats a few, and their rows
+    # share it.
     annotations: dict = {}
     for i, row in enumerate(rows_raw):
         if not isinstance(row, dict):
@@ -143,10 +146,13 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
         try:
             annotation = annotations[key]
         except (KeyError, TypeError):
-            annotation = _checked_annotation(i, groups_raw, boxed_raw, mem_raw)
+            try:
+                annotation = _checked_annotation(i, groups_raw, boxed_raw, mem_raw)
+            except GroupError as exc:
+                raise TableFormatError(f"{exc} in row {head!r} of {t.name}") from None
             if key is not None:
                 annotations[key] = annotation
-        structured.append((head, entries[1:], *annotation))
+        structured.append((head, entries[1:], annotation))
     try:
         rows = assemble_rows(t, structured)
     except LabelError as exc:
@@ -154,11 +160,11 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     return t, rows
 
 
-def _checked_annotation(
-    i: int, groups_raw, boxed_raw, mem_raw
-) -> tuple[tuple[tuple[int, str], ...], frozenset, Membership]:
-    """Row i's groups as sorted (characteristic, tag) pairs, its boxed
-    flags and its membership, or TableFormatError."""
+def _checked_annotation(i: int, groups_raw, boxed_raw, mem_raw) -> Annotation:
+    """Row i's Annotation: its groups as sorted (characteristic, tag)
+    pairs, its boxed flags and its membership, or TableFormatError; the
+    GroupError of a deviation with no group collection is left to the
+    caller, which names the row."""
     if not isinstance(groups_raw, dict):
         raise TableFormatError(f"row {i}: groups must be an object")
     groups: dict[int, str] = {}
@@ -181,7 +187,7 @@ def _checked_annotation(
             raise TableFormatError(f"row {i}: bad boxed flag {b!r}")
         boxed.add(flag)
     mem = Membership.parse(str(mem_raw))
-    return tuple(sorted(groups.items())), frozenset(boxed), mem
+    return Annotation(tuple(sorted(groups.items())), frozenset(boxed), mem)
 
 
 def triples_document(t: CartanType) -> dict:

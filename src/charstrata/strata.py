@@ -106,7 +106,7 @@ def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLa
 def c_collection(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> GroupCollection:
-    return find_row(t, stratum, store).collection
+    return find_row(t, stratum, store).annotation.collection
 
 
 def c_star(
@@ -120,7 +120,7 @@ def c_star(
         ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
     except KeyError:
         raise unknown_stratum(t.name, stratum) from None
-    return list(pl.rows[ri].collection.labels)
+    return list(pl.rows[ri].annotation.collection.labels)
 
 
 def bijection_witness(
@@ -131,7 +131,7 @@ def bijection_witness(
     parametrization is that the two sizes agree row by row."""
     pl = store[t.name]
     return [
-        (row.stratum.text, size, len(row.collection.labels))
+        (row.stratum.text, size, len(row.annotation.collection.labels))
         for row, size in zip(pl.rows, pl.fiber_sizes)
     ]
 

@@ -16,7 +16,7 @@ from math import isqrt
 from . import tabledata
 from .cartan import CartanError, CartanType, Subsystem, ValueObject, ascii_decimal, parse_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
-from .groups import GroupError, group_collection, normalize_tag
+from .groups import group_collection, normalize_tag
 from .labels import (
     CharacterLabel,
     enumerate_irr,
@@ -198,22 +198,53 @@ class FiberEntry(ValueObject):
         return s
 
 
-class StrataRow(ValueObject):
-    """One table row: the stratum; its fiber, whose first entry is
-    (empty, stratum, 0, 1); the groups as sorted (characteristic, tag)
-    pairs; the boxed flags; and the membership.  group_of and
-    collection come from _row_annotation."""
+class Annotation(ValueObject):
+    """A row's printed group datum: the groups as sorted
+    (characteristic, tag) pairs, the boxed flags and the membership.  A
+    source builds one per distinct annotation, and every row that
+    prints it shares it.  _derive checks it (TableFormatError) and
+    derives the groups by characteristic, the group collection c(E)
+    with its label set, and deviation: the primes among 2, 3 and 5 whose
+    group differs from the characteristic-0 group ({r0} for a
+    singleton).  The tags of a deviating pair or triple are those
+    groups, in that order; GroupError if they have no collection."""
 
-    __slots__ = ("stratum", "fiber", "groups", "boxed", "membership", "group_of", "collection")
-    _fields = ("stratum", "fiber", "groups", "boxed", "membership")
+    __slots__ = ("groups", "boxed", "membership", "group_of", "collection", "deviation")
+    _fields = ("groups", "boxed", "membership")
 
     @staticmethod
-    def _derive(stratum, fiber, groups: tuple, boxed: frozenset, membership) -> tuple:
-        return _row_annotation(groups, boxed, membership)
+    def _derive(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
+        group_of = dict(groups)
+        defined = set(group_of)
+        if not boxed:
+            raise TableFormatError("a row must box at least one group")
+        if mem.kind == "singleton":
+            if defined != {mem.r0} or boxed != {mem.r0}:
+                raise TableFormatError(
+                    f"singleton row must define and box exactly characteristic {mem.r0}"
+                )
+            return group_of, group_collection("single", (group_of[mem.r0],)), boxed
+        if not {0, 2, 3} <= defined:
+            raise TableFormatError("full-membership row must define characteristics 0, 2, 3")
+        if boxed == frozenset({"single"}):
+            if len(set(group_of.values())) != 1:
+                raise TableFormatError("constant row carries differing groups")
+        elif not boxed <= {2, 3, 5}:
+            raise TableFormatError(f"bad boxed flags {sorted(map(str, boxed))}")
+        g0 = group_of[0]
+        at = ((2, group_of[2]), (3, group_of[3]), (5, group_of.get(5, g0)))
+        deviating = tuple([g for _, g in at if g != g0])
+        if len(deviating) < 2:
+            collection = group_collection("single", deviating or (g0,))
+        elif len(deviating) == 2:
+            collection = group_collection("pair", deviating, g0)
+        else:
+            collection = group_collection("triple", deviating)
+        return group_of, collection, frozenset(p for p, g in at if g != g0)
 
     def group_at(self, r: int) -> str | None:
-        """Annotation at characteristic r; full-membership rows repeat
-        the characteristic-0 group at r=5 unless 5 is explicit."""
+        """The group at characteristic r; a full-membership annotation
+        repeats the characteristic-0 group at r=5 unless 5 is explicit."""
         g = self.group_of
         if r in g:
             return g[r]
@@ -221,47 +252,17 @@ class StrataRow(ValueObject):
             return g[0]
         return None
 
+
+class StrataRow(ValueObject):
+    """One table row: the stratum; its fiber, whose first entry is
+    (empty, stratum, 0, 1); and its Annotation, the same object in every
+    row of the table that prints the same one."""
+
+    __slots__ = _fields = ("stratum", "fiber", "annotation")
+
     @property
     def fiber_size(self) -> int:
         return sum(en.mult for en in self.fiber)
-
-
-@lru_cache(maxsize=None)
-def _row_annotation(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
-    """What a row derives from its annotation, once per distinct one (a
-    table repeats a few, and their rows share the result): the groups
-    by characteristic and the group collection c(E) with its label set,
-    whose tags for a deviating pair or triple are the groups at 2, 3, 5
-    that differ from the characteristic-0 group, in that order.
-    Raises TableFormatError for an invalid annotation and GroupError for
-    a deviation that has no collection; neither is cached."""
-    group_of = dict(groups)
-    defined = set(group_of)
-    if not boxed:
-        raise TableFormatError("a row must box at least one group")
-    if mem.kind == "singleton":
-        if defined != {mem.r0} or boxed != {mem.r0}:
-            raise TableFormatError(
-                f"singleton row must define and box exactly characteristic {mem.r0}"
-            )
-        return group_of, group_collection("single", (group_of[mem.r0],))
-    if not {0, 2, 3} <= defined:
-        raise TableFormatError("full-membership row must define characteristics 0, 2, 3")
-    if boxed == frozenset({"single"}):
-        if len(set(group_of.values())) != 1:
-            raise TableFormatError("constant row carries differing groups")
-    elif not boxed <= {2, 3, 5}:
-        raise TableFormatError(f"bad boxed flags {sorted(map(str, boxed))}")
-    g0 = group_of[0]
-    at = (group_of.get(2), group_of.get(3), group_of.get(5, g0))
-    deviating = tuple([g for g in at if g != g0])
-    if len(deviating) < 2:
-        collection = group_collection("single", deviating or (g0,))
-    elif len(deviating) == 2:
-        collection = group_collection("pair", deviating, g0)
-    else:
-        collection = group_collection("triple", deviating)
-    return group_of, collection
 
 
 @lru_cache(maxsize=None)
@@ -280,31 +281,29 @@ def _fiber_levis(t: CartanType) -> dict[str, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _annotation_fields(ann: str) -> tuple:
-    """parse_annotation's result with the groups as sorted pairs, once
-    per distinct annotation string."""
+def _printed_annotation(ann: str) -> Annotation:
+    """The Annotation of a printed group datum, once per distinct one."""
     groups, boxed, mem = parse_annotation(ann)
-    return tuple(sorted(groups.items())), boxed, mem
+    return Annotation(tuple(sorted(groups.items())), boxed, mem)
 
 
 def build_rows(t: CartanType, raw_rows) -> tuple[StrataRow, ...]:
     """Typed rows from raw (head, entries, annotation) triples."""
     return assemble_rows(
-        t, ((head, entries, *_annotation_fields(ann)) for head, entries, ann in raw_rows)
+        t, ((head, entries, _printed_annotation(ann)) for head, entries, ann in raw_rows)
     )
 
 
 def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
-    """Typed rows from structured (head, entries, groups, boxed,
-    membership) tuples, the groups as sorted (characteristic, tag)
-    pairs of normalized tags, as produced by the JSON loader and from
-    parse_annotation.  Entries are (levi, character, d, mult, disamb)
-    with int d and mult."""
+    """Typed rows from structured (head, entries, annotation) tuples, as
+    produced by the JSON loader and from the printed tables: entries are
+    (levi, character, d, mult, disamb) with int d and mult, and each
+    Annotation, already checked, is shared by the rows that print it."""
     label_of = enumerate_irr(t).by_text
     levis = _fiber_levis(t)
     new, fill = object.__new__, FiberEntry._fill
     rows: list[StrataRow] = []
-    for head, entries, groups, boxed, mem in structured:
+    for head, entries, annotation in structured:
         head_label = label_of(head)
         fiber = [fill(new(FiberEntry), None, "-", False, head_label, 0, 1, None)]
         for levi_name, char, d, mult, disamb in entries:
@@ -323,11 +322,7 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                         f"in {t.name}"
                     )
             fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
-        try:
-            row = StrataRow(head_label, tuple(fiber), groups, boxed, mem)
-        except GroupError as exc:
-            raise TableFormatError(f"{exc} in row {head_label.text!r} of {t.name}") from None
-        rows.append(row)
+        rows.append(StrataRow(head_label, tuple(fiber), annotation))
     _validate_rows(t, rows)
     return tuple(rows)
 
@@ -339,7 +334,7 @@ def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
         raise TableFormatError(f"duplicate stratum head {dup!r} in table for {t.name}")
     unit = unit_label(t).text
     for r in rows:
-        if 5 in r.group_of and r.stratum.text != unit:
+        if 5 in r.annotation.group_of and r.stratum.text != unit:
             raise TableFormatError(
                 f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
             )
@@ -571,8 +566,7 @@ def component_group(
     None where the table prints a dash."""
     if r not in PRIME_SLOTS:
         raise TableFormatError(f"characteristic must be one of {PRIME_SLOTS}")
-    row = find_row(t, stratum, store)
-    return row.group_at(r)
+    return find_row(t, stratum, store).annotation.group_at(r)
 
 
 def find_row(

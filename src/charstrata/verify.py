@@ -30,7 +30,6 @@ from .tables import (
     NoTableAvailable,
     Placement,
     PlacementMismatch,
-    StrataRow,
     TableFormatError,
     TableStore,
     centralizer_profiles,
@@ -136,26 +135,22 @@ def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 
 def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """Reads the first row of each distinct annotation (r0 is None
-    exactly for full membership), so a failure names the first faulty
-    row in table order."""
-    first_of: dict[tuple, StrataRow] = {}
-    for r in pl.rows:
-        first_of.setdefault((r.groups, r.boxed, r.membership.r0), r)
+    """Each row's boxed flags against the deviation its Annotation
+    derived, and that against the bad primes, row by row in table order,
+    so a failure names the first faulty row.  A singleton row deviates
+    at its r0 alone, which Annotation checks that it boxes; its r0 need
+    not be a bad prime."""
     bad = datum(t).bad_primes
-    for r in first_of.values():
-        if r.membership.kind == "singleton":  # StrataRow checks it boxes exactly r0
-            continue
-        g0 = r.group_of[0]
-        deviation = frozenset(p for p in (2, 3, 5) if r.group_at(p) != g0)
-        expected = deviation if deviation else frozenset({"single"})
-        if r.boxed != expected:
+    for r in pl.rows:
+        a = r.annotation
+        deviation = a.deviation
+        if a.boxed != (deviation or {"single"}):
             return (
                 "fail",
                 f"row {r.stratum.text!r}: deviation {sorted(map(str, deviation))} vs "
-                f"boxed {sorted(map(str, r.boxed))}",
+                f"boxed {sorted(map(str, a.boxed))}",
             )
-        if not deviation <= bad:
+        if not deviation <= bad and a.membership.kind == "full":
             return "fail", f"row {r.stratum.text!r} deviates outside bad primes"
     return "pass", "boxed flags match recomputed deviation sets"
 
@@ -166,7 +161,7 @@ def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
     collection."""
     inventories = 0
     for row, f in zip(pl.rows, pl.fiber_sizes):
-        c = len(row.collection.labels)
+        c = len(row.annotation.collection.labels)
         if f != c:
             return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
         inventories += c
@@ -276,6 +271,10 @@ def _first_table_difference(ours: dict, theirs: dict, source: str) -> str:
                 f"({culprit['levi']},{culprit['character']},{culprit['d']})"
             )
         return f"row {ra['stratum']!r} differs in its annotations"
+    # Equal rows whose texts differ print the same keys in another order.
+    for ra, rb in zip(rows_a, rows_b):
+        if canonical_json(ra) != canonical_json(rb):
+            return f"row {ra['stratum']!r} differs only in the order of its keys"
     return "tables differ"
 
 

@@ -15,9 +15,10 @@ from charstrata.groups import faithful_cyclic_inventory, inventory, pullback_inv
 
 def collection(row) -> tuple:
     """(kind, tags, quotient) of c(E) for one table row."""
-    g = dict(row.groups)
-    if row.membership.kind == "singleton":
-        return "single", (g[row.membership.r0],), None
+    a = row.annotation
+    g = dict(a.groups)
+    if a.membership.kind == "singleton":
+        return "single", (g[a.membership.r0],), None
     g0 = g[0]
     at = {2: g.get(2), 3: g.get(3), 5: g.get(5, g0)}
     tags = tuple(at[p] for p in (2, 3, 5) if at[p] != g0)

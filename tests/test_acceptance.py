@@ -183,13 +183,14 @@ def test_criterion_5_boxed_recomputation(name):
     bad_primes = datum(t).bad_primes
     checked = 0
     for row in DEFAULT_STORE.table(t):
-        if row.membership.kind != "full":
-            assert row.boxed == frozenset({row.membership.r0})
+        a = row.annotation
+        if a.membership.kind != "full":
+            assert a.boxed == frozenset({a.membership.r0})
             continue
-        g0 = dict(row.groups)[0]
-        deviation = frozenset(p for p in (2, 3, 5) if row.group_at(p) != g0)
+        g0 = dict(a.groups)[0]
+        deviation = frozenset(p for p in (2, 3, 5) if a.group_at(p) != g0)
         expected = deviation if deviation else frozenset({"single"})
-        assert row.boxed == expected, row.stratum.text
+        assert a.boxed == expected, row.stratum.text
         assert deviation <= bad_primes, row.stratum.text
         checked += 1
     report(f"criterion 5 (boxed recomputation, {name}): PASS {checked} full rows")

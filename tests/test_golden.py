@@ -17,11 +17,16 @@ from pathlib import Path
 
 import pytest
 
+from charstrata.cartan import parse_type
 from charstrata.cli import main
+from charstrata.schema import table_document
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TABLES = "{tables}"  # replaced by a directory holding B3.json, C4.json and D6.json
+# Replaced by a directory holding B3.json, C4.json and D6.json, and
+# bad/A2-key-order.json: the built-in A2 table with the groups keys of
+# its first row in reverse order.
+TABLES = "{tables}"
 
 CASES: dict[str, tuple[str, ...]] = {
     "verify-all": ("verify", "all"),
@@ -57,6 +62,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "E7-export-report": ("export", "E7", "--what", "report"),
     "E8-export-report": ("export", "E8", "--what", "report"),
     "F4-export-report": ("export", "F4", "--what", "report"),
+    "A2-register-key-order": ("register", "--in", f"{TABLES}/bad/A2-key-order.json"),
     "B3-register": ("register", "--in", f"{TABLES}/B3.json"),
     "B3-strata": ("--tables", TABLES, "strata", "B3"),
     "B3-tau": ("--tables", TABLES, "tau", "B3", "--levi", "B2", "--char", "(1,1)"),
@@ -114,6 +120,11 @@ def transcript(argv: tuple[str, ...], tables_dir: str) -> str:
 def write_tables(directory: Path) -> str:
     for table in (synthetic_b3_table(), synthetic_c4_table(), synthetic_d6_table()):
         (directory / f"{table['type']}.json").write_text(json.dumps(table))
+    reordered = table_document(parse_type("A2"))
+    first = reordered["rows"][0]
+    first["groups"] = dict(reversed(first["groups"].items()))
+    (directory / "bad").mkdir(exist_ok=True)
+    (directory / "bad" / "A2-key-order.json").write_text(json.dumps(reordered))
     return str(directory)
 
 

@@ -619,7 +619,7 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
     for name, pl in built.items():
         t, store = parse_type(name), stores[name]
         for row in pl.rows:
-            assert c_collection(t, row.stratum, store) is row.collection
+            assert c_collection(t, row.stratum, store) is row.annotation.collection
             assert len(c_star(t, row.stratum, store)) == row.fiber_size
             assert fiber(t, row.stratum, store)[0][0].character == row.stratum
             assert len(fiber(t, row.stratum, store, expand=True)) == row.fiber_size
@@ -630,7 +630,7 @@ def test_rows_share_one_collection_per_kind_tags_and_quotient():
     by_fields: dict[tuple, GroupCollection] = {}
     for name in TABLE_TYPES + ["A3"]:
         for row in placement(parse_type(name)).rows:
-            coll = row.collection
+            coll = row.annotation.collection
             assert by_fields.setdefault((coll.kind, coll.tags, coll.quotient), coll) is coll
     assert ("single", ("1",), None) in by_fields and ("triple", ("C4", "C3", "C5"), None) in by_fields
 

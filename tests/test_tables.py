@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 
@@ -64,15 +66,34 @@ def test_component_group_examples():
 
 def test_membership_and_boxed_flags():
     g2 = parse_type("G2")
-    assert find_row(g2, "eps_l").membership == Membership("singleton", 3)
-    assert find_row(g2, "eps").boxed == frozenset({"single"})
-    assert find_row(g2, "theta'").boxed == frozenset({3})
+    assert find_row(g2, "eps_l").annotation.membership == Membership("singleton", 3)
+    assert find_row(g2, "eps").annotation.boxed == frozenset({"single"})
+    assert find_row(g2, "theta'").annotation.boxed == frozenset({3})
     f4 = parse_type("F4")
-    assert find_row(f4, "chi_{2,2}").membership == Membership("singleton", 2)
+    assert find_row(f4, "chi_{2,2}").annotation.membership == Membership("singleton", 2)
     e8 = parse_type("E8")
-    assert find_row(e8, "175_12").membership == Membership("singleton", 3)
-    assert find_row(e8, "1_0").boxed == frozenset({2, 3, 5})
-    assert dict(find_row(e8, "1_0").groups) == {2: "C4", 3: "C3", 5: "C5", 0: "1"}
+    assert find_row(e8, "175_12").annotation.membership == Membership("singleton", 3)
+    assert find_row(e8, "1_0").annotation.boxed == frozenset({2, 3, 5})
+    assert dict(find_row(e8, "1_0").annotation.groups) == {2: "C4", 3: "C3", 5: "C5", 0: "1"}
+
+
+def _bench_synthetic_table(type_name: str, seed: int) -> dict:
+    """The benchmark's seeded synthetic table (bench/synth.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("bench_synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.synthetic_table(type_name, seed)[0]
+
+
+def test_rows_printing_the_same_annotation_share_one():
+    """A table holds one Annotation per distinct annotation, built from
+    the printed tables and the JSON loader alike."""
+    e8_rows = placement(parse_type("E8")).rows
+    _, b12_rows = parse_table_document(_bench_synthetic_table("B12", 1))
+    for rows, count, distinct in ((e8_rows, 74, 17), (b12_rows, 1165, 5)):
+        held = {id(row.annotation): row.annotation for row in rows}
+        assert (len(rows), len(held), len(set(held.values()))) == (count, distinct, distinct)
 
 
 def test_annotation_parser_s2_normalizes():
@@ -188,8 +209,8 @@ def test_s4_is_annotation_only_never_boxed():
     for name in ROW_COUNTS:
         t = parse_type(name)
         for row in DEFAULT_STORE.table(t):
-            groups = dict(row.groups)
-            for slot in row.boxed:
+            groups = dict(row.annotation.groups)
+            for slot in row.annotation.boxed:
                 if slot == "single":
                     assert groups[2] != "S4"
                 else:
@@ -202,7 +223,7 @@ def test_characteristic_5_only_on_e8_unit_row():
     for name in ROW_COUNTS:
         t = parse_type(name)
         for row in DEFAULT_STORE.table(t):
-            has5 = any(slot == 5 for slot, _ in row.groups)
+            has5 = any(slot == 5 for slot, _ in row.annotation.groups)
             if has5:
                 assert (name, row.stratum.text) == ("E8", "1_0")
 
@@ -224,7 +245,8 @@ def test_deviations_at_two_or_three_primes_are_checked_at_parse(
     unit_row["boxed"] = sorted(k for k in groups if k != "0")
     if accepted:
         _, rows = parse_table_document(synthetic_b3_doc)
-        assert rows[0].collection.tags == tuple(groups[k] for k in sorted(groups) if k != "0")
+        tags = rows[0].annotation.collection.tags
+        assert tags == tuple(groups[k] for k in sorted(groups) if k != "0")
     else:
         with pytest.raises(TableFormatError, match=r"unexpected deviating (pair|triple)"):
             parse_table_document(synthetic_b3_doc)

@@ -34,7 +34,7 @@ from charstrata.strata import (
     regular_fiber_labels,
 )
 from charstrata.tables import (
-    CentralizerProfile, FiberEntry, Membership, Placement, StrataRow, TableStore,
+    Annotation, CentralizerProfile, FiberEntry, Membership, Placement, StrataRow, TableStore,
     centralizer_profiles, placement,
 )
 from charstrata.verify import VerificationReport, register_external_table, run_all
@@ -185,7 +185,8 @@ COMPARED = {
     IrrRegistry: ("cartan_type", "labels"),
     Membership: ("kind", "r0"),
     FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
-    StrataRow: ("stratum", "fiber", "groups", "boxed", "membership"),
+    Annotation: ("groups", "boxed", "membership"),
+    StrataRow: ("stratum", "fiber", "annotation"),
     Placement: ("type_name", "rows", "total", "relabelled", "notes", "row_of_head",
                 "row_of_triple", "fiber_pairs", "fiber_expanded", "fiber_sizes", "registry_gaps"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
@@ -207,7 +208,7 @@ DERIVED = {
     TrivialLabel: ("text",),
     IrrRegistry: ("_by_text",),
     FiberEntry: ("levi_name", "d_semantic", "key"),
-    StrataRow: ("group_of", "collection"),
+    Annotation: ("group_of", "collection", "deviation"),
     GroupCollection: ("labels",),
 }
 
@@ -243,7 +244,8 @@ def _samples():
         enumerate_irr(b3), enumerate_irr(d6), enumerate_irr(g2),
         *e8_rows[:12], *placement(b3, store).rows, *placement(d6, store).rows[:8],
         *(en for row in e8_rows[:12] for en in row.fiber),
-        *(row.membership for row in e8_rows),
+        *(row.annotation for row in e8_rows),
+        *(row.annotation.membership for row in e8_rows),
         placement(g2), placement(b3, store),
         *centralizer_profiles(E8), *centralizer_profiles(parse_type("B6")),
         *(c_collection(E8, s) for s in e8_strata),
@@ -389,7 +391,8 @@ OWN_CONSTRUCTOR = {
 FORWARDING = {Membership, SupportCase, GroupCollection}
 SHARED_CONSTRUCTOR = [
     Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel, CartanType,
-    Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, StrataRow, CentralizerProfile,
+    Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, Annotation, StrataRow,
+    CentralizerProfile,
 ]
 
 
@@ -485,7 +488,7 @@ def test_copies_keep_working():
     registry = copy.deepcopy(enumerate_irr(CartanType("D", 6)))
     assert registry.by_text("{3|3}:II") == DPairLabel((3,), (3,), "II")
     row = pickle.loads(pickle.dumps(placement(E8).rows[0]))
-    assert row.group_at(5) == placement(E8).rows[0].group_at(5)
+    assert row.annotation.group_at(5) == placement(E8).rows[0].annotation.group_at(5)
     report = copy.deepcopy(run_all(CartanType("G", 2)))
     report.add("x", "fail", "")
     assert report.failed and not run_all(CartanType("G", 2)).failed

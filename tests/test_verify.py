@@ -3,9 +3,10 @@ import pytest
 from charstrata import cli, groups, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime, triple_count
-from charstrata.schema import parse_table_document
+from charstrata.schema import parse_table_document, table_document
 from charstrata.tables import (
-    Placement, PlacementMismatch, StrataRow, TableStore, placement, resolve_placement,
+    Annotation, Placement, PlacementMismatch, StrataRow, TableFormatError, TableStore, placement,
+    resolve_placement,
 )
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 
@@ -194,8 +195,10 @@ def test_boxed_check_names_the_first_faulty_row_in_table_order():
     rows = list(pl.rows)
     for i, boxed in ((3, {3}), (6, {2}), (12, {3})):
         r = rows[i]
-        assert r.boxed == {"single"} and r.membership.kind == "full", r.stratum.text
-        rows[i] = StrataRow(r.stratum, r.fiber, r.groups, frozenset(boxed), r.membership)
+        a = r.annotation
+        assert a.boxed == {"single"} and a.membership.kind == "full", r.stratum.text
+        edited = Annotation(a.groups, frozenset(boxed), a.membership)
+        rows[i] = StrataRow(r.stratum, r.fiber, edited)
     assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
         "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
 
@@ -280,3 +283,53 @@ def test_phi_fails_when_the_unit_label_heads_no_row(synthetic_b3_doc):
     assert ("regular-fiber-phi", "fail",
             "unit stratum not found: '(3|)' is not a stratum of B3") in checks
     assert [cid for cid, status, _ in checks if status == "fail"] == ["regular-fiber-phi"]
+
+
+def test_boxed_check_fails_for_a_deviation_outside_the_bad_primes(synthetic_b3_doc):
+    """The unit row (3|) deviates at 2 and 3 and boxes both; B3's only
+    bad prime is 2."""
+    unit = synthetic_b3_doc["rows"][0]
+    assert unit["stratum"] == "(3|)"
+    unit["groups"] = {"0": "1", "2": "C4", "3": "C3"}
+    unit["boxed"] = ["2", "3"]
+    store = TableStore()
+    assert register_external_table(synthetic_b3_doc, store) == (
+        "B3: registered (10 rows, 12 triples placed)")
+    checks = run_all(parse_type("B3"), store).checks
+    assert ("boxed-recomputation", "fail", "row '(3|)' deviates outside bad primes") in checks
+
+
+@pytest.mark.parametrize("entry, message, offending", [
+    ({"levi": "-", "character": "(1,1,1|)", "d": 1, "mult": 1},
+     "table for B3 places entries with Levi/d ('-', 1) outside the cuspidal-support "
+     "enumeration", "('-', 1)"),
+    ({"levi": "B2", "character": "(2)", "d": 0, "mult": 1, "disamb": "b"},
+     "duplicated entry (B2,(2),0)@b in row '(2,1|)' cannot be assigned a remaining character",
+     "(B2,(2),0)@b"),
+], ids=["levi-d-outside-the-enumeration", "duplicate-with-no-character-left"])
+def test_resolver_refuses_entries_it_cannot_place(synthetic_b3_doc, entry, message, offending):
+    """The entry is appended to row (2,1|): a d that no triple of the
+    empty Levi has, or a second copy of row (3|)'s B2 entry, whose
+    family has no character left for it."""
+    row = next(row for row in synthetic_b3_doc["rows"] if row["stratum"] == "(2,1|)")
+    row["fiber"].append(entry)
+    with pytest.raises(PlacementMismatch) as err:
+        register_external_table(synthetic_b3_doc, TableStore())
+    assert (str(err.value), err.value.offending) == (message, offending)
+
+
+def test_a_built_in_table_in_another_key_order_is_refused_naming_the_row():
+    """Rows equal as objects but printed with their keys in another
+    order differ as text; the refusal names the first such row."""
+    doc = table_document(parse_type("A2"))
+    rows = doc["rows"]
+    rows[0]["groups"] = dict(reversed(rows[0]["groups"].items()))
+    rows[2] = dict(reversed(rows[2].items()))
+    with pytest.raises(TableFormatError, match=(
+        r"^A2 is built in and the submitted table differs: "
+        r"row '\(3\)' differs only in the order of its keys$"
+    )):
+        register_external_table(doc, TableStore())
+    rows[0]["groups"] = dict(reversed(rows[0]["groups"].items()))
+    with pytest.raises(TableFormatError, match=r"row '\(1,1,1\)' differs only in the order"):
+        register_external_table(doc, TableStore())
