@@ -75,7 +75,7 @@ class ValueObject:
     for them: one value for each slot that follows _fields in
     __slots__ (a name, a hash, an index), computed and checked there.
     A class with a default forwards it to this constructor from a
-    one-line __init__ (Membership, SupportCase, GroupCollection).
+    one-line __init__ (SupportCase, GroupCollection).
 
     The classes the package builds in bulk, thousands per table
     (SheafTriple, FiberEntry and the partition, bipartition and D-pair

@@ -131,6 +131,8 @@ def _read_document(path: Path) -> dict:
         return json.loads(text)
     except ValueError as exc:  # invalid JSON, or an integer too long to convert
         raise TableFormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise TableFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_tables(store: TableStore, directory: str, source: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .cartan import CartanType, parse_type, CartanError
+from .cartan import CartanType, parse_type, CartanError, ascii_decimal
 from .cuspidal import enumerate_cs_prime
 from .groups import GroupError, normalize_tag
 from .labels import LabelError
@@ -18,7 +18,6 @@ from .strata import strata
 from .tables import (
     DEFAULT_STORE,
     Annotation,
-    Membership,
     StrataRow,
     TableFormatError,
     TableStore,
@@ -58,7 +57,7 @@ def table_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
                 "fiber": fiber,
                 "groups": groups,
                 "boxed": boxed,
-                "membership": a.membership.text,
+                "membership": _membership(a.r0),
             }
         )
     return {"schema": TABLE_SCHEMA, "type": t.name, "rows": rows_out}
@@ -146,9 +145,11 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
         try:
             annotation = annotations[key]
         except (KeyError, TypeError):
+            groups, boxed = _annotation_fields(i, groups_raw, boxed_raw)
             try:
-                annotation = _checked_annotation(i, groups_raw, boxed_raw, mem_raw)
-            except GroupError as exc:
+                annotation = Annotation(groups, boxed)
+                _check_membership(mem_raw, annotation.r0)
+            except (TableFormatError, GroupError) as exc:
                 raise TableFormatError(f"{exc} in row {head!r} of {t.name}") from None
             if key is not None:
                 annotations[key] = annotation
@@ -160,11 +161,10 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     return t, rows
 
 
-def _checked_annotation(i: int, groups_raw, boxed_raw, mem_raw) -> Annotation:
-    """Row i's Annotation: its groups as sorted (characteristic, tag)
-    pairs, its boxed flags and its membership, or TableFormatError; the
-    GroupError of a deviation with no group collection is left to the
-    caller, which names the row."""
+def _annotation_fields(i: int, groups_raw, boxed_raw) -> tuple[tuple, frozenset]:
+    """Row i's groups, as sorted (characteristic, tag) pairs, and boxed
+    flags, or TableFormatError if either breaks the JSON shape;
+    Annotation checks the datum's rules."""
     if not isinstance(groups_raw, dict):
         raise TableFormatError(f"row {i}: groups must be an object")
     groups: dict[int, str] = {}
@@ -178,16 +178,31 @@ def _checked_annotation(i: int, groups_raw, boxed_raw, mem_raw) -> Annotation:
             groups[slot] = normalize_tag(val)
         except GroupError as exc:
             raise TableFormatError(f"row {i}: {exc}") from exc
-    if not (isinstance(boxed_raw, list) and boxed_raw):
-        raise TableFormatError(f"row {i}: boxed must be nonempty")
+    if not isinstance(boxed_raw, list):
+        raise TableFormatError(f"row {i}: boxed must be a list")
     boxed: set = set()
     for b in boxed_raw:
         flag = _BOXED_FLAGS.get(b) if isinstance(b, str) else None
         if flag is None:
             raise TableFormatError(f"row {i}: bad boxed flag {b!r}")
         boxed.add(flag)
-    mem = Membership.parse(str(mem_raw))
-    return Annotation(tuple(sorted(groups.items())), frozenset(boxed), mem)
+    return tuple(sorted(groups.items())), frozenset(boxed)
+
+
+def _membership(r0: int | None) -> str:
+    """The membership text of a row with this r0 (None for a full row)."""
+    return "full" if r0 is None else f"singleton:{r0}"
+
+
+def _check_membership(text, r0: int | None) -> None:
+    """Refuse a membership other than "full" or "singleton:<ASCII
+    decimal>", or one that states another r0 than the groups give."""
+    singleton = isinstance(text, str) and text.startswith("singleton:")
+    stated = ascii_decimal(text[len("singleton:"):]) if singleton else None
+    if stated is None and text != "full":
+        raise TableFormatError(f"bad membership {text!r}")
+    if stated != r0:
+        raise TableFormatError(f"the groups give membership {_membership(r0)!r}, not {text!r}")
 
 
 def triples_document(t: CartanType) -> dict:

@@ -181,4 +181,11 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
 
 
 def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) -> int:
-    return find_row(t, unit_label(t), store).fiber_size
+    """The fiber size of t's unit stratum, as resolve_placement recorded
+    it; UnknownStratum when the unit label heads no row."""
+    pl = store[t.name]
+    unit = unit_label(t)
+    try:
+        return pl.fiber_sizes[pl.row_of_head[unit.text]]
+    except KeyError:
+        raise unknown_stratum(t.name, unit) from None

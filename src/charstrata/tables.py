@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import isqrt
 
 from . import tabledata
-from .cartan import CartanError, CartanType, Subsystem, ValueObject, ascii_decimal, parse_type
+from .cartan import CartanError, CartanType, Subsystem, ValueObject, parse_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
-from .groups import group_collection, normalize_tag
+from .groups import GroupError, group_collection, normalize_tag
 from .labels import (
     CharacterLabel,
     enumerate_irr,
@@ -47,33 +47,6 @@ class TableFormatError(ValueError):
 PRIME_SLOTS = (0, 2, 3, 5)
 
 
-class Membership(ValueObject):
-    """Which characteristics the stratum's class exists in: all of them
-    (kind "full"), or a single prime r0 (kind "singleton")."""
-
-    __slots__ = _fields = ("kind", "r0")
-
-    def __init__(self, kind: str, r0: int | None = None) -> None:
-        super().__init__(kind, r0)
-
-    @property
-    def text(self) -> str:
-        return "full" if self.kind == "full" else f"singleton:{self.r0}"
-
-    @staticmethod
-    def parse(text: str) -> "Membership":
-        if text == "full":
-            return Membership("full")
-        if text.startswith("singleton:"):
-            r0 = ascii_decimal(text[len("singleton:"):])
-            if r0 is None:
-                raise TableFormatError(f"bad membership {text!r}")
-            if r0 not in (2, 3, 5):
-                raise TableFormatError(f"bad singleton characteristic {r0}")
-            return Membership("singleton", r0)
-        raise TableFormatError(f"bad membership {text!r}")
-
-
 def _split_annotation(ann: str) -> list[str]:
     tokens, depth, cur = [], 0, []
     for ch in ann:
@@ -90,34 +63,34 @@ def _split_annotation(ann: str) -> list[str]:
     return tokens
 
 
-def parse_annotation(ann: str) -> tuple[dict[int, str], frozenset, Membership]:
+def parse_annotation(ann: str) -> tuple[dict[int, str], frozenset]:
     """Parse the printed group datum into (groups by characteristic,
-    boxed flags, membership).  Boxed flags are primes, or {'single'}
+    boxed flags), refusing only what breaks its grammar (TableFormatError,
+    GroupError for an unknown tag); Annotation checks the rest.  Boxed
+    flags are the characteristics printed in brackets, or {'single'}
     for the constant case."""
     tokens = _split_annotation(ann)
     if len(tokens) == 1:
         tok = tokens[0]
         if not (tok.startswith("[") and tok.endswith("]")):
-            raise TableFormatError(f"constant annotation must be boxed: {ann!r}")
+            raise TableFormatError("constant annotation must be boxed")
         g = normalize_tag(tok[1:-1])
-        return {2: g, 3: g, 0: g}, frozenset({"single"}), Membership("full")
+        return {2: g, 3: g, 0: g}, frozenset({"single"})
     first = tokens[0]
     if first.startswith("[") and "," in first:
         # boxed pair or triple, then the parenthesized characteristic-0 group
         names = [normalize_tag(x) for x in first[1:-1].split(",")]
         last = tokens[-1]
         if len(tokens) != 2 or not (last.startswith("(") and last.endswith(")")):
-            raise TableFormatError(f"bad boxed-collection annotation: {ann!r}")
+            raise TableFormatError("bad boxed-collection annotation")
         g0 = normalize_tag(last[1:-1])
         if len(names) == 2:
-            groups = {2: names[0], 3: names[1], 0: g0}
-            return groups, frozenset({2, 3}), Membership("full")
+            return {2: names[0], 3: names[1], 0: g0}, frozenset({2, 3})
         if len(names) == 3:
-            groups = {2: names[0], 3: names[1], 5: names[2], 0: g0}
-            return groups, frozenset({2, 3, 5}), Membership("full")
-        raise TableFormatError(f"boxed collection of size {len(names)}: {ann!r}")
+            return {2: names[0], 3: names[1], 5: names[2], 0: g0}, frozenset({2, 3, 5})
+        raise TableFormatError(f"boxed collection of size {len(names)}")
     if len(tokens) != 3:
-        raise TableFormatError(f"expected 3 entries: {ann!r}")
+        raise TableFormatError("expected 3 entries")
     groups: dict[int, str] = {}
     boxed: set[int] = set()
     for slot, tok in zip((2, 3, 0), tokens):
@@ -126,23 +99,13 @@ def parse_annotation(ann: str) -> tuple[dict[int, str], frozenset, Membership]:
         inner = tok
         if slot == 0:
             if not (inner.startswith("(") and inner.endswith(")")):
-                raise TableFormatError(f"characteristic-0 entry must be (..): {ann!r}")
+                raise TableFormatError("characteristic-0 entry must be (..)")
             inner = inner[1:-1]
         if inner.startswith("[") and inner.endswith("]"):
             boxed.add(slot)
             inner = inner[1:-1]
         groups[slot] = normalize_tag(inner)
-    defined = set(groups)
-    if defined == {2, 3, 0}:
-        if not boxed:
-            raise TableFormatError(f"no boxed entry: {ann!r}")
-        return groups, frozenset(boxed), Membership("full")
-    if len(defined) == 1:
-        (r0,) = defined
-        if r0 == 0 or boxed != {r0}:
-            raise TableFormatError(f"bad singleton annotation: {ann!r}")
-        return groups, frozenset(boxed), Membership("singleton", r0)
-    raise TableFormatError(f"partial annotation is neither full nor singleton: {ann!r}")
+    return groups, frozenset(boxed)
 
 
 class FiberEntry(ValueObject):
@@ -200,32 +163,38 @@ class FiberEntry(ValueObject):
 
 class Annotation(ValueObject):
     """A row's printed group datum: the groups as sorted
-    (characteristic, tag) pairs, the boxed flags and the membership.  A
-    source builds one per distinct annotation, and every row that
-    prints it shares it.  _derive checks it (TableFormatError) and
-    derives the groups by characteristic, the group collection c(E)
-    with its label set, and deviation: the primes among 2, 3 and 5 whose
-    group differs from the characteristic-0 group ({r0} for a
-    singleton).  The tags of a deviating pair or triple are those
-    groups, in that order; GroupError if they have no collection."""
+    (characteristic, tag) pairs and the boxed flags.  A source builds
+    one per distinct annotation, and every row that prints it shares it.
 
-    __slots__ = ("groups", "boxed", "membership", "group_of", "collection", "deviation")
-    _fields = ("groups", "boxed", "membership")
+    _derive alone decides the datum's rules (TableFormatError): a row
+    boxes at least one flag; it defines one characteristic r0 among 2,
+    3 and 5 and boxes just it (a singleton: the stratum's class exists
+    in r0 alone), or it defines 0, 2 and 3 (full: it exists in every
+    characteristic); a constant row, boxed {'single'}, has one group,
+    and any other full row boxes primes among 2, 3 and 5.  It derives
+    r0 (None for a full row), the groups by characteristic, the group
+    collection c(E) with its label set, and deviation: the primes among
+    2, 3 and 5 whose group differs from the characteristic-0 group
+    ({r0} for a singleton).  The tags of a deviating pair or triple are
+    those groups, in that order; GroupError if they have no collection."""
+
+    __slots__ = ("groups", "boxed", "r0", "group_of", "collection", "deviation")
+    _fields = ("groups", "boxed")
 
     @staticmethod
-    def _derive(groups: tuple, boxed: frozenset, mem: Membership) -> tuple:
+    def _derive(groups: tuple, boxed: frozenset) -> tuple:
         group_of = dict(groups)
-        defined = set(group_of)
         if not boxed:
             raise TableFormatError("a row must box at least one group")
-        if mem.kind == "singleton":
-            if defined != {mem.r0} or boxed != {mem.r0}:
-                raise TableFormatError(
-                    f"singleton row must define and box exactly characteristic {mem.r0}"
-                )
-            return group_of, group_collection("single", (group_of[mem.r0],)), boxed
-        if not {0, 2, 3} <= defined:
-            raise TableFormatError("full-membership row must define characteristics 0, 2, 3")
+        if len(group_of) == 1:
+            (r0,) = group_of
+            if r0 not in (2, 3, 5) or boxed != {r0}:
+                raise TableFormatError("a singleton row must define and box one of 2, 3, 5")
+            return r0, group_of, group_collection("single", (group_of[r0],)), boxed
+        if not {0, 2, 3} <= group_of.keys():
+            raise TableFormatError(
+                "a row must define characteristics 0, 2 and 3, or one of 2, 3 and 5 alone"
+            )
         if boxed == frozenset({"single"}):
             if len(set(group_of.values())) != 1:
                 raise TableFormatError("constant row carries differing groups")
@@ -240,15 +209,15 @@ class Annotation(ValueObject):
             collection = group_collection("pair", deviating, g0)
         else:
             collection = group_collection("triple", deviating)
-        return group_of, collection, frozenset(p for p, g in at if g != g0)
+        return None, group_of, collection, frozenset(p for p, g in at if g != g0)
 
     def group_at(self, r: int) -> str | None:
-        """The group at characteristic r; a full-membership annotation
-        repeats the characteristic-0 group at r=5 unless 5 is explicit."""
+        """The group at characteristic r; a full row repeats the
+        characteristic-0 group at r=5 unless 5 is explicit."""
         g = self.group_of
         if r in g:
             return g[r]
-        if self.membership.kind == "full" and r == 5:
+        if self.r0 is None and r == 5:
             return g[0]
         return None
 
@@ -259,10 +228,6 @@ class StrataRow(ValueObject):
     row of the table that prints the same one."""
 
     __slots__ = _fields = ("stratum", "fiber", "annotation")
-
-    @property
-    def fiber_size(self) -> int:
-        return sum(en.mult for en in self.fiber)
 
 
 @lru_cache(maxsize=None)
@@ -282,9 +247,13 @@ def _fiber_levis(t: CartanType) -> dict[str, tuple]:
 
 @lru_cache(maxsize=None)
 def _printed_annotation(ann: str) -> Annotation:
-    """The Annotation of a printed group datum, once per distinct one."""
-    groups, boxed, mem = parse_annotation(ann)
-    return Annotation(tuple(sorted(groups.items())), boxed, mem)
+    """The Annotation of a printed group datum, once per distinct one;
+    a refusal names the printed text."""
+    try:
+        groups, boxed = parse_annotation(ann)
+        return Annotation(tuple(sorted(groups.items())), boxed)
+    except (TableFormatError, GroupError) as exc:
+        raise TableFormatError(f"{exc}: {ann!r}") from None
 
 
 def build_rows(t: CartanType, raw_rows) -> tuple[StrataRow, ...]:

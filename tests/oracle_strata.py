@@ -17,8 +17,8 @@ def collection(row) -> tuple:
     """(kind, tags, quotient) of c(E) for one table row."""
     a = row.annotation
     g = dict(a.groups)
-    if a.membership.kind == "singleton":
-        return "single", (g[a.membership.r0],), None
+    if len(g) == 1:
+        return "single", tuple(g.values()), None
     g0 = g[0]
     at = {2: g.get(2), 3: g.get(3), 5: g.get(5, g0)}
     tags = tuple(at[p] for p in (2, 3, 5) if at[p] != g0)

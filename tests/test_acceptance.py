@@ -184,8 +184,8 @@ def test_criterion_5_boxed_recomputation(name):
     checked = 0
     for row in DEFAULT_STORE.table(t):
         a = row.annotation
-        if a.membership.kind != "full":
-            assert a.boxed == frozenset({a.membership.r0})
+        if a.r0 is not None:
+            assert a.boxed == frozenset({a.r0})
             continue
         g0 = dict(a.groups)[0]
         deviation = frozenset(p for p in (2, 3, 5) if a.group_at(p) != g0)

@@ -157,7 +157,17 @@ def test_bad_singleton_membership_exits_2_naming_it(tmp_path, capsys, synthetic_
     path.write_text(canonical_json(synthetic_b3_doc))
     code, out, err = run(capsys, "register", "--in", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: bad membership 'singleton:abc'\n"
+    assert err == "error: bad membership 'singleton:abc' in row '(2,1|)' of B3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("register", "--in", "{path}"), ("--tables", "{dir}", "strata", "B3"),
+], ids=["register", "tables"])
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "B3.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, *(a.format(path=path, dir=tmp_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
 
 
 def test_boolean_d_or_mult_exits_2_naming_the_entry(tmp_path, capsys, synthetic_b3_doc):

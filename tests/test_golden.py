@@ -23,9 +23,10 @@ from charstrata.schema import table_document
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-# Replaced by a directory holding B3.json, C4.json and D6.json, and
+# Replaced by a directory holding B3.json, C4.json and D6.json,
 # bad/A2-key-order.json: the built-in A2 table with the groups keys of
-# its first row in reverse order.
+# its first row in reverse order, and bad/B3-membership.json: the B3
+# table with its full row (2,1|) marked singleton:2.
 TABLES = "{tables}"
 
 CASES: dict[str, tuple[str, ...]] = {
@@ -64,6 +65,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "F4-export-report": ("export", "F4", "--what", "report"),
     "A2-register-key-order": ("register", "--in", f"{TABLES}/bad/A2-key-order.json"),
     "B3-register": ("register", "--in", f"{TABLES}/B3.json"),
+    "B3-register-bad-membership": ("register", "--in", f"{TABLES}/bad/B3-membership.json"),
     "B3-strata": ("--tables", TABLES, "strata", "B3"),
     "B3-tau": ("--tables", TABLES, "tau", "B3", "--levi", "B2", "--char", "(1,1)"),
     "B3-fiber": ("--tables", TABLES, "fiber", "B3", "--stratum", "(3|)"),
@@ -125,6 +127,10 @@ def write_tables(directory: Path) -> str:
     first["groups"] = dict(reversed(first["groups"].items()))
     (directory / "bad").mkdir(exist_ok=True)
     (directory / "bad" / "A2-key-order.json").write_text(json.dumps(reordered))
+    b3 = synthetic_b3_table()
+    (row,) = [row for row in b3["rows"] if row["stratum"] == "(2,1|)"]
+    row["membership"] = "singleton:2"
+    (directory / "bad" / "B3-membership.json").write_text(json.dumps(b3))
     return str(directory)
 
 

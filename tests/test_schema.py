@@ -305,13 +305,18 @@ REJECTIONS = [
     ("group-bool", _put("rows", 1, "groups", "2", value=True), TableFormatError,
      "row 1: group at '2' must be a string"),
     ("boxed-empty", _put("rows", 1, "boxed", value=[]), TableFormatError,
-     "row 1: boxed must be nonempty"),
+     "a row must box at least one group in row '(2,1|)' of B3"),
+    ("boxed-not-a-list", _put("rows", 1, "boxed", value="single"), TableFormatError,
+     "row 1: boxed must be a list"),
     ("boxed-flag", _put("rows", 1, "boxed", value=["7"]), TableFormatError,
      "row 1: bad boxed flag '7'"),
     ("membership", _put("rows", 1, "membership", value="partial"), TableFormatError,
-     "bad membership 'partial'"),
+     "bad membership 'partial' in row '(2,1|)' of B3"),
     ("singleton-prime", _put("rows", 1, "membership", value="singleton:7"), TableFormatError,
-     "bad singleton characteristic 7"),
+     "the groups give membership 'full', not 'singleton:7' in row '(2,1|)' of B3"),
+    ("membership-differs", _put("rows", 1, "membership", value="singleton:2"),
+     TableFormatError,
+     "the groups give membership 'full', not 'singleton:2' in row '(2,1|)' of B3"),
     ("unknown-head", _unknown_head, TableFormatError, "unknown label '(9|)' for B3"),
     ("unknown-empty-levi-character", _put(*_ENTRY, value={
         "levi": "-", "character": "(8|)", "d": 0, "mult": 1}), TableFormatError,
@@ -326,13 +331,17 @@ REJECTIONS = [
      "'(3)' is not a character of the relative group of B2 in B3"),
     ("singleton-row", lambda doc: doc["rows"][1].update(
         groups={"2": "1"}, boxed=["2"], membership="singleton:3"), TableFormatError,
-     "singleton row must define and box exactly characteristic 3"),
+     "the groups give membership 'singleton:2', not 'singleton:3' in row '(2,1|)' of B3"),
+    ("singleton-boxes-another", lambda doc: doc["rows"][1].update(
+        groups={"2": "1"}, boxed=["3"], membership="singleton:2"), TableFormatError,
+     "a singleton row must define and box one of 2, 3, 5 in row '(2,1|)' of B3"),
     ("full-row-slots", _put("rows", 1, "groups", value={"0": "1", "2": "1"}),
-     TableFormatError, "full-membership row must define characteristics 0, 2, 3"),
+     TableFormatError, "a row must define characteristics 0, 2 and 3, or one of 2, 3 and 5 "
+     "alone in row '(2,1|)' of B3"),
     ("constant-row-differs", _put("rows", 1, "groups", "2", value="C2"), TableFormatError,
-     "constant row carries differing groups"),
+     "constant row carries differing groups in row '(2,1|)' of B3"),
     ("boxed-flags", _put("rows", 1, "boxed", value=["single", "2"]), TableFormatError,
-     "bad boxed flags ['2', 'single']"),
+     "bad boxed flags ['2', 'single'] in row '(2,1|)' of B3"),
     ("duplicate-head", _duplicate_row, TableFormatError,
      "duplicate stratum head '(2,1|)' in table for B3"),
     ("five-outside-unit", _put("rows", 1, "groups", "5", value="1"), TableFormatError,
@@ -386,7 +395,8 @@ REPEATED_ANNOTATION = [
     ("group-true", _shared_annotation({"0": "1", "2": "1", "3": "1"}, ["single"], "full"),
      _put("rows", 4, "groups", "0", value=True), "row 4: group at '0' must be a string"),
     ("singleton-prime", _shared_annotation({"3": "1"}, ["3"], "singleton:3"),
-     _put("rows", 4, "membership", value="singleton:7"), "bad singleton characteristic 7"),
+     _put("rows", 4, "membership", value="singleton:7"),
+     "the groups give membership 'singleton:3', not 'singleton:7' in row '(1,1|1)' of B3"),
 ]
 
 

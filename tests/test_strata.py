@@ -245,8 +245,9 @@ def test_bijection_pairing_is_deterministic_and_total():
     )
     for name in TABLE_TYPES:
         t = parse_type(name)
-        for row in DEFAULT_STORE.table(t):
-            assert len(bijection_pairing(t, row.stratum)) == row.fiber_size
+        pl = placement(t)
+        for row, size in zip(pl.rows, pl.fiber_sizes):
+            assert len(bijection_pairing(t, row.stratum)) == size
 
 
 def test_enumeration_order_is_documented_shape():
@@ -536,8 +537,8 @@ def test_identity_types_answer_as_the_identity(name):
             assert fiber(t, query, store, expand=True) == [(tr, 1)]
             assert c_collection(t, query, store) == GroupCollection("single", ("1",))
             assert c_star(t, query, store) == trivial
-        assert find_row(t, lab, store).fiber_size == 1
         assert component_group(t, lab, 3, store) == "1"
+    assert placement(t, store).fiber_sizes == (1,) * len(labels)
     assert unit_stratum_fiber_size(t, store) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
     assert placement(t, store) is tables._built_in_placement(t)
@@ -575,7 +576,8 @@ def test_stratum_answers_agree_with_the_per_call_oracle(name):
                 assert fiber(t, query, store, expand=expand) == oracle_strata.fiber(
                     t, pl, ri, expand)
     assert bijection_witness(t, store) == [
-        (row.stratum.text, row.fiber_size, len(oracle_strata.labels(row))) for row in pl.rows
+        (row.stratum.text, sum(en.mult for en in row.fiber), len(oracle_strata.labels(row)))
+        for row in pl.rows
     ]
 
 
@@ -618,11 +620,11 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
             monkeypatch.setattr(module, attr, refuse)
     for name, pl in built.items():
         t, store = parse_type(name), stores[name]
-        for row in pl.rows:
+        for row, size in zip(pl.rows, pl.fiber_sizes):
             assert c_collection(t, row.stratum, store) is row.annotation.collection
-            assert len(c_star(t, row.stratum, store)) == row.fiber_size
+            assert len(c_star(t, row.stratum, store)) == size
             assert fiber(t, row.stratum, store)[0][0].character == row.stratum
-            assert len(fiber(t, row.stratum, store, expand=True)) == row.fiber_size
+            assert len(fiber(t, row.stratum, store, expand=True)) == size
         assert len(bijection_witness(t, store)) == len(pl.rows)
 
 

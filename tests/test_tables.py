@@ -8,7 +8,6 @@ from charstrata.cartan import CartanError, Subsystem, parse_type
 from charstrata.cuspidal import cuspidal_counts
 from charstrata.tables import (
     DEFAULT_STORE,
-    Membership,
     NoTableAvailable,
     TableFormatError,
     UnknownStratum,
@@ -16,6 +15,7 @@ from charstrata.tables import (
     centralizer_profiles,
     component_group,
     find_row,
+    _printed_annotation,
     parse_annotation,
     placement,
 )
@@ -38,12 +38,14 @@ def test_e6_unit_row_fiber():
     row = find_row(parse_type("E6"), "1_0")
     keys = [(en.levi_name, en.character.text, en.mult) for en in row.fiber]
     assert keys == [("-", "1_0", 1), ("D4", "1", 1), ("E6", "1", 2)]
-    assert row.fiber_size == 4
+    pl = placement(parse_type("E6"))
+    assert pl.fiber_sizes[pl.row_of_head["1_0"]] == 4
 
 
 def test_f4_d8_row_fiber_size():
     row = find_row(parse_type("F4"), "chi_{9,1}")
-    assert row.fiber_size == 5
+    pl = placement(parse_type("F4"))
+    assert pl.fiber_sizes[pl.row_of_head["chi_{9,1}"]] == 5
     texts = [en.character.text for en in row.fiber]
     assert texts == ["chi_{9,1}", "chi_{2,1}", "chi_{2,3}", "theta", "1"]
 
@@ -66,13 +68,14 @@ def test_component_group_examples():
 
 def test_membership_and_boxed_flags():
     g2 = parse_type("G2")
-    assert find_row(g2, "eps_l").annotation.membership == Membership("singleton", 3)
+    assert find_row(g2, "eps_l").annotation.r0 == 3
     assert find_row(g2, "eps").annotation.boxed == frozenset({"single"})
     assert find_row(g2, "theta'").annotation.boxed == frozenset({3})
     f4 = parse_type("F4")
-    assert find_row(f4, "chi_{2,2}").annotation.membership == Membership("singleton", 2)
+    assert find_row(f4, "chi_{2,2}").annotation.r0 == 2
     e8 = parse_type("E8")
-    assert find_row(e8, "175_12").annotation.membership == Membership("singleton", 3)
+    assert find_row(e8, "175_12").annotation.r0 == 3
+    assert find_row(e8, "1_0").annotation.r0 is None
     assert find_row(e8, "1_0").annotation.boxed == frozenset({2, 3, 5})
     assert dict(find_row(e8, "1_0").annotation.groups) == {2: "C4", 3: "C3", 5: "C5", 0: "1"}
 
@@ -97,41 +100,54 @@ def test_rows_printing_the_same_annotation_share_one():
 
 
 def test_annotation_parser_s2_normalizes():
-    groups, boxed, mem = parse_annotation("[S2],1,(1)")
+    groups, boxed = parse_annotation("[S2],1,(1)")
     assert groups == {2: "C2", 3: "1", 0: "1"}
     assert boxed == frozenset({2})
-    assert mem.kind == "full"
+    assert _printed_annotation("[S2],1,(1)").r0 is None
 
 
 def test_annotation_parser_rejects_garbage():
     with pytest.raises(TableFormatError):
-        parse_annotation("C2,C3,(1)")  # nothing boxed
+        _printed_annotation("C2,C3,(1)")  # nothing boxed
     with pytest.raises(TableFormatError):
-        parse_annotation("[C2],C3")  # truncated
+        _printed_annotation("[C2],C3")  # truncated
     with pytest.raises(TableFormatError):
-        parse_annotation("-,-,(-)")
+        _printed_annotation("-,-,(-)")
 
 
+def _breaks_rule(ann: str, shape: str, message: str):
+    return pytest.param(ann, message, id=f"{ann}-{shape}")
+
+
+# The first six break the printed grammar, which parse_annotation
+# refuses; the others break a rule of the datum, which Annotation
+# refuses.  _printed_annotation names the printed text in each.  Each
+# case's id names its shape.
 @pytest.mark.parametrize("ann,message", [
     ("C2", "constant annotation must be boxed"),
     ("[C2,S3],(1),(1)", "bad boxed-collection annotation"),
     ("[C2,S3,C2,S3],(1)", "boxed collection of size 4"),
     ("C2,S3", "expected 3 entries"),
     ("[C2],1,1", "characteristic-0 entry must be (..)"),
-    ("1,1,(1)", "no boxed entry"),
-    ("-,1,(-)", "bad singleton annotation"),
-    ("[C2],[1],(-)", "partial annotation is neither full nor singleton"),
+    ("[Q8],1,(1)", "unknown component group 'Q8'"),
+    _breaks_rule("1,1,(1)", "no boxed entry", "a row must box at least one group"),
+    _breaks_rule("-,1,(-)", "bad singleton annotation", "a row must box at least one group"),
+    _breaks_rule("-,-,([1])", "singleton at characteristic 0",
+                 "a singleton row must define and box one of 2, 3, 5"),
+    _breaks_rule("[C2],[1],(-)", "partial annotation is neither full nor singleton",
+                 "a row must define characteristics 0, 2 and 3, or one of 2, 3 and 5 alone"),
+    _breaks_rule("[C2],1,([1])", "boxed characteristic 0", "bad boxed flags ['0', '2']"),
 ])
 def test_annotation_parser_names_each_malformed_shape(ann, message):
     with pytest.raises(TableFormatError) as err:
-        parse_annotation(ann)
+        _printed_annotation(ann)
     assert str(err.value) == f"{message}: {ann!r}"
 
 
 @pytest.mark.parametrize("name", [*sorted(ROW_COUNTS), "A4", "Torus"])
 def test_placement_records_fiber_sizes_and_registry_gaps(name):
     pl = placement(parse_type(name))
-    assert pl.fiber_sizes == tuple(row.fiber_size for row in pl.rows)
+    assert pl.fiber_sizes == tuple(sum(en.mult for en in row.fiber) for row in pl.rows)
     assert sum(pl.fiber_sizes) == pl.total
     assert pl.registry_gaps == ([], [])
 
@@ -255,6 +271,8 @@ def test_deviations_at_two_or_three_primes_are_checked_at_parse(
 @pytest.mark.parametrize(
     "text", ["singleton:٢", "singleton:+2", "singleton: 2", "singleton:0_2"]
 )
-def test_singleton_membership_takes_ascii_decimal_only(text):
-    with pytest.raises(TableFormatError, match=rf"^bad membership {re.escape(repr(text))}$"):
-        Membership.parse(text)
+def test_singleton_membership_takes_ascii_decimal_only(synthetic_b3_doc, text):
+    synthetic_b3_doc["rows"][1].update(groups={"2": "1"}, boxed=["2"], membership=text)
+    message = f"bad membership {text!r} in row '(2,1|)' of B3"
+    with pytest.raises(TableFormatError, match=f"^{re.escape(message)}$"):
+        parse_table_document(synthetic_b3_doc)

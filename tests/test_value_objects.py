@@ -34,7 +34,7 @@ from charstrata.strata import (
     regular_fiber_labels,
 )
 from charstrata.tables import (
-    Annotation, CentralizerProfile, FiberEntry, Membership, Placement, StrataRow, TableStore,
+    Annotation, CentralizerProfile, FiberEntry, Placement, StrataRow, TableStore,
     centralizer_profiles, placement,
 )
 from charstrata.verify import VerificationReport, register_external_table, run_all
@@ -183,9 +183,8 @@ COMPARED = {
     DPairLabel: ("alpha", "beta", "split"),
     NamedLabel: ("name",),
     IrrRegistry: ("cartan_type", "labels"),
-    Membership: ("kind", "r0"),
     FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
-    Annotation: ("groups", "boxed", "membership"),
+    Annotation: ("groups", "boxed"),
     StrataRow: ("stratum", "fiber", "annotation"),
     Placement: ("type_name", "rows", "total", "relabelled", "notes", "row_of_head",
                 "row_of_triple", "fiber_pairs", "fiber_expanded", "fiber_sizes", "registry_gaps"),
@@ -208,7 +207,7 @@ DERIVED = {
     TrivialLabel: ("text",),
     IrrRegistry: ("_by_text",),
     FiberEntry: ("levi_name", "d_semantic", "key"),
-    Annotation: ("group_of", "collection", "deviation"),
+    Annotation: ("r0", "group_of", "collection", "deviation"),
     GroupCollection: ("labels",),
 }
 
@@ -245,7 +244,6 @@ def _samples():
         *e8_rows[:12], *placement(b3, store).rows, *placement(d6, store).rows[:8],
         *(en for row in e8_rows[:12] for en in row.fiber),
         *(row.annotation for row in e8_rows),
-        *(row.annotation.membership for row in e8_rows),
         placement(g2), placement(b3, store),
         *centralizer_profiles(E8), *centralizer_profiles(parse_type("B6")),
         *(c_collection(E8, s) for s in e8_strata),
@@ -265,7 +263,7 @@ def _of(cls):
 def test_samples_cover_every_kind():
     kinds = {(type(v).__name__, getattr(v, "kind", None)) for v in _samples()}
     assert {("GroupCollection", k) for k in ("single", "pair", "triple")} <= kinds
-    assert {("Membership", k) for k in ("full", "singleton")} <= kinds
+    assert {a.r0 for a in _of(Annotation)} == {None, 2, 3}
     assert {lab.split for lab in _of(DPairLabel)} == {None, "I", "II"}
 
 
@@ -289,7 +287,6 @@ def test_equality_never_crosses_classes():
     assert CharacterLabel() != TrivialLabel() and TrivialLabel() == TrivialLabel()
     assert PartitionLabel((2, 1)) != BipartitionLabel((2, 1), ())
     assert DPairLabel((2,), (1,)) != BipartitionLabel((2,), (1,))
-    assert Membership("full") != SupportCase("full")
     assert CartanType("E", 8) != ("E", 8) and ("E", 8) != CartanType("E", 8)
     assert Subsystem((E8,)) != (E8,)
     assert RootOfUnityLabel(2, 1) != (2, 1)
@@ -337,7 +334,6 @@ def test_repr_is_exact():
     )
     assert repr(support_case(E8, 3)) == "SupportCase(tag='unique-prime', r0=3)"
     assert repr(support_case(E8, 0)) == "SupportCase(tag='no-prime', r0=None)"
-    assert repr(Membership.parse("singleton:3")) == "Membership(kind='singleton', r0=3)"
     assert repr(c_collection(E8, "1_0")) == (
         "GroupCollection(kind='triple', tags=('C4', 'C3', 'C5'), quotient=None)"
     )
@@ -388,7 +384,7 @@ def test_cartan_type_orders_by_series_then_rank_in_every_comparison():
 OWN_CONSTRUCTOR = {
     SheafTriple, FiberEntry, PartitionLabel, BipartitionLabel, DPairLabel, VerificationReport,
 }
-FORWARDING = {Membership, SupportCase, GroupCollection}
+FORWARDING = {SupportCase, GroupCollection}
 SHARED_CONSTRUCTOR = [
     Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel, CartanType,
     Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, Annotation, StrataRow,

@@ -196,8 +196,8 @@ def test_boxed_check_names_the_first_faulty_row_in_table_order():
     for i, boxed in ((3, {3}), (6, {2}), (12, {3})):
         r = rows[i]
         a = r.annotation
-        assert a.boxed == {"single"} and a.membership.kind == "full", r.stratum.text
-        edited = Annotation(a.groups, frozenset(boxed), a.membership)
+        assert a.boxed == {"single"} and a.r0 is None, r.stratum.text
+        edited = Annotation(a.groups, frozenset(boxed))
         rows[i] = StrataRow(r.stratum, r.fiber, edited)
     assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
         "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
