@@ -53,6 +53,7 @@ from .tables import (
     TableFormatError,
     TableStore,
     UnknownStratum,
+    centralizer_profile,
     centralizer_profiles,
 )
 from .verify import register_external_table, run_all
@@ -289,12 +290,10 @@ def _cmd(args, store: TableStore) -> int:
                 print(f"error: bad --char-class {args.char_class!r}; "
                       "expected generic, 0 or a prime", file=sys.stderr)
                 return 2
-        profiles = [
-            p
-            for p in centralizer_profiles(t)
-            if (args.d is None or p.d == args.d)
-            and (wanted is None or p.characteristic_class == wanted)
-        ]
+        profiles = [p for p in centralizer_profiles(t) if args.d is None or p.d == args.d]
+        if wanted is not None:
+            ds = dict.fromkeys(p.d for p in profiles)
+            profiles = [centralizer_profile(t, d, wanted) for d in ds]
         if args.json:
             doc = {
                 "type": t.name,

@@ -4,11 +4,12 @@ that ties fiber sizes to representation inventories.
 
 The map is realized by index lookup in the resolved strata tables:
 each query subscripts the store by type name and does one lookup in
-the placement's row_of_triple or row_of_head.  The enumeration side is
-produced independently by the cuspidal-support module, so table
-placement is a falsifiable statement, checked by the resolver in the
-tables module (Placement, PlacementMismatch and resolve_placement are
-re-exported here).
+the placement's row_of_triple or row_of_head, and the head index
+raises UnknownStratum itself for a text that heads no row.  The
+enumeration side is produced independently by the cuspidal-support
+module, so table placement is a falsifiable statement, checked by the
+resolver in the tables module (Placement, PlacementMismatch and
+resolve_placement are re-exported here).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .tables import (  # noqa: F401 - placement, Placement and its resolver are 
     find_row,
     placement,
     resolve_placement,
-    unknown_stratum,
 )
 
 
@@ -86,10 +86,7 @@ def fiber(
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
     pl = store[t.name]
-    try:
-        ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
-    except KeyError:
-        raise unknown_stratum(t.name, stratum) from None
+    ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
     return list((pl.fiber_expanded if expand else pl.fiber_pairs)[ri])
 
 
@@ -116,10 +113,7 @@ def c_star(
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
     pl = store[t.name]
-    try:
-        ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
-    except KeyError:
-        raise unknown_stratum(t.name, stratum) from None
+    ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
     return list(pl.rows[ri].annotation.collection.labels)
 
 
@@ -184,8 +178,4 @@ def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) ->
     """The fiber size of t's unit stratum, as resolve_placement recorded
     it; UnknownStratum when the unit label heads no row."""
     pl = store[t.name]
-    unit = unit_label(t)
-    try:
-        return pl.fiber_sizes[pl.row_of_head[unit.text]]
-    except KeyError:
-        raise unknown_stratum(t.name, unit) from None
+    return pl.fiber_sizes[pl.row_of_head[unit_label(t).text]]

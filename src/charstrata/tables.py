@@ -33,11 +33,17 @@ class UnknownStratum(LookupError):
     pass
 
 
-def unknown_stratum(type_name: str, stratum: CharacterLabel | str) -> UnknownStratum:
-    """The error for a stratum, given as text or as a label, that heads
-    no row of type_name's table."""
-    text = stratum if isinstance(stratum, str) else stratum.text
-    return UnknownStratum(f"{text!r} is not a stratum of {type_name}")
+class HeadIndex(dict):
+    """A table's row index: the dict from the text of each row's stratum
+    to the row's index.  A miss raises UnknownStratum naming the type,
+    as a text that heads no row is no stratum of the type."""
+
+    def __init__(self, type_name: str, row_of_text) -> None:
+        super().__init__(row_of_text)
+        self.type_name = type_name
+
+    def __missing__(self, text: str) -> int:
+        raise UnknownStratum(f"{text!r} is not a stratum of {self.type_name}")
 
 
 class TableFormatError(ValueError):
@@ -267,13 +273,27 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     """Typed rows from structured (head, entries, annotation) tuples, as
     produced by the JSON loader and from the printed tables: entries are
     (levi, character, d, mult, disamb) with int d and mult, and each
-    Annotation, already checked, is shared by the rows that print it."""
+    Annotation, already checked, is shared by the rows that print it.
+    The walk that builds the rows refuses (TableFormatError) a head
+    that an earlier row already has and a characteristic-5 group
+    outside the unit stratum."""
     label_of = enumerate_irr(t).by_text
     levis = _fiber_levis(t)
+    unit = unit_label(t).text
     new, fill = object.__new__, FiberEntry._fill
     rows: list[StrataRow] = []
+    seen: set[str] = set()
     for head, entries, annotation in structured:
         head_label = label_of(head)
+        text = head_label.text
+        if text in seen:
+            raise TableFormatError(f"duplicate stratum head {text!r} in table for {t.name}")
+        seen.add(text)
+        if 5 in annotation.group_of and text != unit:
+            raise TableFormatError(
+                f"characteristic-5 annotation outside the unit stratum in row {text!r} "
+                f"of {t.name}"
+            )
         fiber = [fill(new(FiberEntry), None, "-", False, head_label, 0, 1, None)]
         for levi_name, char, d, mult, disamb in entries:
             if levi_name in ("", "-"):
@@ -292,21 +312,7 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                     )
             fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
         rows.append(StrataRow(head_label, tuple(fiber), annotation))
-    _validate_rows(t, rows)
     return tuple(rows)
-
-
-def _validate_rows(t: CartanType, rows: list[StrataRow]) -> None:
-    heads = [r.stratum.text for r in rows]
-    if len(set(heads)) != len(heads):
-        dup = next(h for h in heads if heads.count(h) > 1)
-        raise TableFormatError(f"duplicate stratum head {dup!r} in table for {t.name}")
-    unit = unit_label(t).text
-    for r in rows:
-        if 5 in r.annotation.group_of and r.stratum.text != unit:
-            raise TableFormatError(
-                f"characteristic-5 annotation outside the unit stratum ({r.stratum.text})"
-            )
 
 
 class PlacementMismatch(ValueError):
@@ -327,7 +333,8 @@ class Placement(ValueObject):
     entries printed with a duplicated label only (the documented
     row-order/registry-order convention, one line of notes each); every
     other entry stands for its own key.
-    row_of_head maps each stratum's text to its row index, and
+    row_of_head, a HeadIndex, maps each stratum's text to its row index
+    and raises UnknownStratum for any other text, and
     row_of_triple each triple key (Levi name, character text, d) to the
     first row, in resolved order, whose fiber holds that triple.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
@@ -450,7 +457,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         pairs, expanded = tuple(pairs), tuple(expanded)
         fiber_pairs.append(pairs)
         fiber_expanded.append(pairs if expanded == pairs else expanded)
-    row_of_head = {row.stratum.text: ri for ri, row in enumerate(rows)}
+    row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
     # The heads are distinct registry labels (assemble_rows checks
     # both), so a label is printed twice only if an entry after a head
     # repeats it.
@@ -543,10 +550,7 @@ def find_row(
 ) -> StrataRow:
     """The row of a stratum given as its text or as its label."""
     pl = store[t.name]
-    try:
-        return pl.rows[pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]]
-    except KeyError:
-        raise unknown_stratum(t.name, stratum) from None
+    return pl.rows[pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]]
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +619,11 @@ def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
 def centralizer_profile(
     t: CartanType, d: int | None, r: int | str
 ) -> CentralizerProfile:
-    """The profile for (t, d) in characteristic r; r may be 0, a prime,
-    or 'generic'."""
-    candidates = [p for p in centralizer_profiles(t) if p.d == d]
-    if not candidates:
+    """The profile that holds for (t, d) in characteristic r; r may be
+    0, a prime, or 'generic'.  Every recorded (t, d) has a generic
+    profile, which holds in each characteristic not recorded for it."""
+    by_class = {p.characteristic_class: p for p in centralizer_profiles(t) if p.d == d}
+    if not by_class:
         raise CartanError(f"no centralizer data for {t.name} with d={d}")
     wanted = "generic" if r in (0, "0", "generic") else str(r)
-    for p in candidates:
-        if p.characteristic_class == wanted:
-            return p
-    for p in candidates:
-        if p.characteristic_class == "generic":
-            return p
-    raise CartanError(f"no centralizer profile for {t.name}, d={d}, r={r}")
+    return by_class.get(wanted, by_class["generic"])

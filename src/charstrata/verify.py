@@ -32,11 +32,11 @@ from .tables import (
     PlacementMismatch,
     TableFormatError,
     TableStore,
+    UnknownStratum,
     centralizer_profiles,
     is_identity,
     placement,
     resolve_placement,
-    unknown_stratum,
 )
 
 CHECK_IDS = (
@@ -172,11 +172,10 @@ def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
     """The unit stratum's fiber, of the size resolve_placement
     recorded, against the primitive roots of unity that index it."""
     expected = len(regular_fiber_labels(t))
-    unit = unit_label(t)
     try:
-        got = pl.fiber_sizes[pl.row_of_head[unit.text]]
-    except KeyError:
-        return "fail", f"unit stratum not found: {unknown_stratum(t.name, unit)}"
+        got = pl.fiber_sizes[pl.row_of_head[unit_label(t).text]]
+    except UnknownStratum as exc:
+        return "fail", f"unit stratum not found: {exc}"
     if got != expected:
         return "fail", f"unit stratum fiber {got}, phi-sum {expected}"
     return "pass", f"unit stratum fiber {got} = phi-sum {expected}"

@@ -77,9 +77,18 @@ def test_centralizers_rejects_bad_char_class(capsys):
         code, out, err = run(capsys, "centralizers", "E8", "--char-class", bad)
         assert (code, out) == (2, "")
         assert err == f"error: bad --char-class '{bad}'; expected generic, 0 or a prime\n"
+    # A prime recorded for no d of E8 selects the generic profile of each d.
+    generic = run(capsys, "centralizers", "E8", "--char-class", "generic")
+    heads = [line.split(":")[0] for line in generic[1].splitlines() if line.startswith("d=")]
+    assert heads == [f"d={d} r=generic" for d in (16, 7, 6, 3, 1, 0)]
     for prime in ("7", "999999999989"):
-        code, out, err = run(capsys, "centralizers", "E8", "--char-class", prime)
-        assert (code, out, err) == (0, "", "")
+        assert run(capsys, "centralizers", "E8", "--char-class", prime) == generic
+
+
+def test_centralizers_char_class_lists_every_d_with_the_profile_that_holds(capsys):
+    # G2 records r=2 for d=0 only; at d=1 the generic profile holds at every r.
+    code, out, err = run(capsys, "centralizers", "G2", "--char-class", "2")
+    assert (code, out, err) == (0, "d=1 r=generic: full x1\nd=0 r=2: A2 x2, full x1\n", "")
 
 
 def test_pseudo_levi(capsys):

@@ -25,8 +25,10 @@ from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # Replaced by a directory holding B3.json, C4.json and D6.json,
 # bad/A2-key-order.json: the built-in A2 table with the groups keys of
-# its first row in reverse order, and bad/B3-membership.json: the B3
-# table with its full row (2,1|) marked singleton:2.
+# its first row in reverse order, bad/B3-membership.json: the B3 table
+# with its full row (2,1|) marked singleton:2, and
+# bad/B3-five-outside-unit.json: the B3 table with a characteristic-5
+# group in row (2,1|), which is not the unit stratum.
 TABLES = "{tables}"
 
 CASES: dict[str, tuple[str, ...]] = {
@@ -66,6 +68,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "A2-register-key-order": ("register", "--in", f"{TABLES}/bad/A2-key-order.json"),
     "B3-register": ("register", "--in", f"{TABLES}/B3.json"),
     "B3-register-bad-membership": ("register", "--in", f"{TABLES}/bad/B3-membership.json"),
+    "B3-register-five-outside-unit": (
+        "register", "--in", f"{TABLES}/bad/B3-five-outside-unit.json"),
     "B3-strata": ("--tables", TABLES, "strata", "B3"),
     "B3-tau": ("--tables", TABLES, "tau", "B3", "--levi", "B2", "--char", "(1,1)"),
     "B3-fiber": ("--tables", TABLES, "fiber", "B3", "--stratum", "(3|)"),
@@ -99,6 +103,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "C6-centralizers": ("centralizers", "C6"),
     "D4-centralizers": ("centralizers", "D4"),
     "D16-centralizers-json": ("--json", "centralizers", "D16"),
+    "E8-centralizers-r7": ("centralizers", "E8", "--d", "0", "--char-class", "7"),
     "C6-triples": ("triples", "C6"),
     "D5-triples": ("triples", "D5"),
     "A1558-info": ("info", "A1558"),
@@ -131,6 +136,10 @@ def write_tables(directory: Path) -> str:
     (row,) = [row for row in b3["rows"] if row["stratum"] == "(2,1|)"]
     row["membership"] = "singleton:2"
     (directory / "bad" / "B3-membership.json").write_text(json.dumps(b3))
+    b3 = synthetic_b3_table()
+    (row,) = [row for row in b3["rows"] if row["stratum"] == "(2,1|)"]
+    row["groups"]["5"] = "1"
+    (directory / "bad" / "B3-five-outside-unit.json").write_text(json.dumps(b3))
     return str(directory)
 
 

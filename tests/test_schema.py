@@ -345,7 +345,7 @@ REJECTIONS = [
     ("duplicate-head", _duplicate_row, TableFormatError,
      "duplicate stratum head '(2,1|)' in table for B3"),
     ("five-outside-unit", _put("rows", 1, "groups", "5", value="1"), TableFormatError,
-     "characteristic-5 annotation outside the unit stratum ((2,1|))"),
+     "characteristic-5 annotation outside the unit stratum in row '(2,1|)' of B3"),
     ("deviating-pair", _deviating({"0": "1", "2": "C3", "3": "C2"}, ["2", "3"]),
      TableFormatError, "unexpected deviating pair ('C3', 'C2') in row '(2,1|)' of B3"),
     ("unrecorded-surjection", _deviating({"0": "C6", "2": "C2", "3": "C3"}, ["2", "3"]),

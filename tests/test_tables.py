@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from charstrata import tabledata
 from charstrata.cartan import CartanError, Subsystem, parse_type
 from charstrata.cuspidal import cuspidal_counts
 from charstrata.tables import (
@@ -172,6 +173,20 @@ def test_centralizer_profile_examples():
     assert {(s.name if s else "full"): c for s, c in g2.entries} == {"full": 2, "A1xA1": 1}
     # characteristic 0 falls back to the generic class
     assert centralizer_profile(e8, 3, 0).entries == ((Subsystem.parse("E6xA2"), 2),)
+    # and so does a prime not recorded for (t, d)
+    assert centralizer_profile(e8, 0, 7) == generic
+    assert centralizer_profile(parse_type("G2"), 1, 2).characteristic_class == "generic"
+
+
+def test_every_recorded_d_has_a_generic_profile():
+    """centralizer_profile answers a class not recorded for (t, d) with
+    its generic profile, so every (t, d) must record one."""
+    for (name, d), classes in tabledata.CENTRALIZER_PROFILES.items():
+        assert "generic" in [c for c, _ in classes], (name, d)
+    for name in ("B2", "B6", "B12", "B30", "C2", "C6", "D4", "D16"):
+        profiles = centralizer_profiles(parse_type(name))
+        assert {p.d for p in profiles} == {None}, name
+        assert "generic" in [p.characteristic_class for p in profiles], name
 
 
 def test_e8_d0_note_attached():

@@ -35,7 +35,7 @@ from charstrata.strata import (
 )
 from charstrata.tables import (
     Annotation, CentralizerProfile, FiberEntry, Placement, StrataRow, TableStore,
-    centralizer_profiles, placement,
+    UnknownStratum, centralizer_profiles, placement,
 )
 from charstrata.verify import VerificationReport, register_external_table, run_all
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
@@ -488,6 +488,16 @@ def test_copies_keep_working():
     report = copy.deepcopy(run_all(CartanType("G", 2)))
     report.add("x", "fail", "")
     assert report.failed and not run_all(CartanType("G", 2)).failed
+
+
+def test_copied_placements_refuse_an_unknown_stratum():
+    pl = placement(E8)
+    copies = [pickle.loads(pickle.dumps(pl, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(pl), copy.deepcopy(pl)]:
+        assert c.row_of_head["1_0"] == pl.row_of_head["1_0"]
+        with pytest.raises(UnknownStratum, match=r"^'nope' is not a stratum of E8$"):
+            c.row_of_head["nope"]
 
 
 def test_import_loads_no_class_building_machinery():

@@ -1,6 +1,6 @@
 import pytest
 
-from charstrata import cli, groups, tables, verify
+from charstrata import cli, groups, tabledata, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime, triple_count
 from charstrata.schema import parse_table_document, table_document
@@ -56,6 +56,18 @@ def test_classical_centralizer_check_runs_past_rank_16():
     assert is_pseudo_levi(d36, "D18xD18")
     assert not is_pseudo_levi(b30, "B12xB2")
     assert not is_pseudo_levi(d36, "D18xD18xA1")
+
+
+@pytest.mark.parametrize("entries, detail", [
+    (((tabledata.FULL, 2),), "profile (d=1, r=generic) sums to 2, count table says 1"),
+    ((("B2", 1),), "B2 is not a pseudo-Levi subsystem of G2"),
+], ids=["count", "not-pseudo-levi"])
+def test_centralizer_check_fails_on_a_faulty_profile(monkeypatch, entries, detail):
+    monkeypatch.setitem(tabledata.CENTRALIZER_PROFILES, ("G2", 1), (("generic", entries),))
+    report = run_all(parse_type("G2"), TableStore())
+    assert ("centralizer-profiles", "fail", detail) in report.checks
+    assert [cid for cid, status, _ in report.checks if status == "fail"] == [
+        "centralizer-profiles"]
 
 
 def test_errata_touched_by_run():
