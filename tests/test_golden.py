@@ -58,6 +58,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "E7-triples": ("triples", "E7"),
     "E8-triples": ("triples", "E8"),
     "F4-triples": ("triples", "F4"),
+    "G2-triples-json": ("--json", "triples", "G2"),
+    "Torus-triples": ("triples", "Torus"),
     "E8-export-triples": ("export", "E8", "--what", "triples"),
     "E7-export-table": ("export", "E7", "--what", "table"),
     "E8-export-table": ("export", "E8", "--what", "table"),
@@ -90,6 +92,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "B12-pseudo-levi": ("pseudo-levi", "B12"),
     "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
     "Torus-info": ("info", "Torus"),
+    "F4-info-json": ("--json", "info", "F4"),
     "A3-info": ("info", "A3"),
     "B6-info": ("info", "B6"),
     "C6-info": ("info", "C6"),
@@ -104,6 +107,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "D4-centralizers": ("centralizers", "D4"),
     "D16-centralizers-json": ("--json", "centralizers", "D16"),
     "E8-centralizers-r7": ("centralizers", "E8", "--d", "0", "--char-class", "7"),
+    "E8-centralizers-json": ("--json", "centralizers", "E8", "--d", "0"),
     "C6-triples": ("triples", "C6"),
     "D5-triples": ("triples", "D5"),
     "A1558-info": ("info", "A1558"),
