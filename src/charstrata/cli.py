@@ -13,41 +13,23 @@ import sys
 from math import isqrt
 from pathlib import Path
 
-from .cartan import (
-    CartanError,
-    CartanType,
-    ascii_decimal,
-    datum,
-    parse_type,
-    pseudo_levi_types,
-)
-from .cuspidal import (
-    CuspidalError,
-    cuspidal_counts,
-    cuspidal_levis,
-    enumerate_cs_prime,
-    levi_counts,
-    support_case,
-)
+from .cartan import CartanError, CartanType, ascii_decimal, parse_type
+from .cuspidal import CuspidalError, cuspidal_counts, cuspidal_levis, levi_counts, support_case
 from .labels import LabelError
 from .schema import (
     canonical_json,
+    centralizers_document,
+    cstar_document,
+    fiber_document,
+    info_document,
+    pseudo_levi_document,
     report_document,
     strata_document,
     table_document,
+    tau_document,
     triples_document,
 )
-from .strata import (
-    PlacementMismatch,
-    TripleNotFound,
-    c_collection,
-    c_star,
-    fiber,
-    find_triple,
-    regular_fiber_labels,
-    strata,
-    tau,
-)
+from .strata import PlacementMismatch, TripleNotFound, regular_fiber_labels
 from .tables import (
     NoTableAvailable,
     TableFormatError,
@@ -150,184 +132,94 @@ def _load_tables(store: TableStore, directory: str, source: str) -> None:
             raise TableFormatError(f"{path}: {exc}") from None
 
 
-def _char_class(text: str) -> str | None:
+def _char_class(text: str) -> str:
     """The profile class that a --char-class value selects ('generic'
-    for generic and 0, else the prime itself), or None when the value is
-    none of these.  Primes are written in decimal without leading zeros
-    and, to bound the trial division, below 10^12."""
+    for generic and 0, else the prime itself); CartanError when the
+    value is none of these.  Primes are written in decimal without
+    leading zeros and, to bound the trial division, below 10^12."""
     if text in ("generic", "0"):
         return "generic"
     n = ascii_decimal(text)
     if n is not None and 1 < n < 10**12 and str(n) == text:
         if all(n % q for q in range(2, isqrt(n) + 1)):
             return text
-    return None
+    raise CartanError(f"bad --char-class {text!r}; expected generic, 0 or a prime")
 
 
-def _print_info(t: CartanType) -> None:
-    d = datum(t)
-    print(f"type: {t.name}")
-    print(f"weyl order: {d.weyl_order}")
-    print(f"degrees: {list(d.degrees)}")
-    print(f"highest root coefficients: {list(d.highest_root_coeffs)}")
-    print(f"bad primes: {sorted(d.bad_primes)}")
-    print(f"z value: {d.z_value}")
-    print("cuspidal levis:")
+# Text renderers: each query command's lines, read from its document.
+# info and centralizers also print facts the document does not hold,
+# from the type and the profiles' notes given beside it.
+
+
+def _triple_text(record: dict, torus: bool) -> str:
+    """SheafTriple.describe of the triple a triples or fiber record holds."""
+    if record["levi"] == "-" and not torus:
+        return record["character"]
+    d = "*" if record["d"] == "opaque" else record["d"]
+    return f"({record['levi']},{record['character']},{d})[{record['index']}]"
+
+
+def _info_text(doc: dict, t: CartanType):
+    yield f"type: {doc['type']}"
+    yield f"weyl order: {doc['weyl_order']}"
+    yield f"degrees: {doc['degrees']}"
+    yield f"highest root coefficients: {doc['highest_root_coeffs']}"
+    yield f"bad primes: {doc['bad_primes']}"
+    yield f"z value: {doc['z_value']}"
+    yield "cuspidal levis:"
     for levi in cuspidal_levis(t):
         rel = levi.relative_weyl_type.name if levi.relative_weyl_type else "1"
         if levi.is_empty and not t.is_torus:
-            print(f"  {levi.levi_name:>4}  relative {rel}")
+            yield f"  {levi.levi_name:>4}  relative {rel}"
             continue
         shown = {("*" if k is None else k): v for k, v in levi_counts(levi).counts}
-        print(f"  {levi.levi_name:>4}  relative {rel}  counts {shown}")
+        yield f"  {levi.levi_name:>4}  relative {rel}  counts {shown}"
     counts = cuspidal_counts(t)
     if counts.counts:
-        print("support cases:")
+        yield "support cases:"
         for dd, _n in counts.counts:
             case = support_case(t, dd)
             extra = f" (r0={case.r0})" if case.r0 else ""
-            print(f"  d={'*' if dd is None else dd}: {case.tag}{extra}")
-    print(f"regular-stratum labels: {len(regular_fiber_labels(t))}")
+            yield f"  d={'*' if dd is None else dd}: {case.tag}{extra}"
+    yield f"regular-stratum labels: {len(regular_fiber_labels(t))}"
+
+
+def _fiber_text(doc: dict, _):
+    torus = doc["type"] == "Torus"
+    for record in doc["fiber"]:
+        m = record["mult"]
+        yield _triple_text(record, torus) + (f"  x{m}" if m != 1 else "")
+
+
+def _cstar_text(doc: dict, _):
+    tags = doc["collection"]
+    yield f"c(E) = {tags[0] if len(tags) == 1 else '(' + ','.join(tags) + ')'}"
+    for e in doc["elements"]:
+        yield f"  {e['group']:>6}  {e['irrep']:<8} ({e['origin']})"
+
+
+def _centralizers_text(doc: dict, notes: list):
+    for p, note in zip(doc["profiles"], notes):
+        dd = "*" if p["d"] == "opaque" else p["d"]
+        entries = ", ".join(f"{e['subsystem']} x{e['count']}" for e in p["entries"])
+        yield f"d={dd} r={p['class']}: {entries}"
+        if note:
+            yield f"    note: {note}"
+
+
+_TEXT = {
+    "info": _info_text,
+    "strata": lambda doc, _: doc["strata"],
+    "fiber": _fiber_text,
+    "tau": lambda doc, _: [doc["stratum"]],
+    "cstar": _cstar_text,
+    "triples": lambda doc, _: (_triple_text(r, doc["type"] == "Torus") for r in doc["triples"]),
+    "centralizers": _centralizers_text,
+    "pseudo-levi": lambda doc, _: doc["subsystems"],
+}
 
 
 def _cmd(args, store: TableStore) -> int:
-    t = None
-    if args.command not in ("register", "verify") and hasattr(args, "type"):
-        t = parse_type(args.type)
-
-    if args.command == "info":
-        if args.json:
-            d = datum(t)
-            doc = {
-                "type": t.name,
-                "weyl_order": d.weyl_order,
-                "degrees": list(d.degrees),
-                "highest_root_coeffs": list(d.highest_root_coeffs),
-                "bad_primes": sorted(d.bad_primes),
-                "z_value": d.z_value,
-            }
-            print(canonical_json(doc), end="")
-        else:
-            _print_info(t)
-        return 0
-
-    if args.command == "strata":
-        labs = strata(t, store)
-        if args.json:
-            print(canonical_json(strata_document(t, store)), end="")
-        else:
-            for lab in labs:
-                print(lab.text)
-        return 0
-
-    if args.command == "fiber":
-        pairs = fiber(t, args.stratum, store, expand=args.expand)
-        if args.json:
-            doc = {
-                "type": t.name,
-                "stratum": args.stratum,
-                "fiber": [
-                    {
-                        "levi": tr.levi.levi_name,
-                        "character": tr.character.text,
-                        "d": tr.d if tr.d is not None else "opaque",
-                        "index": tr.index,
-                        "mult": m,
-                    }
-                    for tr, m in pairs
-                ],
-            }
-            print(canonical_json(doc), end="")
-        else:
-            for tr, m in pairs:
-                suffix = f"  x{m}" if m != 1 and not args.expand else ""
-                print(f"{tr.describe()}{suffix}")
-        return 0
-
-    if args.command == "tau":
-        triple = find_triple(t, args.levi, args.char, args.d, args.index)
-        head = tau(t, triple, store)
-        if args.json:
-            print(canonical_json({"type": t.name, "triple": triple.describe(),
-                                  "stratum": head.text}), end="")
-        else:
-            print(head.text)
-        return 0
-
-    if args.command == "cstar":
-        coll = c_collection(t, args.stratum, store)
-        elements = c_star(t, args.stratum, store)
-        if args.json:
-            doc = {
-                "type": t.name,
-                "stratum": args.stratum,
-                "collection": list(coll.tags),
-                "elements": [
-                    {"group": e.group, "irrep": e.irrep, "origin": e.origin}
-                    for e in elements
-                ],
-            }
-            print(canonical_json(doc), end="")
-        else:
-            print(f"c(E) = {coll.text}")
-            for e in elements:
-                print(f"  {e.group:>6}  {e.irrep:<8} ({e.origin})")
-        return 0
-
-    if args.command == "triples":
-        if args.json:
-            print(canonical_json(triples_document(t)), end="")
-        else:
-            for tr in enumerate_cs_prime(t):
-                print(tr.describe())
-        return 0
-
-    if args.command == "centralizers":
-        wanted = None
-        if args.char_class is not None:
-            wanted = _char_class(args.char_class)
-            if wanted is None:
-                print(f"error: bad --char-class {args.char_class!r}; "
-                      "expected generic, 0 or a prime", file=sys.stderr)
-                return 2
-        profiles = [p for p in centralizer_profiles(t) if args.d is None or p.d == args.d]
-        if wanted is not None:
-            ds = dict.fromkeys(p.d for p in profiles)
-            profiles = [centralizer_profile(t, d, wanted) for d in ds]
-        if args.json:
-            doc = {
-                "type": t.name,
-                "profiles": [
-                    {
-                        "d": p.d if p.d is not None else "opaque",
-                        "class": p.characteristic_class,
-                        "entries": [
-                            {"subsystem": "full" if s is None else s.name, "count": c}
-                            for s, c in p.entries
-                        ],
-                    }
-                    for p in profiles
-                ],
-            }
-            print(canonical_json(doc), end="")
-        else:
-            for p in profiles:
-                dd = "*" if p.d is None else p.d
-                print(f"d={dd} r={p.characteristic_class}: {p.describe_entries()}")
-                if p.note:
-                    print(f"    note: {p.note}")
-        return 0
-
-    if args.command == "pseudo-levi":
-        subs = sorted(pseudo_levi_types(t), key=lambda s: (-s.rank, s.name))
-        if args.json:
-            print(canonical_json({"type": t.name, "subsystems": [s.name for s in subs]}),
-                  end="")
-        else:
-            for s in subs:
-                print(s.name)
-        return 0
-
     if args.command == "verify":
         names = VERIFY_ALL_TYPES if args.type.lower() == "all" else (args.type,)
         failed = False
@@ -351,6 +243,12 @@ def _cmd(args, store: TableStore) -> int:
             print(canonical_json({"reports": docs}), end="")
         return 1 if failed else 0
 
+    if args.command == "register":
+        message = register_external_table(_read_document(Path(args.path)), store)
+        print(message)
+        return 0
+
+    t = parse_type(args.type)
     if args.command == "export":
         if args.what == "table":
             doc = table_document(t, store)
@@ -367,12 +265,36 @@ def _cmd(args, store: TableStore) -> int:
             print(text, end="")
         return 0
 
-    if args.command == "register":
-        message = register_external_table(_read_document(Path(args.path)), store)
-        print(message)
-        return 0
-
-    raise AssertionError(args.command)
+    beside = None
+    if args.command == "info":
+        doc, beside = info_document(t), t
+    elif args.command == "strata":
+        doc = strata_document(t, store)
+    elif args.command == "fiber":
+        doc = fiber_document(t, args.stratum, store, expand=args.expand)
+    elif args.command == "tau":
+        doc = tau_document(t, args.levi, args.char, args.d, args.index, store)
+    elif args.command == "cstar":
+        doc = cstar_document(t, args.stratum, store)
+    elif args.command == "triples":
+        doc = triples_document(t)
+    elif args.command == "centralizers":
+        wanted = None if args.char_class is None else _char_class(args.char_class)
+        profiles = [p for p in centralizer_profiles(t) if args.d is None or p.d == args.d]
+        if wanted is not None:
+            ds = dict.fromkeys(p.d for p in profiles)
+            profiles = [centralizer_profile(t, d, wanted) for d in ds]
+        doc, beside = centralizers_document(t, profiles), [p.note for p in profiles]
+    elif args.command == "pseudo-levi":
+        doc = pseudo_levi_document(t)
+    else:
+        raise AssertionError(args.command)
+    if args.json:
+        print(canonical_json(doc), end="")
+    else:
+        for line in _TEXT[args.command](doc, beside):
+            print(line)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

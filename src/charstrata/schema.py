@@ -1,6 +1,7 @@
 """Canonical JSON documents: the strata-table/1 schema shared by the
 embedded tables and classical plug-ins, plus exports for triples,
-strata, and verification reports.
+strata, and verification reports, and the one document of each CLI
+query (the CLI prints it with --json and renders its text from it).
 
 Exports are byte-stable: fixed key order, two-space indent, LF line
 endings, trailing newline.  import(export(x)) reproduces x exactly.
@@ -10,14 +11,15 @@ from __future__ import annotations
 
 import json
 
-from .cartan import CartanType, parse_type, CartanError, ascii_decimal
-from .cuspidal import enumerate_cs_prime
+from .cartan import CartanType, parse_type, CartanError, ascii_decimal, datum, pseudo_levi_types
+from .cuspidal import SheafTriple, enumerate_cs_prime
 from .groups import GroupError, normalize_tag
 from .labels import LabelError
-from .strata import strata
+from .strata import c_collection, fiber, find_triple, strata, tau
 from .tables import (
     DEFAULT_STORE,
     Annotation,
+    CentralizerProfile,
     StrataRow,
     TableFormatError,
     TableStore,
@@ -205,18 +207,22 @@ def _check_membership(text, r0: int | None) -> None:
         raise TableFormatError(f"the groups give membership {_membership(r0)!r}, not {text!r}")
 
 
+def _triple_record(tr: SheafTriple) -> dict:
+    """A triple's record in the triples and fiber documents."""
+    return {
+        "levi": tr.levi.levi_name,
+        "character": tr.character.text,
+        "d": tr.d if tr.d is not None else "opaque",
+        "index": tr.index,
+    }
+
+
 def triples_document(t: CartanType) -> dict:
-    records = []
-    for tr in enumerate_cs_prime(t):
-        records.append(
-            {
-                "levi": tr.levi.levi_name,
-                "character": tr.character.text,
-                "d": tr.d if tr.d is not None else "opaque",
-                "index": tr.index,
-            }
-        )
-    return {"schema": TRIPLES_SCHEMA, "type": t.name, "triples": records}
+    return {
+        "schema": TRIPLES_SCHEMA,
+        "type": t.name,
+        "triples": [_triple_record(tr) for tr in enumerate_cs_prime(t)],
+    }
 
 
 def strata_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
@@ -237,3 +243,70 @@ def report_document(report) -> dict:
         ],
         "errata": list(report.errata),
     }
+
+
+def info_document(t: CartanType) -> dict:
+    d = datum(t)
+    return {
+        "type": t.name,
+        "weyl_order": d.weyl_order,
+        "degrees": list(d.degrees),
+        "highest_root_coeffs": list(d.highest_root_coeffs),
+        "bad_primes": sorted(d.bad_primes),
+        "z_value": d.z_value,
+    }
+
+
+def fiber_document(t: CartanType, stratum: str, store: TableStore = DEFAULT_STORE,
+                   expand: bool = False) -> dict:
+    return {
+        "type": t.name,
+        "stratum": stratum,
+        "fiber": [
+            {**_triple_record(tr), "mult": m}
+            for tr, m in fiber(t, stratum, store, expand=expand)
+        ],
+    }
+
+
+def tau_document(t: CartanType, levi: str, character: str, d: int | None, index: int,
+                 store: TableStore = DEFAULT_STORE) -> dict:
+    triple = find_triple(t, levi, character, d, index)
+    return {"type": t.name, "triple": triple.describe(), "stratum": tau(t, triple, store).text}
+
+
+def cstar_document(t: CartanType, stratum: str, store: TableStore = DEFAULT_STORE) -> dict:
+    coll = c_collection(t, stratum, store)
+    return {
+        "type": t.name,
+        "stratum": stratum,
+        "collection": list(coll.tags),
+        "elements": [
+            {"group": e.group, "irrep": e.irrep, "origin": e.origin} for e in coll.labels
+        ],
+    }
+
+
+def centralizers_document(t: CartanType, profiles: list[CentralizerProfile]) -> dict:
+    """The profiles of t in the given order; their notes are not part
+    of the document."""
+    return {
+        "type": t.name,
+        "profiles": [
+            {
+                "d": p.d if p.d is not None else "opaque",
+                "class": p.characteristic_class,
+                "entries": [
+                    {"subsystem": "full" if s is None else s.name, "count": c}
+                    for s, c in p.entries
+                ],
+            }
+            for p in profiles
+        ],
+    }
+
+
+def pseudo_levi_document(t: CartanType) -> dict:
+    """The pseudo-Levi subsystems of t, largest rank first, then by name."""
+    subs = sorted(pseudo_levi_types(t), key=lambda s: (-s.rank, s.name))
+    return {"type": t.name, "subsystems": [s.name for s in subs]}

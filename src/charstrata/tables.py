@@ -568,11 +568,6 @@ class CentralizerProfile(ValueObject):
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
-    def describe_entries(self) -> str:
-        return ", ".join(
-            f"{'full' if s is None else s.name} x{c}" for s, c in self.entries
-        )
-
 
 def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
     """The generic and characteristic-2 profiles of a cuspidal classical
