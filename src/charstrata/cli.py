@@ -281,6 +281,9 @@ def _cmd(args, store: TableStore) -> int:
     elif args.command == "centralizers":
         wanted = None if args.char_class is None else _char_class(args.char_class)
         profiles = [p for p in centralizer_profiles(t) if args.d is None or p.d == args.d]
+        if not profiles:
+            at = "" if args.d is None else f" with d={args.d}"
+            raise CartanError(f"no cuspidal centralizer data for {t.name}{at}")
         if wanted is not None:
             ds = dict.fromkeys(p.d for p in profiles)
             profiles = [centralizer_profile(t, d, wanted) for d in ds]

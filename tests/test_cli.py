@@ -91,6 +91,19 @@ def test_centralizers_char_class_lists_every_d_with_the_profile_that_holds(capsy
     assert (code, out, err) == (0, "d=1 r=generic: full x1\nd=0 r=2: A2 x2, full x1\n", "")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("E8", "--d", "5"), "for E8 with d=5"),
+    (("E8", "--d", "-1"), "for E8 with d=-1"),
+    (("A3", "--char-class", "3"), "for A3"),
+    (("B5",), "for B5"),
+], ids=["E8-d5", "E8-d-1", "A3", "B5"])
+def test_centralizers_without_data_exits_2_naming_type_and_d(capsys, argv, message):
+    for json_flag in ((), ("--json",)):
+        assert run(capsys, *json_flag, "centralizers", *argv) == (
+            2, "", f"error: no cuspidal centralizer data {message}\n",
+        )
+
+
 def test_pseudo_levi(capsys):
     code, out, _ = run(capsys, "pseudo-levi", "G2")
     assert code == 0

@@ -108,6 +108,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "D16-centralizers-json": ("--json", "centralizers", "D16"),
     "E8-centralizers-r7": ("centralizers", "E8", "--d", "0", "--char-class", "7"),
     "E8-centralizers-json": ("--json", "centralizers", "E8", "--d", "0"),
+    "E8-centralizers-d5": ("centralizers", "E8", "--d", "5"),
+    "A3-centralizers": ("centralizers", "A3", "--char-class", "3"),
     "C6-triples": ("triples", "C6"),
     "D5-triples": ("triples", "D5"),
     "A1558-info": ("info", "A1558"),
