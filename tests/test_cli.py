@@ -1,10 +1,15 @@
+import argparse
 import json
 import re
 
 import pytest
 
+from charstrata import cli
+from charstrata.cartan import parse_type
 from charstrata.cli import VERIFY_ALL_TYPES, main
-from charstrata.schema import canonical_json
+from charstrata.cuspidal import enumerate_cs_prime
+from charstrata.schema import canonical_json, triples_document
+from charstrata.tables import centralizer_profiles
 from charstrata.verify import CHECK_IDS
 
 
@@ -466,3 +471,46 @@ def test_identity_table_that_differs_exits_2_naming_the_difference(tmp_path, cap
         2, "", "error: A2 is built in and the submitted table differs: "
         "2 rows submitted, 3 built in\n",
     )
+
+
+# One command line of each query command: every subcommand but verify,
+# register and export, whose output --json does not fork.
+G2_QUERIES = {
+    "info": ("info", "G2"),
+    "strata": ("strata", "G2"),
+    "fiber": ("fiber", "G2", "--stratum", "1"),
+    "tau": ("tau", "G2", "--char", "1"),
+    "cstar": ("cstar", "G2", "--stratum", "1"),
+    "triples": ("triples", "G2"),
+    "centralizers": ("centralizers", "G2"),
+    "pseudo-levi": ("pseudo-levi", "G2"),
+}
+
+
+def test_every_query_command_has_a_renderer():
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    queries = set(sub.choices) - {"verify", "register", "export"}
+    assert queries == set(G2_QUERIES) == set(cli._TEXT)
+
+
+@pytest.mark.parametrize("command", sorted(G2_QUERIES))
+def test_text_is_rendered_from_the_json_document(capsys, command):
+    code, out, err = run(capsys, "--json", *G2_QUERIES[command])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == canonical_json(doc) and doc["type"] == "G2"
+    # info and centralizers print facts beside the document's.
+    t = parse_type("G2")
+    beside = {"info": t, "centralizers": [p.note for p in centralizer_profiles(t)]}.get(command)
+    text = "".join(f"{line}\n" for line in cli._TEXT[command](doc, beside))
+    assert run(capsys, *G2_QUERIES[command]) == (0, text, "")
+
+
+@pytest.mark.parametrize("name", VERIFY_ALL_TYPES + ("B3", "C4", "D6"))
+def test_each_triple_record_renders_as_its_triple_describes_itself(name):
+    t = parse_type(name)
+    records = triples_document(t)["triples"]
+    assert [cli._triple_text(r, t.is_torus) for r in records] == [
+        tr.describe() for tr in enumerate_cs_prime(t)
+    ]

@@ -19,7 +19,7 @@ import pytest
 
 from charstrata.cartan import parse_type
 from charstrata.cli import main
-from charstrata.schema import table_document
+from charstrata.schema import canonical_json, table_document
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -118,16 +118,19 @@ CASES: dict[str, tuple[str, ...]] = {
 }
 
 
-def transcript(argv: tuple[str, ...], tables_dir: str) -> str:
-    """The command line, its exit code, stdout and stderr as one text."""
+def run(argv: tuple[str, ...], tables_dir: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of a command line."""
     real = [a.replace(TABLES, tables_dir) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(real)
-    return (
-        f"$ charstrata {' '.join(argv)}\n[exit {code}]\n[stdout]\n{out.getvalue()}"
-        f"[stderr]\n{err.getvalue()}"
-    )
+    return code, out.getvalue(), err.getvalue()
+
+
+def transcript(argv: tuple[str, ...], tables_dir: str) -> str:
+    """The command line, its exit code, stdout and stderr as one text."""
+    code, out, err = run(argv, tables_dir)
+    return f"$ charstrata {' '.join(argv)}\n[exit {code}]\n[stdout]\n{out}[stderr]\n{err}"
 
 
 def write_tables(directory: Path) -> str:
@@ -158,6 +161,23 @@ def tables_dir(tmp_path_factory):
 def test_cli_transcript_matches_golden(case, tables_dir):
     expected = (GOLDEN_DIR / f"{case}.txt").read_text()
     assert transcript(CASES[case], tables_dir) == expected
+
+
+# The text goldens of every command whose output --json changes (all
+# but register and export).
+TEXT_CASES = sorted(
+    case for case, argv in CASES.items()
+    if "--json" not in argv
+    and argv[2 if argv[0] == "--tables" else 0] not in ("register", "export")
+)
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_the_json_form_of_a_text_golden_exits_alike_and_is_canonical(case, tables_dir):
+    code, _, _ = run(CASES[case], tables_dir)
+    json_code, out, _ = run(("--json",) + CASES[case], tables_dir)
+    assert json_code == code
+    assert out == ("" if code == 2 else canonical_json(json.loads(out)))
 
 
 def test_every_golden_has_a_case():
