@@ -472,9 +472,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
 
 
 def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
-    """The rows of t's embedded table, built anew on each call."""
-    if t.name not in tabledata.TABLES:
-        raise NoTableAvailable(f"no embedded table for {t.name}")
+    """The rows of t's embedded table, built anew on each call; t must have one."""
     return build_rows(t, tabledata.TABLES[t.name])
 
 

@@ -30,6 +30,7 @@ from charstrata.strata import (
 from charstrata.tables import (
     DEFAULT_STORE,
     NoTableAvailable,
+    TableFormatError,
     TableStore,
     UnknownStratum,
     component_group,
@@ -417,6 +418,14 @@ def test_registration_installs_only_tables_that_are_not_built_in(synthetic_b3_do
     assert placement(b3, store) is registered
     with pytest.raises(NoTableAvailable):
         placement(b3, TableStore())
+
+
+def test_install_refuses_to_replace_an_embedded_table():
+    store = TableStore()
+    e8 = placement(parse_type("E8"), TableStore())
+    with pytest.raises(TableFormatError, match="E8 is embedded; external copies are only checked"):
+        store.install(e8)
+    assert "E8" not in store
 
 
 def test_warm_queries_hash_no_cartan_type(monkeypatch, synthetic_b3_doc):
