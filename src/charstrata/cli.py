@@ -28,6 +28,7 @@ from .schema import (
     table_document,
     tau_document,
     triples_document,
+    verify_document,
 )
 from .strata import PlacementMismatch, TripleNotFound, regular_fiber_labels
 from .tables import (
@@ -223,7 +224,7 @@ def _cmd(args, store: TableStore) -> int:
     if args.command == "verify":
         names = VERIFY_ALL_TYPES if args.type.lower() == "all" else (args.type,)
         failed = False
-        docs = []
+        reports = []
         for name in names:
             tt = parse_type(name)
             report = run_all(tt, store)
@@ -232,7 +233,7 @@ def _cmd(args, store: TableStore) -> int:
                 for cid, seconds in report.seconds.items():
                     print(f"timing {tt.name} {cid}: {1e3 * seconds:.3f} ms", file=sys.stderr)
             if args.json:
-                docs.append(report_document(report))
+                reports.append(report)
             else:
                 print(f"== {tt.name}")
                 for line in report.lines():
@@ -240,7 +241,7 @@ def _cmd(args, store: TableStore) -> int:
                 for err in report.errata:
                     print(f"  erratum: {err}")
         if args.json:
-            print(canonical_json({"reports": docs}), end="")
+            print(canonical_json(verify_document(reports)), end="")
         return 1 if failed else 0
 
     if args.command == "register":

@@ -245,6 +245,10 @@ def report_document(report) -> dict:
     }
 
 
+def verify_document(reports: list) -> dict:
+    return {"reports": [report_document(r) for r in reports]}
+
+
 def info_document(t: CartanType) -> dict:
     d = datum(t)
     return {
