@@ -11,6 +11,7 @@ from .cartan import (
     CartanDatum,
     CartanError,
     CartanType,
+    CharstrataError,
     Subsystem,
     TORUS,
     datum,

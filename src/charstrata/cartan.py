@@ -46,7 +46,12 @@ MAX_RANK = 1000
 _MAX_DECIMAL_DIGITS = 12
 
 
-class CartanError(ValueError):
+class CharstrataError(Exception):
+    """The base of every refusal the package raises, so a caller (the
+    CLI among them) can catch them all in one clause."""
+
+
+class CartanError(CharstrataError, ValueError):
     """Invalid type, alias, or out-of-range request."""
 
 

@@ -13,32 +13,13 @@ import sys
 from math import isqrt
 from pathlib import Path
 
-from .cartan import CartanError, CartanType, ascii_decimal, parse_type
-from .cuspidal import CuspidalError, cuspidal_counts, cuspidal_levis, levi_counts, support_case
-from .labels import LabelError
+from .cartan import CartanError, CharstrataError, ascii_decimal, parse_type
 from .schema import (
-    canonical_json,
-    centralizers_document,
-    cstar_document,
-    fiber_document,
-    info_document,
-    pseudo_levi_document,
-    report_document,
-    strata_document,
-    table_document,
-    tau_document,
-    triples_document,
-    verify_document,
+    canonical_json, centralizers_document, cstar_document, fiber_document, info_document,
+    pseudo_levi_document, register_document, report_document, strata_document, table_document,
+    tau_document, triples_document, verify_document,
 )
-from .strata import PlacementMismatch, TripleNotFound, regular_fiber_labels
-from .tables import (
-    NoTableAvailable,
-    TableFormatError,
-    TableStore,
-    UnknownStratum,
-    centralizer_profile,
-    centralizer_profiles,
-)
+from .tables import TableFormatError, TableStore, centralizer_profile, centralizer_profiles
 from .verify import register_external_table, run_all
 
 TABLES_ENV = "CHARSTRATA_TABLES"
@@ -47,6 +28,15 @@ VERIFY_ALL_TYPES = (
     "Torus", "A1", "A2", "A3", "A4", "B2", "B3", "B6", "C2", "C3", "C6",
     "D4", "D5", "G2", "F4", "E6", "E7", "E8",
 )
+
+
+def _decimal(text: str) -> int:
+    """The argparse type of --d and --index: ASCII decimal digits only,
+    as in type ranks."""
+    n = ascii_decimal(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an ASCII decimal")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tmap.add_argument("type")
     tmap.add_argument("--levi", default="-", help="Levi Weyl type, '-' for the empty subset")
     tmap.add_argument("--char", required=True, help="character of the relative group")
-    tmap.add_argument("--d", type=int, default=None)
-    tmap.add_argument("--index", type=int, default=0)
+    tmap.add_argument("--d", type=_decimal, default=None)
+    tmap.add_argument("--index", type=_decimal, default=0)
 
     cs = sub.add_parser("cstar", help="representation inventory attached to a stratum")
     cs.add_argument("type")
@@ -86,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cz = sub.add_parser("centralizers", help="centralizer profiles")
     cz.add_argument("type")
-    cz.add_argument("--d", type=int, default=None)
+    cz.add_argument("--d", type=_decimal, default=None)
     cz.add_argument("--char-class", default=None, help="generic, 0, or a prime")
 
     sub.add_parser("pseudo-levi", help="subsystem closure of a type").add_argument("type")
@@ -129,7 +119,7 @@ def _load_tables(store: TableStore, directory: str, source: str) -> None:
         doc = _read_document(path)
         try:
             register_external_table(doc, store)
-        except (TableFormatError, PlacementMismatch, CartanError) as exc:
+        except CharstrataError as exc:
             raise TableFormatError(f"{path}: {exc}") from None
 
 
@@ -147,20 +137,22 @@ def _char_class(text: str) -> str:
     raise CartanError(f"bad --char-class {text!r}; expected generic, 0 or a prime")
 
 
-# Text renderers: each query command's lines, read from its document.
-# info and centralizers also print facts the document does not hold,
-# from the type and the profiles' notes given beside it.
+# Text renderers: each command's lines, read from its document alone.
+
+
+def _d_text(d):
+    """A document's d as the text prints it, "*" for "opaque"."""
+    return "*" if d == "opaque" else d
 
 
 def _triple_text(record: dict, torus: bool) -> str:
     """SheafTriple.describe of the triple a triples or fiber record holds."""
     if record["levi"] == "-" and not torus:
         return record["character"]
-    d = "*" if record["d"] == "opaque" else record["d"]
-    return f"({record['levi']},{record['character']},{d})[{record['index']}]"
+    return f"({record['levi']},{record['character']},{_d_text(record['d'])})[{record['index']}]"
 
 
-def _info_text(doc: dict, t: CartanType):
+def _info_text(doc: dict):
     yield f"type: {doc['type']}"
     yield f"weyl order: {doc['weyl_order']}"
     yield f"degrees: {doc['degrees']}"
@@ -168,137 +160,119 @@ def _info_text(doc: dict, t: CartanType):
     yield f"bad primes: {doc['bad_primes']}"
     yield f"z value: {doc['z_value']}"
     yield "cuspidal levis:"
-    for levi in cuspidal_levis(t):
-        rel = levi.relative_weyl_type.name if levi.relative_weyl_type else "1"
-        if levi.is_empty and not t.is_torus:
-            yield f"  {levi.levi_name:>4}  relative {rel}"
-            continue
-        shown = {("*" if k is None else k): v for k, v in levi_counts(levi).counts}
-        yield f"  {levi.levi_name:>4}  relative {rel}  counts {shown}"
-    counts = cuspidal_counts(t)
-    if counts.counts:
+    for levi in doc["cuspidal_levis"]:
+        head = f"  {levi['levi']:>4}  relative {levi['relative']}"
+        shown = {_d_text(c["d"]): c["count"] for c in levi["counts"]}
+        yield head if levi["levi"] == "-" and doc["type"] != "Torus" else f"{head}  counts {shown}"
+    if doc["support_cases"]:
         yield "support cases:"
-        for dd, _n in counts.counts:
-            case = support_case(t, dd)
-            extra = f" (r0={case.r0})" if case.r0 else ""
-            yield f"  d={'*' if dd is None else dd}: {case.tag}{extra}"
-    yield f"regular-stratum labels: {len(regular_fiber_labels(t))}"
+    for case in doc["support_cases"]:
+        r0 = f" (r0={case['r0']})" if case["r0"] else ""
+        yield f"  d={_d_text(case['d'])}: {case['case']}{r0}"
+    yield f"regular-stratum labels: {doc['regular_stratum_labels']}"
 
 
-def _fiber_text(doc: dict, _):
+def _fiber_text(doc: dict):
     torus = doc["type"] == "Torus"
     for record in doc["fiber"]:
         m = record["mult"]
         yield _triple_text(record, torus) + (f"  x{m}" if m != 1 else "")
 
 
-def _cstar_text(doc: dict, _):
+def _cstar_text(doc: dict):
     tags = doc["collection"]
     yield f"c(E) = {tags[0] if len(tags) == 1 else '(' + ','.join(tags) + ')'}"
     for e in doc["elements"]:
         yield f"  {e['group']:>6}  {e['irrep']:<8} ({e['origin']})"
 
 
-def _centralizers_text(doc: dict, notes: list):
-    for p, note in zip(doc["profiles"], notes):
-        dd = "*" if p["d"] == "opaque" else p["d"]
+def _centralizers_text(doc: dict):
+    for p in doc["profiles"]:
         entries = ", ".join(f"{e['subsystem']} x{e['count']}" for e in p["entries"])
-        yield f"d={dd} r={p['class']}: {entries}"
-        if note:
-            yield f"    note: {note}"
+        yield f"d={_d_text(p['d'])} r={p['class']}: {entries}"
+        if "note" in p:
+            yield f"    note: {p['note']}"
+
+
+def _verify_text(doc: dict):
+    for report in doc["reports"]:
+        yield f"== {report['type']}"
+        for c in report["checks"]:
+            yield f"  {c['id']}: {c['status']}" + (f"  [{c['detail']}]" if c["detail"] else "")
+        for err in report["errata"]:
+            yield f"  erratum: {err}"
 
 
 _TEXT = {
     "info": _info_text,
-    "strata": lambda doc, _: doc["strata"],
+    "strata": lambda doc: doc["strata"],
     "fiber": _fiber_text,
-    "tau": lambda doc, _: [doc["stratum"]],
+    "tau": lambda doc: [doc["stratum"]],
     "cstar": _cstar_text,
-    "triples": lambda doc, _: (_triple_text(r, doc["type"] == "Torus") for r in doc["triples"]),
+    "triples": lambda doc: (_triple_text(r, doc["type"] == "Torus") for r in doc["triples"]),
     "centralizers": _centralizers_text,
-    "pseudo-levi": lambda doc, _: doc["subsystems"],
+    "pseudo-levi": lambda doc: doc["subsystems"],
+    "verify": _verify_text,
+    "register": lambda doc: [doc["message"]],
+}
+
+
+def _centralizers(t, a, store) -> dict:
+    """The profiles of t that --d and --char-class select; CartanError if none."""
+    wanted = None if a.char_class is None else _char_class(a.char_class)
+    profiles = [p for p in centralizer_profiles(t) if a.d is None or p.d == a.d]
+    if not profiles:
+        at = "" if a.d is None else f" with d={a.d}"
+        raise CartanError(f"no cuspidal centralizer data for {t.name}{at}")
+    if wanted is not None:
+        ds = dict.fromkeys(p.d for p in profiles)
+        profiles = [centralizer_profile(t, d, wanted) for d in ds]
+    return centralizers_document(t, profiles)
+
+
+# The document of each command that names a type, from the type, the
+# parsed arguments and the store; export --what names one of them too.
+_DOCUMENT = {
+    "info": lambda t, a, store: info_document(t),
+    "strata": lambda t, a, store: strata_document(t, store),
+    "fiber": lambda t, a, store: fiber_document(t, a.stratum, store, expand=a.expand),
+    "tau": lambda t, a, store: tau_document(t, a.levi, a.char, a.d, a.index, store),
+    "cstar": lambda t, a, store: cstar_document(t, a.stratum, store),
+    "triples": lambda t, a, store: triples_document(t),
+    "centralizers": _centralizers,
+    "pseudo-levi": lambda t, a, store: pseudo_levi_document(t),
+    "table": lambda t, a, store: table_document(t, store),
+    "report": lambda t, a, store: report_document(run_all(t, store)),
 }
 
 
 def _cmd(args, store: TableStore) -> int:
+    """Build the command's document and write it: canonical JSON for
+    --json and export (to --out when given), else its text."""
+    code = 0
     if args.command == "verify":
         names = VERIFY_ALL_TYPES if args.type.lower() == "all" else (args.type,)
-        failed = False
-        reports = []
-        for name in names:
-            tt = parse_type(name)
-            report = run_all(tt, store)
-            failed = failed or report.failed
-            if args.timings:
+        reports = [run_all(parse_type(name), store) for name in names]
+        if args.timings:
+            for report in reports:
                 for cid, seconds in report.seconds.items():
-                    print(f"timing {tt.name} {cid}: {1e3 * seconds:.3f} ms", file=sys.stderr)
-            if args.json:
-                reports.append(report)
-            else:
-                print(f"== {tt.name}")
-                for line in report.lines():
-                    print(f"  {line}")
-                for err in report.errata:
-                    print(f"  erratum: {err}")
-        if args.json:
-            print(canonical_json(verify_document(reports)), end="")
-        return 1 if failed else 0
-
-    if args.command == "register":
-        message = register_external_table(_read_document(Path(args.path)), store)
-        print(message)
-        return 0
-
-    t = parse_type(args.type)
-    if args.command == "export":
-        if args.what == "table":
-            doc = table_document(t, store)
-        elif args.what == "triples":
-            doc = triples_document(t)
-        elif args.what == "strata":
-            doc = strata_document(t, store)
-        else:
-            doc = report_document(run_all(t, store))
-        text = canonical_json(doc)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text, end="")
-        return 0
-
-    beside = None
-    if args.command == "info":
-        doc, beside = info_document(t), t
-    elif args.command == "strata":
-        doc = strata_document(t, store)
-    elif args.command == "fiber":
-        doc = fiber_document(t, args.stratum, store, expand=args.expand)
-    elif args.command == "tau":
-        doc = tau_document(t, args.levi, args.char, args.d, args.index, store)
-    elif args.command == "cstar":
-        doc = cstar_document(t, args.stratum, store)
-    elif args.command == "triples":
-        doc = triples_document(t)
-    elif args.command == "centralizers":
-        wanted = None if args.char_class is None else _char_class(args.char_class)
-        profiles = [p for p in centralizer_profiles(t) if args.d is None or p.d == args.d]
-        if not profiles:
-            at = "" if args.d is None else f" with d={args.d}"
-            raise CartanError(f"no cuspidal centralizer data for {t.name}{at}")
-        if wanted is not None:
-            ds = dict.fromkeys(p.d for p in profiles)
-            profiles = [centralizer_profile(t, d, wanted) for d in ds]
-        doc, beside = centralizers_document(t, profiles), [p.note for p in profiles]
-    elif args.command == "pseudo-levi":
-        doc = pseudo_levi_document(t)
+                    sys.stderr.write(f"timing {report.type_name} {cid}: {1e3 * seconds:.3f} ms\n")
+        doc = verify_document(reports)
+        code = 1 if any(report.failed for report in reports) else 0
+    elif args.command == "register":
+        doc = register_document(register_external_table(_read_document(Path(args.path)), store))
     else:
-        raise AssertionError(args.command)
-    if args.json:
-        print(canonical_json(doc), end="")
+        what = args.what if args.command == "export" else args.command
+        doc = _DOCUMENT[what](parse_type(args.type), args, store)
+    if args.json or args.command == "export":
+        out = canonical_json(doc)
     else:
-        for line in _TEXT[args.command](doc, beside):
-            print(line)
-    return 0
+        out = "".join(f"{line}\n" for line in _TEXT[args.command](doc))
+    if args.command == "export" and args.out:
+        Path(args.out).write_text(out)
+    else:
+        sys.stdout.write(out)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -312,17 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         elif env_tables:
             _load_tables(store, env_tables, f"${TABLES_ENV}")
         return _cmd(args, store)
-    except (
-        CartanError,
-        CuspidalError,
-        LabelError,
-        NoTableAvailable,
-        UnknownStratum,
-        TripleNotFound,
-        TableFormatError,
-        PlacementMismatch,
-        OSError,
-    ) as exc:
+    except (CharstrataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

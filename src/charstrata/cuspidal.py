@@ -12,10 +12,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .cartan import TORUS, CartanType, ValueObject, simple_type
+from .cartan import TORUS, CartanType, CharstrataError, ValueObject, simple_type
 from .labels import CharacterLabel, enumerate_irr, relative_character_labels
 
-class CuspidalError(ValueError):
+class CuspidalError(CharstrataError, ValueError):
     pass
 
 

@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
-from .cartan import ValueObject
+from .cartan import CharstrataError, ValueObject
 
-class GroupError(ValueError):
+class GroupError(CharstrataError, ValueError):
     pass
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .cartan import CartanType, ValueObject, ascii_decimal
+from .cartan import CartanType, CharstrataError, ValueObject, ascii_decimal
 from . import tabledata
 
-class LabelError(ValueError):
+class LabelError(CharstrataError, ValueError):
     """Malformed or unknown character label."""
 
 

@@ -1,7 +1,7 @@
 """Canonical JSON documents: the strata-table/1 schema shared by the
 embedded tables and classical plug-ins, plus exports for triples,
 strata, and verification reports, and the one document of each CLI
-query (the CLI prints it with --json and renders its text from it).
+command (the CLI prints it with --json and renders its text from it).
 
 Exports are byte-stable: fixed key order, two-space indent, LF line
 endings, trailing newline.  import(export(x)) reproduces x exactly.
@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 
 from .cartan import CartanType, parse_type, CartanError, ascii_decimal, datum, pseudo_levi_types
-from .cuspidal import SheafTriple, enumerate_cs_prime
+from .cuspidal import SheafTriple, cuspidal_counts, cuspidal_levis, enumerate_cs_prime
+from .cuspidal import levi_counts, support_case
 from .groups import GroupError, normalize_tag
 from .labels import LabelError
-from .strata import c_collection, fiber, find_triple, strata, tau
+from .strata import c_collection, fiber, find_triple, regular_fiber_labels, strata, tau
 from .tables import (
     DEFAULT_STORE,
     Annotation,
@@ -207,12 +208,17 @@ def _check_membership(text, r0: int | None) -> None:
         raise TableFormatError(f"the groups give membership {_membership(r0)!r}, not {text!r}")
 
 
+def _d_value(d: int | None):
+    """A d as the documents hold it: "opaque" for the classical key None."""
+    return "opaque" if d is None else d
+
+
 def _triple_record(tr: SheafTriple) -> dict:
     """A triple's record in the triples and fiber documents."""
     return {
         "levi": tr.levi.levi_name,
         "character": tr.character.text,
-        "d": tr.d if tr.d is not None else "opaque",
+        "d": _d_value(tr.d),
         "index": tr.index,
     }
 
@@ -249,8 +255,17 @@ def verify_document(reports: list) -> dict:
     return {"reports": [report_document(r) for r in reports]}
 
 
+def register_document(message: str) -> dict:
+    """register's answer: the line naming the type and how its table was taken."""
+    return {"message": message}
+
+
 def info_document(t: CartanType) -> dict:
+    """The static data of t, its cuspidal Levis (relative type "1" for
+    the trivial group) with the cuspidal objects on each, the support
+    case of each d and the number of regular-stratum labels."""
     d = datum(t)
+    cases = [(dd, support_case(t, dd)) for dd, _ in cuspidal_counts(t).counts]
     return {
         "type": t.name,
         "weyl_order": d.weyl_order,
@@ -258,6 +273,20 @@ def info_document(t: CartanType) -> dict:
         "highest_root_coeffs": list(d.highest_root_coeffs),
         "bad_primes": sorted(d.bad_primes),
         "z_value": d.z_value,
+        "cuspidal_levis": [
+            {
+                "levi": levi.levi_name,
+                "relative": levi.relative_weyl_type.name if levi.relative_weyl_type else "1",
+                "counts": [
+                    {"d": _d_value(dd), "count": n} for dd, n in levi_counts(levi).counts
+                ],
+            }
+            for levi in cuspidal_levis(t)
+        ],
+        "support_cases": [
+            {"d": _d_value(dd), "case": case.tag, "r0": case.r0} for dd, case in cases
+        ],
+        "regular_stratum_labels": len(regular_fiber_labels(t)),
     }
 
 
@@ -292,18 +321,19 @@ def cstar_document(t: CartanType, stratum: str, store: TableStore = DEFAULT_STOR
 
 
 def centralizers_document(t: CartanType, profiles: list[CentralizerProfile]) -> dict:
-    """The profiles of t in the given order; their notes are not part
-    of the document."""
+    """The profiles of t in the given order, each with its note when it
+    carries one."""
     return {
         "type": t.name,
         "profiles": [
             {
-                "d": p.d if p.d is not None else "opaque",
+                "d": _d_value(p.d),
                 "class": p.characteristic_class,
                 "entries": [
                     {"subsystem": "full" if s is None else s.name, "count": c}
                     for s, c in p.entries
                 ],
+                **({"note": p.note} if p.note else {}),
             }
             for p in profiles
         ],

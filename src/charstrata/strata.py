@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cartan import CartanType, ValueObject, datum
+from .cartan import CartanType, CharstrataError, ValueObject, datum
 from .cuspidal import SheafTriple, enumerate_cs_prime
 from .groups import CStarElement, GroupCollection  # noqa: F401 - re-exported
 from .labels import CharacterLabel, unit_label
@@ -31,7 +31,7 @@ from .tables import (  # noqa: F401 - placement, Placement and its resolver are 
 )
 
 
-class TripleNotFound(LookupError):
+class TripleNotFound(CharstrataError, LookupError):
     pass
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import isqrt
 
 from . import tabledata
-from .cartan import CartanError, CartanType, Subsystem, ValueObject, parse_type
+from .cartan import CartanError, CartanType, CharstrataError, Subsystem, ValueObject, parse_type
 from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
 from .groups import GroupError, group_collection, normalize_tag
 from .labels import (
@@ -25,11 +25,11 @@ from .labels import (
 )
 
 
-class NoTableAvailable(LookupError):
+class NoTableAvailable(CharstrataError, LookupError):
     """No strata table embedded or registered for the requested type."""
 
 
-class UnknownStratum(LookupError):
+class UnknownStratum(CharstrataError, LookupError):
     pass
 
 
@@ -46,7 +46,7 @@ class HeadIndex(dict):
         raise UnknownStratum(f"{text!r} is not a stratum of {self.type_name}")
 
 
-class TableFormatError(ValueError):
+class TableFormatError(CharstrataError, ValueError):
     pass
 
 
@@ -315,7 +315,7 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     return tuple(rows)
 
 
-class PlacementMismatch(ValueError):
+class PlacementMismatch(CharstrataError, ValueError):
     """A table's fiber entries do not match the enumerated triples."""
 
     def __init__(self, message: str, offending: str | None = None) -> None:

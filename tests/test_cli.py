@@ -1,20 +1,25 @@
 import argparse
+import importlib
 import json
 import re
 
 import pytest
 
 from charstrata import cli
-from charstrata.cartan import parse_type
+from charstrata.cartan import CharstrataError, parse_type
 from charstrata.cli import VERIFY_ALL_TYPES, main
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.schema import canonical_json, triples_document
-from charstrata.tables import centralizer_profiles
 from charstrata.verify import CHECK_IDS
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """The exit code, stdout and stderr of a command line, argparse's
+    usage errors (SystemExit) included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -97,16 +102,32 @@ def test_centralizers_char_class_lists_every_d_with_the_profile_that_holds(capsy
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("E8", "--d", "5"), "for E8 with d=5"),
-    (("E8", "--d", "-1"), "for E8 with d=-1"),
-    (("A3", "--char-class", "3"), "for A3"),
-    (("B5",), "for B5"),
+    (("E8", "--d", "5"), "error: no cuspidal centralizer data for E8 with d=5"),
+    # A sign is no ASCII decimal: argparse refuses --d -1 as a usage error.
+    (("E8", "--d", "-1"),
+     "charstrata centralizers: error: argument --d: '-1' is not an ASCII decimal"),
+    (("A3", "--char-class", "3"), "error: no cuspidal centralizer data for A3"),
+    (("B5",), "error: no cuspidal centralizer data for B5"),
 ], ids=["E8-d5", "E8-d-1", "A3", "B5"])
 def test_centralizers_without_data_exits_2_naming_type_and_d(capsys, argv, message):
     for json_flag in ((), ("--json",)):
-        assert run(capsys, *json_flag, "centralizers", *argv) == (
-            2, "", f"error: no cuspidal centralizer data {message}\n",
-        )
+        code, out, err = run(capsys, *json_flag, "centralizers", *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", message)
+        assert err.startswith("usage: " if "argument --d" in message else message)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("tau", "E8", "--levi", "D4", "--char", "chi_{4,1}", "--d", "\u0663"), "--d"),
+    (("tau", "E8", "--levi", "E7", "--char", "eps", "--index", "\u0661"), "--index"),
+    (("tau", "E8", "--levi", "E7", "--char", "eps", "--index", "+1"), "--index"),
+    (("centralizers", "E8", "--d", "\u0660"), "--d"),
+    (("centralizers", "E8", "--d", " 0"), "--d"),
+], ids=["tau-d", "tau-index", "tau-index-sign", "centralizers-d", "centralizers-d-space"])
+def test_d_and_index_take_ascii_decimals_only(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.endswith(
+        f"error: argument {flag}: {argv[-1]!r} is not an ASCII decimal\n")
 
 
 def test_pseudo_levi(capsys):
@@ -270,6 +291,24 @@ def test_unrecorded_surjection_exits_2_naming_row_and_surjection(
     for argv in (["cstar", "B3", "--stratum", "(2,1|)"], ["verify", "B3"]):
         code, out, err = run(capsys, "--tables", str(tmp_path), *argv)
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("name, base", [
+    ("cartan.CartanError", ValueError),
+    ("labels.LabelError", ValueError),
+    ("groups.GroupError", ValueError),
+    ("cuspidal.CuspidalError", ValueError),
+    ("tables.TableFormatError", ValueError),
+    ("tables.PlacementMismatch", ValueError),
+    ("tables.NoTableAvailable", LookupError),
+    ("tables.UnknownStratum", LookupError),
+    ("strata.TripleNotFound", LookupError),
+])
+def test_every_refusal_derives_from_the_package_base(name, base):
+    # cli.main catches CharstrataError, so each refusal exits 2.
+    module, cls = name.split(".")
+    refusal = getattr(importlib.import_module(f"charstrata.{module}"), cls)
+    assert issubclass(refusal, CharstrataError) and issubclass(refusal, base)
 
 
 def test_error_exit_codes(capsys):
@@ -473,9 +512,9 @@ def test_identity_table_that_differs_exits_2_naming_the_difference(tmp_path, cap
     )
 
 
-# One command line of each query command: every subcommand but verify,
-# register and export, whose output --json does not fork.
-G2_QUERIES = {
+# One command line of each command but export, which prints JSON
+# alone; {table} is the exported G2 table.
+G2_COMMANDS = {
     "info": ("info", "G2"),
     "strata": ("strata", "G2"),
     "fiber": ("fiber", "G2", "--stratum", "1"),
@@ -484,27 +523,32 @@ G2_QUERIES = {
     "triples": ("triples", "G2"),
     "centralizers": ("centralizers", "G2"),
     "pseudo-levi": ("pseudo-levi", "G2"),
+    "verify": ("verify", "G2"),
+    "register": ("register", "--in", "{table}"),
 }
 
 
-def test_every_query_command_has_a_renderer():
+def test_every_command_but_export_has_a_renderer():
     (sub,) = [a for a in cli._build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    queries = set(sub.choices) - {"verify", "register", "export"}
-    assert queries == set(G2_QUERIES) == set(cli._TEXT)
+    assert set(sub.choices) - {"export"} == set(G2_COMMANDS) == set(cli._TEXT)
+    # Each command that names a type, and each export, has a document.
+    (what,) = [a for a in sub.choices["export"]._actions if a.dest == "what"]
+    typed = set(sub.choices) - {"verify", "register", "export"}
+    assert set(cli._DOCUMENT) == typed | set(what.choices)
 
 
-@pytest.mark.parametrize("command", sorted(G2_QUERIES))
-def test_text_is_rendered_from_the_json_document(capsys, command):
-    code, out, err = run(capsys, "--json", *G2_QUERIES[command])
+@pytest.mark.parametrize("command", sorted(G2_COMMANDS))
+def test_text_is_rendered_from_the_json_document(tmp_path, capsys, command):
+    table = tmp_path / "G2.json"
+    assert run(capsys, "export", "G2", "--what", "table", "--out", str(table)) == (0, "", "")
+    argv = [a.format(table=table) for a in G2_COMMANDS[command]]
+    code, out, err = run(capsys, "--json", *argv)
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert out == canonical_json(doc) and doc["type"] == "G2"
-    # info and centralizers print facts beside the document's.
-    t = parse_type("G2")
-    beside = {"info": t, "centralizers": [p.note for p in centralizer_profiles(t)]}.get(command)
-    text = "".join(f"{line}\n" for line in cli._TEXT[command](doc, beside))
-    assert run(capsys, *G2_QUERIES[command]) == (0, text, "")
+    assert out == canonical_json(doc) and "G2" in out
+    text = "".join(f"{line}\n" for line in cli._TEXT[command](doc))
+    assert run(capsys, *argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("name", VERIFY_ALL_TYPES + ("B3", "C4", "D6"))

@@ -131,6 +131,27 @@ def test_parse_errors():
         parse_label(TORUS, "eps")
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("A3", "2,1,1", "expected partition label (..) for A3, got '2,1,1'"),
+    ("B3", "(2|2)", "bipartition (2|2) has wrong total weight for B3"),
+    ("D4", "(2|2)", "expected D-pair label {..|..} for D4, got '(2|2)'"),
+    ("D4", "{2|1}", "D-pair {2|1} has wrong total weight for D4"),
+], ids=["A-no-parentheses", "BC-weight", "D-no-braces", "D-weight"])
+def test_parse_label_names_each_malformed_shape(name, text, message):
+    with pytest.raises(LabelError) as exc:
+        parse_label(parse_type(name), text)
+    assert str(exc.value) == message
+
+
+def test_parse_label_stores_a_d_pair_larger_partition_first():
+    d4 = parse_type("D4")
+    label = parse_label(d4, "{1|3}")
+    assert (label.alpha, label.beta, label.text) == ((3,), (1,), "{3|1}")
+    assert label == parse_label(d4, "{3|1}")
+    with pytest.raises(LabelError, match=r"^D-pair stored with alpha >= beta$"):
+        DPairLabel((1,), (3,))
+
+
 def test_relative_label_conventions():
     f4, e6, e7, e8 = map(parse_type, ["F4", "E6", "E7", "E8"])
     b2 = CartanType("B", 2)

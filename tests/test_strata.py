@@ -1,5 +1,6 @@
 import copy
 import importlib
+import re
 import sys
 
 import pytest
@@ -249,6 +250,21 @@ def test_bijection_pairing_is_deterministic_and_total():
         pl = placement(t)
         for row, size in zip(pl.rows, pl.fiber_sizes):
             assert len(bijection_pairing(t, row.stratum)) == size
+
+
+def test_bijection_pairing_refuses_a_row_that_does_not_balance(synthetic_b3_doc):
+    # Registration does not check row balance (verify's row-balance
+    # does): moving the sign triple into the unit row leaves that row 3
+    # triples against 2 elements and the sign row 1 against 2.
+    rows = {row["stratum"]: row for row in synthetic_b3_doc["rows"]}
+    rows["(3|)"]["fiber"].append(rows["(|1,1,1)"]["fiber"].pop())
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    b3 = parse_type("B3")
+    for stratum, size in (("(3|)", 3), ("(|1,1,1)", 1)):
+        message = f"fiber over {stratum} has {size} triples but the inventory has 2 elements"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bijection_pairing(b3, stratum, store)
 
 
 def test_enumeration_order_is_documented_shape():
