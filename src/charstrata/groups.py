@@ -6,7 +6,8 @@ element models.
 The inventories are data; the element models exist so that the
 inventory sizes can be re-derived by brute force (conjugacy classes
 counted over explicit element lists, all orders <= 120, as the orbits
-of conjugation by a generating set found from the list).
+of conjugation by a small generating set each model states, which one
+closure certifies to generate exactly the listed elements).
 """
 
 from __future__ import annotations
@@ -182,16 +183,24 @@ def _perm_mul(p, q):
     return itemgetter(*q)(p)
 
 
+def _symmetric(n: int):
+    # generated by the transposition of 0 and 1 and the n-cycle i -> i+1
+    transposition = (1, 0) + tuple(range(2, n))
+    n_cycle = tuple(range(1, n)) + (0,)
+    return _perms(n), _perm_mul, (transposition, n_cycle)
+
+
 def _cyclic(m: int):
     els = list(range(m))
     mul = lambda a, b: (a + b) % m  # noqa: E731
-    return els, mul
+    return els, mul, (1,)
 
 
-def _product(els1, mul1, els2, mul2):
+def _product(first, second, gens):
+    (els1, mul1, _), (els2, mul2, _) = first, second
     els = [(a, b) for a in els1 for b in els2]
     mul = lambda x, y: (mul1(x[0], y[0]), mul2(x[1], y[1]))  # noqa: E731
-    return els, mul
+    return els, mul, gens
 
 
 def _dihedral8():
@@ -204,27 +213,27 @@ def _dihedral8():
         r = (r1 + (r2 if f1 == 0 else -r2)) % 4
         return (r, (f1 + f2) % 2)
 
-    return els, mul
+    return els, mul, ((1, 0), (0, 1))
 
 
 @lru_cache(maxsize=None)
 def _model(tag: str):
+    """The group of a tag as (elements, product, stated generators)."""
     tag = normalize_tag(tag)
     if tag == "1":
-        return [0], lambda a, b: 0
+        return [0], lambda a, b: 0, ()
     if tag.startswith("C") and "x" not in tag:
         return _cyclic(int(tag[1:]))
     if tag == "C2xC2":
-        return _product(*_cyclic(2), *_cyclic(2))
+        return _product(_cyclic(2), _cyclic(2), ((1, 0), (0, 1)))
     if tag == "C2xC3":
-        return _product(*_cyclic(2), *_cyclic(3))
+        return _product(_cyclic(2), _cyclic(3), ((1, 1),))
     if tag in ("S3", "S4", "S5"):
-        n = int(tag[1:])
-        return _perms(n), _perm_mul
+        return _symmetric(int(tag[1:]))
     if tag == "D8":
         return _dihedral8()
     # S3xC2, the one tag of GROUP_TAGS left
-    return _product(_perms(3), _perm_mul, *_cyclic(2))
+    return _product(_symmetric(3), _cyclic(2), (((1, 2, 0), 1), ((1, 0, 2), 0)))
 
 
 def _inverse(g, identity, mul):
@@ -235,35 +244,35 @@ def _inverse(g, identity, mul):
     return power
 
 
-def _generators(els, identity, mul) -> list:
-    """A generating set picked greedily from the element list: each
-    element outside the subgroup that the earlier picks generate."""
-    gens: list = []
+def _closure(gens, identity, mul) -> set:
+    """The subgroup that gens generate: every product of them, walked
+    from the identity, each element multiplied once per generator."""
     subgroup = {identity}
-    for g in els:
-        if g in subgroup:
-            continue
-        gens.append(g)
-        work = list(subgroup)
-        while work:
-            h = work.pop()
-            for s in gens:
-                x = mul(h, s)
-                if x not in subgroup:
-                    subgroup.add(x)
-                    work.append(x)
-    return gens
+    work = [identity]
+    while work:
+        h = work.pop()
+        for s in gens:
+            x = mul(h, s)
+            if x not in subgroup:
+                subgroup.add(x)
+                work.append(x)
+    return subgroup
 
 
 def conjugacy_class_count(tag: str) -> int:
     """Brute-force class count over the explicit element list: the
-    orbits of conjugation by a generating set found from that list, so
-    each element is conjugated once per generator."""
-    els, mul = _model(tag)
+    orbits of conjugation by the generators the model states, so each
+    element is conjugated once per generator.  One closure first
+    certifies that those generators generate exactly the listed
+    elements; GroupError if they do not."""
+    els, mul, gens = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
-    gens = _generators(els, identity, mul)
-    conjugators = [(_inverse(g, identity, mul), g) for g in gens]
     remaining = set(els)
+    if _closure(gens, identity, mul) != remaining:
+        raise GroupError(
+            f"{tag}: the stated generators do not generate its {len(remaining)} elements"
+        )
+    conjugators = [(_inverse(g, identity, mul), g) for g in gens]
     classes = 0
     while remaining:
         classes += 1

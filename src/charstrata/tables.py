@@ -281,6 +281,7 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     levis = _fiber_levis(t)
     unit = unit_label(t).text
     new, fill = object.__new__, FiberEntry._fill
+    set_stratum, set_fiber, set_annotation = StrataRow._setters
     rows: list[StrataRow] = []
     seen: set[str] = set()
     for head, entries, annotation in structured:
@@ -311,7 +312,11 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                         f"in {t.name}"
                     )
             fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
-        rows.append(StrataRow(head_label, tuple(fiber), annotation))
+        row = new(StrataRow)
+        set_stratum(row, head_label)
+        set_fiber(row, tuple(fiber))
+        set_annotation(row, annotation)
+        rows.append(row)
     return tuple(rows)
 
 

@@ -21,7 +21,7 @@ from time import perf_counter
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
 from .cuspidal import cuspidal_counts, enumerate_cs_prime, triple_count
-from .groups import GROUP_TAGS, conjugacy_class_count, inventory
+from .groups import GROUP_TAGS, GroupError, conjugacy_class_count, inventory
 from .labels import enumerate_irr, unit_label
 from .schema import canonical_json, parse_table_document, table_document
 from .strata import regular_fiber_labels
@@ -114,14 +114,15 @@ def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Every stratum's own empty-Levi triple maps back to the stratum's
-    row through the placement's triple index."""
+    row through the placement's triple index.  That triple's key is the
+    one stored on the row's first entry, which assemble_rows builds from
+    the head with d = 0."""
     row_of_triple = pl.row_of_triple
     for ri, row in enumerate(pl.rows):
-        head = row.stratum.text
-        got = row_of_triple.get(("-", head, 0))
+        got = row_of_triple.get(row.fiber[0].key)
         if got != ri:
             where = "no row" if got is None else f"row {pl.rows[got].stratum.text!r}"
-            return "fail", f"the triple of head {head!r} maps to {where}"
+            return "fail", f"the triple of head {row.stratum.text!r} maps to {where}"
     return "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber"
 
 
@@ -136,13 +137,20 @@ def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Each row's boxed flags against the deviation its Annotation
-    derived, and that against the bad primes, row by row in table order,
-    so a failure names the first faulty row.  A singleton row deviates
-    at its r0 alone, which Annotation checks that it boxes; its r0 need
-    not be a bad prime."""
+    derived, and that against the bad primes.  Rows that print the same
+    datum share one Annotation, so each distinct object is checked once,
+    at its first row, and a failure names the first faulty row in table
+    order.  The objects are told apart by id, which costs less than
+    Annotation's hash of its fields.  A singleton row deviates at its
+    r0 alone, which Annotation checks that it boxes; its r0 need not be
+    a bad prime."""
     bad = datum(t).bad_primes
+    checked = set()
     for r in pl.rows:
         a = r.annotation
+        if id(a) in checked:
+            continue
+        checked.add(id(a))
         deviation = a.deviation
         if a.boxed != (deviation or {"single"}):
             return (
@@ -215,8 +223,12 @@ def _check_centralizers(t: CartanType) -> tuple[str, str]:
 def _check_group_inventories() -> tuple[str, str]:
     """The same for every type, so it runs once per process."""
     for tag in GROUP_TAGS:
-        if conjugacy_class_count(tag) != len(inventory(tag)):
-            return "fail", f"{tag}: classes {conjugacy_class_count(tag)} != inventory"
+        try:
+            classes = conjugacy_class_count(tag)
+        except GroupError as exc:
+            return "fail", str(exc)
+        if classes != len(inventory(tag)):
+            return "fail", f"{tag}: classes {classes} != inventory"
     return "pass", f"{len(GROUP_TAGS)} inventories match brute-force class counts"
 
 

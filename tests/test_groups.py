@@ -5,6 +5,7 @@ import itertools
 from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
+    _closure,
     _inverse,
     _model,
     _perm_mul,
@@ -32,6 +33,15 @@ def test_class_count_matches_all_conjugators_oracle(tag):
     assert conjugacy_class_count(tag) == all_conjugators_class_count(tag)
 
 
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+def test_stated_generators_close_to_the_element_list(tag):
+    els, mul, gens = _model(tag)
+    identity = next(g for g in els if mul(g, g) == g)
+    assert set(gens) <= set(els)
+    assert len(set(els)) == len(els)
+    assert _closure(gens, identity, mul) == set(els)
+
+
 def test_permutation_product_composes_right_to_left():
     perms = list(itertools.permutations(range(4)))
     for p in perms:
@@ -41,7 +51,7 @@ def test_permutation_product_composes_right_to_left():
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_inverse_by_powers_matches_scan(tag):
-    els, mul = _model(tag)
+    els, mul, _ = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
     for g in els:
         scanned = next(h for h in els if mul(g, h) == identity)

@@ -204,6 +204,9 @@ def test_regular_fiber_labels():
     assert len(regular_fiber_labels(parse_type("E6"))) == 4
     assert len(regular_fiber_labels(parse_type("A9"))) == 1
     assert len(regular_fiber_labels(parse_type("B7"))) == 2
+    assert [l.text for l in regular_fiber_labels(parse_type("G2"))] == [
+        "e(1/1)", "e(1/2)", "e(1/3)", "e(2/3)",
+    ]
     labs = regular_fiber_labels(TORUS)
     assert [(l.m, l.k) for l in labs] == [(1, 1)]
 

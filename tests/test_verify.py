@@ -198,21 +198,49 @@ def test_group_inventories_fail_when_an_irrep_is_dropped(monkeypatch):
     assert report.failed
 
 
+def test_group_inventories_fail_when_the_stated_generators_do_not_generate(monkeypatch):
+    """S5 stated without its 5-cycle generates only a subgroup of order
+    two; the check fails naming S5 instead of counting its orbits."""
+    model = groups._model
+    els, mul, gens = model("S5")
+    monkeypatch.setattr(
+        groups, "_model", lambda tag: (els, mul, gens[:1]) if tag == "S5" else model(tag)
+    )
+    verify._check_group_inventories.cache_clear()
+    try:
+        report = run_all(parse_type("G2"), TableStore())
+    finally:
+        verify._check_group_inventories.cache_clear()
+    assert (
+        "group-inventories", "fail",
+        "S5: the stated generators do not generate its 120 elements",
+    ) in report.checks
+    assert report.failed
+
+
 def test_boxed_check_names_the_first_faulty_row_in_table_order():
     """Rows 3 and 12 of E7 get one faulty annotation and row 6 another;
-    the check reports row 3, the first faulty row in table order."""
+    the check reports row 3, the first faulty row in table order, both
+    when rows 3 and 12 carry equal but distinct objects and when they
+    share one object, which the check then reads once."""
     e7 = parse_type("E7")
     pl = placement(e7)
     assert verify._check_boxed(e7, pl) == ("pass", "boxed flags match recomputed deviation sets")
-    rows = list(pl.rows)
-    for i, boxed in ((3, {3}), (6, {2}), (12, {3})):
-        r = rows[i]
-        a = r.annotation
-        assert a.boxed == {"single"} and a.r0 is None, r.stratum.text
-        edited = Annotation(a.groups, frozenset(boxed))
-        rows[i] = StrataRow(r.stratum, r.fiber, edited)
-    assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
-        "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
+    for shared in (False, True):
+        rows = list(pl.rows)
+        faulty = {}
+        for i, boxed in ((3, {3}), (6, {2}), (12, {3})):
+            r = rows[i]
+            a = r.annotation
+            assert a.boxed == {"single"} and a.r0 is None, r.stratum.text
+            edited = Annotation(a.groups, frozenset(boxed))
+            if shared:
+                edited = faulty.setdefault(edited, edited)
+            rows[i] = StrataRow(r.stratum, r.fiber, edited)
+        assert (rows[3].annotation is rows[12].annotation) is shared
+        assert rows[3].annotation is not rows[6].annotation
+        assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
+            "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
 
 
 @pytest.mark.parametrize("name", ["Torus"] + [f"A{n}" for n in range(1, 10)])
