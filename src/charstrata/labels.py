@@ -27,9 +27,9 @@ class LabelError(CharstrataError, ValueError):
 Partition = tuple[int, ...]
 
 
-def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
+def partitions(n: int) -> tuple[Partition, ...]:
     """Partitions of n, largest part first, in descending lex order."""
-    return _partitions(n, n if max_part is None else min(n, max_part))
+    return _partitions(n, n)
 
 
 @lru_cache(maxsize=None)

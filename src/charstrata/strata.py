@@ -24,6 +24,7 @@ from .tables import (  # noqa: F401 - placement, Placement and its resolver are 
     DEFAULT_STORE,
     Placement,
     PlacementMismatch,
+    TableFormatError,
     TableStore,
     find_row,
     placement,
@@ -121,12 +122,12 @@ def bijection_witness(
     t: CartanType, store: TableStore = DEFAULT_STORE
 ) -> list[tuple[str, int, int]]:
     """Per stratum: (head, fiber size, inventory size), the fiber size
-    as resolve_placement recorded it.  The counting content of the
+    the length of the row's expanded fiber.  The counting content of the
     parametrization is that the two sizes agree row by row."""
     pl = store[t.name]
     return [
         (row.stratum.text, size, len(row.annotation.collection.labels))
-        for row, size in zip(pl.rows, pl.fiber_sizes)
+        for row, size in zip(pl.rows, map(len, pl.fiber_expanded))
     ]
 
 
@@ -136,11 +137,12 @@ def bijection_pairing(
     """A concrete matching for one stratum: expanded fiber in row order
     against the inventory in its canonical order.  Only the existence
     of some matching is asserted by the theory; this one is the
-    deterministic representative."""
+    deterministic representative.  TableFormatError when the two sizes
+    differ, which is exactly a row that verify's row-balance fails."""
     expanded = [tr for tr, _ in fiber(t, stratum, store, expand=True)]
     elements = c_star(t, stratum, store)
     if len(expanded) != len(elements):
-        raise ValueError(
+        raise TableFormatError(
             f"fiber over {stratum} has {len(expanded)} triples but the "
             f"inventory has {len(elements)} elements"
         )
@@ -175,7 +177,7 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
 
 
 def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) -> int:
-    """The fiber size of t's unit stratum, as resolve_placement recorded
-    it; UnknownStratum when the unit label heads no row."""
+    """The fiber size of t's unit stratum, the length of its expanded
+    fiber; UnknownStratum when the unit label heads no row."""
     pl = store[t.name]
-    return pl.fiber_sizes[pl.row_of_head[unit_label(t).text]]
+    return len(pl.fiber_expanded[pl.row_of_head[unit_label(t).text]])

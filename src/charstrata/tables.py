@@ -301,10 +301,12 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                 levi, name, opaque, lab = None, "-", False, label_of(char)
             else:
                 # Canonical names hit at once; other spellings are parsed.
-                found = levis.get(levi_name) or levis.get(parse_type(levi_name).name)
-                if found is None:
-                    raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}")
-                levi, name, opaque, characters = found
+                try:
+                    levi, name, opaque, characters = (
+                        levis.get(levi_name) or levis[parse_type(levi_name).name])
+                except (KeyError, CartanError):
+                    raise TableFormatError(
+                        f"{levi_name} is not a cuspidal Levi of {t.name}") from None
                 lab = characters.get(char)
                 if lab is None:
                     raise TableFormatError(
@@ -323,47 +325,46 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
 class PlacementMismatch(CharstrataError, ValueError):
     """A table's fiber entries do not match the enumerated triples."""
 
-    def __init__(self, message: str, offending: str | None = None) -> None:
-        super().__init__(message)
-        self.offending = offending
-
 
 class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
     type_name names the type, rows are the table's rows in order and
-    total is the number of triples they place.  relabelled maps (row
-    index, fiber position) to the triple key the entry stands for, for
-    entries printed with a duplicated label only (the documented
+    total is the number of triples they place: every triple of the
+    enumeration, each in exactly one row, as each fiber entry stands
+    for all the triples of its key.  relabelled maps (row index, fiber
+    position) to the triple key the entry stands for, for entries
+    printed with a duplicated label only (the documented
     row-order/registry-order convention, one line of notes each); every
     other entry stands for its own key.
     row_of_head, a HeadIndex, maps each stratum's text to its row index
     and raises UnknownStratum for any other text, and
     row_of_triple each triple key (Levi name, character text, d) to the
-    first row, in resolved order, whose fiber holds that triple.
+    row whose fiber holds the triples of that key.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
-    per triple (the same tuple when the two agree).  fiber_sizes holds
-    each row's fiber size, the sum of its multiplicities.
+    per triple (the same tuple when the two agree), its length the
+    row's fiber size.
     registry_gaps is (missing, duplicated), both sorted: the registry
     labels that no empty-Levi entry prints, and those printed more than
     once; two empty lists when the empty-Levi entries list Irr(t)
     exactly once.  resolve_placement builds all of them in one walk of
-    the enumeration (fiber_sizes and registry_gaps in the walk of the
-    entries that places them), and a query answers with one lookup in
-    row_of_head or row_of_triple.
+    the enumeration (registry_gaps in the walk of the entries that
+    places them), and a query answers with one lookup in row_of_head or
+    row_of_triple.
     """
 
     __slots__ = _fields = (
         "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
-        "fiber_pairs", "fiber_expanded", "fiber_sizes", "registry_gaps",
+        "fiber_pairs", "fiber_expanded", "registry_gaps",
     )
 
 
 def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
-    """Match every fiber entry to enumerated triples, or raise
-    PlacementMismatch naming the first offending entry."""
+    """Match each fiber entry to all the enumerated triples of its key,
+    as many as its multiplicity, or raise PlacementMismatch naming the
+    first offending entry."""
     enum = enumerate_cs_prime(t)
     # The triples of one key (Levi name, character text, d) are adjacent
     # in the enumeration, index 0 first (enumerate_cs_prime's order), so
@@ -373,29 +374,25 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         last_of[tr.key] = i
         remaining[tr.key] = tr.index + 1
 
-    # In table order, each entry takes triples of its own key while they
-    # last; the others wait for their family (Levi name, d).  The same
-    # walk sums each row's multiplicities and keeps the empty-Levi
+    # In table order, an entry takes all the triples of its own key when
+    # none is taken yet and it prints their number; the others wait for
+    # their family (Levi name, d).  The same walk keeps the empty-Levi
     # labels printed after a row's head.
-    row_of_triple, waiting, fiber_sizes, empty_after_head = {}, {}, [], []
+    row_of_triple, waiting, empty_after_head = {}, {}, []
     for ri, row in enumerate(rows):
-        size = 0
         for pi, en in enumerate(row.fiber):
-            key, mult = en.key, en.mult
-            size += mult
+            key = en.key
             if pi and key[0] == "-":
                 empty_after_head.append(key[1])
-            left = remaining.get(key, 0)
-            if left >= mult:
-                remaining[key] = left - mult
-                row_of_triple.setdefault(key, ri)
+            if remaining.get(key) == en.mult:
+                remaining[key] = 0
+                row_of_triple[key] = ri
             else:
                 waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
-        fiber_sizes.append(size)
 
-    # Waiting entries and unplaced triples, family by family in
-    # enumeration order: an entry printed with a duplicated label takes
-    # a remaining character of its family.
+    # Waiting entries and untaken keys, family by family in enumeration
+    # order: an entry printed with a duplicated label takes a remaining
+    # character of its family.
     relabelled, notes = {}, []
     if waiting or any(remaining.values()):
         families = {}
@@ -406,8 +403,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             key = sorted(extra)[0]
             raise PlacementMismatch(
                 f"table for {t.name} places entries with Levi/d {key} "
-                "outside the cuspidal-support enumeration",
-                offending=str(key),
+                "outside the cuspidal-support enumeration"
             )
         for (levi_name, d), texts in families.items():
             leftovers = [txt for txt in texts if remaining[levi_name, txt, d] > 0]
@@ -415,8 +411,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                 if en.disamb is None:
                     raise PlacementMismatch(
                         f"entry {en.describe()} in row {rows[ri].stratum.text!r} does not "
-                        f"match the enumeration for {t.name}",
-                        offending=en.describe(),
+                        f"match the enumeration for {t.name}"
                     )
                 match = next(
                     (cand for cand in leftovers if remaining[levi_name, cand, d] == en.mult),
@@ -425,16 +420,15 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                 if match is None:
                     raise PlacementMismatch(
                         f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                        "cannot be assigned a remaining character",
-                        offending=en.describe(),
+                        "cannot be assigned a remaining character"
                     )
                 key = (levi_name, match, d)
-                remaining[key] -= en.mult
+                remaining[key] = 0
                 leftovers.remove(match)
                 relabelled[ri, pi] = key
-                row_of_triple.setdefault(key, ri)
-                # It waited as its own key had fewer than mult triples
-                # left, and match has mult left: match is never its own.
+                row_of_triple[key] = ri
+                # It waited as its own key had not exactly mult triples
+                # left, and match has: match is never its own.
                 notes.append(
                     f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
                     f"stands for character {match!r}"
@@ -444,9 +438,9 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                 if left:
                     raise PlacementMismatch(
                         f"table for {t.name} misses {left} triple(s) "
-                        f"({levi_name}, {txt}, d={d})",
-                        offending=f"({levi_name},{txt},{d})",
+                        f"({levi_name}, {txt}, d={d})"
                     )
+    # Each entry took all mult triples of its key: first == last is mult 1.
     fiber_pairs, fiber_expanded = [], []
     for ri, row in enumerate(rows):
         pairs, expanded = [], []
@@ -455,7 +449,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             first = last - enum[last].index
             pair = (enum[first], en.mult)
             pairs.append(pair)
-            if first == last and en.mult == 1:
+            if first == last:
                 expanded.append(pair)
             else:
                 expanded += [(tr, 1) for tr in enum[first:last + 1]]
@@ -471,8 +465,8 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
     )
     return Placement(
-        t.name, rows, sum(fiber_sizes), relabelled, tuple(notes), row_of_head, row_of_triple,
-        tuple(fiber_pairs), tuple(fiber_expanded), tuple(fiber_sizes), (missing, duplicated),
+        t.name, rows, len(enum), relabelled, tuple(notes), row_of_head, row_of_triple,
+        tuple(fiber_pairs), tuple(fiber_expanded), (missing, duplicated),
     )
 
 

@@ -4,13 +4,13 @@ and registration of external strata tables for classical types.
 The table checks read the type's placement, resolved once per run.
 An embedded, a registered and a built-in identity table (series A and
 the torus) all go through the same six; the enumeration and placement
-checks compare with cuspidal.triple_count.  empty-completeness,
-row-balance and regular-fiber-phi read what resolve_placement recorded
-in its walk of the table, the registry gaps and the fiber sizes, so no
-check walks the fiber entries again.  The table checks report
-'skipped' (never 'pass') for types without an available table; for a
-table that does not place, the placement check fails and the checks
-after it report 'skipped'.
+checks compare with cuspidal.triple_count.  empty-completeness reads
+the registry gaps resolve_placement recorded in its walk of the table,
+and row-balance and regular-fiber-phi take each row's fiber size as
+the length of its expanded fiber, so no check walks the fiber entries
+again.  The table checks report 'skipped' (never 'pass') for types
+without an available table; for a table that does not place, the
+placement check fails and the checks after it report 'skipped'.
 """
 
 from __future__ import annotations
@@ -164,11 +164,11 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 
 def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The counting witness row by row: each fiber, of the size
-    resolve_placement recorded, as large as the inventory of its group
+    """The counting witness row by row: each fiber, as many triples as
+    its expanded fiber lists, as large as the inventory of its group
     collection."""
     inventories = 0
-    for row, f in zip(pl.rows, pl.fiber_sizes):
+    for row, f in zip(pl.rows, map(len, pl.fiber_expanded)):
         c = len(row.annotation.collection.labels)
         if f != c:
             return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
@@ -177,11 +177,11 @@ def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 
 def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The unit stratum's fiber, of the size resolve_placement
-    recorded, against the primitive roots of unity that index it."""
+    """The unit stratum's fiber, as many triples as its expanded fiber
+    lists, against the primitive roots of unity that index it."""
     expected = len(regular_fiber_labels(t))
     try:
-        got = pl.fiber_sizes[pl.row_of_head[unit_label(t).text]]
+        got = len(pl.fiber_expanded[pl.row_of_head[unit_label(t).text]])
     except UnknownStratum as exc:
         return "fail", f"unit stratum not found: {exc}"
     if got != expected:
@@ -297,8 +297,8 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
     type has it placed and installed.
 
     Raises TableFormatError (schema problems, or a built-in table that
-    differs) or PlacementMismatch (placement problems, naming the first
-    offending triple).
+    differs) or PlacementMismatch (placement problems, its message
+    naming the first offending entry or triple).
     """
     t, rows = parse_table_document(doc)
     embedded = t.name in tabledata.TABLES
@@ -319,8 +319,7 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
     missing, duplicated = placed.registry_gaps
     if missing or duplicated:
         raise PlacementMismatch(
-            f"table for {t.name} does not exhaust the registry; missing {missing}",
-            offending=missing[0] if missing else None,
+            f"table for {t.name} does not exhaust the registry; missing {missing}"
         )
     store.install(placed)
     return f"{t.name}: registered ({len(rows)} rows, {placed.total} triples placed)"

@@ -431,7 +431,7 @@ def test_tables_dir_with_an_unparsable_levi_exits_2_naming_it(tmp_path, capsys, 
     entry.write_text(canonical_json(synthetic_b3_doc))
     code, out, err = run(capsys, "--tables", str(tmp_path), "strata", "B3")
     assert (code, out) == (2, "")
-    assert err == f"error: {entry}: unknown series 'Z'\n"
+    assert err == f"error: {entry}: Z9 is not a cuspidal Levi of B3\n"
 
 
 @pytest.mark.parametrize("name", ["B²", "B٣"])

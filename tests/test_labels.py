@@ -229,8 +229,6 @@ def test_registry_order_matches_the_recursive_enumeration(name):
 @pytest.mark.parametrize("n", range(0, 13))
 def test_partitions_match_the_recursive_enumeration(n):
     assert list(partitions(n)) == list(_oracle_partitions(n))
-    for max_part in range(0, n + 2):
-        assert list(partitions(n, max_part)) == list(_oracle_partitions(n, max_part))
 
 
 def test_malformed_partitions_are_rejected_with_their_parts():

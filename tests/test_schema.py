@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from charstrata.cartan import CartanError, parse_type
+from charstrata.cartan import parse_type
 from charstrata.schema import (
     canonical_json,
     parse_table_document,
@@ -321,8 +321,8 @@ REJECTIONS = [
     ("unknown-empty-levi-character", _put(*_ENTRY, value={
         "levi": "-", "character": "(8|)", "d": 0, "mult": 1}), TableFormatError,
      "unknown label '(8|)' for B3"),
-    ("levi-unparsable", _put(*_ENTRY, "levi", value="Z9"), CartanError,
-     "unknown series 'Z'"),
+    ("levi-unparsable", _put(*_ENTRY, "levi", value="Z9"), TableFormatError,
+     "Z9 is not a cuspidal Levi of B3"),
     ("levi-not-cuspidal", _put(*_ENTRY, "levi", value="A2"), TableFormatError,
      "A2 is not a cuspidal Levi of B3"),
     ("levi-alias-not-cuspidal", _put(*_ENTRY, "levi", value="C2"), TableFormatError,
@@ -431,7 +431,6 @@ def test_a_table_missing_a_head_row_is_rejected_by_placement(synthetic_b3_doc):
     with pytest.raises(PlacementMismatch) as err:
         register_external_table(synthetic_b3_doc, store)
     assert str(err.value) == "table for B3 misses 1 triple(s) (-, (2,1|), d=0)"
-    assert err.value.offending == "(-,(2,1|),0)"
     with pytest.raises(NoTableAvailable):
         placement(parse_type("B3"), store)
 

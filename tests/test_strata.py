@@ -7,7 +7,7 @@ import pytest
 
 import oracle_strata
 from charstrata import cuspidal, groups, tables, verify
-from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, parse_type
+from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, CharstrataError, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
 from charstrata.labels import enumerate_irr
@@ -251,8 +251,8 @@ def test_bijection_pairing_is_deterministic_and_total():
     for name in TABLE_TYPES:
         t = parse_type(name)
         pl = placement(t)
-        for row, size in zip(pl.rows, pl.fiber_sizes):
-            assert len(bijection_pairing(t, row.stratum)) == size
+        for row, expanded in zip(pl.rows, pl.fiber_expanded):
+            assert len(bijection_pairing(t, row.stratum)) == len(expanded)
 
 
 def test_bijection_pairing_refuses_a_row_that_does_not_balance(synthetic_b3_doc):
@@ -266,8 +266,9 @@ def test_bijection_pairing_refuses_a_row_that_does_not_balance(synthetic_b3_doc)
     b3 = parse_type("B3")
     for stratum, size in (("(3|)", 3), ("(|1,1,1)", 1)):
         message = f"fiber over {stratum} has {size} triples but the inventory has 2 elements"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
             bijection_pairing(b3, stratum, store)
+        assert isinstance(err.value, CharstrataError)
 
 
 def test_enumeration_order_is_documented_shape():
@@ -566,7 +567,7 @@ def test_identity_types_answer_as_the_identity(name):
             assert c_collection(t, query, store) == GroupCollection("single", ("1",))
             assert c_star(t, query, store) == trivial
         assert component_group(t, lab, 3, store) == "1"
-    assert placement(t, store).fiber_sizes == (1,) * len(labels)
+    assert [len(expanded) for expanded in placement(t, store).fiber_expanded] == [1] * len(labels)
     assert unit_stratum_fiber_size(t, store) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
     assert placement(t, store) is tables._built_in_placement(t)
@@ -648,7 +649,8 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
             monkeypatch.setattr(module, attr, refuse)
     for name, pl in built.items():
         t, store = parse_type(name), stores[name]
-        for row, size in zip(pl.rows, pl.fiber_sizes):
+        for row, expanded in zip(pl.rows, pl.fiber_expanded):
+            size = len(expanded)
             assert c_collection(t, row.stratum, store) is row.annotation.collection
             assert len(c_star(t, row.stratum, store)) == size
             assert fiber(t, row.stratum, store)[0][0].character == row.stratum

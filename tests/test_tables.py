@@ -6,21 +6,28 @@ import pytest
 
 from charstrata import tabledata
 from charstrata.cartan import CartanError, Subsystem, parse_type
-from charstrata.cuspidal import cuspidal_counts
+from charstrata.cuspidal import cuspidal_counts, enumerate_cs_prime
+from charstrata.strata import tau
 from charstrata.tables import (
     DEFAULT_STORE,
     NoTableAvailable,
+    PlacementMismatch,
     TableFormatError,
+    TableStore,
     UnknownStratum,
     centralizer_profile,
     centralizer_profiles,
     component_group,
     find_row,
     _printed_annotation,
+    build_rows,
     parse_annotation,
     placement,
+    resolve_placement,
 )
 from charstrata.schema import parse_table_document
+from charstrata.verify import register_external_table
+from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 ROW_COUNTS = {"G2": 6, "F4": 20, "E6": 21, "E7": 46, "E8": 74}
 
@@ -40,13 +47,13 @@ def test_e6_unit_row_fiber():
     keys = [(en.levi_name, en.character.text, en.mult) for en in row.fiber]
     assert keys == [("-", "1_0", 1), ("D4", "1", 1), ("E6", "1", 2)]
     pl = placement(parse_type("E6"))
-    assert pl.fiber_sizes[pl.row_of_head["1_0"]] == 4
+    assert len(pl.fiber_expanded[pl.row_of_head["1_0"]]) == 4
 
 
 def test_f4_d8_row_fiber_size():
     row = find_row(parse_type("F4"), "chi_{9,1}")
     pl = placement(parse_type("F4"))
-    assert pl.fiber_sizes[pl.row_of_head["chi_{9,1}"]] == 5
+    assert len(pl.fiber_expanded[pl.row_of_head["chi_{9,1}"]]) == 5
     texts = [en.character.text for en in row.fiber]
     assert texts == ["chi_{9,1}", "chi_{2,1}", "chi_{2,3}", "theta", "1"]
 
@@ -145,12 +152,50 @@ def test_annotation_parser_names_each_malformed_shape(ann, message):
     assert str(err.value) == f"{message}: {ann!r}"
 
 
-@pytest.mark.parametrize("name", [*sorted(ROW_COUNTS), "A4", "Torus"])
+_REGISTERED = {
+    "B3": synthetic_b3_table, "C4": synthetic_c4_table, "D6": synthetic_d6_table,
+    "B12": lambda: _bench_synthetic_table("B12", 1),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(ROW_COUNTS), "A4", "Torus", *_REGISTERED])
 def test_placement_records_fiber_sizes_and_registry_gaps(name):
-    pl = placement(parse_type(name))
-    assert pl.fiber_sizes == tuple(sum(en.mult for en in row.fiber) for row in pl.rows)
-    assert sum(pl.fiber_sizes) == pl.total
+    """Each row's expanded fiber holds as many triples as the row's
+    printed multiplicities sum to, and each triple key lies in exactly
+    one row, the one that row_of_triple and tau give for its triples."""
+    t, store = parse_type(name), TableStore()
+    if name in _REGISTERED:
+        register_external_table(_REGISTERED[name](), store)
+    pl = placement(t, store)
+    rows_of_key, placed = {}, []
+    for ri, (row, expanded) in enumerate(zip(pl.rows, pl.fiber_expanded)):
+        assert len(expanded) == sum(en.mult for en in row.fiber)
+        for tr, mult in expanded:
+            assert mult == 1 and tau(t, tr, store) == row.stratum
+            rows_of_key.setdefault(tr.key, set()).add(ri)
+            placed.append(tr)
+    assert rows_of_key == {key: {ri} for key, ri in pl.row_of_triple.items()}
+    enum = enumerate_cs_prime(t)
+    assert len(placed) == len(set(placed)) == len(enum) == pl.total and set(placed) == set(enum)
     assert pl.registry_gaps == ([], [])
+
+
+def test_an_entry_that_takes_part_of_its_key_is_refused():
+    """E8's (E8,1,3)#2 of row 112_3 split into one copy there and one in
+    row 84_4: neither copy prints the number of its key's triples, so
+    neither places them, and the first in table order is named."""
+    e8, whole, half = parse_type("E8"), ("E8", "1", 3, 2, None), ("E8", "1", 3, 1, None)
+    raw = []
+    for head, entries, ann in tabledata.TABLES["E8"]:
+        if head == "112_3":
+            assert whole in entries
+            entries = tuple(half if en == whole else en for en in entries)
+        elif head == "84_4":
+            entries = (*entries, half)
+        raw.append((head, entries, ann))
+    with pytest.raises(PlacementMismatch) as err:
+        resolve_placement(e8, build_rows(e8, raw))
+    assert str(err.value) == "entry (E8,1,3) in row '84_4' does not match the enumeration for E8"
 
 
 def test_centralizer_profile_examples():

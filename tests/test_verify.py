@@ -339,15 +339,14 @@ def test_boxed_check_fails_for_a_deviation_outside_the_bad_primes(synthetic_b3_d
     assert ("boxed-recomputation", "fail", "row '(3|)' deviates outside bad primes") in checks
 
 
-@pytest.mark.parametrize("entry, message, offending", [
+@pytest.mark.parametrize("entry, message", [
     ({"levi": "-", "character": "(1,1,1|)", "d": 1, "mult": 1},
      "table for B3 places entries with Levi/d ('-', 1) outside the cuspidal-support "
-     "enumeration", "('-', 1)"),
+     "enumeration"),
     ({"levi": "B2", "character": "(2)", "d": 0, "mult": 1, "disamb": "b"},
-     "duplicated entry (B2,(2),0)@b in row '(2,1|)' cannot be assigned a remaining character",
-     "(B2,(2),0)@b"),
+     "duplicated entry (B2,(2),0)@b in row '(2,1|)' cannot be assigned a remaining character"),
 ], ids=["levi-d-outside-the-enumeration", "duplicate-with-no-character-left"])
-def test_resolver_refuses_entries_it_cannot_place(synthetic_b3_doc, entry, message, offending):
+def test_resolver_refuses_entries_it_cannot_place(synthetic_b3_doc, entry, message):
     """The entry is appended to row (2,1|): a d that no triple of the
     empty Levi has, or a second copy of row (3|)'s B2 entry, whose
     family has no character left for it."""
@@ -355,7 +354,7 @@ def test_resolver_refuses_entries_it_cannot_place(synthetic_b3_doc, entry, messa
     row["fiber"].append(entry)
     with pytest.raises(PlacementMismatch) as err:
         register_external_table(synthetic_b3_doc, TableStore())
-    assert (str(err.value), err.value.offending) == (message, offending)
+    assert str(err.value) == message
 
 
 def test_a_built_in_table_in_another_key_order_is_refused_naming_the_row():
