@@ -131,7 +131,7 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
             if not (disamb is None or (isinstance(disamb, str) and disamb)):
                 raise TableFormatError(f"row {i} entry {j}: disamb must be a nonempty string")
             entries.append((levi, char, d, mult, disamb))
-        if entries[0][:4] != ("-", head, 0, 1):
+        if entries[0] != ("-", head, 0, 1, None):
             raise TableFormatError(
                 f"row {i}: first fiber entry must be ('-', {head!r}, d=0, mult=1)"
             )

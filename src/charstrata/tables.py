@@ -275,8 +275,9 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
     (levi, character, d, mult, disamb) with int d and mult, and each
     Annotation, already checked, is shared by the rows that print it.
     The walk that builds the rows refuses (TableFormatError) a head
-    that an earlier row already has and a characteristic-5 group
-    outside the unit stratum."""
+    that an earlier row already has, a characteristic-5 group outside
+    the unit stratum, and an entry of a classical Levi that prints a d
+    other than 0, which no triple key reads."""
     label_of = enumerate_irr(t).by_text
     levis = _fiber_levis(t)
     unit = unit_label(t).text
@@ -313,6 +314,11 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
                         f"{char!r} is not a character of the relative group of {name} "
                         f"in {t.name}"
                     )
+                if opaque and d:
+                    raise TableFormatError(
+                        f"entry ({name},{char},{d}) in row {text!r} of {t.name} must print "
+                        "d=0: its Levi is classical"
+                    )
             fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
         row = new(StrataRow)
         set_stratum(row, head_label)
@@ -346,6 +352,11 @@ class Placement(ValueObject):
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
     per triple (the same tuple when the two agree), its length the
     row's fiber size.
+    row_kinds lists each row kind once, in the order of its first row:
+    (annotation, fiber size, first row index) for each distinct pair of
+    an Annotation object and an expanded fiber size.  A table of
+    thousands of rows has a handful of kinds, and a fact of the kind,
+    such as its group datum or its balance, is checked there once.
     registry_gaps is (missing, duplicated), both sorted: the registry
     labels that no empty-Levi entry prints, and those printed more than
     once; two empty lists when the empty-Levi entries list Irr(t)
@@ -357,14 +368,15 @@ class Placement(ValueObject):
 
     __slots__ = _fields = (
         "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
-        "fiber_pairs", "fiber_expanded", "registry_gaps",
+        "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps",
     )
 
 
 def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     """Match each fiber entry to all the enumerated triples of its key,
     as many as its multiplicity, or raise PlacementMismatch naming the
-    first offending entry."""
+    first offending entry.  The walk that builds each row's fiber
+    tuples records the row kinds, so they describe exactly these rows."""
     enum = enumerate_cs_prime(t)
     # The triples of one key (Levi name, character text, d) are adjacent
     # in the enumeration, index 0 first (enumerate_cs_prime's order), so
@@ -440,22 +452,33 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                         f"table for {t.name} misses {left} triple(s) "
                         f"({levi_name}, {txt}, d={d})"
                     )
-    # Each entry took all mult triples of its key: first == last is mult 1.
-    fiber_pairs, fiber_expanded = [], []
+    # Each entry took all mult triples of its key, enum[first:last + 1],
+    # so a row's expanded fiber differs from its pairs only if some
+    # entry has first != last; only such a row builds its own.  The same
+    # walk records each row kind, (Annotation object, fiber size), at
+    # its first row.
+    fiber_pairs, fiber_expanded, kinds = [], [], {}
     for ri, row in enumerate(rows):
-        pairs, expanded = [], []
+        pairs, spans = [], False
         for pi, en in enumerate(row.fiber):
             last = last_of[relabelled.get((ri, pi), en.key) if relabelled else en.key]
             first = last - enum[last].index
-            pair = (enum[first], en.mult)
-            pairs.append(pair)
-            if first == last:
-                expanded.append(pair)
-            else:
-                expanded += [(tr, 1) for tr in enum[first:last + 1]]
-        pairs, expanded = tuple(pairs), tuple(expanded)
+            pairs.append((enum[first], en.mult))
+            if first != last:
+                spans = True
+        pairs = expanded = tuple(pairs)
+        if spans:
+            expanded = []
+            for tr, mult in pairs:
+                last = last_of[tr.key]
+                expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
+            expanded = tuple(expanded)
         fiber_pairs.append(pairs)
-        fiber_expanded.append(pairs if expanded == pairs else expanded)
+        fiber_expanded.append(expanded)
+        annotation, size = row.annotation, len(expanded)
+        kind = (id(annotation), size)
+        if kind not in kinds:
+            kinds[kind] = (annotation, size, ri)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
     # The heads are distinct registry labels (assemble_rows checks
     # both), so a label is printed twice only if an entry after a head
@@ -466,7 +489,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     )
     return Placement(
         t.name, rows, len(enum), relabelled, tuple(notes), row_of_head, row_of_triple,
-        tuple(fiber_pairs), tuple(fiber_expanded), (missing, duplicated),
+        tuple(fiber_pairs), tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
     )
 
 

@@ -8,9 +8,12 @@ checks compare with cuspidal.triple_count.  empty-completeness reads
 the registry gaps resolve_placement recorded in its walk of the table,
 and row-balance and regular-fiber-phi take each row's fiber size as
 the length of its expanded fiber, so no check walks the fiber entries
-again.  The table checks report 'skipped' (never 'pass') for types
-without an available table; for a table that does not place, the
-placement check fails and the checks after it report 'skipped'.
+again.  boxed-recomputation and row-balance read the row kinds that
+walk recorded, each distinct (Annotation, fiber size) pair with its
+first row, so they check a few kinds instead of every row.  The table
+checks report 'skipped' (never 'pass') for types without an available
+table; for a table that does not place, the placement check fails and
+the checks after it report 'skipped'.
 """
 
 from __future__ import annotations
@@ -139,15 +142,15 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Each row's boxed flags against the deviation its Annotation
     derived, and that against the bad primes.  Rows that print the same
     datum share one Annotation, so each distinct object is checked once,
-    at its first row, and a failure names the first faulty row in table
-    order.  The objects are told apart by id, which costs less than
-    Annotation's hash of its fields.  A singleton row deviates at its
-    r0 alone, which Annotation checks that it boxes; its r0 need not be
-    a bad prime."""
+    at its first row, read from the placement's row kinds in the order
+    of their first rows; a failure thus names the first faulty row in
+    table order.  The objects are told apart by id, which costs less
+    than Annotation's hash of its fields.  A singleton row deviates at
+    its r0 alone, which Annotation checks that it boxes; its r0 need not
+    be a bad prime."""
     bad = datum(t).bad_primes
     checked = set()
-    for r in pl.rows:
-        a = r.annotation
+    for a, _, ri in pl.row_kinds:
         if id(a) in checked:
             continue
         checked.add(id(a))
@@ -155,24 +158,26 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
         if a.boxed != (deviation or {"single"}):
             return (
                 "fail",
-                f"row {r.stratum.text!r}: deviation {sorted(map(str, deviation))} vs "
+                f"row {pl.rows[ri].stratum.text!r}: deviation {sorted(map(str, deviation))} vs "
                 f"boxed {sorted(map(str, a.boxed))}",
             )
         if not deviation <= bad and a.r0 is None:
-            return "fail", f"row {r.stratum.text!r} deviates outside bad primes"
+            return "fail", f"row {pl.rows[ri].stratum.text!r} deviates outside bad primes"
     return "pass", "boxed flags match recomputed deviation sets"
 
 
 def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The counting witness row by row: each fiber, as many triples as
-    its expanded fiber lists, as large as the inventory of its group
-    collection."""
-    inventories = 0
-    for row, f in zip(pl.rows, map(len, pl.fiber_expanded)):
-        c = len(row.annotation.collection.labels)
+    """The counting witness: each fiber, as many triples as its expanded
+    fiber lists, as large as the inventory of its group collection.
+    Both sizes are facts of the row's kind, so each of the placement's
+    row kinds is checked once; they come in the order of their first
+    rows, so a failure names the first faulty row in table order.  When
+    every kind balances, the inventories sum to the fiber sizes."""
+    for a, f, ri in pl.row_kinds:
+        c = len(a.collection.labels)
         if f != c:
-            return "fail", f"row {row.stratum.text!r}: fiber {f} != inventory {c}"
-        inventories += c
+            return "fail", f"row {pl.rows[ri].stratum.text!r}: fiber {f} != inventory {c}"
+    inventories = sum(map(len, pl.fiber_expanded))
     return "pass", f"{len(pl.rows)} rows balanced; totals {pl.total} = {inventories}"
 
 

@@ -5,7 +5,9 @@ or replaces values with ones of the wrong type, and registration must
 either accept the result or reject it with one of the errors the CLI
 reports as malformed input.  A second strategy edits only the non-head
 fiber entries of the classical seeds, so every document it makes passes
-the schema and reaches the resolver and, once registered, run_all."""
+the schema; one that prints a d other than 0 for a classical Levi is
+refused as the rows are built, and every other reaches the resolver
+and, once registered, run_all."""
 
 import contextlib
 import copy
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from charstrata import cli
 from charstrata.cartan import parse_type
@@ -186,6 +189,16 @@ def test_fiber_entry_edits_reach_the_resolver_and_run_all(data):
     for _ in range(data.draw(st.integers(1, 3))):
         _edit_fiber_entry(doc, data)
     store = TableStore()
+    classical_d = [
+        f"entry ({en['levi']},{en['character']},{en['d']}) in row {row['stratum']!r} of "
+        f"{doc['type']} must print d=0: its Levi is classical"
+        for row in doc["rows"] for en in row["fiber"][1:] if en["levi"] != "-" and en["d"]
+    ]
+    if classical_d:
+        with pytest.raises(TableFormatError) as err:
+            register_external_table(doc, store)
+        assert str(err.value) == classical_d[0]
+        return
     try:
         register_external_table(doc, store)
     except PlacementMismatch:

@@ -294,6 +294,10 @@ REJECTIONS = [
      "row 0 entry 1: disamb must be a nonempty string"),
     ("first-entry", _put("rows", 1, "fiber", 0, "d", value=1), TableFormatError,
      "row 1: first fiber entry must be ('-', '(2,1|)', d=0, mult=1)"),
+    ("first-entry-disamb", _put("rows", 1, "fiber", 0, "disamb", value="x"), TableFormatError,
+     "row 1: first fiber entry must be ('-', '(2,1|)', d=0, mult=1)"),
+    ("classical-levi-d", _put(*_ENTRY, "d", value=7), TableFormatError,
+     "entry (B2,(2),7) in row '(3|)' of B3 must print d=0: its Levi is classical"),
     ("groups-not-an-object", _put("rows", 1, "groups", value=[]), TableFormatError,
      "row 1: groups must be an object"),
     ("groups-key", _put("rows", 1, "groups", "7", value="1"), TableFormatError,

@@ -187,7 +187,7 @@ COMPARED = {
     Annotation: ("groups", "boxed"),
     StrataRow: ("stratum", "fiber", "annotation"),
     Placement: ("type_name", "rows", "total", "relabelled", "notes", "row_of_head",
-                "row_of_triple", "fiber_pairs", "fiber_expanded", "registry_gaps"),
+                "row_of_triple", "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),
     CStarElement: ("group", "irrep", "origin"),

@@ -9,6 +9,7 @@ from charstrata.tables import (
     resolve_placement,
 )
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
+from conftest import synthetic_spread_table
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A3", "Torus"])
@@ -239,8 +240,49 @@ def test_boxed_check_names_the_first_faulty_row_in_table_order():
             rows[i] = StrataRow(r.stratum, r.fiber, edited)
         assert (rows[3].annotation is rows[12].annotation) is shared
         assert rows[3].annotation is not rows[6].annotation
-        assert verify._check_boxed(e7, _replaced(pl, rows=tuple(rows))) == (
+        assert verify._check_boxed(e7, resolve_placement(e7, tuple(rows))) == (
             "fail", f"row {rows[3].stratum.text!r}: deviation [] vs boxed ['3']")
+
+
+def test_row_balance_names_the_first_row_of_the_faulty_kind(synthetic_b3_doc):
+    """Rows (2|1) and (1|2), of fiber 1, take the C2 annotation object
+    of the unit row (3|), of fiber 2: that one Annotation heads rows of
+    two fiber sizes, and only the kind met second, (C2, 1), fails."""
+    b3 = parse_type("B3")
+    rows = list(parse_table_document(synthetic_b3_doc)[1])
+    unit = rows[0]
+    assert unit.stratum.text == "(3|)" and len(unit.fiber) == 2
+    for i in (3, 5):
+        rows[i] = StrataRow(rows[i].stratum, rows[i].fiber, unit.annotation)
+    pl = resolve_placement(b3, tuple(rows))
+    assert [(len(a.collection.labels), f, ri) for a, f, ri in pl.row_kinds] == [
+        (2, 2, 0), (1, 1, 1), (2, 1, 3)]
+    failing = ("fail", "row '(2|1)': fiber 1 != inventory 2")
+    assert verify._check_row_balance(b3, pl) == failing
+    broken = TableStore()
+    broken.install(pl)
+    assert ("row-balance", *failing) in run_all(b3, broken).checks
+
+
+class _UnwalkableRows(tuple):
+    """A rows tuple that refuses to be walked; indexing still works."""
+
+    def __iter__(self):
+        raise AssertionError("the check walked every row")
+
+
+def test_boxed_and_row_balance_read_the_row_kinds_not_the_rows():
+    """On a resolved B12 table of 1165 rows, neither check walks the
+    rows: both read the placement's row kinds, row-balance sums the
+    fiber sizes, and a row is read by index only to name it."""
+    b12 = parse_type("B12")
+    pl = resolve_placement(*parse_table_document(synthetic_spread_table("B12")))
+    assert len(pl.rows) == 1165 and len(pl.row_kinds) == 3
+    unwalkable = _replaced(pl, rows=_UnwalkableRows(pl.rows))
+    assert verify._check_boxed(b12, unwalkable) == (
+        "pass", "boxed flags match recomputed deviation sets")
+    assert verify._check_row_balance(b12, unwalkable) == (
+        "pass", f"1165 rows balanced; totals {pl.total} = {pl.total}")
 
 
 @pytest.mark.parametrize("name", ["Torus"] + [f"A{n}" for n in range(1, 10)])
