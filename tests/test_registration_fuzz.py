@@ -6,8 +6,10 @@ either accept the result or reject it with one of the errors the CLI
 reports as malformed input.  A second strategy edits only the non-head
 fiber entries of the classical seeds, so every document it makes passes
 the schema; one that prints a d other than 0 for a classical Levi is
-refused as the rows are built, and every other reaches the resolver
-and, once registered, run_all."""
+refused as the rows are built, and every other reaches the resolver.
+Once registered, its heads retract onto their own rows, its expanded
+fibers list the enumeration once, and run_all passes triple-placement
+and retraction."""
 
 import contextlib
 import copy
@@ -24,7 +26,7 @@ from charstrata import cli
 from charstrata.cartan import parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.schema import canonical_json, table_document
-from charstrata.tables import PlacementMismatch, TableFormatError, TableStore
+from charstrata.tables import PlacementMismatch, TableFormatError, TableStore, placement
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
@@ -203,6 +205,14 @@ def test_fiber_entry_edits_reach_the_resolver_and_run_all(data):
         register_external_table(doc, store)
     except PlacementMismatch:
         return
-    report = run_all(parse_type(doc["type"]), store)
+    t = parse_type(doc["type"])
+    pl = placement(t, store)
+    for ri, row in enumerate(pl.rows):
+        assert pl.row_of_triple[row.fiber[0].key] == ri, row.stratum.text
+    placed = [tr for expanded in pl.fiber_expanded for tr, _ in expanded]
+    enum = enumerate_cs_prime(t)
+    assert len(placed) == len(set(placed)) == len(enum) and set(placed) == set(enum)
+    report = run_all(t, store)
     assert [cid for cid, _, _ in report.checks] == list(CHECK_IDS)
-    assert report.checks[1][:2] == ("triple-placement", "pass")
+    statuses = {cid: status for cid, status, _ in report.checks}
+    assert statuses["triple-placement"] == statuses["retraction"] == "pass"

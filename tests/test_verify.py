@@ -387,11 +387,19 @@ def test_boxed_check_fails_for_a_deviation_outside_the_bad_primes(synthetic_b3_d
      "enumeration"),
     ({"levi": "B2", "character": "(2)", "d": 0, "mult": 1, "disamb": "b"},
      "duplicated entry (B2,(2),0)@b in row '(2,1|)' cannot be assigned a remaining character"),
-], ids=["levi-d-outside-the-enumeration", "duplicate-with-no-character-left"])
+    ({"levi": "-", "character": "(1,1,1|)", "d": 0, "mult": 1},
+     "entry (1,1,1|) in row '(1,1,1|)' does not match the enumeration for B3"),
+    ({"levi": "-", "character": "(1,1,1|)", "d": 0, "mult": 1, "disamb": "x"},
+     "entry (1,1,1|) in row '(1,1,1|)' does not match the enumeration for B3"),
+], ids=["levi-d-outside-the-enumeration", "duplicate-with-no-character-left",
+        "later-head-triple", "later-head-triple-with-disamb"])
 def test_resolver_refuses_entries_it_cannot_place(synthetic_b3_doc, entry, message):
     """The entry is appended to row (2,1|): a d that no triple of the
-    empty Levi has, or a second copy of row (3|)'s B2 entry, whose
-    family has no character left for it."""
+    empty Levi has, a second copy of row (3|)'s B2 entry, whose family
+    has no character left for it, or the triple of the later head
+    (1,1,1|), with or without a disamb.  That entry takes the head's
+    triple first, so the head, which carries no disamb, is refused: no
+    table that places lets a head's triple leave the head's row."""
     row = next(row for row in synthetic_b3_doc["rows"] if row["stratum"] == "(2,1|)")
     row["fiber"].append(entry)
     with pytest.raises(PlacementMismatch) as err:
