@@ -20,7 +20,7 @@ from .schema import (
     tau_document, triples_document, verify_document,
 )
 from .tables import TableFormatError, TableStore, centralizer_profile, centralizer_profiles
-from .verify import register_external_table, run_all
+from .verify import check_line, register_external_table, run_all
 
 TABLES_ENV = "CHARSTRATA_TABLES"
 
@@ -198,7 +198,7 @@ def _verify_text(doc: dict):
     for report in doc["reports"]:
         yield f"== {report['type']}"
         for c in report["checks"]:
-            yield f"  {c['id']}: {c['status']}" + (f"  [{c['detail']}]" if c["detail"] else "")
+            yield "  " + check_line(c["id"], c["status"], c["detail"])
         for err in report["errata"]:
             yield f"  erratum: {err}"
 

@@ -78,10 +78,6 @@ class CharacterLabel(ValueObject):
 
     __slots__ = ()
 
-    @property
-    def text(self) -> str:
-        raise NotImplementedError
-
     def __str__(self) -> str:  # pragma: no cover - repr helper
         return self.text
 

@@ -336,12 +336,13 @@ class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
-    type_name names the type, rows are the table's rows in order and
-    total is the number of triples they place: every triple of the
-    enumeration, each in exactly one row, as each fiber entry stands
-    for all the triples of its key.  relabelled maps (row index, fiber
-    position) to the triple key the entry stands for, for entries
-    printed with a duplicated label only (the documented
+    type_name names the type and rows are the table's rows in order.
+    They place every triple of the enumeration, each in exactly one
+    row, as each fiber entry stands for all the triples of its key, and
+    each row's head its own empty-Levi triple; resolve_placement
+    returns no placement that breaks either.  relabelled maps (row
+    index, fiber position) to the triple key the entry stands for, for
+    entries printed with a duplicated label only (the documented
     row-order/registry-order convention, one line of notes each); every
     other entry stands for its own key.
     row_of_head, a HeadIndex, maps each stratum's text to its row index
@@ -367,7 +368,7 @@ class Placement(ValueObject):
     """
 
     __slots__ = _fields = (
-        "type_name", "rows", "total", "relabelled", "notes", "row_of_head", "row_of_triple",
+        "type_name", "rows", "relabelled", "notes", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps",
     )
 
@@ -488,7 +489,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
     )
     return Placement(
-        t.name, rows, len(enum), relabelled, tuple(notes), row_of_head, row_of_triple,
+        t.name, rows, relabelled, tuple(notes), row_of_head, row_of_triple,
         tuple(fiber_pairs), tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
     )
 
@@ -540,6 +541,8 @@ class TableStore(dict):
         return self[t.name].rows
 
     def install(self, placed: Placement) -> None:
+        """Store placed, which resolve_placement returned: the checks
+        of verify report what it guarantees instead of checking it."""
         name = placed.type_name
         if name in tabledata.TABLES:
             raise TableFormatError(f"{name} is embedded; external copies are only checked")

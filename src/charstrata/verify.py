@@ -3,17 +3,19 @@ and registration of external strata tables for classical types.
 
 The table checks read the type's placement, resolved once per run.
 An embedded, a registered and a built-in identity table (series A and
-the torus) all go through the same six; the enumeration and placement
-checks compare with cuspidal.triple_count.  empty-completeness reads
-the registry gaps resolve_placement recorded in its walk of the table,
-and row-balance and regular-fiber-phi take each row's fiber size as
-the length of its expanded fiber, so no check walks the fiber entries
-again.  boxed-recomputation and row-balance read the row kinds that
-walk recorded, each distinct (Annotation, fiber size) pair with its
-first row, so they check a few kinds instead of every row.  The table
-checks report 'skipped' (never 'pass') for types without an available
-table; for a table that does not place, the placement check fails and
-the checks after it report 'skipped'.
+the torus) all go through the same six.  resolve_placement returns a
+placement only when every enumerated triple sits in exactly one row
+and every head's own triple in the head's row, so triple-placement and
+retraction report that guarantee and what it covers; a table that does
+not place fails triple-placement through the PlacementMismatch, and the
+checks after it report 'skipped'.  The triple count itself is checked
+once, by cuspidal-enumeration against cuspidal.triple_count.
+empty-completeness reads the registry gaps resolve_placement recorded
+in its walk of the table, and boxed-recomputation and row-balance the
+row kinds that walk recorded, each distinct (Annotation, fiber size)
+pair with its first row, so they check a few kinds instead of every
+row.  The table checks report 'skipped' (never 'pass') for types
+without an available table.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ class VerificationReport(ValueObject):
         return any(status == "fail" for _, status, _ in self.checks)
 
     def lines(self) -> list[str]:
-        return [f"{cid}: {status}" + (f"  [{detail}]" if detail else "")
-                for cid, status, detail in self.checks]
+        return [check_line(*check) for check in self.checks]
+
+
+def check_line(check_id: str, status: str, detail: str) -> str:
+    """One check as text: 'id: status', then '  [detail]' if it has one."""
+    return f"{check_id}: {status}" + (f"  [{detail}]" if detail else "")
 
 
 def _check_enumeration(t: CartanType) -> tuple[str, str]:
@@ -103,30 +109,20 @@ def _check_enumeration(t: CartanType) -> tuple[str, str]:
 
 
 def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """The placed total against the closed-form count.  resolve_placement
-    returns only a placement of exactly len(enumerate_cs_prime(t))
-    triples, so on a resolved placement this fails exactly when
-    cuspidal-enumeration does; a table that does not place fails it in
-    run_all, through the PlacementMismatch."""
-    n = triple_count(t)
-    if pl.total != n:
-        return "fail", f"{pl.total} triples placed, closed form gives {n}"
+    """Every triple of the enumeration in exactly one row, which
+    resolve_placement guarantees of each placement it returns; a table
+    that does not place fails this check in run_all, through the
+    PlacementMismatch.  The pass names the triples placed and the
+    entries printed with a duplicated label that it relabelled."""
     note = f"; {len(pl.notes)} duplicated label(s) resolved" if pl.notes else ""
-    return "pass", f"{pl.total} = {n} triples placed{note}"
+    return "pass", f"resolved: {len(enumerate_cs_prime(t))} triples, each in one row{note}"
 
 
 def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
-    """Every stratum's own empty-Levi triple maps back to the stratum's
-    row through the placement's triple index.  That triple's key is the
-    one stored on the row's first entry, which assemble_rows builds from
-    the head with d = 0."""
-    row_of_triple = pl.row_of_triple
-    for ri, row in enumerate(pl.rows):
-        got = row_of_triple.get(row.fiber[0].key)
-        if got != ri:
-            where = "no row" if got is None else f"row {pl.rows[got].stratum.text!r}"
-            return "fail", f"the triple of head {row.stratum.text!r} maps to {where}"
-    return "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber"
+    """Every stratum's own empty-Levi triple in the stratum's row, which
+    resolve_placement guarantees: a head's key has one triple, and a
+    head takes it first or, since a head carries no disamb, is refused."""
+    return "pass", f"resolved: {len(pl.rows)} heads, each heading the row of its own triple"
 
 
 def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -144,10 +140,10 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
     datum share one Annotation, so each distinct object is checked once,
     at its first row, read from the placement's row kinds in the order
     of their first rows; a failure thus names the first faulty row in
-    table order.  The objects are told apart by id, which costs less
-    than Annotation's hash of its fields.  A singleton row deviates at
-    its r0 alone, which Annotation checks that it boxes; its r0 need not
-    be a bad prime."""
+    table order, and a pass counts the objects compared.  They are told
+    apart by id, which costs less than Annotation's hash of its fields.
+    A singleton row deviates at its r0 alone, which Annotation checks
+    that it boxes; its r0 need not be a bad prime."""
     bad = datum(t).bad_primes
     checked = set()
     for a, _, ri in pl.row_kinds:
@@ -163,7 +159,7 @@ def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
             )
         if not deviation <= bad and a.r0 is None:
             return "fail", f"row {pl.rows[ri].stratum.text!r} deviates outside bad primes"
-    return "pass", "boxed flags match recomputed deviation sets"
+    return "pass", f"{len(checked)} annotations match their deviation sets"
 
 
 def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -171,14 +167,13 @@ def _check_row_balance(t: CartanType, pl: Placement) -> tuple[str, str]:
     fiber lists, as large as the inventory of its group collection.
     Both sizes are facts of the row's kind, so each of the placement's
     row kinds is checked once; they come in the order of their first
-    rows, so a failure names the first faulty row in table order.  When
-    every kind balances, the inventories sum to the fiber sizes."""
+    rows, so a failure names the first faulty row in table order, and a
+    pass counts the rows and the kinds that cover them."""
     for a, f, ri in pl.row_kinds:
         c = len(a.collection.labels)
         if f != c:
             return "fail", f"row {pl.rows[ri].stratum.text!r}: fiber {f} != inventory {c}"
-    inventories = sum(map(len, pl.fiber_expanded))
-    return "pass", f"{len(pl.rows)} rows balanced; totals {pl.total} = {inventories}"
+    return "pass", f"{len(pl.rows)} rows in {len(pl.row_kinds)} kinds balanced"
 
 
 def _check_phi(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -327,4 +322,5 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
             f"table for {t.name} does not exhaust the registry; missing {missing}"
         )
     store.install(placed)
-    return f"{t.name}: registered ({len(rows)} rows, {placed.total} triples placed)"
+    n = len(enumerate_cs_prime(t))
+    return f"{t.name}: registered ({len(rows)} rows, {n} triples placed)"

@@ -89,6 +89,14 @@ def test_g2_registry_names():
     ]
 
 
+def test_a_relative_character_name_has_no_dim():
+    """E7's relative A1 characters are named 1 and eps, neither a
+    dim_b name nor a chi name."""
+    one, eps = relative_character_labels(parse_type("E7"), parse_type("A1"))
+    assert (eps.text, eps.dim, eps.b_value) == ("eps", None, None)
+    assert isinstance(eps, NamedLabel) and one.dim is None
+
+
 def test_e_series_dim_b_parse():
     lab = parse_label(parse_type("E8"), "4480_16")
     assert isinstance(lab, NamedLabel)

@@ -176,7 +176,7 @@ def test_placement_records_fiber_sizes_and_registry_gaps(name):
             placed.append(tr)
     assert rows_of_key == {key: {ri} for key, ri in pl.row_of_triple.items()}
     enum = enumerate_cs_prime(t)
-    assert len(placed) == len(set(placed)) == len(enum) == pl.total and set(placed) == set(enum)
+    assert len(placed) == len(set(placed)) == len(enum) and set(placed) == set(enum)
     assert pl.registry_gaps == ([], [])
 
 

@@ -97,34 +97,32 @@ def test_registered_table_turns_skips_into_passes(synthetic_b3_doc):
 def test_placement_detail_reports_totals():
     report = run_all(parse_type("E8"), TableStore())
     detail = {cid: d for cid, _, d in report.checks}["triple-placement"]
-    assert "165 = 165" in detail
+    assert detail == "resolved: 165 triples, each in one row; 1 duplicated label(s) resolved"
+    g2 = {cid: d for cid, _, d in run_all(parse_type("G2"), TableStore()).checks}
+    assert g2["triple-placement"] == "resolved: 10 triples, each in one row"
+
+
+def test_table_check_details_say_what_they_read():
+    """E8's table has 74 rows of 17 kinds, each kind with its own
+    Annotation."""
+    details = {cid: d for cid, _, d in run_all(parse_type("E8"), TableStore()).checks}
+    assert details["retraction"] == "resolved: 74 heads, each heading the row of its own triple"
+    assert details["boxed-recomputation"] == "17 annotations match their deviation sets"
+    assert details["row-balance"] == "74 rows in 17 kinds balanced"
+
+
+def test_report_lines_are_the_check_lines_of_the_verify_text(capsys):
+    assert cli.main(["verify", "G2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    checks = out[1:1 + len(CHECK_IDS)]
+    assert out[0] == "== G2" and out[1 + len(CHECK_IDS)].startswith("  erratum: ")
+    assert all(line.startswith("  ") for line in checks)
+    assert run_all(parse_type("G2"), TableStore()).lines() == [line[2:] for line in checks]
 
 
 def _replaced(pl: Placement, **fields) -> Placement:
     """pl with the given fields replaced, every other field shared."""
     return Placement(*(fields.get(f, getattr(pl, f)) for f in Placement._fields))
-
-
-def test_retraction_fails_when_two_heads_trade_rows(synthetic_b3_doc):
-    b3 = parse_type("B3")
-    store = TableStore()
-    register_external_table(synthetic_b3_doc, store)
-    pl = placement(b3, store)
-    assert verify._check_retraction(b3, pl) == (
-        "pass", f"{len(pl.rows)} distinct heads, each heading its own fiber")
-
-    first, second = (("-", row.stratum.text, 0) for row in pl.rows[:2])
-    swapped = dict(pl.row_of_triple)
-    swapped[first], swapped[second] = swapped[second], swapped[first]
-    broken = TableStore()
-    broken.install(_replaced(pl, row_of_triple=swapped))
-    detail = (f"the triple of head {pl.rows[0].stratum.text!r} maps to "
-              f"row {pl.rows[1].stratum.text!r}")
-    assert verify._check_retraction(b3, placement(b3, broken)) == ("fail", detail)
-    assert ("retraction", "fail", detail) in run_all(b3, broken).checks
-    del swapped[first]
-    assert verify._check_retraction(b3, _replaced(pl, row_of_triple=swapped)) == (
-        "fail", f"the triple of head {pl.rows[0].stratum.text!r} maps to no row")
 
 
 def test_closed_form_total_equals_the_enumeration():
@@ -226,7 +224,7 @@ def test_boxed_check_names_the_first_faulty_row_in_table_order():
     share one object, which the check then reads once."""
     e7 = parse_type("E7")
     pl = placement(e7)
-    assert verify._check_boxed(e7, pl) == ("pass", "boxed flags match recomputed deviation sets")
+    assert verify._check_boxed(e7, pl) == ("pass", "8 annotations match their deviation sets")
     for shared in (False, True):
         rows = list(pl.rows)
         faulty = {}
@@ -264,25 +262,30 @@ def test_row_balance_names_the_first_row_of_the_faulty_kind(synthetic_b3_doc):
     assert ("row-balance", *failing) in run_all(b3, broken).checks
 
 
-class _UnwalkableRows(tuple):
-    """A rows tuple that refuses to be walked; indexing still works."""
+class _Unwalkable(tuple):
+    """A tuple that refuses to be walked; indexing still works."""
 
     def __iter__(self):
         raise AssertionError("the check walked every row")
 
 
 def test_boxed_and_row_balance_read_the_row_kinds_not_the_rows():
-    """On a resolved B12 table of 1165 rows, neither check walks the
-    rows: both read the placement's row kinds, row-balance sums the
-    fiber sizes, and a row is read by index only to name it."""
+    """On a resolved B12 table of 1165 rows, none of the three checks
+    walks the rows or the expanded fibers: boxed-recomputation and
+    row-balance read the placement's row kinds, a row is read by index
+    only to name it, and retraction reads what the resolver
+    guarantees."""
     b12 = parse_type("B12")
     pl = resolve_placement(*parse_table_document(synthetic_spread_table("B12")))
     assert len(pl.rows) == 1165 and len(pl.row_kinds) == 3
-    unwalkable = _replaced(pl, rows=_UnwalkableRows(pl.rows))
+    unwalkable = _replaced(
+        pl, rows=_Unwalkable(pl.rows), fiber_expanded=_Unwalkable(pl.fiber_expanded))
     assert verify._check_boxed(b12, unwalkable) == (
-        "pass", "boxed flags match recomputed deviation sets")
+        "pass", "3 annotations match their deviation sets")
     assert verify._check_row_balance(b12, unwalkable) == (
-        "pass", f"1165 rows balanced; totals {pl.total} = {pl.total}")
+        "pass", "1165 rows in 3 kinds balanced")
+    assert verify._check_retraction(b12, unwalkable) == (
+        "pass", "resolved: 1165 heads, each heading the row of its own triple")
 
 
 @pytest.mark.parametrize("name", ["Torus"] + [f"A{n}" for n in range(1, 10)])
@@ -293,15 +296,6 @@ def test_identity_types_run_the_same_table_checks(name):
     ran = [c for c in run_all(t).checks if c[0] in dict(verify._TABLE_CHECKS)]
     assert ran == expected
     assert all(status == "pass" for _, status, _ in ran)
-
-
-def test_placement_check_fails_when_the_total_is_off_by_one():
-    e8 = parse_type("E8")
-    pl = placement(e8)
-    assert verify._check_placement(e8, pl) == (
-        "pass", "165 = 165 triples placed; 1 duplicated label(s) resolved")
-    assert verify._check_placement(e8, _replaced(pl, total=pl.total + 1)) == (
-        "fail", "166 triples placed, closed form gives 165")
 
 
 def test_row_balance_and_phi_fail_when_a_triple_leaves_the_unit_stratum(synthetic_b3_doc):
