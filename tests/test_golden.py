@@ -89,6 +89,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "D6-tau": ("--tables", TABLES, "tau", "D6", "--levi", "D4", "--char", "(|2)"),
     "D6-fiber-expand": ("--tables", TABLES, "fiber", "D6", "--stratum", "{3|3}:II", "--expand"),
     "D6-fiber-json": ("--json", "--tables", TABLES, "fiber", "D6", "--stratum", "{3|3}:I"),
+    "G2-pseudo-levi": ("pseudo-levi", "G2"),
+    "F4-pseudo-levi": ("pseudo-levi", "F4"),
+    "E6-pseudo-levi": ("pseudo-levi", "E6"),
+    "E7-pseudo-levi": ("pseudo-levi", "E7"),
     "E8-pseudo-levi": ("pseudo-levi", "E8"),
     "B12-pseudo-levi": ("pseudo-levi", "B12"),
     "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
