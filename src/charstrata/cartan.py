@@ -196,22 +196,35 @@ class CartanType(ValueObject):
         return self.name
 
 
-TORUS = CartanType("Torus", 0)
+@lru_cache(maxsize=None)
+def _shared(series: str, rank: int) -> CartanType:
+    """The one CartanType of each accepted (series, rank) that parsing and
+    the closure hand out.  A refusal raises before anything is cached, so
+    it raises again on every call; the accepted pairs bound the cache."""
+    return CartanType(series, rank)
+
+
+TORUS = _shared("Torus", 0)
+
+# The low-rank aliases of a simple factor: B1 = C1 = A1, C2 = B2, D3 = A3.
+_ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
 
 
 def simple_type(series: str, rank: int) -> CartanType:
-    """Construct a type, normalizing the low-rank aliases B1/C1 -> A1,
-    C2 -> B2 and D3 -> A3.  D2 is not simple: CartanType rejects it as
-    non-canonical, and Subsystem.parse reads it as A1 x A1."""
-    if series == "B" and rank == 1:
-        return CartanType("A", 1)
-    if series == "C" and rank == 1:
-        return CartanType("A", 1)
-    if series == "C" and rank == 2:
-        return CartanType("B", 2)
-    if series == "D" and rank == 3:
-        return CartanType("A", 3)
-    return CartanType(series, rank)
+    """The shared type of series/rank, normalizing the low-rank aliases
+    B1/C1 -> A1, C2 -> B2 and D3 -> A3.  D2 is not simple: CartanType
+    rejects it as non-canonical, and Subsystem.parse reads it as A1 x A1."""
+    return _shared(*_ALIASES.get((series, rank), (series, rank)))
+
+
+def _factors(series: str, k: int) -> tuple[CartanType, ...]:
+    """The alias-normalized simple factors of X_k: none for X_0 and D_1,
+    A1 x A1 for D_2, and simple_type(series, k) otherwise."""
+    if k == 0 or (series, k) == ("D", 1):
+        return ()
+    if (series, k) == ("D", 2):
+        return (_shared("A", 1),) * 2
+    return (simple_type(series, k),)
 
 
 def ascii_decimal(text: str) -> int | None:
@@ -241,7 +254,7 @@ def parse_type(text: str) -> CartanType:
     parsed = _series_rank(s) if s[:1].isalpha() else None
     if parsed is None:
         raise CartanError(f"cannot parse type {text!r}")
-    return CartanType(*parsed)
+    return _shared(*parsed)
 
 
 class Subsystem(ValueObject):
@@ -272,8 +285,13 @@ class Subsystem(ValueObject):
         return Subsystem(tuple(sorted(factors)))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def parse(text: str) -> "Subsystem":
-        """Parse 'A4xA4', 'E7xA1', 'C3xA1', '-' (empty)."""
+        """Parse 'A4xA4', 'E7xA1', 'C3xA1', '-' (empty).
+
+        Memoized, so the 41 static texts of the exceptional move lists
+        and centralizer profiles are parsed once per process; maxsize
+        bounds what other texts leave behind."""
         s = text.strip()
         if s in ("", "-", "0", "empty"):
             return Subsystem(())
@@ -283,11 +301,9 @@ class Subsystem(ValueObject):
             parsed = _series_rank(part)
             if parsed is None:
                 raise CartanError(f"cannot parse subsystem factor {part!r}")
-            series, rank = parsed
-            if series == "D" and rank == 2:
-                factors.extend([CartanType("A", 1), CartanType("A", 1)])
-            else:
-                factors.append(simple_type(series, rank))
+            # X_0 and D_1 are no factor: CartanType refuses them with its
+            # own message.
+            factors.extend(_factors(*parsed) or (CartanType(*parsed),))
         return Subsystem(tuple(sorted(factors)))
 
     @property
@@ -446,11 +462,6 @@ _EXCEPTIONAL_MOVES = {
     "E7": "D6xA1/D6 A7/A6 A5xA2/A5xA1 A3xA3xA1/A3xA2xA1 A5xA2/A4xA2 D6xA1/D5xA1 E7/E6",
     "E8": "D8/D7 A8/A7 A7xA1/A6xA1 A5xA2xA1/A4xA2xA1 A4xA4/A4xA3 D5xA3/D5xA2 E6xA2/E6xA1 E7xA1/E7",
 }
-
-
-def _factors(series: str, k: int) -> tuple[CartanType, ...]:
-    """The alias-normalized factors of X_k: none for X_0 and D_1."""
-    return () if k == 0 or (series, k) == ("D", 1) else Subsystem.parse(f"{series}{k}").factors
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from functools import lru_cache
 
@@ -16,12 +17,17 @@ from charstrata.cartan import (
     is_pseudo_levi,
     parse_type,
     pseudo_levi_types,
+    simple_type,
     Edge,
+    _EXCEPTIONAL_MOVES,
     _RANK_OK,
     _closure,
+    _factors,
     _moves,
+    _shared,
 )
-from charstrata.tables import TableStore
+from charstrata import tabledata
+from charstrata.tables import TableStore, centralizer_profiles
 from charstrata.verify import run_all
 from oracle_cartan import _classify_component, moves as diagram_moves
 
@@ -358,6 +364,122 @@ def test_subsystem_alias_normalization():
     assert Subsystem.parse("B1xC1").name == "A1xA1"
     assert Subsystem.parse("D2").name == "A1xA1"
     assert Subsystem.parse("-").factors == ()
+
+
+@pytest.mark.parametrize("text", ["D1", "A0", "E9"])
+def test_subsystem_parse_refuses_what_names_no_factor(text):
+    with pytest.raises(CartanError, match=rf"^non-canonical type {text}$"):
+        Subsystem.parse(text)
+
+
+# The low-rank identifications of a simple factor, stated apart from
+# cartan's own table.
+LOW_RANK_ALIASES = {"B1": "A1", "C1": "A1", "C2": "B2", "D3": "A3"}
+
+
+def _outcome(call):
+    """What call returns, or the text of the CartanError it raises."""
+    try:
+        return call()
+    except CartanError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("k", range(17))
+@pytest.mark.parametrize("series", "ABCDEFG")
+def test_factor_texts_and_closure_factors_agree(series, k):
+    """Subsystem.parse reads the text X_k as the closure's moves build
+    X_k from (series, k): no factor for X_0 and D_1 (which parse refuses
+    as CartanType does), A1 x A1 for D_2, the alias of B1, C1, C2 and
+    D3, and otherwise the shared type X_k or its refusal."""
+    text = f"{series}{k}"
+    parsed = _outcome(lambda: Subsystem.parse(text).factors)
+    if k == 0 or text == "D1":
+        assert _factors(series, k) == ()
+        assert parsed.startswith("error: ")
+        assert parsed == _outcome(lambda: CartanType(series, k))
+        return
+    assert _outcome(lambda: _factors(series, k)) == parsed
+    if text == "D2":
+        assert parsed == (parse_type("A1"),) * 2
+    else:
+        assert parsed == _outcome(lambda: (parse_type(LOW_RANK_ALIASES.get(text, text)),))
+    if not isinstance(parsed, str):
+        assert all(f is parse_type(f.name) for f in parsed)
+
+
+def test_canonical_types_are_shared():
+    assert parse_type("e_8") is parse_type("E8") is simple_type("E", 8)
+    assert simple_type("C", 2) is parse_type("B2")
+    assert parse_type("T") is parse_type("Torus") is TORUS
+    # A direct construction keeps the shared constructor and only
+    # compares equal.
+    direct = CartanType("E", 8)
+    assert direct == parse_type("E8") and direct is not parse_type("E8")
+    assert hash(direct) == hash(parse_type("E8"))
+
+
+@pytest.mark.parametrize("name", CANONICAL_RANK_16_TYPES)
+def test_moves_hand_out_shared_factors(name):
+    t = parse_type(name)
+    for levi in (False, True):
+        for child in _moves(t, levi):
+            assert all(f is simple_type(f.series, f.rank) for f in child), (levi, child)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("B1", "non-canonical type B1"),
+        ("Q1", "unknown series 'Q'"),
+        ("E9", "non-canonical type E9"),
+        (f"A{MAX_RANK + 1}", f"type A{MAX_RANK + 1} exceeds the rank ceiling {MAX_RANK}"),
+    ],
+)
+def test_refused_types_raise_on_every_call_and_are_not_cached(text, message):
+    size = _shared.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(CartanError, match=f"^{re.escape(message)}$"):
+            parse_type(text)
+    assert _shared.cache_info().currsize == size
+
+
+def test_the_type_cache_holds_one_type_per_accepted_pair():
+    spellings = ("C13", "c13", "c_13", " C13 ")
+    size = _shared.cache_info().currsize
+    first = parse_type(spellings[0])
+    grown = _shared.cache_info().currsize - size
+    assert grown in (0, 1)
+    assert all(parse_type(text) is first for text in spellings)
+    assert simple_type("C", 13) is first
+    assert _shared.cache_info().currsize == size + grown
+
+
+def test_pickled_types_round_trip_equal():
+    for t in (parse_type("E8"), parse_type("B2"), TORUS):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and back.name == t.name
+
+
+def _static_subsystem_texts() -> set[str]:
+    texts = {part for moves in _EXCEPTIONAL_MOVES.values()
+             for node in moves.split() for part in node.split("/")}
+    for classes in tabledata.CENTRALIZER_PROFILES.values():
+        for _, entries in classes:
+            texts.update(s for s, _ in entries if s != tabledata.FULL)
+    return texts
+
+
+def test_static_subsystem_texts_are_parsed_once_by_a_small_memo():
+    texts = _static_subsystem_texts()
+    assert len(texts) <= Subsystem.parse.cache_info().maxsize <= 128
+    Subsystem.parse.cache_clear()
+    exceptional = [parse_type(name) for name in ("G2", "F4", "E6", "E7", "E8")]
+    first = [centralizer_profiles(t) for t in exceptional]
+    misses = Subsystem.parse.cache_info().misses
+    assert [centralizer_profiles(t) for t in exceptional] == first
+    assert Subsystem.parse.cache_info().misses == misses
+    assert Subsystem.parse("E7xA1") is Subsystem.parse("E7xA1")
 
 
 def test_enumeration_rank_cap():
