@@ -461,17 +461,12 @@ def test_pickled_types_round_trip_equal():
         assert back == t and hash(back) == hash(t) and back.name == t.name
 
 
-def _static_subsystem_texts() -> set[str]:
+def test_static_subsystem_texts_are_parsed_once_by_a_small_memo():
     texts = {part for moves in _EXCEPTIONAL_MOVES.values()
              for node in moves.split() for part in node.split("/")}
     for classes in tabledata.CENTRALIZER_PROFILES.values():
         for _, entries in classes:
             texts.update(s for s, _ in entries if s != tabledata.FULL)
-    return texts
-
-
-def test_static_subsystem_texts_are_parsed_once_by_a_small_memo():
-    texts = _static_subsystem_texts()
     assert len(texts) <= Subsystem.parse.cache_info().maxsize <= 128
     Subsystem.parse.cache_clear()
     exceptional = [parse_type(name) for name in ("G2", "F4", "E6", "E7", "E8")]
