@@ -497,6 +497,10 @@ def _moves(t: CartanType, levi: bool) -> tuple[tuple[CartanType, ...], ...]:
     return tuple({tuple(sorted(child)) for child in children})
 
 
+# Sorts factors as CartanType orders them, without a Python-level __lt__.
+_SERIES_RANK = attrgetter("series", "rank")
+
+
 @lru_cache(maxsize=None)
 def _closure(t: CartanType, floor: int) -> frozenset[Subsystem]:
     """The members of rank >= floor of pseudo_levi_types(t).  No move
@@ -514,7 +518,7 @@ def _closure(t: CartanType, floor: int) -> frozenset[Subsystem]:
             rest = factors[:i] + factors[i + 1:]
             for levi, child_rank in steps:
                 for child in _moves(f, levi):
-                    nxt = tuple(sorted(rest + child))
+                    nxt = tuple(sorted(rest + child, key=_SERIES_RANK))
                     if nxt not in seen:
                         seen.add(nxt)
                         work.append((nxt, child_rank))

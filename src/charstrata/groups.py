@@ -6,8 +6,9 @@ element models.
 The inventories are data; the element models exist so that the
 inventory sizes can be re-derived by brute force (conjugacy classes
 counted over explicit element lists, all orders <= 120, as the orbits
-of conjugation by a small generating set each model states, which one
-closure certifies to generate exactly the listed elements).
+of conjugation by a small generating set each model states; one walk
+along the products of each element with each generator certifies that
+the set generates exactly the listed elements).
 """
 
 from __future__ import annotations
@@ -236,52 +237,51 @@ def _model(tag: str):
     return _product(_symmetric(3), _cyclic(2), (((1, 2, 0), 1), ((1, 0, 2), 0)))
 
 
-def _inverse(g, identity, mul):
-    """g^(m-1) for the order m of g: its inverse, in m products."""
-    power, following = g, mul(g, g)
-    while following != identity:
-        power, following = following, mul(following, g)
-    return power
-
-
-def _closure(gens, identity, mul) -> set:
-    """The subgroup that gens generate: every product of them, walked
-    from the identity, each element multiplied once per generator."""
-    subgroup = {identity}
-    work = [identity]
-    while work:
-        h = work.pop()
-        for s in gens:
-            x = mul(h, s)
-            if x not in subgroup:
-                subgroup.add(x)
-                work.append(x)
-    return subgroup
-
-
 def conjugacy_class_count(tag: str) -> int:
-    """Brute-force class count over the explicit element list: the
-    orbits of conjugation by the generators the model states, so each
-    element is conjugated once per generator.  One closure first
-    certifies that those generators generate exactly the listed
-    elements; GroupError if they do not."""
+    """Brute-force class count over the explicit element list, by index.
+    One product per (element x, stated generator s) tabulates x*s; a
+    walk from the identity along those tables certifies that the
+    generators generate exactly the listed elements (GroupError if
+    not, or if a product is not listed), and gives s*y on each step
+    y = p*u as (s*p)*u.  The classes are the orbits of x -> s^-1 x s,
+    the y with s*y = x*s, counted with no further product."""
     els, mul, gens = _model(tag)
-    identity = next(g for g in els if mul(g, g) == g)
-    remaining = set(els)
-    if _closure(gens, identity, mul) != remaining:
-        raise GroupError(
-            f"{tag}: the stated generators do not generate its {len(remaining)} elements"
-        )
-    conjugators = [(_inverse(g, identity, mul), g) for g in gens]
+    n = len(els)
+    index = {g: i for i, g in enumerate(els)}
+    try:
+        right = [[index[mul(x, s)] for x in els] for s in gens]
+    except KeyError:
+        raise GroupError(f"{tag}: a product of its elements is not listed") from None
+    identity = next(i for i, g in enumerate(els) if mul(g, g) == g)
+    left = [[index[s]] * n for s in gens]  # s*y by y; s*identity = s
+    order, seen = [identity], [False] * n
+    seen[identity] = True
+    for p in order:
+        for row in right:
+            y = row[p]
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+                for sy in left:
+                    sy[y] = row[sy[p]]
+    if len(order) != n:
+        raise GroupError(f"{tag}: the stated generators do not generate its {n} elements")
+    conjugators = []
+    for row, sy in zip(right, left):
+        of = sorted(range(n), key=sy.__getitem__)  # of[s*y] = y
+        conjugators.append([of[xs] for xs in row])  # x -> s^-1 x s
     classes = 0
-    while remaining:
-        classes += 1
-        work = [remaining.pop()]
-        while work:
-            x = work.pop()
-            for inv, g in conjugators:
-                y = mul(mul(inv, x), g)
-                if y in remaining:
-                    remaining.remove(y)
-                    work.append(y)
+    unclassed = [True] * n
+    for x in range(n):
+        if unclassed[x]:
+            classes += 1
+            unclassed[x] = False
+            work = [x]
+            while work:
+                z = work.pop()
+                for conjugate in conjugators:
+                    y = conjugate[z]
+                    if unclassed[y]:
+                        unclassed[y] = False
+                        work.append(y)
     return classes

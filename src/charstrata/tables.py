@@ -612,8 +612,10 @@ def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
     )
 
 
+@lru_cache(maxsize=8)
 def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
-    """All recorded profiles for t (every cuspidal d, every class)."""
+    """All recorded profiles for t (every cuspidal d, every class), kept
+    for the last few types asked."""
     if t.is_exceptional:
         out = []
         for (name, d), classes in tabledata.CENTRALIZER_PROFILES.items():

@@ -1,9 +1,11 @@
-"""Reference class counts, computed the way the package once did: each
-class representative conjugated by every element of the group.
+"""Test-side references for the group oracle: class counts computed the
+way the package once did, each class representative conjugated by every
+element of the group, and the subgroup that a model's stated generators
+generate, as the package once certified it.
 
-Inverses come from a scan of the element list, so neither the
-generators each model states nor the package's power-based inverses
-are trusted.
+Inverses come from a scan of the element list, so the generators each
+model states are not trusted by the class count, and the model's
+product is checked against inverses taken as powers.
 """
 
 from __future__ import annotations
@@ -25,3 +27,26 @@ def all_conjugators_class_count(tag: str) -> int:
         for h in els:
             remaining.discard(mul(mul(inv[h], g), h))
     return classes
+
+
+def generated_subgroup(gens, identity, mul) -> set:
+    """The subgroup that gens generate: every product of them, walked
+    from the identity, each element multiplied once per generator."""
+    subgroup = {identity}
+    work = [identity]
+    while work:
+        h = work.pop()
+        for s in gens:
+            x = mul(h, s)
+            if x not in subgroup:
+                subgroup.add(x)
+                work.append(x)
+    return subgroup
+
+
+def inverse_by_powers(g, identity, mul):
+    """g^(m-1) for the order m of g: its inverse, in m products."""
+    power, following = g, mul(g, g)
+    while following != identity:
+        power, following = following, mul(following, g)
+    return power

@@ -5,8 +5,6 @@ import itertools
 from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
-    _closure,
-    _inverse,
     _model,
     _perm_mul,
     conjugacy_class_count,
@@ -15,7 +13,7 @@ from charstrata.groups import (
     normalize_tag,
     pullback_inventory,
 )
-from oracle_groups import all_conjugators_class_count
+from oracle_groups import all_conjugators_class_count, generated_subgroup, inverse_by_powers
 
 
 def group_order(tag: str) -> int:
@@ -39,7 +37,7 @@ def test_stated_generators_close_to_the_element_list(tag):
     identity = next(g for g in els if mul(g, g) == g)
     assert set(gens) <= set(els)
     assert len(set(els)) == len(els)
-    assert _closure(gens, identity, mul) == set(els)
+    assert generated_subgroup(gens, identity, mul) == set(els)
 
 
 def test_permutation_product_composes_right_to_left():
@@ -51,11 +49,14 @@ def test_permutation_product_composes_right_to_left():
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_inverse_by_powers_matches_scan(tag):
+    """Each element's powers return to the identity through the right
+    inverse that the all-conjugators oracle scans for, so that inverse
+    is two-sided in every model."""
     els, mul, _ = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
     for g in els:
         scanned = next(h for h in els if mul(g, h) == identity)
-        assert _inverse(g, identity, mul) == scanned
+        assert inverse_by_powers(g, identity, mul) == scanned
 
 
 def test_explicit_class_counts():

@@ -51,7 +51,7 @@ def test_high_rank_centralizer_check_skips_not_passes():
 
 def test_classical_centralizer_check_runs_past_rank_16():
     report = run_all(parse_type("B20"), TableStore())
-    assert ("centralizer-profiles", "pass", "2 profiles verified") in report.checks
+    assert ("centralizer-profiles", "pass", "2 profiles derived") in report.checks
     b30, d36 = parse_type("B30"), parse_type("D36")
     assert is_pseudo_levi(b30, "B12xD18")
     assert is_pseudo_levi(d36, "D18xD18")
@@ -65,7 +65,11 @@ def test_classical_centralizer_check_runs_past_rank_16():
 ], ids=["count", "not-pseudo-levi"])
 def test_centralizer_check_fails_on_a_faulty_profile(monkeypatch, entries, detail):
     monkeypatch.setitem(tabledata.CENTRALIZER_PROFILES, ("G2", 1), (("generic", entries),))
-    report = run_all(parse_type("G2"), TableStore())
+    tables.centralizer_profiles.cache_clear()
+    try:
+        report = run_all(parse_type("G2"), TableStore())
+    finally:
+        tables.centralizer_profiles.cache_clear()
     assert ("centralizer-profiles", "fail", detail) in report.checks
     assert [cid for cid, status, _ in report.checks if status == "fail"] == [
         "centralizer-profiles"]
@@ -213,6 +217,25 @@ def test_group_inventories_fail_when_the_stated_generators_do_not_generate(monke
     assert (
         "group-inventories", "fail",
         "S5: the stated generators do not generate its 120 elements",
+    ) in report.checks
+    assert report.failed
+
+
+def test_group_inventories_fail_when_a_product_is_not_listed(monkeypatch):
+    """S4 listed without its last element: that element is a product
+    of two listed ones, and the check fails naming S4."""
+    model = groups._model
+    els, mul, gens = model("S4")
+    monkeypatch.setattr(
+        groups, "_model", lambda tag: (els[:-1], mul, gens) if tag == "S4" else model(tag)
+    )
+    verify._check_group_inventories.cache_clear()
+    try:
+        report = run_all(parse_type("G2"), TableStore())
+    finally:
+        verify._check_group_inventories.cache_clear()
+    assert (
+        "group-inventories", "fail", "S4: a product of its elements is not listed",
     ) in report.checks
     assert report.failed
 
