@@ -1,11 +1,12 @@
-"""Test-side references for the group oracle: class counts computed the
-way the package once did, each class representative conjugated by every
-element of the group, and the subgroup that a model's stated generators
-generate, as the package once certified it.
+"""Test-side references for the group oracle.
 
-Inverses come from a scan of the element list, so the generators each
-model states are not trusted by the class count, and the model's
-product is checked against inverses taken as powers.
+`all_conjugators_class_count` conjugates each class representative by
+every element of the group, with inverses from a scan of the element
+list, so it trusts neither the generators each model states nor the
+package's index tables.  `generated_subgroup` and `inverse_by_powers`
+check the models themselves: that the stated generators generate the
+listed elements, and that each scanned inverse is a power of its
+element.
 """
 
 from __future__ import annotations
