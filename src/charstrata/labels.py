@@ -149,8 +149,9 @@ class DPairLabel(CharacterLabel):
         return self
 
 
-_DB_NAME = re.compile(r"^(\d+)_(\d+)$")
-_CHI_NAME = re.compile(r"^chi_\{(\d+)(?:,(\d+))?\}$|^chi_(\d+)$")
+# Patterns of dim/b names, compiled (and cached by re) on first use.
+_DB_NAME = r"^(\d+)_(\d+)$"
+_CHI_NAME = r"^chi_\{(\d+)(?:,(\d+))?\}$|^chi_(\d+)$"
 
 
 class NamedLabel(CharacterLabel):
@@ -163,17 +164,17 @@ class NamedLabel(CharacterLabel):
 
     @property
     def dim(self) -> int | None:
-        m = _DB_NAME.match(self.name)
+        m = re.match(_DB_NAME, self.name)
         if m:
             return int(m.group(1))
-        m = _CHI_NAME.match(self.name)
+        m = re.match(_CHI_NAME, self.name)
         if m:
             return int(m.group(1) or m.group(3))
         return None
 
     @property
     def b_value(self) -> int | None:
-        m = _DB_NAME.match(self.name)
+        m = re.match(_DB_NAME, self.name)
         return int(m.group(2)) if m else None
 
 

@@ -4,7 +4,7 @@ component-group annotations, centralizer profiles, the built-in
 identity table of series A and the torus, and the table store that
 holds, by type name, every placement a session answers from.  Every
 table, embedded, identity or registered, is read through its resolved
-placement; a built-in one is resolved once per process.
+placement; a store resolves a built-in one on its first query there.
 """
 
 from __future__ import annotations
@@ -343,16 +343,16 @@ class Placement(ValueObject):
     returns no placement that breaks either.  relabelled maps (row
     index, fiber position) to the triple key the entry stands for, for
     entries printed with a duplicated label only (the documented
-    row-order/registry-order convention, one line of notes each); every
-    other entry stands for its own key.
+    row-order/registry-order convention); every other entry stands for
+    its own key.
     row_of_head, a HeadIndex, maps each stratum's text to its row index
     and raises UnknownStratum for any other text, and
     row_of_triple each triple key (Levi name, character text, d) to the
     row whose fiber holds the triples of that key.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
-    per triple (the same tuple when the two agree), its length the
-    row's fiber size.
+    per triple (the same tuple when the two agree, that is when no
+    entry has mult > 1), its length the row's fiber size.
     row_kinds lists each row kind once, in the order of its first row:
     (annotation, fiber size, first row index) for each distinct pair of
     an Annotation object and an expanded fiber size.  A table of
@@ -362,13 +362,13 @@ class Placement(ValueObject):
     labels that no empty-Levi entry prints, and those printed more than
     once; two empty lists when the empty-Levi entries list Irr(t)
     exactly once.  resolve_placement builds all of them in one walk of
-    the enumeration (registry_gaps in the walk of the entries that
-    places them), and a query answers with one lookup in row_of_head or
-    row_of_triple.
+    the enumeration and one of the entries, which places them and
+    records each row's pairs, kind and gaps, and a query answers with
+    one lookup in row_of_head or row_of_triple.
     """
 
     __slots__ = _fields = (
-        "type_name", "rows", "relabelled", "notes", "row_of_head", "row_of_triple",
+        "type_name", "rows", "relabelled", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps",
     )
 
@@ -376,8 +376,8 @@ class Placement(ValueObject):
 def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
     """Match each fiber entry to all the enumerated triples of its key,
     as many as its multiplicity, or raise PlacementMismatch naming the
-    first offending entry.  The walk that builds each row's fiber
-    tuples records the row kinds, so they describe exactly these rows."""
+    first offending entry.  The walk that matches the entries records
+    each row's pairs and kind, so they describe exactly these rows."""
     enum = enumerate_cs_prime(t)
     # The triples of one key (Levi name, character text, d) are adjacent
     # in the enumeration, index 0 first (enumerate_cs_prime's order), so
@@ -387,26 +387,41 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         last_of[tr.key] = i
         remaining[tr.key] = tr.index + 1
 
-    # In table order, an entry takes all the triples of its own key when
-    # none is taken yet and it prints their number; the others wait for
-    # their family (Levi name, d).  The same walk keeps the empty-Levi
-    # labels printed after a row's head.
+    # In table order, an entry takes all the triples of its own key,
+    # enum[last + 1 - mult:last + 1], when none is taken yet and it
+    # prints their number; its pair is the first of them and mult.  The
+    # others wait for their family (Levi name, d), their pair unset.  A
+    # row's expanded fiber differs from its pairs only if some entry has
+    # mult > 1, and its size, the sum of the mults, gives the row kind,
+    # (Annotation object, fiber size), recorded at its first row.  The
+    # same walk keeps the empty-Levi labels printed after a row's head.
     row_of_triple, waiting, empty_after_head = {}, {}, []
+    fiber_pairs, spanning, kinds = [], [], {}
     for ri, row in enumerate(rows):
+        pairs, size = [], 0
         for pi, en in enumerate(row.fiber):
-            key = en.key
+            key, mult = en.key, en.mult
             if pi and key[0] == "-":
                 empty_after_head.append(key[1])
-            if remaining.get(key) == en.mult:
+            if remaining.get(key) == mult:
                 remaining[key] = 0
                 row_of_triple[key] = ri
+                pairs.append((enum[last_of[key] + 1 - mult], mult))
             else:
                 waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
+                pairs.append(None)
+            size += mult
+        fiber_pairs.append(pairs)
+        if size != len(pairs):
+            spanning.append(ri)
+        kind = (id(row.annotation), size)
+        if kind not in kinds:
+            kinds[kind] = (row.annotation, size, ri)
 
     # Waiting entries and untaken keys, family by family in enumeration
     # order: an entry printed with a duplicated label takes a remaining
-    # character of its family.
-    relabelled, notes = {}, []
+    # character of its family, and its pair is set there.
+    relabelled = {}
     if waiting or any(remaining.values()):
         families = {}
         for levi_name, txt, d in remaining:
@@ -435,17 +450,14 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                         f"duplicated entry {en.describe()} in row {rows[ri].stratum.text!r} "
                         "cannot be assigned a remaining character"
                     )
+                # It waited as its own key had not exactly mult triples
+                # left, and match has: match is never its own.
                 key = (levi_name, match, d)
                 remaining[key] = 0
                 leftovers.remove(match)
                 relabelled[ri, pi] = key
                 row_of_triple[key] = ri
-                # It waited as its own key had not exactly mult triples
-                # left, and match has: match is never its own.
-                notes.append(
-                    f"entry {en.describe()} in row {rows[ri].stratum.text!r} "
-                    f"stands for character {match!r}"
-                )
+                fiber_pairs[ri][pi] = (enum[last_of[key] + 1 - en.mult], en.mult)
             for txt in texts:
                 left = remaining[levi_name, txt, d]
                 if left:
@@ -453,33 +465,14 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
                         f"table for {t.name} misses {left} triple(s) "
                         f"({levi_name}, {txt}, d={d})"
                     )
-    # Each entry took all mult triples of its key, enum[first:last + 1],
-    # so a row's expanded fiber differs from its pairs only if some
-    # entry has first != last; only such a row builds its own.  The same
-    # walk records each row kind, (Annotation object, fiber size), at
-    # its first row.
-    fiber_pairs, fiber_expanded, kinds = [], [], {}
-    for ri, row in enumerate(rows):
-        pairs, spans = [], False
-        for pi, en in enumerate(row.fiber):
-            last = last_of[relabelled.get((ri, pi), en.key) if relabelled else en.key]
-            first = last - enum[last].index
-            pairs.append((enum[first], en.mult))
-            if first != last:
-                spans = True
-        pairs = expanded = tuple(pairs)
-        if spans:
-            expanded = []
-            for tr, mult in pairs:
-                last = last_of[tr.key]
-                expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
-            expanded = tuple(expanded)
-        fiber_pairs.append(pairs)
-        fiber_expanded.append(expanded)
-        annotation, size = row.annotation, len(expanded)
-        kind = (id(annotation), size)
-        if kind not in kinds:
-            kinds[kind] = (annotation, size, ri)
+    fiber_pairs = tuple(map(tuple, fiber_pairs))
+    fiber_expanded = list(fiber_pairs)
+    for ri in spanning:
+        expanded = []
+        for tr, mult in fiber_pairs[ri]:
+            last = last_of[tr.key]
+            expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
+        fiber_expanded[ri] = tuple(expanded)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
     # The heads are distinct registry labels (assemble_rows checks
     # both), so a label is printed twice only if an entry after a head
@@ -489,8 +482,8 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
         txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
     )
     return Placement(
-        t.name, rows, relabelled, tuple(notes), row_of_head, row_of_triple,
-        tuple(fiber_pairs), tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
+        t.name, rows, relabelled, row_of_head, row_of_triple,
+        fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
     )
 
 
@@ -505,28 +498,15 @@ def is_identity(t: CartanType) -> bool:
     return len(cuspidal_levis(t)) == 1
 
 
-@lru_cache(maxsize=None)
-def _built_in_placement(t: CartanType) -> Placement:
-    """The resolved built-in table of t, once per process: the embedded
-    table, or for an identity type one constant row with trivial groups
-    (printed [1]) per character, its fiber the row's own triple.
-    NoTableAvailable for any other type, caching nothing."""
-    if t.name in tabledata.TABLES:
-        rows = embedded_table(t)
-    elif is_identity(t):
-        rows = build_rows(t, ((lab.text, (), "[1]") for lab in enumerate_irr(t).labels))
-    else:
-        raise NoTableAvailable(f"no strata table for {t.name}; register one for classical types")
-    return resolve_placement(t, rows)
-
-
 class TableStore(dict):
     """The placements a session answers from: the dict from type name to
-    Placement.  install stores each registered table; an embedded or
-    identity type's built-in placement, shared with every other store,
-    is stored by __missing__ on its first query.  A failed lookup
-    stores nothing, and every table is read through its placement, so
-    store[t.name] is the whole of a query's way to its table.
+    Placement, and the only holder of each.  install stores each
+    registered table; __missing__ resolves an embedded or identity
+    type's built-in table on its first query there and stores it, so
+    each store resolves its own, and del store[name] releases it.  A
+    failed lookup stores nothing, and every table is read through its
+    placement, so store[t.name] is the whole of a query's way to its
+    table.
 
     Registration is expected at startup, before queries.
     """
@@ -534,7 +514,19 @@ class TableStore(dict):
     __slots__ = ()
 
     def __missing__(self, name: str) -> Placement:
-        placed = self[name] = _built_in_placement(parse_type(name))
+        """The built-in table of the type: the embedded one, or for an
+        identity type one constant row with trivial groups (printed [1])
+        per character, its fiber the row's own triple.
+        NoTableAvailable for any other type."""
+        t = parse_type(name)
+        if t.name in tabledata.TABLES:
+            rows = embedded_table(t)
+        elif is_identity(t):
+            rows = build_rows(t, ((lab.text, (), "[1]") for lab in enumerate_irr(t).labels))
+        else:
+            raise NoTableAvailable(
+                f"no strata table for {t.name}; register one for classical types")
+        placed = self[name] = resolve_placement(t, rows)
         return placed
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
@@ -549,6 +541,7 @@ class TableStore(dict):
         self[name] = placed
 
 
+# The store of the callers that pass none, holding its own placements.
 DEFAULT_STORE = TableStore()
 
 

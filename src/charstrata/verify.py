@@ -114,7 +114,7 @@ def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
     that does not place fails this check in run_all, through the
     PlacementMismatch.  The pass names the triples placed and the
     entries printed with a duplicated label that it relabelled."""
-    note = f"; {len(pl.notes)} duplicated label(s) resolved" if pl.notes else ""
+    note = f"; {len(pl.relabelled)} duplicated label(s) resolved" if pl.relabelled else ""
     return "pass", f"resolved: {len(enumerate_cs_prime(t))} triples, each in one row{note}"
 
 

@@ -63,3 +63,13 @@ def fiber(t, pl, ri: int, expand: bool) -> list[tuple]:
         else:
             out.append((triples[0], en.mult))
     return out
+
+
+def row_kinds(t, pl) -> list[tuple]:
+    """Each distinct (annotation identity, expanded fiber size) pair of
+    the rows of a placement with the index of its first row, in
+    first-row order, the size read from fiber above."""
+    first: dict[tuple, int] = {}
+    for ri, row in enumerate(pl.rows):
+        first.setdefault((id(row.annotation), len(fiber(t, pl, ri, True))), ri)
+    return [(ann, size, ri) for (ann, size), ri in first.items()]

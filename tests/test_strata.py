@@ -110,19 +110,26 @@ def test_duplicated_labels_resolve_to_both_characters():
     chars = {tau(e7, find_triple(e7, "E6", c, 0, i)).text
              for c in ("1", "eps") for i in (0, 1)}
     assert chars == {"21_3", "1_0"}
-    assert len(placement(e7).notes) == 1
+    pl = placement(e7)
+    assert pl.relabelled == {(pl.row_of_head["1_0"], 2): ("E6", "eps", 0)}
     e8 = parse_type("E8")
     chars8 = {tau(e8, find_triple(e8, "E7", c, 0, i)).text
               for c in ("1", "eps") for i in (0, 1)}
     assert chars8 == {"84_4", "1_0"}
+    pl = placement(e8)
+    assert pl.relabelled == {(pl.row_of_head["1_0"], 3): ("E7", "eps", 0)}
 
 
 @pytest.mark.parametrize("name", TABLE_TYPES)
 def test_relabelled_entries_are_the_noted_ones(name):
-    pl = placement(parse_type(name))
-    assert len(pl.relabelled) == len(pl.notes) == (1 if name in ("E7", "E8") else 0)
+    # The triple-placement check notes the relabelled entries by count.
+    t = parse_type(name)
+    pl = placement(t)
+    assert len(pl.relabelled) == (1 if name in ("E7", "E8") else 0)
     for (ri, pi), key in pl.relabelled.items():
         assert key != pl.rows[ri].fiber[pi].key
+    detail = verify._check_placement(t, pl)[1]
+    assert detail.endswith("; 1 duplicated label(s) resolved") == bool(pl.relabelled)
 
 
 def test_package_attribute_strata_is_the_function_not_the_module():
@@ -317,17 +324,29 @@ def test_registered_table_is_resolved_once(monkeypatch, synthetic_b3_doc):
     assert placement(b3, store) is placement(b3, store)
 
 
-def test_embedded_table_is_resolved_once_per_process(monkeypatch):
+@pytest.mark.parametrize("name", ["F4", "A3", "Torus"])
+def test_a_store_resolves_a_built_in_table_once(monkeypatch, name):
     calls = _count_resolutions(monkeypatch)
-    tables._built_in_placement.cache_clear(); DEFAULT_STORE.clear()
-    f4 = parse_type("F4")
-    first = placement(f4, TableStore())
-    for store in (TableStore(), TableStore(), DEFAULT_STORE):
-        assert store.table(f4) is first.rows
-        assert placement(f4, store) is first
-        _query_everything(f4, store)
-    assert len(strata(f4)) == 20
-    assert calls == ["F4"]
+    store = TableStore()
+    t = parse_type(name)
+    for _ in range(3):
+        _query_everything(t, store)
+    assert calls == [name]
+    assert list(store) == [name]
+    assert placement(t, store) is placement(t, store)
+
+
+def test_deleting_a_type_from_a_store_releases_its_placement(monkeypatch):
+    calls = _count_resolutions(monkeypatch)
+    store = TableStore()
+    e8 = parse_type("E8")
+    first = placement(e8, store)
+    del store["E8"]
+    assert "E8" not in store and calls == ["E8"]
+    assert tau(e8, enumerate_cs_prime(e8)[-1], store).text == "1_0"
+    assert calls == ["E8", "E8"]
+    assert placement(e8, store) is not first and placement(e8, store) == first
+    assert calls == ["E8", "E8"]
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +437,45 @@ def test_warm_queries_call_no_python_function(synthetic_b3_doc):
     assert calls == ["tau", "fiber", "fiber", "c_star", "fiber", "fiber", "c_star"] * 3
 
 
-def test_stores_share_one_built_in_placement():
+def test_fresh_stores_answer_equally_from_distinct_placements():
     for name in ("E8", "A3", "Torus"):
         t = parse_type(name)
-        assert placement(t, TableStore()) is placement(t, TableStore())
+        one, other = TableStore(), TableStore()
+        first, second = placement(t, one), placement(t, other)
+        assert first is not second and first.rows is not second.rows
+        assert first == second, name
+        for tr in enumerate_cs_prime(t):
+            assert tau(t, tr, one) == tau(t, tr, other)
+        for lab in strata(t, one):
+            for expand in (False, True):
+                assert fiber(t, lab, one, expand=expand) == fiber(t, lab, other, expand=expand)
+            assert c_star(t, lab, one) == c_star(t, lab, other)
 
 
-def test_registration_installs_only_tables_that_are_not_built_in(synthetic_b3_doc):
+def test_registration_installs_only_tables_that_are_not_built_in(
+    monkeypatch, synthetic_b3_doc
+):
+    installed = []
+    install = TableStore.install
+
+    def counting(self, placed):
+        installed.append(placed.type_name)
+        install(self, placed)
+
+    monkeypatch.setattr(TableStore, "install", counting)
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
     b3 = parse_type("B3")
     registered = placement(b3, store)
+    assert installed == ["B3"]
     for name in ("A2", "Torus", "E8"):
         t = parse_type(name)
-        # A built-in table is checked against the submission, not installed.
+        # A built-in table is checked against the submission, not installed:
+        # the store resolved it to compare, and keeps answering from that.
+        built_in = placement(t, store)
         register_external_table(table_document(t), store)
-        assert placement(t, store) is tables._built_in_placement(t), name
-        assert store.table(t) is placement(t, TableStore()).rows, name
+        assert placement(t, store) is built_in, name
+    assert installed == ["B3"]
     assert placement(b3, store) is registered
     with pytest.raises(NoTableAvailable):
         placement(b3, TableStore())
@@ -570,7 +611,7 @@ def test_identity_types_answer_as_the_identity(name):
     assert [len(expanded) for expanded in placement(t, store).fiber_expanded] == [1] * len(labels)
     assert unit_stratum_fiber_size(t, store) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
-    assert placement(t, store) is tables._built_in_placement(t)
+    assert list(store) == [t.name]
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +649,15 @@ def test_stratum_answers_agree_with_the_per_call_oracle(name):
         (row.stratum.text, sum(en.mult for en in row.fiber), len(oracle_strata.labels(row)))
         for row in pl.rows
     ]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_row_kinds_agree_with_the_per_call_oracle(name):
+    t = parse_type(name)
+    pl = placement(t, _answering_store(name))
+    assert [(id(a), f, ri) for a, f, ri in pl.row_kinds] == oracle_strata.row_kinds(t, pl)
+    for a, _, ri in pl.row_kinds:
+        assert a is pl.rows[ri].annotation
 
 
 @pytest.mark.parametrize("name", ["E8", "F4", "B3", "A3"])

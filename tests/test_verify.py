@@ -156,15 +156,13 @@ def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
 @pytest.fixture
 def e7_missing_a_triple(monkeypatch):
     """E7 with the last triple, (E7,1,0)[1], dropped from the
-    enumeration the tables module places against; no built-in placement
-    is cached before or after."""
+    enumeration the tables module places against; each test asks a
+    fresh store, which resolves the table against it."""
     original = tables.enumerate_cs_prime
     monkeypatch.setattr(
         tables, "enumerate_cs_prime", lambda t: original(t)[:-1] if t.name == "E7" else original(t)
     )
-    tables._built_in_placement.cache_clear()
-    yield parse_type("E7")
-    tables._built_in_placement.cache_clear()
+    return parse_type("E7")
 
 
 def test_a_table_that_does_not_place_fails_placement_and_skips_its_readers(
