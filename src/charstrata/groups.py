@@ -5,16 +5,16 @@ element models.
 
 The inventories are data; the element models exist so that the
 inventory sizes can be re-derived by brute force (conjugacy classes
-counted over explicit element lists, all orders <= 120, as the orbits
-of conjugation by a small generating set each model states; one walk
-along the products of each element with each generator certifies that
-the set generates exactly the listed elements).
+counted over explicit lists of permutations, all orders <= 120, as the
+orbits of conjugation by a small generating set each model states; one
+walk along the products of each element with each generator certifies
+that the set generates exactly the listed elements).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
@@ -175,66 +175,49 @@ def group_collection(
 # Element models and the conjugacy-class oracle.
 
 
-def _perms(n: int):
-    return [tuple(p) for p in itertools.permutations(range(n))]
-
-
 def _perm_mul(p, q):
-    # (p*q)(i) = p(q(i)); itemgetter of two or more indices returns a tuple
-    return itemgetter(*q)(p)
+    # (p*q)(i) = p(q(i)), a tuple also on one point
+    return tuple(map(p.__getitem__, q))
 
 
-def _symmetric(n: int):
-    # generated by the transposition of 0 and 1 and the n-cycle i -> i+1
-    transposition = (1, 0) + tuple(range(2, n))
-    n_cycle = tuple(range(1, n)) + (0,)
-    return _perms(n), _perm_mul, (transposition, n_cycle)
+def _rotations(m: int):
+    # C_m: the rotations i -> i+k of m points, k = 0, ..., m-1
+    return [tuple((i + k) % m for i in range(m)) for k in range(m)]
 
 
-def _cyclic(m: int):
-    els = list(range(m))
-    mul = lambda a, b: (a + b) % m  # noqa: E731
-    return els, mul, (1,)
-
-
-def _product(first, second, gens):
-    (els1, mul1, _), (els2, mul2, _) = first, second
-    els = [(a, b) for a in els1 for b in els2]
-    mul = lambda x, y: (mul1(x[0], y[0]), mul2(x[1], y[1]))  # noqa: E731
-    return els, mul, gens
-
-
-def _dihedral8():
-    # (rotation mod 4, flip mod 2); flips conjugate rotations to inverses
-    els = [(r, f) for r in range(4) for f in range(2)]
-
-    def mul(x, y):
-        r1, f1 = x
-        r2, f2 = y
-        r = (r1 + (r2 if f1 == 0 else -r2)) % 4
-        return (r, (f1 + f2) % 2)
-
-    return els, mul, ((1, 0), (0, 1))
+def _on_disjoint_points(first, second):
+    # each pair (a, b) of permutations, b moving the points after a's
+    return [a + tuple(len(a) + i for i in b) for a in first for b in second]
 
 
 @lru_cache(maxsize=None)
 def _model(tag: str):
-    """The group of a tag as (elements, product, stated generators)."""
+    """The group of a tag as (elements, product, stated generators):
+    permutations of a few points, the tuples of the images of 0, 1, ...,
+    composed by _perm_mul."""
     tag = normalize_tag(tag)
     if tag == "1":
-        return [0], lambda a, b: 0, ()
-    if tag.startswith("C") and "x" not in tag:
-        return _cyclic(int(tag[1:]))
-    if tag == "C2xC2":
-        return _product(_cyclic(2), _cyclic(2), ((1, 0), (0, 1)))
-    if tag == "C2xC3":
-        return _product(_cyclic(2), _cyclic(3), ((1, 1),))
-    if tag in ("S3", "S4", "S5"):
-        return _symmetric(int(tag[1:]))
-    if tag == "D8":
-        return _dihedral8()
-    # S3xC2, the one tag of GROUP_TAGS left
-    return _product(_symmetric(3), _cyclic(2), (((1, 2, 0), 1), ((1, 0, 2), 0)))
+        els, gens = [(0,)], ()
+    elif tag.startswith("C") and "x" not in tag:
+        els = _rotations(int(tag[1:]))
+        gens = (els[1],)  # the rotation by one point
+    elif tag == "C2xC2":
+        els, gens = _on_disjoint_points(_rotations(2), _rotations(2)), ((1, 0, 2, 3), (0, 1, 3, 2))
+    elif tag == "C2xC3":
+        els, gens = _on_disjoint_points(_rotations(2), _rotations(3)), ((1, 0, 3, 4, 2),)
+    elif tag in ("S3", "S4", "S5"):
+        # generated by the transposition of 0 and 1 and the n-cycle i -> i+1
+        n = int(tag[1:])
+        els = list(permutations(range(n)))
+        gens = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
+    elif tag == "D8":
+        # a square's corners 0..3 in order, opposite corners kept opposite
+        els = [p for p in permutations(range(4)) if abs(p[0] - p[2]) == abs(p[1] - p[3]) == 2]
+        gens = ((1, 2, 3, 0), (0, 3, 2, 1))
+    else:  # S3xC2, the one tag of GROUP_TAGS left
+        els = _on_disjoint_points(permutations(range(3)), _rotations(2))
+        gens = ((1, 2, 0, 4, 3), (1, 0, 2, 3, 4))
+    return els, _perm_mul, gens
 
 
 def conjugacy_class_count(tag: str) -> int:
@@ -249,7 +232,8 @@ def conjugacy_class_count(tag: str) -> int:
     n = len(els)
     index = {g: i for i, g in enumerate(els)}
     try:
-        right = [[index[mul(x, s)] for x in els] for s in gens]
+        # x*s for every x: itemgetter(*s)(x) is _perm_mul(x, s)
+        right = [list(map(index.__getitem__, map(itemgetter(*s), els))) for s in gens]
     except KeyError:
         raise GroupError(f"{tag}: a product of its elements is not listed") from None
     identity = next(i for i, g in enumerate(els) if mul(g, g) == g)

@@ -27,6 +27,7 @@ from .tables import (  # noqa: F401 - placement, Placement and its resolver are 
     TableFormatError,
     TableStore,
     find_row,
+    levi_name_of,
     placement,
     resolve_placement,
 )
@@ -58,9 +59,10 @@ def find_triple(
     d: int | None = None,
     index: int = 0,
 ) -> SheafTriple:
-    """Locate an enumerated triple by its printable coordinates (one
-    scan: callers look up one triple per query)."""
-    coordinates = (levi_name, character_text)
+    """Locate an enumerated triple by its printable coordinates, the
+    Levi spelled as a table entry's may be (levi_name_of); one scan:
+    callers look up one triple per query."""
+    coordinates = (levi_name_of(levi_name), character_text)
     matches = [
         tr
         for tr in enumerate_cs_prime(t)

@@ -236,12 +236,21 @@ class StrataRow(ValueObject):
     __slots__ = _fields = ("stratum", "fiber", "annotation")
 
 
+def levi_name_of(text: str) -> str:
+    """The levi_name a Levi spelling stands for: '-' for '' and '-', else
+    the canonical name parse_type reads, or the text if it reads none."""
+    try:
+        return "-" if text in ("", "-") else parse_type(text).name
+    except CartanError:
+        return text
+
+
 @lru_cache(maxsize=None)
 def _fiber_levis(t: CartanType) -> dict[str, tuple]:
     """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
     type, that name, whether it is classical (so that its d is opaque)
-    and the characters of its relative group by text."""
-    return {
+    and the characters of its relative group by text; '-' maps to None."""
+    return {"-": None} | {
         levi.levi_name: (
             levi.levi_weyl_type, levi.levi_name, levi.levi_weyl_type.is_classical,
             {lab.text: lab for lab in relative_character_labels(t, levi.relative_weyl_type)},
@@ -298,16 +307,15 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
             )
         fiber = [fill(new(FiberEntry), None, "-", False, head_label, 0, 1, None)]
         for levi_name, char, d, mult, disamb in entries:
-            if levi_name in ("", "-"):
+            # Canonical names hit at once; levi_name_of reads other spellings.
+            try:
+                fields = levis[levi_name if levi_name in levis else levi_name_of(levi_name)]
+            except KeyError:
+                raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}") from None
+            if fields is None:
                 levi, name, opaque, lab = None, "-", False, label_of(char)
             else:
-                # Canonical names hit at once; other spellings are parsed.
-                try:
-                    levi, name, opaque, characters = (
-                        levis.get(levi_name) or levis[parse_type(levi_name).name])
-                except (KeyError, CartanError):
-                    raise TableFormatError(
-                        f"{levi_name} is not a cuspidal Levi of {t.name}") from None
+                levi, name, opaque, characters = fields
                 lab = characters.get(char)
                 if lab is None:
                     raise TableFormatError(
@@ -498,6 +506,12 @@ def is_identity(t: CartanType) -> bool:
     return len(cuspidal_levis(t)) == 1
 
 
+def built_in_source(t: CartanType) -> str | None:
+    """Whether t has a built-in table, and whence: "embedded", "built
+    in" (the identity table), or None."""
+    return "embedded" if t.name in tabledata.TABLES else "built in" if is_identity(t) else None
+
+
 class TableStore(dict):
     """The placements a session answers from: the dict from type name to
     Placement, and the only holder of each.  install stores each
@@ -519,9 +533,9 @@ class TableStore(dict):
         per character, its fiber the row's own triple.
         NoTableAvailable for any other type."""
         t = parse_type(name)
-        if t.name in tabledata.TABLES:
+        if (source := built_in_source(t)) == "embedded":
             rows = embedded_table(t)
-        elif is_identity(t):
+        elif source:
             rows = build_rows(t, ((lab.text, (), "[1]") for lab in enumerate_irr(t).labels))
         else:
             raise NoTableAvailable(
@@ -533,11 +547,11 @@ class TableStore(dict):
         return self[t.name].rows
 
     def install(self, placed: Placement) -> None:
-        """Store placed, which resolve_placement returned: the checks
-        of verify report what it guarantees instead of checking it."""
+        """Store placed, which resolve_placement returned: verify's checks
+        report what it guarantees.  TableFormatError for a built-in type."""
         name = placed.type_name
-        if name in tabledata.TABLES:
-            raise TableFormatError(f"{name} is embedded; external copies are only checked")
+        if source := built_in_source(parse_type(name)):
+            raise TableFormatError(f"{name} is {source}; external copies are only checked")
         self[name] = placed
 
 

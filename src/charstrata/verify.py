@@ -38,8 +38,8 @@ from .tables import (
     TableFormatError,
     TableStore,
     UnknownStratum,
+    built_in_source,
     centralizer_profiles,
-    is_identity,
     placement,
     resolve_placement,
 )
@@ -304,9 +304,7 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
     naming the first offending entry or triple).
     """
     t, rows = parse_table_document(doc)
-    embedded = t.name in tabledata.TABLES
-    if embedded or is_identity(t):
-        source = "embedded" if embedded else "built in"
+    if source := built_in_source(t):
         ours = table_document(t, store)
         theirs = {"schema": doc["schema"], "type": t.name, "rows": doc["rows"]}
         if canonical_json(ours) != canonical_json(theirs):
@@ -314,7 +312,7 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
                 f"{t.name} is {source} and the submitted table differs: "
                 + _first_table_difference(ours, theirs, source)
             )
-        if embedded:
+        if source == "embedded":
             return f"{t.name}: matches the embedded table"
         return f"{t.name}: accepted (the identity parametrization is built in)"
     # placement must hold before the table becomes visible

@@ -130,6 +130,13 @@ def test_d_and_index_take_ascii_decimals_only(capsys, argv, flag):
         f"error: argument {flag}: {argv[-1]!r} is not an ASCII decimal\n")
 
 
+def test_tau_reads_the_levi_spellings_of_table_entries(capsys):
+    assert run(capsys, "tau", "E8", "--levi", "e_7", "--char", "eps") == (0, "1_0\n", "")
+    code, out, err = run(capsys, "tau", "E8", "--levi", "Z9", "--char", "eps")
+    assert (code, out) == (2, "")
+    assert "no triple (Z9,eps,d=None,i=0) in E8" in err
+
+
 def test_pseudo_levi(capsys):
     code, out, _ = run(capsys, "pseudo-levi", "G2")
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from charstrata import tabledata
-from charstrata.cartan import CartanType, Subsystem, TORUS, parse_type
+from charstrata.cartan import CartanType, Subsystem, TORUS, datum, parse_type
 from charstrata.cuspidal import (
     CuspidalError,
     CuspidalLevi,
@@ -53,6 +53,36 @@ def test_relative_weyl_types():
     d5 = {l.levi_name: l.relative_weyl_type.name if l.relative_weyl_type else "1"
           for l in cuspidal_levis(parse_type("D5"))}
     assert d5["D4"] == "A1"
+
+
+def _relative_series(name, levi):
+    """The relative group of the series of t with this Levi, and the
+    squares of the dimensions of its relative characters."""
+    t = parse_type(name)
+    (series,) = [l for l in cuspidal_levis(t) if l.levi_name == levi]
+    labels = relative_character_labels(t, series.relative_weyl_type)
+    return series.relative_weyl_type, [lab.dim ** 2 for lab in labels]
+
+
+@pytest.mark.parametrize(("name", "levi", "order"), [
+    ("E8", "D4", 1152), ("F4", "-", 1152), ("E6", "-", 51_840), ("E7", "-", 2_903_040),
+])
+def test_relative_characters_square_sum_to_the_relative_group_order(name, levi, order):
+    """End(ind A') is the group algebra of N_W(W_J)/W_J, so the squares
+    of the dimensions of a series' relative characters sum to its order
+    (Geck-Pfeiffer 2000): E8's D4 series lists the 25 characters of
+    W(F4), and an empty-Levi series Irr(W)."""
+    relative, squares = _relative_series(name, levi)
+    assert sum(squares) == datum(relative).weyl_order == order
+
+
+def test_e8_empty_levi_square_sum_falls_short_by_the_two_label_anomalies():
+    """E8's registry lacks 84_64 and prints 79_32 for 70_32 (README,
+    "Known data anomalies"), so its squares fall short of |W(E8)| by
+    exactly 84^2 + 70^2 - 79^2."""
+    relative, squares = _relative_series("E8", "-")
+    assert len(squares) == 111
+    assert datum(relative).weyl_order - sum(squares) == 84**2 + 70**2 - 79**2 == 5_715
 
 
 def test_count_tables():

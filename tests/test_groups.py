@@ -40,6 +40,31 @@ def test_stated_generators_close_to_the_element_list(tag):
     assert generated_subgroup(gens, identity, mul) == set(els)
 
 
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+def test_models_list_distinct_permutations_of_one_degree(tag):
+    """Every model lists distinct permutations of the points 0..n-1,
+    one n per model, composed by _perm_mul, with the identity and the
+    stated generators among them."""
+    els, mul, gens = _model(tag)
+    points = tuple(range(len(els[0])))
+    assert mul is _perm_mul
+    assert len(set(els)) == len(els)
+    assert all(tuple(sorted(g)) == points for g in els)
+    assert points in els and set(gens) <= set(els)
+    assert mul(points, points) == points
+
+
+def test_d8_lists_the_symmetries_of_a_square():
+    """The permutations of the corners 0..3 that map the edges
+    {i, i+1 mod 4} to edges, read independently of D8's model."""
+    edges = {frozenset((i, (i + 1) % 4)) for i in range(4)}
+    symmetries = [
+        p for p in itertools.permutations(range(4))
+        if {frozenset(p[i] for i in edge) for edge in edges} == edges
+    ]
+    assert sorted(_model("D8")[0]) == sorted(symmetries)
+
+
 def test_permutation_product_composes_right_to_left():
     perms = list(itertools.permutations(range(4)))
     for p in perms:

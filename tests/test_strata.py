@@ -489,6 +489,20 @@ def test_install_refuses_to_replace_an_embedded_table():
     assert "E8" not in store
 
 
+@pytest.mark.parametrize("name", ["A2", "Torus"])
+def test_install_refuses_to_replace_an_identity_table(name):
+    """A resolved placement of an identity type, here with [C2] rows,
+    leaves the built-in identity table in place."""
+    t = parse_type(name)
+    head = enumerate_irr(t).labels[0].text
+    rows = tables.build_rows(t, ((lab.text, (), "[C2]") for lab in enumerate_irr(t).labels))
+    store = TableStore()
+    with pytest.raises(TableFormatError, match=f"{name} is built in; external copies are only checked"):
+        store.install(tables.resolve_placement(t, rows))
+    assert name not in store
+    assert [e.irrep for e in c_star(t, head, store)] == ["1"]
+
+
 def test_warm_queries_hash_no_cartan_type(monkeypatch, synthetic_b3_doc):
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
@@ -738,3 +752,13 @@ def test_find_triple_agrees_with_a_scan_of_the_enumeration():
     with pytest.raises(TripleNotFound) as err:
         find_triple(parse_type("G2"), "-", "nope", 3, 1)
     assert str(err.value) == "no triple (-,nope,d=3,i=1) in G2"
+
+
+def test_find_triple_reads_the_levi_spellings_of_table_entries():
+    e8, b3 = parse_type("E8"), parse_type("B3")
+    assert find_triple(e8, "e_7", "eps") is find_triple(e8, "E7", "eps")
+    assert find_triple(b3, "b_2", "(2)") is find_triple(b3, "B2", "(2)")
+    assert find_triple(e8, "", "1_0") is find_triple(e8, "-", "1_0")
+    with pytest.raises(TripleNotFound) as err:
+        find_triple(e8, "Z9", "eps")
+    assert str(err.value) == "no triple (Z9,eps,d=None,i=0) in E8"

@@ -21,6 +21,8 @@ from charstrata.tables import (
     find_row,
     _printed_annotation,
     build_rows,
+    built_in_source,
+    levi_name_of,
     parse_annotation,
     placement,
     resolve_placement,
@@ -35,6 +37,16 @@ ROW_COUNTS = {"G2": 6, "F4": 20, "E6": 21, "E7": 46, "E8": 74}
 @pytest.mark.parametrize("name,count", sorted(ROW_COUNTS.items()))
 def test_row_counts(name, count):
     assert len(DEFAULT_STORE.table(parse_type(name))) == count
+
+
+def test_built_in_source_names_the_embedded_and_identity_types():
+    assert [built_in_source(parse_type(n)) for n in ("E8", "A2", "Torus", "B3")] == [
+        "embedded", "built in", "built in", None]
+
+
+def test_levi_name_of_reads_spellings_as_parse_type_does():
+    assert [levi_name_of(text) for text in ("-", "", "E7", "e_7", "b_2", "Z9")] == [
+        "-", "-", "E7", "E7", "B2", "Z9"]
 
 
 def test_no_table_for_plain_classical():
