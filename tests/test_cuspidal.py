@@ -56,8 +56,8 @@ def test_relative_weyl_types():
 
 
 def _relative_series(name, levi):
-    """The relative group of the series of t with this Levi, and the
-    squares of the dimensions of its relative characters."""
+    """The relative group of the named type's series with this Levi, and
+    the squares of the dimensions of its relative characters."""
     t = parse_type(name)
     (series,) = [l for l in cuspidal_levis(t) if l.levi_name == levi]
     labels = relative_character_labels(t, series.relative_weyl_type)
