@@ -97,7 +97,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "B12-pseudo-levi": ("pseudo-levi", "B12"),
     "D16-pseudo-levi-json": ("--json", "pseudo-levi", "D16"),
     "Torus-info": ("info", "Torus"),
+    "G2-info": ("info", "G2"),
     "F4-info": ("info", "F4"),
+    "E6-info": ("info", "E6"),
+    "E7-info": ("info", "E7"),
+    "E8-info": ("info", "E8"),
     "F4-info-json": ("--json", "info", "F4"),
     "A3-info": ("info", "A3"),
     "B6-info": ("info", "B6"),
