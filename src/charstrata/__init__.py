@@ -20,10 +20,13 @@ from .cartan import (
     pseudo_levi_types,
 )
 from .cuspidal import (
+    CentralizerProfile,
     CuspidalCounts,
     CuspidalLevi,
     SheafTriple,
     SupportCase,
+    centralizer_profile,
+    centralizer_profiles,
     cuspidal_counts,
     cuspidal_levis,
     enumerate_cs_prime,
@@ -59,13 +62,10 @@ from .strata import (
     tau,
 )
 from .tables import (
-    CentralizerProfile,
     NoTableAvailable,
     StrataRow,
     TableStore,
     UnknownStratum,
-    centralizer_profile,
-    centralizer_profiles,
     component_group,
 )
 from .verify import VerificationReport, register_external_table, run_all

@@ -19,7 +19,8 @@ from .schema import (
     pseudo_levi_document, register_document, report_document, strata_document, table_document,
     tau_document, triples_document, verify_document,
 )
-from .tables import TableFormatError, TableStore, centralizer_profile, centralizer_profiles
+from .cuspidal import centralizer_profile, centralizer_profiles
+from .tables import TableFormatError, TableStore
 from .verify import check_line, register_external_table, run_all
 
 TABLES_ENV = "CHARSTRATA_TABLES"

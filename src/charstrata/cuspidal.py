@@ -1,6 +1,6 @@
-"""Cuspidal Levi types, cuspidal object counts, and the full
-parametrizing set of (Levi, relative character, cuspidal index)
-triples.
+"""Cuspidal Levi types, cuspidal object counts, the full parametrizing
+set of (Levi, relative character, cuspidal index) triples, and the
+centralizer profiles, which give each (type, d) its support case.
 
 Counts are characteristic-independent data.  Cuspidal objects are
 abstract indices 0..N-1; classical cuspidal Levi types carry a single
@@ -12,7 +12,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .cartan import TORUS, CartanType, CharstrataError, ValueObject, simple_type
+from . import tabledata
+from .cartan import TORUS, CartanError, CartanType, CharstrataError, Subsystem, ValueObject
+from .cartan import simple_type
 from .labels import CharacterLabel, enumerate_irr, relative_character_labels
 
 class CuspidalError(CharstrataError, ValueError):
@@ -213,10 +215,11 @@ class SheafTriple(ValueObject):
         return f"({self.levi.levi_name},{self.character.text},{d})[{self.index}]"
 
 
-@lru_cache(maxsize=None)
 def enumerate_cs_prime(t: CartanType) -> tuple[SheafTriple, ...]:
     """All triples for type t, in deterministic order: Levis as listed,
-    characters in registry order, d descending, index ascending."""
+    characters in registry order, d descending, index ascending; so the
+    empty Levi's triples are Irr(t) in registry order.  Built on each
+    call, each registry it reads once; a placement holds its own."""
     out: list[SheafTriple] = []
     for levi in cuspidal_levis(t):
         counts = levi_counts(levi).counts
@@ -248,34 +251,92 @@ class SupportCase(ValueObject):
         super().__init__(tag, r0)
 
 
-_UNIQUE_PRIME: dict[tuple[str, int], int] = {
-    ("F4", 2): 2,
-    ("F4", 1): 2,
-    ("E6", 0): 3,
-    ("E7", 0): 2,
-    ("E8", 7): 2,
-    ("E8", 6): 2,
-    ("E8", 3): 3,
-    ("E8", 1): 2,
-}
-
-_ALL_PRIMES = {("E8", 16), ("F4", 4), ("G2", 1)}
-_NO_PRIME = {("E8", 0), ("F4", 0)}
+# The paper's names for the d=0 cases that no profile covers in full
+# (erratum G2-d0-support-case).
+_PAPER_CASES = {("G2", 0): "mixed", ("F4", 0): "no-prime", ("E8", 0): "no-prime"}
 
 
 def support_case(t: CartanType, d: int | None) -> SupportCase:
+    """The case of (t, d) read off its centralizer profiles: 'all-primes'
+    if the generic one is all FULL, else 'unique-prime' r if prime r's
+    alone is, or the paper's name for the d=0 cases no profile covers."""
     counts = cuspidal_counts(t).as_dict()
     if d not in counts or counts[d] == 0:
         raise CuspidalError(f"{t} has no cuspidal objects with d={d}")
     if t.is_torus:
         return SupportCase("torus")
-    if d is None:  # classical cuspidal type
-        return SupportCase("unique-prime", 2)
-    key = (t.name, d)
-    if key in _ALL_PRIMES:
+    if (t.name, d) in _PAPER_CASES:
+        return SupportCase(_PAPER_CASES[t.name, d])
+    (full,) = [
+        p.characteristic_class for p in centralizer_profiles(t)
+        if p.d == d and all(sub is None for sub, _ in p.entries)
+    ]
+    if full == "generic":
         return SupportCase("all-primes")
-    if key in _NO_PRIME:
-        return SupportCase("no-prime")
-    if key == ("G2", 0):
-        return SupportCase("mixed")
-    return SupportCase("unique-prime", _UNIQUE_PRIME[key])
+    return SupportCase("unique-prime", int(full))
+
+
+# ---------------------------------------------------------------------------
+# Centralizer profiles.
+
+
+class CentralizerProfile(ValueObject):
+    """The centralizer data of (ambient, d) in one characteristic class,
+    "generic" or the prime as a string: entries are (subsystem, count)
+    pairs, the subsystem None for the full group."""
+
+    __slots__ = _fields = ("ambient", "d", "characteristic_class", "entries", "note")
+
+    @property
+    def total(self) -> int:
+        return sum(c for _, c in self.entries)
+
+
+def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
+    """The generic and characteristic-2 profiles of a cuspidal classical
+    type.  The generic centralizer is B_a x D_b in B_n (n = k(k+1), B_0
+    trivial), and two equal factors of half the rank in C_n and D_n."""
+    n = t.rank
+    if t.series == "B":
+        k = isqrt(n)
+        if k % 2 == 0:
+            a, b = ((k + 1) ** 2 - 1) // 2, k * k // 2
+        else:
+            a, b = (k * k - 1) // 2, (k + 1) ** 2 // 2
+        generic = f"B{a}xD{b}" if a else f"D{b}"
+    else:
+        generic = f"{t.series}{n // 2}x{t.series}{n // 2}"
+    return (
+        CentralizerProfile(t, None, "generic", ((Subsystem.parse(generic), 1),), None),
+        CentralizerProfile(t, None, "2", ((None, 1),), None),
+    )
+
+
+@lru_cache(maxsize=8)
+def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
+    """All recorded profiles for t (every cuspidal d, every class), kept
+    for the last few types asked."""
+    if t.is_exceptional:
+        return tuple(
+            CentralizerProfile(
+                t, d, str(char_class),
+                tuple((None if s == tabledata.FULL else Subsystem.parse(s), c) for s, c in entries),
+                tabledata.E8_D0_NOTE if (name, d) == ("E8", 0) else None,
+            )
+            for (name, d), classes in tabledata.CENTRALIZER_PROFILES.items() if name == t.name
+            for char_class, entries in classes
+        )
+    if t.is_classical and cuspidal_counts(t).counts:
+        return _classical_profiles(t)
+    return ()
+
+
+def centralizer_profile(t: CartanType, d: int | None, r: int | str) -> CentralizerProfile:
+    """The profile that holds for (t, d) in characteristic r; r may be
+    0, a prime, or 'generic'.  Every recorded (t, d) has a generic
+    profile, which holds in each characteristic not recorded for it."""
+    by_class = {p.characteristic_class: p for p in centralizer_profiles(t) if p.d == d}
+    if not by_class:
+        raise CartanError(f"no centralizer data for {t.name} with d={d}")
+    wanted = "generic" if r in (0, "0", "generic") else str(r)
+    return by_class.get(wanted, by_class["generic"])

@@ -29,18 +29,26 @@ Partition = tuple[int, ...]
 
 def partitions(n: int) -> tuple[Partition, ...]:
     """Partitions of n, largest part first, in descending lex order."""
-    return _partitions(n, n)
+    return tuple(parts for parts, _ in _partition_memo()(n))
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int, top: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return ((),)
-    return tuple(
-        (first,) + rest
-        for first in range(top, 0, -1)
-        for rest in _partitions(n - first, min(n - first, first))
-    )
+def _partition_memo():
+    """m -> the partitions of m in descending lex order, as (parts, text)
+    pairs, from a memo local to one registry build, which builds those
+    of m with parts at most top once per (m, top)."""
+    memo = {}
+
+    def bounded(m: int, top: int):
+        pairs = memo.get((m, top))
+        if pairs is None:
+            pairs = memo[m, top] = (((), ""),) if m == 0 else tuple(
+                ((first,) + rest, f"{first},{text}" if rest else str(first))
+                for first in range(top, 0, -1)
+                for rest, text in bounded(m - first, min(m - first, first))
+            )
+        return pairs
+
+    return lambda m: bounded(m, m)
 
 
 def _check_partition(parts: Partition) -> Partition:
@@ -54,12 +62,6 @@ def _check_partition(parts: Partition) -> Partition:
 
 def _parts_text(parts: Partition) -> str:
     return ",".join(map(str, parts))
-
-
-# The text of a partition that partitions() generated: its parts are
-# ints, so equal keys have equal text.  B12's 1165 characters are built
-# from 77 partitions.
-_enumerated_text = lru_cache(maxsize=None)(_parts_text)
 
 
 def _parse_parts(text: str) -> Partition:
@@ -93,12 +95,12 @@ class PartitionLabel(CharacterLabel):
 
     def __init__(self, parts: Partition) -> None:
         _check_partition(parts)
-        self._fill(_parts_text, parts)
+        self._fill(parts, _parts_text(parts))
 
-    def _fill(self, text_of, parts: Partition) -> PartitionLabel:
+    def _fill(self, parts: Partition, parts_text: str) -> PartitionLabel:
         set_parts, set_text = self._setters
         set_parts(self, parts)
-        set_text(self, f"({text_of(parts)})")
+        set_text(self, f"({parts_text})")
         return self
 
 
@@ -109,13 +111,13 @@ class BipartitionLabel(CharacterLabel):
     def __init__(self, alpha: Partition, beta: Partition) -> None:
         _check_partition(alpha)
         _check_partition(beta)
-        self._fill(_parts_text, alpha, beta)
+        self._fill(alpha, beta, _parts_text(alpha), _parts_text(beta))
 
-    def _fill(self, text_of, alpha: Partition, beta: Partition) -> BipartitionLabel:
+    def _fill(self, alpha, beta, alpha_text: str, beta_text: str) -> BipartitionLabel:
         set_alpha, set_beta, set_text = self._setters
         set_alpha(self, alpha)
         set_beta(self, beta)
-        set_text(self, f"({text_of(alpha)}|{text_of(beta)})")
+        set_text(self, f"({alpha_text}|{beta_text})")
         return self
 
 
@@ -135,16 +137,14 @@ class DPairLabel(CharacterLabel):
                 raise LabelError("symmetric D-pair needs split tag I or II")
         elif split is not None:
             raise LabelError("split tag only allowed on symmetric pairs")
-        self._fill(_parts_text, alpha, beta, split)
+        self._fill(alpha, beta, split, _parts_text(alpha), _parts_text(beta))
 
-    def _fill(
-        self, text_of, alpha: Partition, beta: Partition, split: str | None
-    ) -> DPairLabel:
+    def _fill(self, alpha, beta, split, alpha_text: str, beta_text: str) -> DPairLabel:
         set_alpha, set_beta, set_split, set_text = self._setters
         set_alpha(self, alpha)
         set_beta(self, beta)
         set_split(self, split)
-        base = f"{{{text_of(alpha)}|{text_of(beta)}}}"
+        base = f"{{{alpha_text}|{beta_text}}}"
         set_text(self, f"{base}:{split}" if split else base)
         return self
 
@@ -189,10 +189,6 @@ class IrrRegistry(ValueObject):
             raise LabelError(f"duplicate labels in registry for {cartan_type}")
         return (by_text,)
 
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(self._by_text)
-
     def by_text(self, text: str) -> CharacterLabel:
         try:
             return self._by_text[text]
@@ -206,52 +202,54 @@ class IrrRegistry(ValueObject):
         return iter(self.labels)
 
 
-def _bipartitions(n: int):
+def _bipartitions(n: int, partitions_of):
     for a in range(n, -1, -1):
-        for alpha in partitions(a):
-            for beta in partitions(n - a):
+        for alpha in partitions_of(a):
+            for beta in partitions_of(n - a):
                 yield alpha, beta
 
 
-def _exceptional_names(type_name: str) -> tuple[str, ...]:
-    """Empty-Levi labels of the embedded table, first occurrence order."""
-    seen: list[str] = []
-    for head, entries, _ann in tabledata.TABLES[type_name]:
-        for name in [head] + [en[1] for en in entries if en[0] == ""]:
-            if name not in seen:
-                seen.append(name)
-    return tuple(seen)
-
-
 @lru_cache(maxsize=None)
+def _exceptional_registry(t: CartanType) -> IrrRegistry:
+    """The empty-Levi labels of t's embedded table, first occurrence
+    order: static data, kept for the five exceptional types."""
+    seen: dict[str, None] = {}
+    for head, entries, _ann in tabledata.TABLES[t.name]:
+        seen[head] = None
+        seen.update((en[1], None) for en in entries if en[0] == "")
+    return IrrRegistry(t, tuple(map(NamedLabel, seen)))
+
+
 def enumerate_irr(t: CartanType) -> IrrRegistry:
-    """The character registry of W(t), in the canonical order."""
+    """The character registry of W(t), in the canonical order.  An
+    exceptional registry is kept; any other is built on each call."""
+    if t.is_exceptional:
+        return _exceptional_registry(t)
     if t.is_torus:
         return IrrRegistry(t, (TrivialLabel(),))
-    # Labels of partitions() output are valid by construction: _fill
-    # builds them without __init__'s checks, with memoized partition texts.
-    new, text_of = object.__new__, _enumerated_text
+    # Labels of generated partitions are valid by construction: _fill
+    # builds them without __init__'s checks, with the memo's texts.
+    new, partitions_of = object.__new__, _partition_memo()
     if t.series == "A":
         fill = PartitionLabel._fill
-        labs = tuple(fill(new(PartitionLabel), text_of, p) for p in partitions(t.rank + 1))
+        labs = tuple(
+            fill(new(PartitionLabel), p, text) for p, text in partitions_of(t.rank + 1))
         return IrrRegistry(t, labs)
     if t.series in ("B", "C"):
         fill = BipartitionLabel._fill
         labs = tuple(
-            fill(new(BipartitionLabel), text_of, a, b) for a, b in _bipartitions(t.rank)
+            fill(new(BipartitionLabel), a, b, a_text, b_text)
+            for (a, a_text), (b, b_text) in _bipartitions(t.rank, partitions_of)
         )
         return IrrRegistry(t, labs)
-    if t.series == "D":
-        fill = DPairLabel._fill
-        out: list[CharacterLabel] = []
-        for alpha, beta in _bipartitions(t.rank):
-            if alpha < beta:
-                continue  # unordered: keep the alpha >= beta representative
-            for split in ("I", "II") if alpha == beta else (None,):
-                out.append(fill(new(DPairLabel), text_of, alpha, beta, split))
-        return IrrRegistry(t, tuple(out))
-    names = _exceptional_names(t.name)
-    return IrrRegistry(t, tuple(NamedLabel(n) for n in names))
+    fill = DPairLabel._fill
+    out: list[CharacterLabel] = []
+    for (alpha, a_text), (beta, b_text) in _bipartitions(t.rank, partitions_of):
+        if alpha < beta:
+            continue  # unordered: keep the alpha >= beta representative
+        for split in ("I", "II") if alpha == beta else (None,):
+            out.append(fill(new(DPairLabel), alpha, beta, split, a_text, b_text))
+    return IrrRegistry(t, tuple(out))
 
 
 def irr_count(t: CartanType) -> int:

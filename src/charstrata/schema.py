@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 
 from .cartan import CartanType, parse_type, CartanError, ascii_decimal, datum, pseudo_levi_types
-from .cuspidal import SheafTriple, cuspidal_counts, cuspidal_levis, enumerate_cs_prime
-from .cuspidal import levi_counts, support_case
+from .cuspidal import CentralizerProfile, SheafTriple, cuspidal_counts, cuspidal_levis
+from .cuspidal import enumerate_cs_prime, levi_counts, support_case
 from .groups import GroupError, normalize_tag
-from .labels import LabelError
 from .strata import c_collection, fiber, find_triple, regular_fiber_labels, strata, tau
 from .tables import (
     DEFAULT_STORE,
     Annotation,
-    CentralizerProfile,
     StrataRow,
     TableFormatError,
     TableStore,
@@ -39,7 +37,7 @@ def canonical_json(doc: dict) -> str:
 
 def table_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
     rows_out = []
-    for row in store.table(t):
+    for row in store[t.name].rows:
         a = row.annotation
         fiber = []
         for en in row.fiber:
@@ -73,11 +71,19 @@ _BOXED_FLAGS = {"single": "single", "2": 2, "3": 3, "5": 5}
 
 
 def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
-    """Validate a strata-table/1 document and build typed rows.
+    """Validate a strata-table/1 document and build typed rows, labelled
+    from a fresh enumeration of its type (TableFormatError)."""
+    t, structured = read_table_document(doc)
+    return t, assemble_rows(t, structured, enumerate_cs_prime(t))
 
-    Raises TableFormatError on any schema violation; label and
-    annotation problems carry the offending text.  Each check raises
-    inside its own branch, so no message is formatted unless it fails.
+
+def read_table_document(doc: dict) -> tuple[CartanType, list]:
+    """The type and the structured rows of a strata-table/1 document,
+    for assemble_rows, which checks the labels.
+
+    Raises TableFormatError on any schema violation; annotation
+    problems carry the offending text.  Each check raises inside its
+    own branch, so no message is formatted unless it fails.
     """
     if not isinstance(doc, dict):
         raise TableFormatError("document must be a JSON object")
@@ -157,11 +163,7 @@ def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
             if key is not None:
                 annotations[key] = annotation
         structured.append((head, entries[1:], annotation))
-    try:
-        rows = assemble_rows(t, structured)
-    except LabelError as exc:
-        raise TableFormatError(str(exc)) from exc
-    return t, rows
+    return t, structured
 
 
 def _annotation_fields(i: int, groups_raw, boxed_raw) -> tuple[tuple, frozenset]:

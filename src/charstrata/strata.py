@@ -96,7 +96,7 @@ def fiber(
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
     """All strata of t, in table order (classical types need a table;
     for the A series every character is a stratum)."""
-    return [row.stratum for row in store.table(t)]
+    return [row.stratum for row in store[t.name].rows]
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,25 @@
 """Typed access to the strata tables: rows, their placement against
 the cuspidal-support enumeration and the indexes built from it,
-component-group annotations, centralizer profiles, the built-in
-identity table of series A and the torus, and the table store that
-holds, by type name, every placement a session answers from.  Every
-table, embedded, identity or registered, is read through its resolved
-placement; a store resolves a built-in one on its first query there.
+component-group annotations, the built-in identity table of series A
+and the torus, and the table store that holds, by type name, every
+placement a session answers from.  Every table, embedded, identity or
+registered, is read through its resolved placement; a store resolves a
+built-in one on its first query there.  A placement holds the
+enumeration it was resolved against, whose labels its rows share, so
+del store[name] and store.clear() release them too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import isqrt
 
 from . import tabledata
-from .cartan import CartanError, CartanType, CharstrataError, Subsystem, ValueObject, parse_type
-from .cuspidal import cuspidal_levis, cuspidal_counts, enumerate_cs_prime
+from .cartan import CartanError, CartanType, CharstrataError, ValueObject, parse_type
+from .cuspidal import SheafTriple, cuspidal_levis, enumerate_cs_prime
+from .cuspidal import CentralizerProfile, centralizer_profile, centralizer_profiles  # noqa: F401
 from .groups import GroupError, group_collection, normalize_tag
-from .labels import (
-    CharacterLabel,
-    enumerate_irr,
-    relative_character_labels,
-    unit_label,
-)
+from .labels import CharacterLabel, unit_label
 
 
 class NoTableAvailable(CharstrataError, LookupError):
@@ -245,19 +242,20 @@ def levi_name_of(text: str) -> str:
         return text
 
 
-@lru_cache(maxsize=None)
-def _fiber_levis(t: CartanType) -> dict[str, tuple]:
-    """Each nonempty cuspidal Levi of t by its canonical name: its Weyl
-    type, that name, whether it is classical (so that its d is opaque)
-    and the characters of its relative group by text; '-' maps to None."""
-    return {"-": None} | {
-        levi.levi_name: (
-            levi.levi_weyl_type, levi.levi_name, levi.levi_weyl_type.is_classical,
-            {lab.text: lab for lab in relative_character_labels(t, levi.relative_weyl_type)},
-        )
-        for levi in cuspidal_levis(t)
-        if levi.levi_weyl_type is not None
-    }
+def _fiber_levis(triples: tuple[SheafTriple, ...]) -> dict[str, tuple]:
+    """Each cuspidal Levi of an enumeration by its canonical name: its
+    Weyl type (None for '-', the empty Levi), that name, whether it is
+    classical (so that its d is opaque) and its triples' characters by
+    text, Irr(t) for '-'.  A Levi's triples are adjacent."""
+    levis, levi = {}, None
+    for tr in triples:
+        if tr.levi is not levi:
+            levi, weyl = tr.levi, tr.levi.levi_weyl_type
+            characters = {}
+            levis[levi.levi_name] = (
+                weyl, levi.levi_name, weyl is not None and weyl.is_classical, characters)
+        characters[tr.character.text] = tr.character
+    return levis
 
 
 @lru_cache(maxsize=None)
@@ -271,31 +269,35 @@ def _printed_annotation(ann: str) -> Annotation:
         raise TableFormatError(f"{exc}: {ann!r}") from None
 
 
-def build_rows(t: CartanType, raw_rows) -> tuple[StrataRow, ...]:
-    """Typed rows from raw (head, entries, annotation) triples."""
+def build_rows(t: CartanType, raw_rows, triples) -> tuple[StrataRow, ...]:
+    """Typed rows from raw (head, entries, annotation) triples, labelled
+    from triples, t's enumeration."""
     return assemble_rows(
-        t, ((head, entries, _printed_annotation(ann)) for head, entries, ann in raw_rows)
+        t, ((head, entries, _printed_annotation(ann)) for head, entries, ann in raw_rows), triples
     )
 
 
-def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
+def assemble_rows(t: CartanType, structured, triples) -> tuple[StrataRow, ...]:
     """Typed rows from structured (head, entries, annotation) tuples, as
     produced by the JSON loader and from the printed tables: entries are
     (levi, character, d, mult, disamb) with int d and mult, and each
     Annotation, already checked, is shared by the rows that print it.
-    The walk that builds the rows refuses (TableFormatError) a head
-    that an earlier row already has, a characteristic-5 group outside
-    the unit stratum, and an entry of a classical Levi that prints a d
-    other than 0, which no triple key reads."""
-    label_of = enumerate_irr(t).by_text
-    levis = _fiber_levis(t)
+    Each label is the object of triples, t's enumeration, that it names.
+    The walk that builds the rows refuses (TableFormatError) any other
+    label, a head that an earlier row already has, a characteristic-5
+    group outside the unit stratum, and an entry of a classical Levi
+    that prints a d other than 0, which no triple key reads."""
+    levis = _fiber_levis(triples)
+    registry = levis["-"][3]
     unit = unit_label(t).text
     new, fill = object.__new__, FiberEntry._fill
     set_stratum, set_fiber, set_annotation = StrataRow._setters
     rows: list[StrataRow] = []
     seen: set[str] = set()
     for head, entries, annotation in structured:
-        head_label = label_of(head)
+        head_label = registry.get(head)
+        if head_label is None:
+            raise TableFormatError(f"unknown label {head!r} for {t.name}")
         text = head_label.text
         if text in seen:
             raise TableFormatError(f"duplicate stratum head {text!r} in table for {t.name}")
@@ -309,24 +311,23 @@ def assemble_rows(t: CartanType, structured) -> tuple[StrataRow, ...]:
         for levi_name, char, d, mult, disamb in entries:
             # Canonical names hit at once; levi_name_of reads other spellings.
             try:
-                fields = levis[levi_name if levi_name in levis else levi_name_of(levi_name)]
+                levi, name, opaque, characters = levis[
+                    levi_name if levi_name in levis else levi_name_of(levi_name)]
             except KeyError:
                 raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}") from None
-            if fields is None:
-                levi, name, opaque, lab = None, "-", False, label_of(char)
-            else:
-                levi, name, opaque, characters = fields
-                lab = characters.get(char)
-                if lab is None:
-                    raise TableFormatError(
-                        f"{char!r} is not a character of the relative group of {name} "
-                        f"in {t.name}"
-                    )
-                if opaque and d:
-                    raise TableFormatError(
-                        f"entry ({name},{char},{d}) in row {text!r} of {t.name} must print "
-                        "d=0: its Levi is classical"
-                    )
+            lab = characters.get(char)
+            if lab is None:
+                if levi is None:
+                    raise TableFormatError(f"unknown label {char!r} for {t.name}")
+                raise TableFormatError(
+                    f"{char!r} is not a character of the relative group of {name} "
+                    f"in {t.name}"
+                )
+            if opaque and d:
+                raise TableFormatError(
+                    f"entry ({name},{char},{d}) in row {text!r} of {t.name} must print "
+                    "d=0: its Levi is classical"
+                )
             fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
         row = new(StrataRow)
         set_stratum(row, head_label)
@@ -344,7 +345,8 @@ class Placement(ValueObject):
     """A table matched against the enumeration, with the indexes every
     query reads.
 
-    type_name names the type and rows are the table's rows in order.
+    type_name names the type, triples is the enumeration the table was
+    resolved against, and rows are the table's rows in order.
     They place every triple of the enumeration, each in exactly one
     row, as each fiber entry stands for all the triples of its key, and
     each row's head its own empty-Levi triple; resolve_placement
@@ -376,17 +378,17 @@ class Placement(ValueObject):
     """
 
     __slots__ = _fields = (
-        "type_name", "rows", "relabelled", "row_of_head", "row_of_triple",
+        "type_name", "triples", "rows", "relabelled", "row_of_head", "row_of_triple",
         "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps",
     )
 
 
-def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
-    """Match each fiber entry to all the enumerated triples of its key,
-    as many as its multiplicity, or raise PlacementMismatch naming the
-    first offending entry.  The walk that matches the entries records
-    each row's pairs and kind, so they describe exactly these rows."""
-    enum = enumerate_cs_prime(t)
+def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) -> Placement:
+    """Match each fiber entry to all the triples of its key in triples,
+    t's enumeration (a fresh one if None), as many as its multiplicity,
+    or raise PlacementMismatch naming the first offending entry.  The
+    walk that matches the entries records each row's pairs and kind."""
+    enum = enumerate_cs_prime(t) if triples is None else triples
     # The triples of one key (Levi name, character text, d) are adjacent
     # in the enumeration, index 0 first (enumerate_cs_prime's order), so
     # the position of the last one gives their number and locates them.
@@ -482,22 +484,23 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...]) -> Placement:
             expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
         fiber_expanded[ri] = tuple(expanded)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
-    # The heads are distinct registry labels (assemble_rows checks
-    # both), so a label is printed twice only if an entry after a head
-    # repeats it.
-    missing = sorted(set(enumerate_irr(t).texts).difference(row_of_head, empty_after_head))
+    # The first entry that prints a label of Irr(t) takes its triple, so
+    # a label no entry prints is one a duplicated label took.  The heads
+    # are distinct registry labels (assemble_rows checks both), so a
+    # label is printed twice only if an entry after a head repeats it.
+    missing = sorted(key[1] for key in relabelled.values() if key[0] == "-")
     duplicated = sorted(
         txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
     )
     return Placement(
-        t.name, rows, relabelled, row_of_head, row_of_triple,
+        t.name, enum, rows, relabelled, row_of_head, row_of_triple,
         fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
     )
 
 
 def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
     """The rows of t's embedded table, built anew on each call; t must have one."""
-    return build_rows(t, tabledata.TABLES[t.name])
+    return build_rows(t, tabledata.TABLES[t.name], enumerate_cs_prime(t))
 
 
 def is_identity(t: CartanType) -> bool:
@@ -517,10 +520,10 @@ class TableStore(dict):
     Placement, and the only holder of each.  install stores each
     registered table; __missing__ resolves an embedded or identity
     type's built-in table on its first query there and stores it, so
-    each store resolves its own, and del store[name] releases it.  A
-    failed lookup stores nothing, and every table is read through its
-    placement, so store[t.name] is the whole of a query's way to its
-    table.
+    each store resolves its own, and del store[name] or clear()
+    releases it.  A failed lookup stores nothing, and every table is
+    read through its placement, so store[t.name] is the whole of a
+    query's way to its table.
 
     Registration is expected at startup, before queries.
     """
@@ -528,19 +531,19 @@ class TableStore(dict):
     __slots__ = ()
 
     def __missing__(self, name: str) -> Placement:
-        """The built-in table of the type: the embedded one, or for an
-        identity type one constant row with trivial groups (printed [1])
-        per character, its fiber the row's own triple.
+        """The built-in table of the type, built from and resolved
+        against one enumeration: the embedded one, or for an identity
+        type one constant row with trivial groups (printed [1]) per
+        triple, all of which are empty-Levi ones, its fiber the triple.
         NoTableAvailable for any other type."""
         t = parse_type(name)
-        if (source := built_in_source(t)) == "embedded":
-            rows = embedded_table(t)
-        elif source:
-            rows = build_rows(t, ((lab.text, (), "[1]") for lab in enumerate_irr(t).labels))
-        else:
+        if not (source := built_in_source(t)):
             raise NoTableAvailable(
                 f"no strata table for {t.name}; register one for classical types")
-        placed = self[name] = resolve_placement(t, rows)
+        triples = enumerate_cs_prime(t)
+        raw = tabledata.TABLES[t.name] if source == "embedded" else (
+            (tr.character.text, (), "[1]") for tr in triples)
+        placed = self[name] = resolve_placement(t, build_rows(t, raw, triples), triples)
         return placed
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
@@ -581,76 +584,3 @@ def find_row(
     """The row of a stratum given as its text or as its label."""
     pl = store[t.name]
     return pl.rows[pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]]
-
-
-# ---------------------------------------------------------------------------
-# Centralizer profiles.
-
-
-class CentralizerProfile(ValueObject):
-    """The centralizer data of (ambient, d) in one characteristic class,
-    "generic" or the prime as a string: entries are (subsystem, count)
-    pairs, the subsystem None for the full group."""
-
-    __slots__ = _fields = ("ambient", "d", "characteristic_class", "entries", "note")
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
-
-def _classical_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
-    """The generic and characteristic-2 profiles of a cuspidal classical
-    type.  The generic centralizer is B_a x D_b in B_n (n = k(k+1), B_0
-    trivial), and two equal factors of half the rank in C_n and D_n."""
-    n = t.rank
-    if t.series == "B":
-        k = isqrt(n)
-        if k % 2 == 0:
-            a, b = ((k + 1) ** 2 - 1) // 2, k * k // 2
-        else:
-            a, b = (k * k - 1) // 2, (k + 1) ** 2 // 2
-        generic = f"B{a}xD{b}" if a else f"D{b}"
-    else:
-        generic = f"{t.series}{n // 2}x{t.series}{n // 2}"
-    return (
-        CentralizerProfile(t, None, "generic", ((Subsystem.parse(generic), 1),), None),
-        CentralizerProfile(t, None, "2", ((None, 1),), None),
-    )
-
-
-@lru_cache(maxsize=8)
-def centralizer_profiles(t: CartanType) -> tuple[CentralizerProfile, ...]:
-    """All recorded profiles for t (every cuspidal d, every class), kept
-    for the last few types asked."""
-    if t.is_exceptional:
-        out = []
-        for (name, d), classes in tabledata.CENTRALIZER_PROFILES.items():
-            if name != t.name:
-                continue
-            for char_class, entries in classes:
-                typed = tuple(
-                    (None if s == tabledata.FULL else Subsystem.parse(s), c)
-                    for s, c in entries
-                )
-                note = tabledata.E8_D0_NOTE if (name, d) == ("E8", 0) else None
-                out.append(
-                    CentralizerProfile(t, d, str(char_class), typed, note)
-                )
-        return tuple(out)
-    if t.is_classical and cuspidal_counts(t).counts:
-        return _classical_profiles(t)
-    return ()
-
-
-def centralizer_profile(
-    t: CartanType, d: int | None, r: int | str
-) -> CentralizerProfile:
-    """The profile that holds for (t, d) in characteristic r; r may be
-    0, a prime, or 'generic'.  Every recorded (t, d) has a generic
-    profile, which holds in each characteristic not recorded for it."""
-    by_class = {p.characteristic_class: p for p in centralizer_profiles(t) if p.d == d}
-    if not by_class:
-        raise CartanError(f"no centralizer data for {t.name} with d={d}")
-    wanted = "generic" if r in (0, "0", "generic") else str(r)
-    return by_class.get(wanted, by_class["generic"])

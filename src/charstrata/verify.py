@@ -1,34 +1,36 @@
 """The verification suite: per-type invariant checks, report assembly,
 and registration of external strata tables for classical types.
 
-The table checks read the type's placement, resolved once per run.
-An embedded, a registered and a built-in identity table (series A and
-the torus) all go through the same six.  resolve_placement returns a
-placement only when every enumerated triple sits in exactly one row
-and every head's own triple in the head's row, so triple-placement and
-retraction report that guarantee and what it covers; a table that does
-not place fails triple-placement through the PlacementMismatch, and the
-checks after it report 'skipped'.  The triple count itself is checked
-once, by cuspidal-enumeration against cuspidal.triple_count.
-empty-completeness reads the registry gaps resolve_placement recorded
-in its walk of the table, and boxed-recomputation and row-balance the
-row kinds that walk recorded, each distinct (Annotation, fiber size)
-pair with its first row, so they check a few kinds instead of every
-row.  The table checks report 'skipped' (never 'pass') for types
-without an available table.
+The table checks read the type's placement, resolved once per run,
+first.  An embedded, a registered and a built-in identity table (series
+A and the torus) all go through the same six.  resolve_placement
+returns a placement only when every enumerated triple sits in exactly
+one row and every head's own triple in the head's row, so
+triple-placement and retraction report that guarantee and what it
+covers; a table that does not place fails triple-placement through the
+PlacementMismatch, and the checks after it report 'skipped'.  The
+triple count itself is checked once, by cuspidal-enumeration against
+cuspidal.triple_count, on the enumeration the placement holds (a fresh
+one without a placement).  empty-completeness reads the registry gaps
+resolve_placement recorded in its walk of the table, and
+boxed-recomputation and row-balance the row kinds that walk recorded,
+each distinct (Annotation, fiber size) pair with its first row, so
+they check a few kinds instead of every row.  The table checks report
+'skipped' (never 'pass') for types without an available table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from time import perf_counter
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
-from .cuspidal import cuspidal_counts, enumerate_cs_prime, triple_count
+from .cuspidal import centralizer_profiles, cuspidal_counts, enumerate_cs_prime, triple_count
 from .groups import GROUP_TAGS, GroupError, conjugacy_class_count, inventory
-from .labels import enumerate_irr, unit_label
-from .schema import canonical_json, parse_table_document, table_document
+from .labels import unit_label
+from .schema import canonical_json, read_table_document, table_document
 from .strata import regular_fiber_labels
 from .tables import (
     DEFAULT_STORE,
@@ -38,8 +40,8 @@ from .tables import (
     TableFormatError,
     TableStore,
     UnknownStratum,
+    assemble_rows,
     built_in_source,
-    centralizer_profiles,
     placement,
     resolve_placement,
 )
@@ -100,8 +102,8 @@ def check_line(check_id: str, status: str, detail: str) -> str:
     return f"{check_id}: {status}" + (f"  [{detail}]" if detail else "")
 
 
-def _check_enumeration(t: CartanType) -> tuple[str, str]:
-    enumerated = len(enumerate_cs_prime(t))
+def _check_enumeration(t: CartanType, triples: tuple) -> tuple[str, str]:
+    enumerated = len(triples)
     expected = triple_count(t)
     if enumerated != expected:
         return "fail", f"enumerated {enumerated}, closed form gives {expected}"
@@ -115,7 +117,7 @@ def _check_placement(t: CartanType, pl: Placement) -> tuple[str, str]:
     PlacementMismatch.  The pass names the triples placed and the
     entries printed with a duplicated label that it relabelled."""
     note = f"; {len(pl.relabelled)} duplicated label(s) resolved" if pl.relabelled else ""
-    return "pass", f"resolved: {len(enumerate_cs_prime(t))} triples, each in one row{note}"
+    return "pass", f"resolved: {len(pl.triples)} triples, each in one row{note}"
 
 
 def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -127,11 +129,13 @@ def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Irr(t) listed exactly once by the empty-Levi entries, read from
-    the gaps resolve_placement recorded."""
+    the gaps resolve_placement recorded; its empty-Levi triples, one per
+    character, lead the placement's enumeration."""
     missing, duplicated = pl.registry_gaps
     if missing or duplicated:
         return "fail", f"missing {missing}, duplicated {duplicated}"
-    return "pass", f"{len(enumerate_irr(t))} empty-Levi labels exhaust the registry"
+    size = bisect_left(pl.triples, True, key=lambda tr: tr.key[0] != "-")
+    return "pass", f"{size} empty-Levi labels exhaust the registry"
 
 
 def _check_boxed(t: CartanType, pl: Placement) -> tuple[str, str]:
@@ -238,19 +242,21 @@ def _check_group_inventories() -> tuple[str, str]:
 def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationReport:
     """Run the full check suite for one type."""
     report = VerificationReport(t.name)
-    report.add("cuspidal-enumeration", *_check_enumeration(t))
-
-    # The table is resolved once; a table that does not place fails the
-    # placement check and leaves nothing for the checks that read it.
-    checks = _TABLE_CHECKS
+    # The table is resolved once, first; a table that does not place
+    # fails the placement check and leaves nothing for the checks that
+    # read it.
     try:
-        pl = placement(t, store)
+        pl, failed = placement(t, store), ()
     except NoTableAvailable:
-        pl, skip = None, "no strata table available"
+        pl, skip, failed = None, "no strata table available", ()
     except PlacementMismatch as exc:
-        report.add("triple-placement", "fail", str(exc))
-        pl, skip, checks = None, "the table does not place", _TABLE_CHECKS[1:]
-    for cid, check in checks:
+        pl, skip = None, "the table does not place"
+        failed = (("triple-placement", "fail", str(exc)),)
+    triples = enumerate_cs_prime(t) if pl is None else pl.triples
+    report.add("cuspidal-enumeration", *_check_enumeration(t, triples))
+    for check in failed:
+        report.add(*check)
+    for cid, check in _TABLE_CHECKS[len(failed):]:
         report.add(cid, *(("skipped", skip) if pl is None else check(t, pl)))
 
     report.add("centralizer-profiles", *_check_centralizers(t))
@@ -303,8 +309,10 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
     differs) or PlacementMismatch (placement problems, its message
     naming the first offending entry or triple).
     """
-    t, rows = parse_table_document(doc)
+    t, structured = read_table_document(doc)
     if source := built_in_source(t):
+        # Its labels are checked against the enumeration of the store's table.
+        assemble_rows(t, structured, store[t.name].triples)
         ours = table_document(t, store)
         theirs = {"schema": doc["schema"], "type": t.name, "rows": doc["rows"]}
         if canonical_json(ours) != canonical_json(theirs):
@@ -316,12 +324,12 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
             return f"{t.name}: matches the embedded table"
         return f"{t.name}: accepted (the identity parametrization is built in)"
     # placement must hold before the table becomes visible
-    placed = resolve_placement(t, rows)
+    triples = enumerate_cs_prime(t)
+    placed = resolve_placement(t, assemble_rows(t, structured, triples), triples)
     missing, duplicated = placed.registry_gaps
     if missing or duplicated:
         raise PlacementMismatch(
             f"table for {t.name} does not exhaust the registry; missing {missing}"
         )
     store.install(placed)
-    n = len(enumerate_cs_prime(t))
-    return f"{t.name}: registered ({len(rows)} rows, {n} triples placed)"
+    return f"{t.name}: registered ({len(placed.rows)} rows, {len(placed.triples)} triples placed)"

@@ -231,7 +231,7 @@ def _oracle_texts(t: CartanType) -> list[str]:
 )
 def test_registry_order_matches_the_recursive_enumeration(name):
     t = parse_type(name)
-    assert list(enumerate_irr(t).texts) == _oracle_texts(t)
+    assert [lab.text for lab in enumerate_irr(t)] == _oracle_texts(t)
 
 
 @pytest.mark.parametrize("n", range(0, 13))

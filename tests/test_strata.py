@@ -1,12 +1,14 @@
 import copy
+import gc
 import importlib
 import re
 import sys
+import tracemalloc
 
 import pytest
 
 import oracle_strata
-from charstrata import cuspidal, groups, tables, verify
+from charstrata import cuspidal, groups, labels, tables, verify
 from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, CharstrataError, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
@@ -294,9 +296,9 @@ def _count_resolutions(monkeypatch) -> list[str]:
     calls: list[str] = []
     original = tables.resolve_placement
 
-    def counting(t, rows):
+    def counting(t, rows, *triples):
         calls.append(t.name)
-        return original(t, rows)
+        return original(t, rows, *triples)
 
     monkeypatch.setattr(tables, "resolve_placement", counting)
     monkeypatch.setattr(verify, "resolve_placement", counting)
@@ -347,6 +349,41 @@ def test_deleting_a_type_from_a_store_releases_its_placement(monkeypatch):
     assert calls == ["E8", "E8"]
     assert placement(e8, store) is not first and placement(e8, store) == first
     assert calls == ["E8", "E8"]
+
+
+def test_registration_and_a_first_query_build_each_registry_once(monkeypatch, synthetic_b3_doc):
+    """The rows' labels, the enumeration and the placement share one
+    build of t's registry and of each relative group's."""
+    built = []
+    original = labels.enumerate_irr
+    monkeypatch.setattr(labels, "enumerate_irr", lambda t: built.append(t.name) or original(t))
+    store = TableStore()
+    register_external_table(synthetic_b3_doc, store)
+    assert built == ["B3", "A1"]
+    strata(parse_type("A4"), store)
+    assert built == ["B3", "A1", "A4"]
+
+
+def test_a_dropped_store_releases_the_enumerations_and_registries_it_held():
+    """A type's enumeration and registries belong to its placement, and
+    a type without a table builds them for one check: after run_all on
+    B14 and D16 and strata on A20, each in a fresh store that is then
+    dropped, the process holds no more than the small per-type data of
+    cartan and cuspidal."""
+    verify.run_all(parse_type("G2"), TableStore())  # the once-per-process checks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for query, name in ((verify.run_all, "B14"), (verify.run_all, "D16"), (strata, "A20")):
+            store = TableStore()
+            query(parse_type(name), store)
+            del store
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 250_000, f"{held} bytes held"
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +532,8 @@ def test_install_refuses_to_replace_an_identity_table(name):
     leaves the built-in identity table in place."""
     t = parse_type(name)
     head = enumerate_irr(t).labels[0].text
-    rows = tables.build_rows(t, ((lab.text, (), "[C2]") for lab in enumerate_irr(t).labels))
+    rows = tables.build_rows(
+        t, ((lab.text, (), "[C2]") for lab in enumerate_irr(t).labels), enumerate_cs_prime(t))
     store = TableStore()
     with pytest.raises(TableFormatError, match=f"{name} is built in; external copies are only checked"):
         store.install(tables.resolve_placement(t, rows))
@@ -745,7 +783,7 @@ def test_find_triple_agrees_with_a_scan_of_the_enumeration():
                 ]
                 args = (t, tr.levi.levi_name, tr.character.text, d, tr.index)
                 if len(matches) == 1:
-                    assert find_triple(*args) is matches[0]
+                    assert find_triple(*args) == matches[0]
                 else:
                     with pytest.raises(TripleNotFound, match=r"is ambiguous in .*; give --d$"):
                         find_triple(*args)
@@ -756,9 +794,9 @@ def test_find_triple_agrees_with_a_scan_of_the_enumeration():
 
 def test_find_triple_reads_the_levi_spellings_of_table_entries():
     e8, b3 = parse_type("E8"), parse_type("B3")
-    assert find_triple(e8, "e_7", "eps") is find_triple(e8, "E7", "eps")
-    assert find_triple(b3, "b_2", "(2)") is find_triple(b3, "B2", "(2)")
-    assert find_triple(e8, "", "1_0") is find_triple(e8, "-", "1_0")
+    assert find_triple(e8, "e_7", "eps") == find_triple(e8, "E7", "eps")
+    assert find_triple(b3, "b_2", "(2)") == find_triple(b3, "B2", "(2)")
+    assert find_triple(e8, "", "1_0") == find_triple(e8, "-", "1_0")
     with pytest.raises(TripleNotFound) as err:
         find_triple(e8, "Z9", "eps")
     assert str(err.value) == "no triple (Z9,eps,d=None,i=0) in E8"

@@ -18,6 +18,7 @@ from charstrata.tables import (
     centralizer_profile,
     centralizer_profiles,
     component_group,
+    embedded_table,
     find_row,
     _printed_annotation,
     build_rows,
@@ -36,7 +37,9 @@ ROW_COUNTS = {"G2": 6, "F4": 20, "E6": 21, "E7": 46, "E8": 74}
 
 @pytest.mark.parametrize("name,count", sorted(ROW_COUNTS.items()))
 def test_row_counts(name, count):
-    assert len(DEFAULT_STORE.table(parse_type(name))) == count
+    t = parse_type(name)
+    assert len(DEFAULT_STORE.table(t)) == count
+    assert embedded_table(t) == DEFAULT_STORE.table(t)
 
 
 def test_built_in_source_names_the_embedded_and_identity_types():
@@ -206,7 +209,7 @@ def test_an_entry_that_takes_part_of_its_key_is_refused():
             entries = (*entries, half)
         raw.append((head, entries, ann))
     with pytest.raises(PlacementMismatch) as err:
-        resolve_placement(e8, build_rows(e8, raw))
+        resolve_placement(e8, build_rows(e8, raw, enumerate_cs_prime(e8)))
     assert str(err.value) == "entry (E8,1,3) in row '84_4' does not match the enumeration for E8"
 
 

@@ -186,7 +186,7 @@ COMPARED = {
     FiberEntry: ("levi", "character", "d_printed", "mult", "disamb"),
     Annotation: ("groups", "boxed"),
     StrataRow: ("stratum", "fiber", "annotation"),
-    Placement: ("type_name", "rows", "relabelled", "row_of_head", "row_of_triple",
+    Placement: ("type_name", "triples", "rows", "relabelled", "row_of_head", "row_of_triple",
                 "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),

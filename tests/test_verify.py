@@ -145,12 +145,19 @@ def test_closed_form_total_equals_the_enumeration():
 
 
 def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
-    e7 = parse_type("E7")
-    assert verify._check_enumeration(e7) == ("pass", "76 triples")
-    monkeypatch.setattr(verify, "enumerate_cs_prime", lambda t: enumerate_cs_prime(t)[:-1])
+    """run_all checks the enumeration the placement holds, or a fresh
+    one for a type without a table."""
+    e7, b5 = parse_type("E7"), parse_type("B5")
+    assert verify._check_enumeration(e7, enumerate_cs_prime(e7)) == ("pass", "76 triples")
     failing = ("fail", "enumerated 75, closed form gives 76")
-    assert verify._check_enumeration(e7) == failing
-    assert ("cuspidal-enumeration", *failing) in run_all(e7, TableStore()).checks
+    assert verify._check_enumeration(e7, enumerate_cs_prime(e7)[:-1]) == failing
+    store = TableStore()
+    pl = placement(e7, store)
+    store["E7"] = _replaced(pl, triples=pl.triples[:-1])
+    assert ("cuspidal-enumeration", *failing) in run_all(e7, store).checks
+    monkeypatch.setattr(verify, "enumerate_cs_prime", lambda t: enumerate_cs_prime(t)[:-1])
+    assert ("cuspidal-enumeration", "fail", "enumerated 45, closed form gives 46") in run_all(
+        b5, TableStore()).checks
 
 
 @pytest.fixture
