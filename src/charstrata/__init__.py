@@ -30,6 +30,7 @@ from .cuspidal import (
     cuspidal_counts,
     cuspidal_levis,
     enumerate_cs_prime,
+    irr_count,
     support_case,
 )
 from .labels import (
@@ -42,7 +43,6 @@ from .labels import (
     PartitionLabel,
     TrivialLabel,
     enumerate_irr,
-    irr_count,
     parse_label,
 )
 from .strata import (

@@ -239,7 +239,7 @@ _DOCUMENT = {
     "fiber": lambda t, a, store: fiber_document(t, a.stratum, store, expand=a.expand),
     "tau": lambda t, a, store: tau_document(t, a.levi, a.char, a.d, a.index, store),
     "cstar": lambda t, a, store: cstar_document(t, a.stratum, store),
-    "triples": lambda t, a, store: triples_document(t),
+    "triples": lambda t, a, store: triples_document(t, store),
     "centralizers": _centralizers,
     "pseudo-levi": lambda t, a, store: pseudo_levi_document(t),
     "table": lambda t, a, store: table_document(t, store),

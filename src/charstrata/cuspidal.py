@@ -144,9 +144,10 @@ def _bipartitions(p: list[int], m: int) -> int:
     return sum(p[j] * p[m - j] for j in range(m + 1))
 
 
-def _irr_count(t: CartanType | None) -> int:
-    """|Irr W| in closed form for the torus (or the trivial group,
-    None) and the classical series; the registry size otherwise."""
+def irr_count(t: CartanType | None) -> int:
+    """|Irr W| of t (the trivial group for None) with no registry built
+    but an exceptional one: p(n+1) for A_n, bip(n) for B_n and C_n, and
+    for D_n (bip(n) + 3p(n/2))/2, the p-term for even n only."""
     if t is None or t.is_torus:
         return 1
     if t.is_exceptional:
@@ -155,10 +156,8 @@ def _irr_count(t: CartanType | None) -> int:
     p = _partition_numbers(n + 1)
     if t.series == "A":
         return p[n + 1]
-    if t.series == "D" and n % 2 == 0:
-        return (_bipartitions(p, n) + 3 * p[n // 2]) // 2
     if t.series == "D":
-        return _bipartitions(p, n) // 2
+        return (_bipartitions(p, n) + (0 if n % 2 else 3 * p[n // 2])) // 2
     return _bipartitions(p, n)
 
 
@@ -174,15 +173,15 @@ def triple_count(t: CartanType) -> int:
     cuspidal count."""
     if t.is_exceptional:
         return sum(
-            _irr_count(levi.relative_weyl_type) * levi_counts(levi).total
+            irr_count(levi.relative_weyl_type) * levi_counts(levi).total
             for levi in cuspidal_levis(t)
         )
     if t.series in ("A", "Torus"):
-        return _irr_count(t)
+        return irr_count(t)
     n = t.rank
     p = _partition_numbers(n)
     if t.series == "D":
-        return _irr_count(t) + sum(
+        return irr_count(t) + sum(
             _bipartitions(p, n - 4 * k * k) for k in range(1, isqrt(n) // 2 + 1)
         )
     return sum(_bipartitions(p, n - k * (k + 1)) for k in range(isqrt(n) + 1) if k * (k + 1) <= n)

@@ -192,9 +192,9 @@ def _on_disjoint_points(first, second):
 
 @lru_cache(maxsize=None)
 def _model(tag: str):
-    """The group of a tag as (elements, product, stated generators):
-    permutations of a few points, the tuples of the images of 0, 1, ...,
-    composed by _perm_mul."""
+    """The group of a tag as (elements, stated generators): permutations
+    of a few points, the tuples of the images of 0, 1, ..., composed by
+    _perm_mul."""
     tag = normalize_tag(tag)
     if tag == "1":
         els, gens = [(0,)], ()
@@ -217,7 +217,7 @@ def _model(tag: str):
     else:  # S3xC2, the one tag of GROUP_TAGS left
         els = _on_disjoint_points(permutations(range(3)), _rotations(2))
         gens = ((1, 2, 0, 4, 3), (1, 0, 2, 3, 4))
-    return els, _perm_mul, gens
+    return els, gens
 
 
 def conjugacy_class_count(tag: str) -> int:
@@ -228,15 +228,15 @@ def conjugacy_class_count(tag: str) -> int:
     not, or if a product is not listed), and gives s*y on each step
     y = p*u as (s*p)*u.  The classes are the orbits of x -> s^-1 x s,
     the y with s*y = x*s, counted with no further product."""
-    els, mul, gens = _model(tag)
+    els, gens = _model(tag)
     n = len(els)
     index = {g: i for i, g in enumerate(els)}
     try:
         # x*s for every x: itemgetter(*s)(x) is _perm_mul(x, s)
         right = [list(map(index.__getitem__, map(itemgetter(*s), els))) for s in gens]
+        identity = index[tuple(range(len(els[0])))]
     except KeyError:
         raise GroupError(f"{tag}: a product of its elements is not listed") from None
-    identity = next(i for i, g in enumerate(els) if mul(g, g) == g)
     left = [[index[s]] * n for s in gens]  # s*y by y; s*identity = s
     order, seen = [identity], [False] * n
     seen[identity] = True

@@ -252,10 +252,6 @@ def enumerate_irr(t: CartanType) -> IrrRegistry:
     return IrrRegistry(t, tuple(out))
 
 
-def irr_count(t: CartanType) -> int:
-    return len(enumerate_irr(t))
-
-
 def parse_label(t: CartanType, text: str) -> CharacterLabel:
     """Parse a canonical label string in the context of type t."""
     text = text.strip()

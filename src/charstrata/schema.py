@@ -225,11 +225,11 @@ def _triple_record(tr: SheafTriple) -> dict:
     }
 
 
-def triples_document(t: CartanType) -> dict:
+def triples_document(t: CartanType, store: TableStore = DEFAULT_STORE) -> dict:
     return {
         "schema": TRIPLES_SCHEMA,
         "type": t.name,
-        "triples": [_triple_record(tr) for tr in enumerate_cs_prime(t)],
+        "triples": [_triple_record(tr) for tr in store.triples(t)],
     }
 
 
@@ -306,7 +306,8 @@ def fiber_document(t: CartanType, stratum: str, store: TableStore = DEFAULT_STOR
 
 def tau_document(t: CartanType, levi: str, character: str, d: int | None, index: int,
                  store: TableStore = DEFAULT_STORE) -> dict:
-    triple = find_triple(t, levi, character, d, index)
+    store[t.name]  # a type without a table is refused before its triple is sought
+    triple = find_triple(t, levi, character, d, index, store)
     return {"type": t.name, "triple": triple.describe(), "stratum": tau(t, triple, store).text}
 
 

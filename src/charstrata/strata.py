@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .cartan import CartanType, CharstrataError, ValueObject, datum
-from .cuspidal import SheafTriple, enumerate_cs_prime
+from .cuspidal import SheafTriple
 from .groups import CStarElement, GroupCollection  # noqa: F401 - re-exported
 from .labels import CharacterLabel, unit_label
 from .tables import (  # noqa: F401 - placement, Placement and its resolver are re-exported
@@ -58,14 +58,15 @@ def find_triple(
     character_text: str,
     d: int | None = None,
     index: int = 0,
+    store: TableStore = DEFAULT_STORE,
 ) -> SheafTriple:
-    """Locate an enumerated triple by its printable coordinates, the
-    Levi spelled as a table entry's may be (levi_name_of); one scan:
-    callers look up one triple per query."""
+    """Locate a triple of t by its printable coordinates, the Levi
+    spelled as a table entry's may be (levi_name_of), in one scan of
+    store.triples(t), so that a query on a table enumerates t once."""
     coordinates = (levi_name_of(levi_name), character_text)
     matches = [
         tr
-        for tr in enumerate_cs_prime(t)
+        for tr in store.triples(t)
         if tr.key[:2] == coordinates and (d is None or tr.d == d) and tr.index == index
     ]
     if len(matches) == 1:

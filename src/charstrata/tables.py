@@ -11,13 +11,11 @@ del store[name] and store.clear() release them too.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanError, CartanType, CharstrataError, ValueObject, parse_type
 from .cuspidal import SheafTriple, cuspidal_levis, enumerate_cs_prime
-from .cuspidal import CentralizerProfile, centralizer_profile, centralizer_profiles  # noqa: F401
 from .groups import GroupError, group_collection, normalize_tag
 from .labels import CharacterLabel, unit_label
 
@@ -368,18 +366,16 @@ class Placement(ValueObject):
     an Annotation object and an expanded fiber size.  A table of
     thousands of rows has a handful of kinds, and a fact of the kind,
     such as its group datum or its balance, is checked there once.
-    registry_gaps is (missing, duplicated), both sorted: the registry
-    labels that no empty-Levi entry prints, and those printed more than
-    once; two empty lists when the empty-Levi entries list Irr(t)
-    exactly once.  resolve_placement builds all of them in one walk of
-    the enumeration and one of the entries, which places them and
-    records each row's pairs, kind and gaps, and a query answers with
-    one lookup in row_of_head or row_of_triple.
+    resolve_placement builds all of them in one walk of the enumeration
+    and one of the entries, which places them and records each row's
+    pairs and kind, and a query answers with one lookup in row_of_head
+    or row_of_triple; registry_gaps reads how the empty-Levi entries
+    list Irr(t) off relabelled.
     """
 
     __slots__ = _fields = (
         "type_name", "triples", "rows", "relabelled", "row_of_head", "row_of_triple",
-        "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps",
+        "fiber_pairs", "fiber_expanded", "row_kinds",
     )
 
 
@@ -403,16 +399,13 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
     # others wait for their family (Levi name, d), their pair unset.  A
     # row's expanded fiber differs from its pairs only if some entry has
     # mult > 1, and its size, the sum of the mults, gives the row kind,
-    # (Annotation object, fiber size), recorded at its first row.  The
-    # same walk keeps the empty-Levi labels printed after a row's head.
-    row_of_triple, waiting, empty_after_head = {}, {}, []
+    # (Annotation object, fiber size), recorded at its first row.
+    row_of_triple, waiting = {}, {}
     fiber_pairs, spanning, kinds = [], [], {}
     for ri, row in enumerate(rows):
         pairs, size = [], 0
         for pi, en in enumerate(row.fiber):
             key, mult = en.key, en.mult
-            if pi and key[0] == "-":
-                empty_after_head.append(key[1])
             if remaining.get(key) == mult:
                 remaining[key] = 0
                 row_of_triple[key] = ri
@@ -484,18 +477,21 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
             expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
         fiber_expanded[ri] = tuple(expanded)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
-    # The first entry that prints a label of Irr(t) takes its triple, so
-    # a label no entry prints is one a duplicated label took.  The heads
-    # are distinct registry labels (assemble_rows checks both), so a
-    # label is printed twice only if an entry after a head repeats it.
-    missing = sorted(key[1] for key in relabelled.values() if key[0] == "-")
-    duplicated = sorted(
-        txt for txt, n in Counter(empty_after_head).items() if n > 1 or txt in row_of_head
-    )
     return Placement(
         t.name, enum, rows, relabelled, row_of_head, row_of_triple,
-        fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()), (missing, duplicated),
+        fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()),
     )
+
+
+def registry_gaps(pl: Placement) -> tuple[list[str], list[str]]:
+    """(missing, duplicated), both sorted: the labels of Irr(t) that no
+    empty-Levi entry prints, and those printed more than once.  An
+    empty-Levi key has one triple, taken by the first entry printing its
+    label, so a later print is relabelled to a label none prints, or the
+    table does not place."""
+    gaps = [(to, pl.rows[ri].fiber[pi].character.text)
+            for (ri, pi), (levi, to, _) in pl.relabelled.items() if levi == "-"]
+    return sorted(to for to, _ in gaps), sorted({printed for _, printed in gaps})
 
 
 def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
@@ -548,6 +544,11 @@ class TableStore(dict):
 
     def table(self, t: CartanType) -> tuple[StrataRow, ...]:
         return self[t.name].rows
+
+    def triples(self, t: CartanType) -> tuple[SheafTriple, ...]:
+        """t's triples: those its stored placement holds, else a fresh
+        enumeration, resolving no table."""
+        return self[t.name].triples if t.name in self else enumerate_cs_prime(t)
 
     def install(self, placed: Placement) -> None:
         """Store placed, which resolve_placement returned: verify's checks

@@ -12,10 +12,10 @@ PlacementMismatch, and the checks after it report 'skipped'.  The
 triple count itself is checked once, by cuspidal-enumeration against
 cuspidal.triple_count, on the enumeration the placement holds (a fresh
 one without a placement).  empty-completeness reads the registry gaps
-resolve_placement recorded in its walk of the table, and
-boxed-recomputation and row-balance the row kinds that walk recorded,
-each distinct (Annotation, fiber size) pair with its first row, so
-they check a few kinds instead of every row.  The table checks report
+off the entries resolve_placement relabelled, and boxed-recomputation
+and row-balance the row kinds its walk of the table recorded, each
+distinct (Annotation, fiber size) pair with its first row, so they
+check a few kinds instead of every row.  The table checks report
 'skipped' (never 'pass') for types without an available table.
 """
 
@@ -43,6 +43,7 @@ from .tables import (
     assemble_rows,
     built_in_source,
     placement,
+    registry_gaps,
     resolve_placement,
 )
 
@@ -129,9 +130,9 @@ def _check_retraction(t: CartanType, pl: Placement) -> tuple[str, str]:
 
 def _check_empty_completeness(t: CartanType, pl: Placement) -> tuple[str, str]:
     """Irr(t) listed exactly once by the empty-Levi entries, read from
-    the gaps resolve_placement recorded; its empty-Levi triples, one per
+    the placement's registry gaps; its empty-Levi triples, one per
     character, lead the placement's enumeration."""
-    missing, duplicated = pl.registry_gaps
+    missing, duplicated = registry_gaps(pl)
     if missing or duplicated:
         return "fail", f"missing {missing}, duplicated {duplicated}"
     size = bisect_left(pl.triples, True, key=lambda tr: tr.key[0] != "-")
@@ -326,8 +327,8 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
     # placement must hold before the table becomes visible
     triples = enumerate_cs_prime(t)
     placed = resolve_placement(t, assemble_rows(t, structured, triples), triples)
-    missing, duplicated = placed.registry_gaps
-    if missing or duplicated:
+    missing, _ = registry_gaps(placed)
+    if missing:
         raise PlacementMismatch(
             f"table for {t.name} does not exhaust the registry; missing {missing}"
         )

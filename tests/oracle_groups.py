@@ -11,13 +11,13 @@ element.
 
 from __future__ import annotations
 
-from charstrata.groups import _model
+from charstrata.groups import _model, _perm_mul as mul
 
 
 def all_conjugators_class_count(tag: str) -> int:
     """The number of orbits of the group's explicit element model under
     conjugation by all of its elements."""
-    els, mul, _ = _model(tag)
+    els, _ = _model(tag)
     identity = next(g for g in els if mul(g, g) == g)
     inv = {g: next(h for h in els if mul(g, h) == identity) for g in els}
     remaining = set(els)

@@ -26,10 +26,12 @@ import json
 import pytest
 
 from charstrata.cartan import CartanType, parse_type
-from charstrata.cuspidal import cuspidal_counts, cuspidal_levis, enumerate_cs_prime
+from charstrata.cuspidal import (
+    centralizer_profiles, cuspidal_counts, cuspidal_levis, enumerate_cs_prime,
+)
 from charstrata.cartan import is_pseudo_levi
 from charstrata.groups import GROUP_TAGS, conjugacy_class_count, inventory
-from charstrata.labels import enumerate_irr, irr_count, partitions
+from charstrata.labels import enumerate_irr, partitions
 from charstrata.schema import canonical_json, table_document
 from charstrata.strata import (
     bijection_witness,
@@ -37,7 +39,7 @@ from charstrata.strata import (
     regular_fiber_labels,
     unit_stratum_fiber_size,
 )
-from charstrata.tables import DEFAULT_STORE, TableFormatError, TableStore, centralizer_profiles
+from charstrata.tables import DEFAULT_STORE, TableFormatError, TableStore
 from charstrata.verify import register_external_table
 
 from oracle_reflection import (
@@ -147,7 +149,7 @@ def test_criterion_4_retraction(name):
 
 @pytest.mark.parametrize("name", TABLE_TYPES)
 def test_criterion_4_pinned_registry_sizes(name):
-    got = irr_count(parse_type(name))
+    got = len(enumerate_irr(parse_type(name)))
     pinned = PINNED_REGISTRY_SIZES[name]
     ok = got == pinned
     detail = f"registry {got}, pinned {pinned}"
@@ -165,8 +167,8 @@ def test_criterion_4_reflection_group_oracle():
     order_g2, classes_g2 = g2_order_and_classes()
     order_f4, classes_f4 = f4_order_and_classes()
     ok = (
-        (order_g2, classes_g2) == (12, irr_count(parse_type("G2")))
-        and (order_f4, classes_f4) == (1152, irr_count(parse_type("F4")))
+        (order_g2, classes_g2) == (12, len(enumerate_irr(parse_type("G2"))))
+        and (order_f4, classes_f4) == (1152, len(enumerate_irr(parse_type("F4"))))
     )
     report(f"criterion 4 (reflection oracle): {'PASS' if ok else 'FAIL'} "
            f"W(G2) order {order_g2} classes {classes_g2}; "
@@ -235,7 +237,7 @@ def test_criterion_8_classical_enumeration():
 
     for n in range(2, 11):
         brute_b = sum(p(a) * p(n - a) for a in range(n + 1))
-        assert irr_count(CartanType("B", n)) == brute_b
+        assert len(enumerate_irr(CartanType("B", n))) == brute_b
         if n >= 4:
             seen = set()
             extra = 0
@@ -246,7 +248,7 @@ def test_criterion_8_classical_enumeration():
                         if alpha == beta and key not in seen:
                             extra += 1
                         seen.add(key)
-            assert irr_count(CartanType("D", n)) == len(seen) + extra
+            assert len(enumerate_irr(CartanType("D", n))) == len(seen) + extra
     b30 = [l.levi_name for l in cuspidal_levis(parse_type("B30"))]
     assert b30 == ["-", "B2", "B6", "B12", "B20", "B30"]
     d16 = [l.levi_name for l in cuspidal_levis(parse_type("D16"))]
@@ -256,7 +258,7 @@ def test_criterion_8_classical_enumeration():
                              ("D", 4, 192), ("D", 5, 1920)]:
         got_order, got_classes = classical_order_and_classes(series, n)
         assert got_order == order, (series, n, got_order)
-        assert got_classes == irr_count(CartanType(series, n)), (series, n)
+        assert got_classes == len(enumerate_irr(CartanType(series, n))), (series, n)
     report("criterion 8 (classical enumeration): PASS counts n<=10, "
            f"reflection oracle B2..D5, B30 levis {b30}")
 

@@ -27,7 +27,8 @@ from charstrata.cartan import (
     _shared,
 )
 from charstrata import tabledata
-from charstrata.tables import TableStore, centralizer_profiles
+from charstrata.cuspidal import centralizer_profiles
+from charstrata.tables import TableStore
 from charstrata.verify import run_all
 from oracle_cartan import _classify_component, moves as diagram_moves
 

@@ -137,6 +137,16 @@ def test_tau_reads_the_levi_spellings_of_table_entries(capsys):
     assert "no triple (Z9,eps,d=None,i=0) in E8" in err
 
 
+def test_tau_refuses_a_type_without_a_table_before_seeking_its_triple(capsys):
+    """tau resolves the type's table first, so a type without one is
+    refused for that, whatever its coordinates; a type with one keeps
+    the refusal of coordinates that name no triple."""
+    assert run(capsys, "tau", "B3", "--levi", "Z9", "--char", "x") == (
+        2, "", "error: no strata table for B3; register one for classical types\n")
+    assert run(capsys, "tau", "E8", "--levi", "Z9", "--char", "eps") == (
+        2, "", "error: no triple (Z9,eps,d=None,i=0) in E8\n")
+
+
 def test_pseudo_levi(capsys):
     code, out, _ = run(capsys, "pseudo-levi", "G2")
     assert code == 0

@@ -1,18 +1,20 @@
 import pytest
 
-from charstrata import tabledata
+from charstrata import cuspidal, labels, tabledata
 from charstrata.cartan import CartanType, Subsystem, TORUS, datum, parse_type
 from charstrata.cuspidal import (
     CuspidalError,
     CuspidalLevi,
+    centralizer_profile,
+    centralizer_profiles,
     cuspidal_counts,
     cuspidal_levis,
     enumerate_cs_prime,
+    irr_count,
     support_case,
     triple_count,
 )
-from charstrata.labels import irr_count, relative_character_labels
-from charstrata.tables import centralizer_profile, centralizer_profiles
+from charstrata.labels import enumerate_irr, relative_character_labels
 
 
 def _levi_names(name):
@@ -149,7 +151,28 @@ def test_triple_count_is_the_unipotent_character_count(name):
 def test_a_series_is_empty_levi_only():
     t = parse_type("A4")
     assert all(tr.levi.is_empty for tr in enumerate_cs_prime(t))
-    assert len(enumerate_cs_prime(t)) == irr_count(t)
+    assert len(enumerate_cs_prime(t)) == len(enumerate_irr(t))
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{n}" for n in range(1, 15)), *(f"B{n}" for n in range(2, 15)),
+    *(f"C{n}" for n in range(2, 15)), *(f"D{n}" for n in range(4, 15)),
+    "G2", "F4", "E6", "E7", "E8", "Torus",
+])
+def test_irr_count_is_the_registry_size(name):
+    t = parse_type(name)
+    assert irr_count(t) == len(enumerate_irr(t))
+
+
+def test_irr_count_builds_no_registry(monkeypatch):
+    """|Irr W(A200)| = p(201), counted in closed form: a registry of
+    that size could never be built."""
+    def refuse(t):
+        raise AssertionError(f"built the registry of {t.name}")
+
+    monkeypatch.setattr(cuspidal, "enumerate_irr", refuse)
+    monkeypatch.setattr(labels, "enumerate_irr", refuse)
+    assert irr_count(parse_type("A200")) == 4328363658647
 
 
 def test_full_levi_forces_trivial_character():

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 
 from charstrata.cartan import parse_type
 from charstrata.cli import main
+from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.schema import canonical_json, table_document
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
@@ -187,6 +190,29 @@ def test_the_json_form_of_a_text_golden_exits_alike_and_is_canonical(case, table
     json_code, out, _ = run(("--json",) + CASES[case], tables_dir)
     assert json_code == code
     assert out == ("" if code == 2 else canonical_json(json.loads(out)))
+
+
+def test_no_golden_command_line_enumerates_a_type_twice(tables_dir, monkeypatch):
+    """A command builds each type's triples at most once: the queries on
+    a table read the enumeration its placement holds.  Every module of
+    the package that binds enumerate_cs_prime gets a counting one."""
+    calls = []
+
+    def counting(t):
+        calls.append(t.name)
+        return enumerate_cs_prime(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "charstrata" and getattr(
+                module, "enumerate_cs_prime", None) is enumerate_cs_prime:
+            monkeypatch.setattr(module, "enumerate_cs_prime", counting)
+    twice = {}
+    for case, argv in sorted(CASES.items()):
+        calls.clear()
+        run(argv, tables_dir)
+        if again := sorted(name for name, n in Counter(calls).items() if n > 1):
+            twice[case] = again
+    assert twice == {}
 
 
 def test_every_golden_has_a_case():

@@ -33,25 +33,24 @@ def test_class_count_matches_all_conjugators_oracle(tag):
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_stated_generators_close_to_the_element_list(tag):
-    els, mul, gens = _model(tag)
-    identity = next(g for g in els if mul(g, g) == g)
+    els, gens = _model(tag)
+    identity = next(g for g in els if _perm_mul(g, g) == g)
     assert set(gens) <= set(els)
     assert len(set(els)) == len(els)
-    assert generated_subgroup(gens, identity, mul) == set(els)
+    assert generated_subgroup(gens, identity, _perm_mul) == set(els)
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_models_list_distinct_permutations_of_one_degree(tag):
     """Every model lists distinct permutations of the points 0..n-1,
-    one n per model, composed by _perm_mul, with the identity and the
-    stated generators among them."""
-    els, mul, gens = _model(tag)
+    one n per model, with the identity and the stated generators among
+    them."""
+    els, gens = _model(tag)
     points = tuple(range(len(els[0])))
-    assert mul is _perm_mul
     assert len(set(els)) == len(els)
     assert all(tuple(sorted(g)) == points for g in els)
     assert points in els and set(gens) <= set(els)
-    assert mul(points, points) == points
+    assert _perm_mul(points, points) == points
 
 
 def test_d8_lists_the_symmetries_of_a_square():
@@ -77,11 +76,11 @@ def test_inverse_by_powers_matches_scan(tag):
     """Each element's powers return to the identity through the right
     inverse that the all-conjugators oracle scans for, so that inverse
     is two-sided in every model."""
-    els, mul, _ = _model(tag)
-    identity = next(g for g in els if mul(g, g) == g)
+    els, _ = _model(tag)
+    identity = next(g for g in els if _perm_mul(g, g) == g)
     for g in els:
-        scanned = next(h for h in els if mul(g, h) == identity)
-        assert inverse_by_powers(g, identity, mul) == scanned
+        scanned = next(h for h in els if _perm_mul(g, h) == identity)
+        assert inverse_by_powers(g, identity, _perm_mul) == scanned
 
 
 def test_explicit_class_counts():

@@ -1,6 +1,5 @@
 import copy
 import gc
-import importlib
 import re
 import sys
 import tracemalloc
@@ -742,9 +741,6 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
                   "group_collection")),
         (cuspidal, ("enumerate_cs_prime",)),
         (tables, ("enumerate_cs_prime", "group_collection")),
-        # the package exports a function named strata, so the module is
-        # looked up by its full name
-        (importlib.import_module("charstrata.strata"), ("enumerate_cs_prime",)),
     )
     for module, names in patched:
         for attr in names:
@@ -758,6 +754,9 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
             assert fiber(t, row.stratum, store)[0][0].character == row.stratum
             assert len(fiber(t, row.stratum, store, expand=True)) == size
         assert len(bijection_witness(t, store)) == len(pl.rows)
+        last = pl.triples[-1]
+        coordinates = (last.levi.levi_name, last.character.text, last.d, last.index)
+        assert find_triple(t, *coordinates, store) is last
 
 
 def test_rows_share_one_collection_per_kind_tags_and_quotient():

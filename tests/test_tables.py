@@ -6,7 +6,9 @@ import pytest
 
 from charstrata import tabledata
 from charstrata.cartan import CartanError, Subsystem, parse_type
-from charstrata.cuspidal import cuspidal_counts, enumerate_cs_prime
+from charstrata.cuspidal import (
+    centralizer_profile, centralizer_profiles, cuspidal_counts, enumerate_cs_prime,
+)
 from charstrata.strata import tau
 from charstrata.tables import (
     DEFAULT_STORE,
@@ -15,8 +17,6 @@ from charstrata.tables import (
     TableFormatError,
     TableStore,
     UnknownStratum,
-    centralizer_profile,
-    centralizer_profiles,
     component_group,
     embedded_table,
     find_row,
@@ -26,6 +26,7 @@ from charstrata.tables import (
     levi_name_of,
     parse_annotation,
     placement,
+    registry_gaps,
     resolve_placement,
 )
 from charstrata.schema import parse_table_document
@@ -192,7 +193,7 @@ def test_placement_records_fiber_sizes_and_registry_gaps(name):
     assert rows_of_key == {key: {ri} for key, ri in pl.row_of_triple.items()}
     enum = enumerate_cs_prime(t)
     assert len(placed) == len(set(placed)) == len(enum) and set(placed) == set(enum)
-    assert pl.registry_gaps == ([], [])
+    assert registry_gaps(pl) == ([], [])
 
 
 def test_an_entry_that_takes_part_of_its_key_is_refused():

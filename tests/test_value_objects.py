@@ -22,8 +22,8 @@ from charstrata.cartan import (
     pseudo_levi_types,
 )
 from charstrata.cuspidal import (
-    CuspidalCounts, CuspidalLevi, SheafTriple, SupportCase, cuspidal_counts, cuspidal_levis,
-    enumerate_cs_prime, support_case,
+    CentralizerProfile, CuspidalCounts, CuspidalLevi, SheafTriple, SupportCase,
+    centralizer_profiles, cuspidal_counts, cuspidal_levis, enumerate_cs_prime, support_case,
 )
 from charstrata.labels import (
     BipartitionLabel, CharacterLabel, DPairLabel, IrrRegistry, LabelError, NamedLabel,
@@ -34,8 +34,7 @@ from charstrata.strata import (
     regular_fiber_labels,
 )
 from charstrata.tables import (
-    Annotation, CentralizerProfile, FiberEntry, Placement, StrataRow, TableStore,
-    UnknownStratum, centralizer_profiles, placement,
+    Annotation, FiberEntry, Placement, StrataRow, TableStore, UnknownStratum, placement,
 )
 from charstrata.verify import VerificationReport, register_external_table, run_all
 from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
@@ -187,7 +186,7 @@ COMPARED = {
     Annotation: ("groups", "boxed"),
     StrataRow: ("stratum", "fiber", "annotation"),
     Placement: ("type_name", "triples", "rows", "relabelled", "row_of_head", "row_of_triple",
-                "fiber_pairs", "fiber_expanded", "row_kinds", "registry_gaps"),
+                "fiber_pairs", "fiber_expanded", "row_kinds"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),
     CStarElement: ("group", "irrep", "origin"),

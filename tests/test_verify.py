@@ -1,12 +1,12 @@
 import pytest
 
-from charstrata import cli, groups, tabledata, tables, verify
+from charstrata import cli, cuspidal, groups, tabledata, tables, verify
 from charstrata.cartan import SERIES, CartanError, CartanType, is_pseudo_levi, parse_type
 from charstrata.cuspidal import enumerate_cs_prime, triple_count
 from charstrata.schema import parse_table_document, table_document
 from charstrata.tables import (
     Annotation, Placement, PlacementMismatch, StrataRow, TableFormatError, TableStore, placement,
-    resolve_placement,
+    registry_gaps, resolve_placement,
 )
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
 from conftest import synthetic_spread_table
@@ -65,11 +65,11 @@ def test_classical_centralizer_check_runs_past_rank_16():
 ], ids=["count", "not-pseudo-levi"])
 def test_centralizer_check_fails_on_a_faulty_profile(monkeypatch, entries, detail):
     monkeypatch.setitem(tabledata.CENTRALIZER_PROFILES, ("G2", 1), (("generic", entries),))
-    tables.centralizer_profiles.cache_clear()
+    cuspidal.centralizer_profiles.cache_clear()
     try:
         report = run_all(parse_type("G2"), TableStore())
     finally:
-        tables.centralizer_profiles.cache_clear()
+        cuspidal.centralizer_profiles.cache_clear()
     assert ("centralizer-profiles", "fail", detail) in report.checks
     assert [cid for cid, status, _ in report.checks if status == "fail"] == [
         "centralizer-profiles"]
@@ -210,9 +210,9 @@ def test_group_inventories_fail_when_the_stated_generators_do_not_generate(monke
     """S5 stated without its 5-cycle generates only a subgroup of order
     two; the check fails naming S5 instead of counting its orbits."""
     model = groups._model
-    els, mul, gens = model("S5")
+    els, gens = model("S5")
     monkeypatch.setattr(
-        groups, "_model", lambda tag: (els, mul, gens[:1]) if tag == "S5" else model(tag)
+        groups, "_model", lambda tag: (els, gens[:1]) if tag == "S5" else model(tag)
     )
     verify._check_group_inventories.cache_clear()
     try:
@@ -230,9 +230,9 @@ def test_group_inventories_fail_when_a_product_is_not_listed(monkeypatch):
     """S4 listed without its last element: that element is a product
     of two listed ones, and the check fails naming S4."""
     model = groups._model
-    els, mul, gens = model("S4")
+    els, gens = model("S4")
     monkeypatch.setattr(
-        groups, "_model", lambda tag: (els[:-1], mul, gens) if tag == "S4" else model(tag)
+        groups, "_model", lambda tag: (els[:-1], gens) if tag == "S4" else model(tag)
     )
     verify._check_group_inventories.cache_clear()
     try:
@@ -360,7 +360,7 @@ def test_empty_completeness_fails_when_a_head_stands_for_a_dropped_row(synthetic
     pl = resolve_placement(*parse_table_document(synthetic_b3_doc))
     assert pl.relabelled == {(heads.index("(|3)"), 1): ("-", "(|2,1)", 0)}
     failing = ("fail", "missing ['(|2,1)'], duplicated ['(2,1|)']")
-    assert pl.registry_gaps == (["(|2,1)"], ["(2,1|)"])
+    assert registry_gaps(pl) == (["(|2,1)"], ["(2,1|)"])
     assert verify._check_empty_completeness(b3, pl) == failing
     broken = TableStore()
     broken.install(pl)
