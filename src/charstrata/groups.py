@@ -175,11 +175,6 @@ def group_collection(
 # Element models and the conjugacy-class oracle.
 
 
-def _perm_mul(p, q):
-    # (p*q)(i) = p(q(i)), a tuple also on one point
-    return tuple(map(p.__getitem__, q))
-
-
 def _rotations(m: int):
     # C_m: the rotations i -> i+k of m points, k = 0, ..., m-1
     return [tuple((i + k) % m for i in range(m)) for k in range(m)]
@@ -193,8 +188,8 @@ def _on_disjoint_points(first, second):
 @lru_cache(maxsize=None)
 def _model(tag: str):
     """The group of a tag as (elements, stated generators): permutations
-    of a few points, the tuples of the images of 0, 1, ..., composed by
-    _perm_mul."""
+    of a few points, the tuples of the images of 0, 1, ..., composed
+    right to left, (p*q)(i) = p(q(i))."""
     tag = normalize_tag(tag)
     if tag == "1":
         els, gens = [(0,)], ()
@@ -232,7 +227,7 @@ def conjugacy_class_count(tag: str) -> int:
     n = len(els)
     index = {g: i for i, g in enumerate(els)}
     try:
-        # x*s for every x: itemgetter(*s)(x) is _perm_mul(x, s)
+        # x*s for every x: itemgetter(*s)(x) is the tuple of the x(s(i))
         right = [list(map(index.__getitem__, map(itemgetter(*s), els))) for s in gens]
         identity = index[tuple(range(len(els[0])))]
     except KeyError:

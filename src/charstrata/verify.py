@@ -27,7 +27,7 @@ from time import perf_counter
 
 from . import tabledata
 from .cartan import CartanType, ValueObject, datum, is_pseudo_levi
-from .cuspidal import centralizer_profiles, cuspidal_counts, enumerate_cs_prime, triple_count
+from .cuspidal import centralizer_profiles, cuspidal_counts, triple_count
 from .groups import GROUP_TAGS, GroupError, conjugacy_class_count, inventory
 from .labels import unit_label
 from .schema import canonical_json, read_table_document, table_document
@@ -253,8 +253,7 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     except PlacementMismatch as exc:
         pl, skip = None, "the table does not place"
         failed = (("triple-placement", "fail", str(exc)),)
-    triples = enumerate_cs_prime(t) if pl is None else pl.triples
-    report.add("cuspidal-enumeration", *_check_enumeration(t, triples))
+    report.add("cuspidal-enumeration", *_check_enumeration(t, store.triples(t)))
     for check in failed:
         report.add(*check)
     for cid, check in _TABLE_CHECKS[len(failed):]:
@@ -325,7 +324,7 @@ def register_external_table(doc: dict, store: TableStore = DEFAULT_STORE) -> str
             return f"{t.name}: matches the embedded table"
         return f"{t.name}: accepted (the identity parametrization is built in)"
     # placement must hold before the table becomes visible
-    triples = enumerate_cs_prime(t)
+    triples = store.triples(t)
     placed = resolve_placement(t, assemble_rows(t, structured, triples), triples)
     missing, _ = registry_gaps(placed)
     if missing:

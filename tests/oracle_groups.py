@@ -1,5 +1,6 @@
 """Test-side references for the group oracle.
 
+`perm_mul` composes the permutations of the package's element models.
 `all_conjugators_class_count` conjugates each class representative by
 every element of the group, with inverses from a scan of the element
 list, so it trusts neither the generators each model states nor the
@@ -11,22 +12,28 @@ element.
 
 from __future__ import annotations
 
-from charstrata.groups import _model, _perm_mul as mul
+from charstrata.groups import _model
+
+
+def perm_mul(p, q):
+    """The product of two permutations given as the tuples of the
+    images of 0, 1, ..., composed right to left: (p*q)(i) = p(q(i))."""
+    return tuple(map(p.__getitem__, q))
 
 
 def all_conjugators_class_count(tag: str) -> int:
     """The number of orbits of the group's explicit element model under
     conjugation by all of its elements."""
     els, _ = _model(tag)
-    identity = next(g for g in els if mul(g, g) == g)
-    inv = {g: next(h for h in els if mul(g, h) == identity) for g in els}
+    identity = next(g for g in els if perm_mul(g, g) == g)
+    inv = {g: next(h for h in els if perm_mul(g, h) == identity) for g in els}
     remaining = set(els)
     classes = 0
     while remaining:
         g = remaining.pop()
         classes += 1
         for h in els:
-            remaining.discard(mul(mul(inv[h], g), h))
+            remaining.discard(perm_mul(perm_mul(inv[h], g), h))
     return classes
 
 

@@ -31,6 +31,7 @@ from charstrata.cuspidal import centralizer_profiles
 from charstrata.tables import TableStore
 from charstrata.verify import run_all
 from oracle_cartan import _classify_component, moves as diagram_moves
+from oracle_reflection import degrees_from_heights, root_system
 
 
 def levi_subsystems(t: CartanType) -> frozenset[Subsystem]:
@@ -183,6 +184,23 @@ def test_degree_products_and_coxeter_number(name):
         prod *= deg
     assert prod == d.weyl_order
     assert 1 + sum(d.highest_root_coeffs) == d.coxeter_number
+
+
+_UP_TO_RANK_10 = ["G2", "F4", "E6", "E7", "E8"] + [
+    f"{series}{n}" for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for n in range(low, 11)
+]
+
+
+@pytest.mark.parametrize("name", _UP_TO_RANK_10)
+def test_datum_degrees_and_highest_root_match_the_root_system_oracle(name):
+    """The typed degrees and highest root are those of the root system
+    that the oracle builds from the Dynkin diagram alone."""
+    t = parse_type(name)
+    positive, _ = root_system(t.series, t.rank)
+    d = datum(t)
+    assert tuple(sorted(d.degrees)) == degrees_from_heights(positive)
+    assert d.highest_root_coeffs == positive[-1]
 
 
 def test_bad_primes_by_series():

@@ -6,14 +6,15 @@ from charstrata.groups import (
     GROUP_TAGS,
     GroupError,
     _model,
-    _perm_mul,
     conjugacy_class_count,
     faithful_cyclic_inventory,
     inventory,
     normalize_tag,
     pullback_inventory,
 )
-from oracle_groups import all_conjugators_class_count, generated_subgroup, inverse_by_powers
+from oracle_groups import (
+    all_conjugators_class_count, generated_subgroup, inverse_by_powers, perm_mul,
+)
 
 
 def group_order(tag: str) -> int:
@@ -34,10 +35,10 @@ def test_class_count_matches_all_conjugators_oracle(tag):
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_stated_generators_close_to_the_element_list(tag):
     els, gens = _model(tag)
-    identity = next(g for g in els if _perm_mul(g, g) == g)
+    identity = next(g for g in els if perm_mul(g, g) == g)
     assert set(gens) <= set(els)
     assert len(set(els)) == len(els)
-    assert generated_subgroup(gens, identity, _perm_mul) == set(els)
+    assert generated_subgroup(gens, identity, perm_mul) == set(els)
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
@@ -50,7 +51,7 @@ def test_models_list_distinct_permutations_of_one_degree(tag):
     assert len(set(els)) == len(els)
     assert all(tuple(sorted(g)) == points for g in els)
     assert points in els and set(gens) <= set(els)
-    assert _perm_mul(points, points) == points
+    assert perm_mul(points, points) == points
 
 
 def test_d8_lists_the_symmetries_of_a_square():
@@ -68,7 +69,7 @@ def test_permutation_product_composes_right_to_left():
     perms = list(itertools.permutations(range(4)))
     for p in perms:
         for q in perms:
-            assert _perm_mul(p, q) == tuple(p[q[i]] for i in range(4))
+            assert perm_mul(p, q) == tuple(p[q[i]] for i in range(4))
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
@@ -77,10 +78,10 @@ def test_inverse_by_powers_matches_scan(tag):
     inverse that the all-conjugators oracle scans for, so that inverse
     is two-sided in every model."""
     els, _ = _model(tag)
-    identity = next(g for g in els if _perm_mul(g, g) == g)
+    identity = next(g for g in els if perm_mul(g, g) == g)
     for g in els:
-        scanned = next(h for h in els if _perm_mul(g, h) == identity)
-        assert inverse_by_powers(g, identity, _perm_mul) == scanned
+        scanned = next(h for h in els if perm_mul(g, h) == identity)
+        assert inverse_by_powers(g, identity, perm_mul) == scanned
 
 
 def test_explicit_class_counts():

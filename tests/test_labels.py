@@ -16,6 +16,7 @@ from charstrata.labels import (
     relative_character_labels,
     unit_label,
 )
+from oracle_reflection import root_system, weyl_group
 
 
 def _p(n: int) -> int:
@@ -104,6 +105,16 @@ def test_e_series_dim_b_parse():
     assert lab.b_value == 16
     chi = parse_label(parse_type("F4"), "chi_{9,1}")
     assert chi.dim == 9 and chi.b_value is None
+
+
+def test_f4_dimensions_sum_to_the_involutions_of_its_weyl_group():
+    """Every character of a Weyl group is rational with Frobenius-Schur
+    indicator +1 (Geck-Pfeiffer 2000), so the degrees of Irr W(F4) sum
+    to the number of g in W(F4) with g^2 = 1, counted on the roots."""
+    _, reflections = root_system("F", 4)
+    involutions = sum(
+        all(g[g[k]] == k for k in range(len(g))) for g in weyl_group(reflections))
+    assert sum(lab.dim for lab in enumerate_irr(parse_type("F4"))) == involutions == 140
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])

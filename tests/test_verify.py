@@ -155,28 +155,29 @@ def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
     pl = placement(e7, store)
     store["E7"] = _replaced(pl, triples=pl.triples[:-1])
     assert ("cuspidal-enumeration", *failing) in run_all(e7, store).checks
-    monkeypatch.setattr(verify, "enumerate_cs_prime", lambda t: enumerate_cs_prime(t)[:-1])
+    monkeypatch.setattr(tables, "enumerate_cs_prime", lambda t: enumerate_cs_prime(t)[:-1])
     assert ("cuspidal-enumeration", "fail", "enumerated 45, closed form gives 46") in run_all(
         b5, TableStore()).checks
 
 
 @pytest.fixture
-def e7_missing_a_triple(monkeypatch):
-    """E7 with the last triple, (E7,1,0)[1], dropped from the
-    enumeration the tables module places against; each test asks a
-    fresh store, which resolves the table against it."""
-    original = tables.enumerate_cs_prime
-    monkeypatch.setattr(
-        tables, "enumerate_cs_prime", lambda t: original(t)[:-1] if t.name == "E7" else original(t)
-    )
+def e7_table_printing_a_third_triple(monkeypatch):
+    """The embedded E7 table with its last entry, (E7,1,0)#2, printed
+    as (E7,1,0)#3: the table claims three triples of a key that the
+    enumeration has two of.  Each test asks a fresh store, which
+    resolves the edited table."""
+    *rows, (head, entries, ann) = tabledata.TABLES["E7"]
+    *kept, (levi, char, d, _, disamb) = entries
+    edited = (*rows, (head, (*kept, (levi, char, d, 3, disamb)), ann))
+    monkeypatch.setitem(tabledata.TABLES, "E7", edited)
     return parse_type("E7")
 
 
 def test_a_table_that_does_not_place_fails_placement_and_skips_its_readers(
-    e7_missing_a_triple, capsys
+    e7_table_printing_a_third_triple, capsys
 ):
-    mismatch = "entry (E7,1,0)#2 in row '1_0' does not match the enumeration for E7"
-    report = run_all(e7_missing_a_triple, TableStore())
+    mismatch = "entry (E7,1,0)#3 in row '1_0' does not match the enumeration for E7"
+    report = run_all(e7_table_printing_a_third_triple, TableStore())
     assert [cid for cid, _, _ in report.checks] == list(CHECK_IDS)
     checks = {cid: (status, detail) for cid, status, detail in report.checks}
     assert checks["triple-placement"] == ("fail", mismatch)
