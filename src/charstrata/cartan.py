@@ -5,9 +5,10 @@ its closure.  The other types search the closure only down to the
 subsystem's rank, as no move raises rank.
 
 Everything here is diagram-level combinatorics: types, Weyl group
-orders, highest-root coefficients, extended Dynkin diagrams, and the
-closure of a type under "extend a simple factor and delete nodes".
-No root vectors or Weyl group elements are manipulated.
+orders, highest-root coefficients, and the closure of a type under
+"extend a simple factor and delete nodes".  The moves state what each
+deletion leaves; the extended diagrams themselves are not kept.  No
+root vectors or Weyl group elements are manipulated.
 
 ValueObject, the base of the package's immutable value classes, lives
 here because every other module imports this one.
@@ -323,12 +324,9 @@ class Subsystem(ValueObject):
 # ---------------------------------------------------------------------------
 # Static per-type data.
 #
-# degrees: the invariant degrees of the reflection group (their product is
-# the Weyl group order and their maximum is the Coxeter number).
+# degrees: the invariant degrees of the reflection group, ascending (their
+# product is the Weyl group order and their maximum is the Coxeter number).
 # coeffs:  coefficients of the highest root on the simple roots.
-# Extended diagrams are given explicitly as (u, v, multiplicity, short_node)
-# edge lists on nodes {0..rank}, node 0 being the affine one.  short_node is
-# meaningful only on edges of multiplicity >= 2 and names the short-root side.
 
 
 def _degrees(t: CartanType) -> tuple[int, ...]:
@@ -338,7 +336,7 @@ def _degrees(t: CartanType) -> tuple[int, ...]:
     if t.series in ("B", "C"):
         return tuple(range(2, 2 * n + 1, 2))
     if t.series == "D":
-        return tuple(range(2, 2 * n - 1, 2)) + (n,)
+        return tuple(sorted((*range(2, 2 * n - 1, 2), n)))
     return {
         ("G", 2): (2, 6),
         ("F", 4): (2, 6, 8, 12),
@@ -367,59 +365,14 @@ def _highest_root_coeffs(t: CartanType) -> tuple[int, ...]:
     }[(t.series, n)]
 
 
-Edge = tuple[int, int, int, int | None]
-
-
-def _extended_edges(t: CartanType) -> tuple[Edge, ...]:
-    n = t.rank
-    if t.series == "A":
-        if n == 1:
-            # Affine A1: a single bond of multiplicity 4, no short side.
-            return ((0, 1, 4, None),)
-        cycle = [(i, i + 1, 1, None) for i in range(1, n)]
-        cycle += [(0, 1, 1, None), (0, n, 1, None)]
-        return tuple(cycle)
-    if t.series == "B":
-        if n == 2:
-            return ((0, 2, 2, 2), (1, 2, 2, 2))
-        edges = [(0, 2, 1, None), (1, 2, 1, None)]
-        edges += [(i, i + 1, 1, None) for i in range(2, n - 1)]
-        edges += [(n - 1, n, 2, n)]
-        return tuple(edges)
-    if t.series == "C":
-        edges = [(0, 1, 2, 1)]
-        edges += [(i, i + 1, 1, None) for i in range(1, n - 1)]
-        edges += [(n - 1, n, 2, n - 1)]
-        return tuple(edges)
-    if t.series == "D":
-        edges = [(0, 2, 1, None)]
-        edges += [(i, i + 1, 1, None) for i in range(1, n - 2)]
-        edges += [(n - 2, n - 1, 1, None), (n - 2, n, 1, None)]
-        return tuple(edges)
-    if t.series == "G":
-        return ((0, 2, 1, None), (1, 2, 3, 1))
-    if t.series == "F":
-        return ((0, 1, 1, None), (1, 2, 1, None), (2, 3, 2, 3), (3, 4, 1, None))
-    # E series: chain 1-3-4-...-n with node 2 hanging off node 4.
-    chain = [(1, 3, 1, None)] + [(i, i + 1, 1, None) for i in range(3, n)]
-    chain.append((2, 4, 1, None))
-    affine = {6: (0, 2, 1, None), 7: (0, 1, 1, None), 8: (0, 8, 1, None)}[n]
-    return tuple(chain) + (affine,)
-
-
 class CartanDatum(ValueObject):
     """The full static record for one type: its CartanType, Weyl group
-    order, degrees (a tuple of int), bad primes (a frozenset), highest
-    root coefficients, z value and extended diagram (a tuple of Edge)."""
+    order, degrees (an ascending tuple of int), bad primes (a frozenset),
+    highest root coefficients and z value."""
 
     __slots__ = _fields = (
-        "cartan_type", "weyl_order", "degrees", "bad_primes", "highest_root_coeffs",
-        "z_value", "extended_diagram",
+        "cartan_type", "weyl_order", "degrees", "bad_primes", "highest_root_coeffs", "z_value",
     )
-
-    @property
-    def coxeter_number(self) -> int:
-        return max(self.degrees) if self.degrees else 1
 
 
 def _prime_divisors(n: int) -> set[int]:
@@ -438,7 +391,7 @@ def _prime_divisors(n: int) -> set[int]:
 def datum(t: CartanType) -> CartanDatum:
     """The static record for a canonical type (torus allowed)."""
     if t.is_torus:
-        return CartanDatum(t, 1, (), frozenset(), (), 1, ())
+        return CartanDatum(t, 1, (), frozenset(), (), 1)
     degrees = _degrees(t)
     order = 1
     for d in degrees:
@@ -446,7 +399,7 @@ def datum(t: CartanType) -> CartanDatum:
     coeffs = _highest_root_coeffs(t)
     bad = frozenset().union(*(_prime_divisors(c) for c in coeffs)) - {1}
     z = max(coeffs) if coeffs else 1
-    return CartanDatum(t, order, degrees, frozenset(bad), coeffs, z, _extended_edges(t))
+    return CartanDatum(t, order, degrees, frozenset(bad), coeffs, z)
 
 
 # ---------------------------------------------------------------------------

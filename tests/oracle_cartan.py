@@ -1,18 +1,25 @@
-"""Reference deletions of extended Dynkin diagrams, computed the way the
-package once did: split what is left of the diagram into connected
-components and recognize each component's finite type from its shape.
+"""Reference deletions of extended Dynkin diagrams: split what is left
+of the diagram into connected components and recognize each
+component's finite type from its shape.
 
-The input is the package's static edge lists
-(CartanDatum.extended_diagram), so the closed-form one-node moves of
-charstrata.cartan are checked against an independent reading of them.
+The diagrams are oracle_reflection's, derived from the Cartan matrices,
+so the closed-form one-node moves of charstrata.cartan, its typed
+exceptional moves and its closure are checked against diagrams the
+package never states.  Only the type and subsystem classes are read
+from the package.
 """
 
 from __future__ import annotations
 
-from charstrata.cartan import CartanError, CartanType, Edge, Subsystem, datum, simple_type
+from functools import lru_cache
+
+from charstrata.cartan import CartanError, CartanType, Subsystem, simple_type
+from oracle_reflection import extended_diagram
+
+Bond = tuple[int, int, int, int | None]
 
 
-def _classify_component(nodes: tuple[int, ...], edges: list[Edge]) -> CartanType:
+def _classify_component(nodes: tuple[int, ...], edges: list[Bond]) -> CartanType:
     """Recognize the finite type of a connected sub-diagram."""
     n = len(nodes)
     if n == 1:
@@ -70,10 +77,11 @@ def _classify_component(nodes: tuple[int, ...], edges: list[Edge]) -> CartanType
     raise CartanError("unrecognized branched component")
 
 
-def _deletion_type(t: CartanType, deleted: frozenset[int]) -> Subsystem:
+def deletion_type(t: CartanType, deleted: set[int] | tuple[int, ...]) -> Subsystem:
     """Semisimple type of the extended diagram of t minus the deleted
     nodes: one classified factor per connected component."""
-    kept = [e for e in datum(t).extended_diagram if e[0] not in deleted and e[1] not in deleted]
+    kept = [e for e in extended_diagram(t.series, t.rank)
+            if e[0] not in deleted and e[1] not in deleted]
     adj: dict[int, list[int]] = {v: [] for v in range(t.rank + 1) if v not in deleted}
     for u, v, _, _ in kept:
         adj[u].append(v)
@@ -90,9 +98,16 @@ def _deletion_type(t: CartanType, deleted: frozenset[int]) -> Subsystem:
                     comp.add(w)
                     stack.append(w)
         placed |= comp
-        comp_edges = [e for e in kept if e[0] in comp]
-        factors.append(_classify_component(tuple(sorted(comp)), comp_edges))
+        factors.append(_component_type(t, frozenset(comp)))
     return Subsystem(tuple(sorted(factors)))
+
+
+@lru_cache(maxsize=None)
+def _component_type(t: CartanType, comp: frozenset[int]) -> CartanType:
+    """The finite type of a connected part of t's extended diagram,
+    recognized once: the subset walks meet each part many times."""
+    edges = [e for e in extended_diagram(t.series, t.rank) if e[0] in comp and e[1] in comp]
+    return _classify_component(tuple(sorted(comp)), edges)
 
 
 def moves(t: CartanType, levi: bool) -> set[tuple[CartanType, ...]]:
@@ -100,6 +115,6 @@ def moves(t: CartanType, levi: bool) -> set[tuple[CartanType, ...]]:
     each node v >= 1 of its extended diagram, delete {v} or, with levi,
     {0, v}."""
     return {
-        _deletion_type(t, frozenset({0, v} if levi else {v})).factors
+        deletion_type(t, {0, v} if levi else {v}).factors
         for v in range(1, t.rank + 1)
     }

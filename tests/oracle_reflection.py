@@ -1,12 +1,16 @@
 """Independent brute-force oracle: the root system of every Dynkin type,
 built in integers from its diagram in Bourbaki's numbering (Lie Groups
-and Lie Algebras, ch. VI, plates I-IX), and its Weyl group as a
-permutation group on the roots.  Nothing is read from the package, so
-the root counts, highest roots, degrees, group orders and class counts
-found here confirm the package's without touching its code.
+and Lie Algebras, ch. VI, plates I-IX), its extended Dynkin diagram,
+and its Weyl group as a permutation group on the roots.  Nothing is
+read from the package, so the root counts, highest roots, degrees,
+extended diagrams, group orders and class counts found here confirm
+the package's without touching its code.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
 
 
 def cartan_matrix(series: str, n: int) -> list[list[int]]:
@@ -42,16 +46,19 @@ def _shift(beta, i, k):  # beta + k alpha_i
     return beta[:i] + (beta[i] + k,) + beta[i + 1:]
 
 
+@lru_cache(maxsize=None)
 def root_system(series: str, n: int):
-    """(positive roots, simple reflections).  The positive roots are in
-    simple-root coordinates, by height: the alpha_i-string through a
-    root beta runs from beta - p alpha_i to beta + q alpha_i with
-    p - q = <beta, alpha_i^vee>, and every root of height h + 1 is some
-    beta + alpha_i with beta of height h, so the roots grow one height
-    at a time, p read off the lower heights already found.  Each simple
-    reflection s_i beta = beta - <beta, alpha_i^vee> alpha_i is the
-    permutation of root indices it induces, the positive roots first and
-    then their negatives in the same order."""
+    """(positive roots, simple reflections), built once per type and
+    held as tuples, so no caller can change what the next one reads.
+    The positive roots are in simple-root coordinates, by height: the
+    alpha_i-string through a root beta runs from beta - p alpha_i to
+    beta + q alpha_i with p - q = <beta, alpha_i^vee>, and every root of
+    height h + 1 is some beta + alpha_i with beta of height h, so the
+    roots grow one height at a time, p read off the lower heights
+    already found.  Each simple reflection
+    s_i beta = beta - <beta, alpha_i^vee> alpha_i is the permutation of
+    root indices it induces, the positive roots first and then their
+    negatives in the same order."""
     a = cartan_matrix(series, n)
     positive = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known = set(positive)
@@ -66,8 +73,40 @@ def root_system(series: str, n: int):
                 positive.append(up)
     roots = positive + [tuple(-c for c in beta) for beta in positive]
     index = {beta: k for k, beta in enumerate(roots)}
-    return positive, [
-        tuple(index[_shift(beta, i, -_pair(a, beta, i))] for beta in roots) for i in range(n)]
+    return tuple(positive), tuple(
+        tuple(index[_shift(beta, i, -_pair(a, beta, i))] for beta in roots) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def extended_diagram(series: str, n: int) -> tuple[tuple[int, int, int, int | None], ...]:
+    """The bonds (u, v, multiplicity, short node) of the extended Dynkin
+    diagram on nodes 0..n, u < v, in Bourbaki's numbering with the
+    affine node 0, alpha_0 = -theta for theta the root of greatest
+    height.  Each Cartan integer <beta, gamma^vee> is p - q of the
+    gamma-string beta - p gamma, ..., beta + q gamma, which may pass
+    through the zero vector: only A1 does, where alpha_0 = -alpha_1 and
+    the bond has multiplicity 4.  Nodes u and v bond with multiplicity
+    <alpha_u, alpha_v^vee> <alpha_v, alpha_u^vee>; where the two
+    integers differ, the short node is the one whose coroot pairs to
+    the more negative."""
+    positive, _ = root_system(series, n)
+    string = {(0,) * n, *positive, *(tuple(-c for c in beta) for beta in positive)}
+    nodes = (tuple(-c for c in positive[-1]),) + positive[:n]
+
+    def cartan_integer(beta, gamma) -> int:
+        p = q = 0
+        while tuple(b - (p + 1) * c for b, c in zip(beta, gamma)) in string:
+            p += 1
+        while tuple(b + (q + 1) * c for b, c in zip(beta, gamma)) in string:
+            q += 1
+        return p - q
+
+    bonds = []
+    for u, v in combinations(range(n + 1), 2):
+        a, b = cartan_integer(nodes[u], nodes[v]), cartan_integer(nodes[v], nodes[u])
+        if a:
+            bonds.append((u, v, a * b, None if a == b else v if a < b else u))
+    return tuple(bonds)
 
 
 def degrees_from_heights(roots) -> tuple[int, ...]:

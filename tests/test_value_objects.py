@@ -170,7 +170,7 @@ COMPARED = {
     CartanType: ("series", "rank"),
     Subsystem: ("factors",),
     CartanDatum: ("cartan_type", "weyl_order", "degrees", "bad_primes",
-                  "highest_root_coeffs", "z_value", "extended_diagram"),
+                  "highest_root_coeffs", "z_value"),
     CuspidalLevi: ("ambient", "levi_weyl_type", "relative_weyl_type"),
     CuspidalCounts: ("ambient", "counts"),
     SheafTriple: ("levi", "character", "d", "index"),
@@ -351,8 +351,7 @@ def test_repr_is_exact():
     )
     assert repr(datum(TORUS)) == (
         "CartanDatum(cartan_type=CartanType(series='Torus', rank=0), weyl_order=1, "
-        "degrees=(), bad_primes=frozenset(), highest_root_coeffs=(), z_value=1, "
-        "extended_diagram=())"
+        "degrees=(), bad_primes=frozenset(), highest_root_coeffs=(), z_value=1)"
     )
 
 
