@@ -85,14 +85,12 @@ class ValueObject:
 
     The classes the package builds in bulk, thousands per table
     (SheafTriple, FiberEntry, StrataRow and the partition, bipartition
-    and D-pair labels), set each slot through _setters, the __set__ of
-    every slot in __slots__ order: the shared constructor made
-    enumerating the 26,456 triples of D16, B14 and D20 40-50% slower.
-    All but StrataRow keep their own __init__; tables.assemble_rows
-    sets a StrataRow's three slots itself.  Those that define _fill,
-    which sets every slot from what it is given and returns the
-    instance, are built from values valid by construction as
-    cls._fill(object.__new__(cls), ...), without __init__'s checks.
+    and D-pair labels), set their slots in their own __init__ through
+    _setters, the __set__ of each slot in __slots__ order: the shared
+    constructor made enumerating triples 40-50% slower.  The labels
+    alone also define _fill, which labels.enumerate_irr calls on bare
+    instances to build the labels of generated partitions, valid by
+    construction, without __init__'s checks.
     VerificationReport is mutable and writes its own __init__.
     """
 

@@ -118,19 +118,9 @@ class FiberEntry(ValueObject):
     _fields = ("levi", "character", "d_printed", "mult", "disamb")
 
     def __init__(
-        self,
-        levi: CartanType | None,
-        character: CharacterLabel,
-        d_printed: int,
-        mult: int,
+        self, levi: CartanType | None, character: CharacterLabel, d_printed: int, mult: int,
         disamb: str | None = None,
     ) -> None:
-        if levi is None:
-            self._fill(None, "-", False, character, d_printed, mult, disamb)
-        else:
-            self._fill(levi, levi.name, levi.is_classical, character, d_printed, mult, disamb)
-
-    def _fill(self, levi, levi_name, opaque, character, d_printed, mult, disamb) -> FiberEntry:
         set_levi, set_character, set_d, set_mult, set_disamb, set_key = self._setters
         set_levi(self, levi)
         set_character(self, character)
@@ -139,17 +129,12 @@ class FiberEntry(ValueObject):
         set_disamb(self, disamb)
         # Derived once: the triple key (Levi name, '-' when empty,
         # character text, d), d None (opaque) for classical Levis.
-        set_key(self, (levi_name, character.text, None if opaque else d_printed))
-        return self
+        set_key(self, ("-", character.text, d_printed) if levi is None else (
+            levi.name, character.text, None if levi.is_classical else d_printed))
 
     @property
     def levi_name(self) -> str:
         return self.key[0]
-
-    @property
-    def d_semantic(self) -> int | None:
-        """The d of the triple the entry stands for."""
-        return self.key[2]
 
     def describe(self) -> str:
         if self.levi is None:
@@ -230,6 +215,12 @@ class StrataRow(ValueObject):
 
     __slots__ = _fields = ("stratum", "fiber", "annotation")
 
+    def __init__(self, stratum: CharacterLabel, fiber: tuple, annotation: Annotation) -> None:
+        set_stratum, set_fiber, set_annotation = self._setters
+        set_stratum(self, stratum)
+        set_fiber(self, fiber)
+        set_annotation(self, annotation)
+
 
 def levi_name_of(text: str) -> str:
     """The levi_name a Levi spelling stands for: '-' for '' and '-', else
@@ -242,16 +233,13 @@ def levi_name_of(text: str) -> str:
 
 def _fiber_levis(triples: tuple[SheafTriple, ...]) -> dict[str, tuple]:
     """Each cuspidal Levi of an enumeration by its canonical name: its
-    Weyl type (None for '-', the empty Levi), that name, whether it is
-    classical (so that its d is opaque) and its triples' characters by
-    text, Irr(t) for '-'.  A Levi's triples are adjacent."""
+    Weyl type (None for '-', the empty Levi) and its triples'
+    characters by text, Irr(t) for '-'.  A Levi's triples are adjacent."""
     levis, levi = {}, None
     for tr in triples:
         if tr.levi is not levi:
-            levi, weyl = tr.levi, tr.levi.levi_weyl_type
-            characters = {}
-            levis[levi.levi_name] = (
-                weyl, levi.levi_name, weyl is not None and weyl.is_classical, characters)
+            levi, characters = tr.levi, {}
+            levis[levi.levi_name] = (levi.levi_weyl_type, characters)
         characters[tr.character.text] = tr.character
     return levis
 
@@ -286,10 +274,8 @@ def assemble_rows(t: CartanType, structured, triples) -> tuple[StrataRow, ...]:
     group outside the unit stratum, and an entry of a classical Levi
     that prints a d other than 0, which no triple key reads."""
     levis = _fiber_levis(triples)
-    registry = levis["-"][3]
+    registry = levis["-"][1]
     unit = unit_label(t).text
-    new, fill = object.__new__, FiberEntry._fill
-    set_stratum, set_fiber, set_annotation = StrataRow._setters
     rows: list[StrataRow] = []
     seen: set[str] = set()
     for head, entries, annotation in structured:
@@ -305,12 +291,12 @@ def assemble_rows(t: CartanType, structured, triples) -> tuple[StrataRow, ...]:
                 f"characteristic-5 annotation outside the unit stratum in row {text!r} "
                 f"of {t.name}"
             )
-        fiber = [fill(new(FiberEntry), None, "-", False, head_label, 0, 1, None)]
+        fiber = [FiberEntry(None, head_label, 0, 1)]
         for levi_name, char, d, mult, disamb in entries:
             # Canonical names hit at once; levi_name_of reads other spellings.
+            name = levi_name if levi_name in levis else levi_name_of(levi_name)
             try:
-                levi, name, opaque, characters = levis[
-                    levi_name if levi_name in levis else levi_name_of(levi_name)]
+                levi, characters = levis[name]
             except KeyError:
                 raise TableFormatError(f"{levi_name} is not a cuspidal Levi of {t.name}") from None
             lab = characters.get(char)
@@ -321,17 +307,13 @@ def assemble_rows(t: CartanType, structured, triples) -> tuple[StrataRow, ...]:
                     f"{char!r} is not a character of the relative group of {name} "
                     f"in {t.name}"
                 )
-            if opaque and d:
+            if d and levi is not None and levi.is_classical:
                 raise TableFormatError(
                     f"entry ({name},{char},{d}) in row {text!r} of {t.name} must print "
                     "d=0: its Levi is classical"
                 )
-            fiber.append(fill(new(FiberEntry), levi, name, opaque, lab, d, mult, disamb))
-        row = new(StrataRow)
-        set_stratum(row, head_label)
-        set_fiber(row, tuple(fiber))
-        set_annotation(row, annotation)
-        rows.append(row)
+            fiber.append(FiberEntry(levi, lab, d, mult, disamb))
+        rows.append(StrataRow(head_label, tuple(fiber), annotation))
     return tuple(rows)
 
 
@@ -536,7 +518,7 @@ class TableStore(dict):
         if not (source := built_in_source(t)):
             raise NoTableAvailable(
                 f"no strata table for {t.name}; register one for classical types")
-        triples = enumerate_cs_prime(t)
+        triples = self.triples(t)
         raw = tabledata.TABLES[t.name] if source == "embedded" else (
             (tr.character.text, (), "[1]") for tr in triples)
         placed = self[name] = resolve_placement(t, build_rows(t, raw, triples), triples)

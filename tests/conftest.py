@@ -1,8 +1,32 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from charstrata.cartan import parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.labels import enumerate_irr
+
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "charstrata"
+
+
+def source_nodes():
+    """(module name, dotted name of the enclosing class or def, node) for
+    every node of every module of the package; the scope of a class or
+    def node is its own name, and '' is module level."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from walk(child, inner)
+
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for scope, node in walk(ast.parse(path.read_text()), ""):
+            yield path.stem, scope, node
+
 
 # The constant group whose inventory has as many elements as a fiber of
 # this size, so that every row balances.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 
 def cartan_matrix(series: str, n: int) -> list[list[int]]:
@@ -118,6 +119,30 @@ def degrees_from_heights(roots) -> tuple[int, ...]:
     at_least = [heights.count(k) for k in range(1, max(heights) + 2)]
     return tuple(
         k + 1 for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k]))
+
+
+def relative_weyl_order(series: str, n: int, nodes) -> int:
+    """|N_W(W_J)/W_J| for J the given nodes (0..n-1).  N_W(W_J) is the
+    stabilizer of the root subsystem Phi_J, so the quotient has order
+    |W| / (|W.Phi_J| |W_J|): the orbit is found by a breadth-first
+    search of root-index sets under the simple reflections, without
+    enumerating W, and each group order is the product of the degrees
+    read off root heights."""
+    positive, reflections = root_system(series, n)
+    inside = [k for k, beta in enumerate(positive) if not any(
+        c for i, c in enumerate(beta) if i not in nodes)]
+    start = frozenset(inside + [k + len(positive) for k in inside])
+    orbit, seen = [start], {start}
+    for roots in orbit:  # the list grows behind the walk
+        for s in reflections:
+            image = frozenset(map(s.__getitem__, roots))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    w_j = prod(degrees_from_heights([positive[k] for k in inside])) if inside else 1
+    quotient, rest = divmod(prod(degrees_from_heights(positive)), len(orbit) * w_j)
+    assert not rest, (series, n, nodes)
+    return quotient
 
 
 def weyl_group(reflections) -> set[tuple[int, ...]]:

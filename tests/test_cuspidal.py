@@ -15,6 +15,7 @@ from charstrata.cuspidal import (
     triple_count,
 )
 from charstrata.labels import enumerate_irr, relative_character_labels
+from oracle_reflection import relative_weyl_order, root_system
 
 
 def _levi_names(name):
@@ -55,6 +56,33 @@ def test_relative_weyl_types():
     d5 = {l.levi_name: l.relative_weyl_type.name if l.relative_weyl_type else "1"
           for l in cuspidal_levis(parse_type("D5"))}
     assert d5["D4"] == "A1"
+
+
+# Bourbaki's nodes, from 0, of each proper cuspidal Levi of an
+# exceptional type; every other cuspidal Levi of rank m is the last m
+# nodes.
+_EXCEPTIONAL_NODES = {
+    ("E", "D4"): (1, 2, 3, 4), ("E", "E6"): tuple(range(6)), ("E", "E7"): tuple(range(7)),
+    ("F", "B2"): (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"] + [
+    f"{series}{n}" for series, low in (("B", 2), ("C", 2), ("D", 4)) for n in range(low, 11)])
+def test_relative_weyl_groups_have_the_order_the_root_system_gives(name):
+    """|N_W(W_J)/W_J|, derived from the integer root system, is the Weyl
+    order of the relative type cuspidal_levis states, 1 if trivial."""
+    t = parse_type(name)
+    for levi in cuspidal_levis(t):
+        lt, rel = levi.levi_weyl_type, levi.relative_weyl_type
+        m = 0 if lt is None else lt.rank
+        nodes = _EXCEPTIONAL_NODES.get((t.series, levi.levi_name), range(t.rank - m, t.rank))
+        positive, _ = root_system(t.series, t.rank)
+        on_nodes = [beta for beta in positive if all(beta[i] == 0 for i in range(t.rank)
+                                                     if i not in nodes)]
+        assert len(on_nodes) == (0 if lt is None else len(root_system(lt.series, lt.rank)[0]))
+        order = relative_weyl_order(t.series, t.rank, nodes)
+        assert order == (1 if rel is None else datum(rel).weyl_order), levi.levi_name
 
 
 def _relative_series(name, levi):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -31,7 +32,7 @@ from charstrata.tables import (
 )
 from charstrata.schema import parse_table_document
 from charstrata.verify import register_external_table
-from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
+from conftest import source_nodes, synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 ROW_COUNTS = {"G2": 6, "F4": 20, "E6": 21, "E7": 46, "E8": 74}
 
@@ -212,6 +213,28 @@ def test_an_entry_that_takes_part_of_its_key_is_refused():
     with pytest.raises(PlacementMismatch) as err:
         resolve_placement(e8, build_rows(e8, raw, enumerate_cs_prime(e8)))
     assert str(err.value) == "entry (E8,1,3) in row '84_4' does not match the enumeration for E8"
+
+
+# Where the package may enumerate triples: TableStore.triples, which
+# every command path asks, and the entry points of the benchmark and
+# the tests, which no command path reaches.
+ENUMERATING = {
+    ("tables", "TableStore.triples"), ("tables", "embedded_table"),
+    ("tables", "resolve_placement"), ("schema", "parse_table_document"),
+}
+
+
+def test_commands_enumerate_only_through_the_store():
+    uses, entry_calls = set(), []
+    for module, scope, node in source_nodes():
+        if getattr(node, "id", getattr(node, "attr", None)) == "enumerate_cs_prime":
+            uses.add((module, scope))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "embedded_table", "parse_table_document", "resolve_placement"):
+            entry_calls.append((node.func.id, len(node.args)))
+    assert ("tables", "TableStore.triples") in uses and uses <= ENUMERATING
+    # Every call of an entry point under src/ passes the triples it resolves against.
+    assert entry_calls and set(entry_calls) == {("resolve_placement", 3)}
 
 
 def test_centralizer_profile_examples():

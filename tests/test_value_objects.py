@@ -1,9 +1,10 @@
 """Semantics of the value objects every query hashes and compares.
 Equality, hash, ordering, repr, immutability and pickling are part of
 the API for every value class of the package; the derived identity
-fields (name, levi_name, d_semantic, key) must agree with the stored
+fields (name, levi_name, key) must agree with the stored
 fields they are computed from."""
 
+import ast
 import copy
 import dataclasses
 import functools
@@ -37,7 +38,7 @@ from charstrata.tables import (
     Annotation, FiberEntry, Placement, StrataRow, TableStore, UnknownStratum, placement,
 )
 from charstrata.verify import VerificationReport, register_external_table, run_all
-from conftest import synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
+from conftest import source_nodes, synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
 E8 = CartanType("E", 8)
 D4 = CartanType("D", 4)
@@ -110,14 +111,14 @@ def test_fiber_entry_equality_hash_and_repr():
         "FiberEntry(levi=CartanType(series='E', rank=7), character=NamedLabel(name='1'), "
         "d_printed=0, mult=2, disamb='a')"
     )
-    assert (en.levi_name, en.d_semantic, en.key) == ("E7", 0, ("E7", "1", 0))
+    assert (en.levi_name, en.key[2], en.key) == ("E7", 0, ("E7", "1", 0))
     head = FiberEntry(None, TrivialLabel(), 0, 1)
     assert repr(head) == (
         "FiberEntry(levi=None, character=TrivialLabel(), d_printed=0, mult=1, disamb=None)"
     )
-    assert (head.levi_name, head.d_semantic, head.key) == ("-", 0, ("-", "1", 0))
+    assert (head.levi_name, head.key[2], head.key) == ("-", 0, ("-", "1", 0))
     classical = FiberEntry(CartanType("B", 2), PartitionLabel((2,)), 0, 1)
-    assert (classical.d_semantic, classical.key) == (None, ("B2", "(2)", None))
+    assert (classical.key[2], classical.key) == (None, ("B2", "(2)", None))
     assert classical in _rows("B3")[0].fiber
 
 
@@ -136,7 +137,7 @@ def test_value_objects_other_than_cartan_type_are_unordered(value):
     (E8, ("series", "rank", "name")),
     (D4_LEVI, ("ambient", "levi_weyl_type", "levi_name")),
     (SheafTriple(D4_LEVI, NamedLabel("chi_{1,4}"), None, 0), ("levi", "d", "key")),
-    (FiberEntry(D4, NamedLabel("1"), 0, 1), ("levi", "mult", "levi_name", "d_semantic", "key")),
+    (FiberEntry(D4, NamedLabel("1"), 0, 1), ("levi", "mult", "levi_name", "key")),
 ], ids=VALUE_IDS)
 def test_assigning_any_field_raises_frozen_instance_error(value, attrs):
     for attr in attrs:
@@ -158,8 +159,8 @@ def test_keys_agree_with_the_fields_they_name(name):
         for en in row.fiber:
             assert en.levi_name == ("-" if en.levi is None else en.levi.name)
             classical = en.levi is not None and en.levi.is_classical
-            assert en.d_semantic == (None if classical else en.d_printed)
-            assert en.key == (en.levi_name, en.character.text, en.d_semantic)
+            assert en.key[2] == (None if classical else en.d_printed)
+            assert en.key[:2] == (en.levi_name, en.character.text)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ DERIVED = {
     NamedLabel: ("text",),
     TrivialLabel: ("text",),
     IrrRegistry: ("_by_text",),
-    FiberEntry: ("levi_name", "d_semantic", "key"),
+    FiberEntry: ("levi_name", "key"),
     Annotation: ("r0", "group_of", "collection", "deviation"),
     GroupCollection: ("labels",),
 }
@@ -380,13 +381,13 @@ def test_cartan_type_orders_by_series_then_rank_in_every_comparison():
 # value class uses the shared constructor, directly or through an
 # __init__ that only forwards a default to it.
 OWN_CONSTRUCTOR = {
-    SheafTriple, FiberEntry, PartitionLabel, BipartitionLabel, DPairLabel, VerificationReport,
+    SheafTriple, FiberEntry, StrataRow, PartitionLabel, BipartitionLabel, DPairLabel,
+    VerificationReport,
 }
 FORWARDING = {SupportCase, GroupCollection}
 SHARED_CONSTRUCTOR = [
     Placement, CartanDatum, CStarElement, CuspidalCounts, RootOfUnityLabel, CartanType,
-    Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, Annotation, StrataRow,
-    CentralizerProfile,
+    Subsystem, CuspidalLevi, NamedLabel, IrrRegistry, Annotation, CentralizerProfile,
 ]
 
 
@@ -411,6 +412,28 @@ def test_shared_constructor_fills_every_slot_from_the_fields_and_derive():
             derived = cls._derive(*_fields(v))
             assert type(derived) is tuple and len(derived) == len(slots) - len(fields), cls
             assert derived == tuple(getattr(v, name) for name in slots[len(fields):]), cls
+
+
+def test_only_the_labels_build_instances_around_their_init():
+    # object.__new__ and _fill live in labels.py alone, where skipping
+    # __init__'s checks pays for generated partitions.  A class's
+    # _setters are read only by its own __init__ or _fill, through self,
+    # and set once, by ValueObject.__init_subclass__.
+    readers = set()
+    for module, scope, node in source_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name == "_fill" or isinstance(
+                node, ast.Attribute) and (node.attr == "_fill" or node.attr == "__new__"
+                                          and getattr(node.value, "id", None) == "object"):
+            assert module == "labels", (module, scope)
+        if isinstance(node, ast.Attribute) and node.attr == "_setters":
+            if (module, scope) == ("cartan", "ValueObject.__init_subclass__"):
+                assert isinstance(node.ctx, ast.Store)
+                continue
+            cls, _, method = scope.partition(".")
+            assert method in ("__init__", "_fill") and getattr(node.value, "id", None) == "self", (
+                module, scope)
+            readers.add(cls)
+    assert {"ValueObject", "SheafTriple", "FiberEntry", "StrataRow", "DPairLabel"} <= readers
 
 
 @pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
