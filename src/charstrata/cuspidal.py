@@ -41,10 +41,6 @@ class CuspidalLevi(ValueObject):
     def is_empty(self) -> bool:
         return self.levi_weyl_type is None
 
-    @property
-    def is_full(self) -> bool:
-        return self.relative_weyl_type is None
-
 
 @lru_cache(maxsize=None)
 def cuspidal_levis(t: CartanType) -> tuple[CuspidalLevi, ...]:

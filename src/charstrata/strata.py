@@ -4,8 +4,10 @@ that ties fiber sizes to representation inventories.
 
 The map is realized by index lookup in the resolved strata tables:
 each query subscripts the store by type name and does one lookup in
-the placement's row_of_triple or row_of_head, and the head index
-raises UnknownStratum itself for a text that heads no row.  The
+the placement's stratum_of_triple or row_of_head.  The head index takes
+a stratum as its text or its label and raises UnknownStratum itself
+for one that heads no row; find_triple reads a placement's candidate
+keys and their rows' fibers, and scans only a fresh enumeration.  The
 enumeration side is produced independently by the cuspidal-support
 module, so table placement is a falsifiable statement, checked by the
 resolver in the tables module (Placement, PlacementMismatch and
@@ -17,9 +19,9 @@ from __future__ import annotations
 from math import gcd
 
 from .cartan import CartanType, CharstrataError, ValueObject, datum
-from .cuspidal import SheafTriple
+from .cuspidal import SheafTriple, cuspidal_levis, levi_counts
 from .groups import CStarElement, GroupCollection  # noqa: F401 - re-exported
-from .labels import CharacterLabel, unit_label
+from .labels import CharacterLabel
 from .tables import (  # noqa: F401 - placement, Placement and its resolver are re-exported
     DEFAULT_STORE,
     Placement,
@@ -45,9 +47,8 @@ def tau(
     t: CartanType, triple: SheafTriple, store: TableStore = DEFAULT_STORE
 ) -> CharacterLabel:
     """The stratum of a cuspidal-support triple."""
-    pl = store[t.name]
     try:
-        return pl.rows[pl.row_of_triple[triple.key]].stratum
+        return store[t.name].stratum_of_triple[triple.key]
     except KeyError:
         raise TripleNotFound(f"{triple.describe()} is not a triple of {t.name}") from None
 
@@ -61,23 +62,28 @@ def find_triple(
     store: TableStore = DEFAULT_STORE,
 ) -> SheafTriple:
     """Locate a triple of t by its printable coordinates, the Levi
-    spelled as a table entry's may be (levi_name_of), in one scan of
-    store.triples(t), so that a query on a table enumerates t once."""
-    coordinates = (levi_name_of(levi_name), character_text)
-    matches = [
-        tr
-        for tr in store.triples(t)
-        if tr.key[:2] == coordinates and (d is None or tr.d == d) and tr.index == index
-    ]
+    spelled as a table entry's may be (levi_name_of).  With a stored
+    placement, the candidate keys take the given d, or each d of the
+    Levi with more than index cuspidal objects, and each placed one is
+    found in its row's expanded fiber; else one scan of a fresh
+    enumeration."""
+    name = levi_name_of(levi_name)
+    if t.name not in store:
+        matches = [tr for tr in store.triples(t) if tr.key[:2] == (name, character_text)
+                   and (d is None or tr.d == d) and tr.index == index]
+    else:
+        pl = store[t.name]
+        keys = [(name, character_text, dd) for levi in cuspidal_levis(t) if levi.levi_name == name
+                for dd, n in levi_counts(levi).counts if n > index and (d is None or dd == d)]
+        matches = [tr for key in keys if key in pl.stratum_of_triple
+                   for tr, _ in pl.fiber_expanded[pl.row_of_head[pl.stratum_of_triple[key].text]]
+                   if tr.key == key and tr.index == index]
     if len(matches) == 1:
         return matches[0]
     if not matches:
         raise TripleNotFound(
-            f"no triple ({levi_name},{character_text},d={d},i={index}) in {t.name}"
-        )
-    raise TripleNotFound(
-        f"({levi_name},{character_text}) is ambiguous in {t.name}; give --d"
-    )
+            f"no triple ({levi_name},{character_text},d={d},i={index}) in {t.name}")
+    raise TripleNotFound(f"({levi_name},{character_text}) is ambiguous in {t.name}; give --d")
 
 
 def fiber(
@@ -90,8 +96,7 @@ def fiber(
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
     pl = store[t.name]
-    ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
-    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[ri])
+    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[pl.row_of_head[stratum]])
 
 
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
@@ -117,8 +122,7 @@ def c_star(
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
     pl = store[t.name]
-    ri = pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]
-    return list(pl.rows[ri].annotation.collection.labels)
+    return list(pl.rows[pl.row_of_head[stratum]].annotation.collection.labels)
 
 
 def bijection_witness(
@@ -177,10 +181,3 @@ def regular_fiber_labels(t: CartanType) -> list[RootOfUnityLabel]:
             if gcd(k, m) == 1:
                 out.append(RootOfUnityLabel(m, k))
     return out
-
-
-def unit_stratum_fiber_size(t: CartanType, store: TableStore = DEFAULT_STORE) -> int:
-    """The fiber size of t's unit stratum, the length of its expanded
-    fiber; UnknownStratum when the unit label heads no row."""
-    pl = store[t.name]
-    return len(pl.fiber_expanded[pl.row_of_head[unit_label(t).text]])

@@ -30,15 +30,18 @@ class UnknownStratum(CharstrataError, LookupError):
 
 class HeadIndex(dict):
     """A table's row index: the dict from the text of each row's stratum
-    to the row's index.  A miss raises UnknownStratum naming the type,
-    as a text that heads no row is no stratum of the type."""
+    to the row's index.  A stratum given as its label misses and is
+    looked up by its text; a text that heads no row raises UnknownStratum
+    naming the type, as it is no stratum of the type."""
 
     def __init__(self, type_name: str, row_of_text) -> None:
         super().__init__(row_of_text)
         self.type_name = type_name
 
-    def __missing__(self, text: str) -> int:
-        raise UnknownStratum(f"{text!r} is not a stratum of {self.type_name}")
+    def __missing__(self, stratum: CharacterLabel | str) -> int:
+        if isinstance(stratum, str):
+            raise UnknownStratum(f"{stratum!r} is not a stratum of {self.type_name}")
+        return self[stratum.text]
 
 
 class TableFormatError(CharstrataError, ValueError):
@@ -335,10 +338,10 @@ class Placement(ValueObject):
     entries printed with a duplicated label only (the documented
     row-order/registry-order convention); every other entry stands for
     its own key.
-    row_of_head, a HeadIndex, maps each stratum's text to its row index
-    and raises UnknownStratum for any other text, and
-    row_of_triple each triple key (Levi name, character text, d) to the
-    row whose fiber holds the triples of that key.
+    row_of_head, a HeadIndex, maps each stratum, as its text or its
+    label, to its row index and raises UnknownStratum for any other, and
+    stratum_of_triple each triple key (Levi name, character text, d) to
+    the stratum of the row whose fiber holds the triples of that key.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
     per triple (the same tuple when the two agree, that is when no
@@ -351,12 +354,13 @@ class Placement(ValueObject):
     resolve_placement builds all of them in one walk of the enumeration
     and one of the entries, which places them and records each row's
     pairs and kind, and a query answers with one lookup in row_of_head
-    or row_of_triple; registry_gaps reads how the empty-Levi entries
-    list Irr(t) off relabelled.
+    or stratum_of_triple (find_triple: one in each per candidate key);
+    registry_gaps reads how the empty-Levi entries list Irr(t) off
+    relabelled.
     """
 
     __slots__ = _fields = (
-        "type_name", "triples", "rows", "relabelled", "row_of_head", "row_of_triple",
+        "type_name", "triples", "rows", "relabelled", "row_of_head", "stratum_of_triple",
         "fiber_pairs", "fiber_expanded", "row_kinds",
     )
 
@@ -382,7 +386,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
     # row's expanded fiber differs from its pairs only if some entry has
     # mult > 1, and its size, the sum of the mults, gives the row kind,
     # (Annotation object, fiber size), recorded at its first row.
-    row_of_triple, waiting = {}, {}
+    stratum_of_triple, waiting = {}, {}
     fiber_pairs, spanning, kinds = [], [], {}
     for ri, row in enumerate(rows):
         pairs, size = [], 0
@@ -390,7 +394,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
             key, mult = en.key, en.mult
             if remaining.get(key) == mult:
                 remaining[key] = 0
-                row_of_triple[key] = ri
+                stratum_of_triple[key] = row.stratum
                 pairs.append((enum[last_of[key] + 1 - mult], mult))
             else:
                 waiting.setdefault((key[0], key[2]), []).append((ri, pi, en))
@@ -441,7 +445,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
                 remaining[key] = 0
                 leftovers.remove(match)
                 relabelled[ri, pi] = key
-                row_of_triple[key] = ri
+                stratum_of_triple[key] = rows[ri].stratum
                 fiber_pairs[ri][pi] = (enum[last_of[key] + 1 - en.mult], en.mult)
             for txt in texts:
                 left = remaining[levi_name, txt, d]
@@ -460,7 +464,7 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
         fiber_expanded[ri] = tuple(expanded)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
     return Placement(
-        t.name, enum, rows, relabelled, row_of_head, row_of_triple,
+        t.name, enum, rows, relabelled, row_of_head, stratum_of_triple,
         fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()),
     )
 
@@ -529,7 +533,8 @@ class TableStore(dict):
 
     def triples(self, t: CartanType) -> tuple[SheafTriple, ...]:
         """t's triples: those its stored placement holds, else a fresh
-        enumeration, resolving no table."""
+        enumeration, resolving no table.  find_triple scans only a fresh
+        one: a stored placement indexes its own by key."""
         return self[t.name].triples if t.name in self else enumerate_cs_prime(t)
 
     def install(self, placed: Placement) -> None:
@@ -566,4 +571,4 @@ def find_row(
 ) -> StrataRow:
     """The row of a stratum given as its text or as its label."""
     pl = store[t.name]
-    return pl.rows[pl.row_of_head[stratum if isinstance(stratum, str) else stratum.text]]
+    return pl.rows[pl.row_of_head[stratum]]

@@ -28,6 +28,13 @@ def source_nodes():
             yield path.stem, scope, node
 
 
+class Unwalkable(tuple):
+    """A tuple that refuses to be walked; indexing still works."""
+
+    def __iter__(self):
+        raise AssertionError("walked a tuple that only indexing may read")
+
+
 # The constant group whose inventory has as many elements as a fiber of
 # this size, so that every row balances.
 _GROUP_FOR_FIBER = {1: "1", 2: "C2", 3: "C3"}

@@ -31,14 +31,9 @@ from charstrata.cuspidal import (
 )
 from charstrata.cartan import is_pseudo_levi
 from charstrata.groups import GROUP_TAGS, conjugacy_class_count, inventory
-from charstrata.labels import enumerate_irr, partitions
+from charstrata.labels import enumerate_irr, partitions, unit_label
 from charstrata.schema import canonical_json, table_document
-from charstrata.strata import (
-    bijection_witness,
-    placement,
-    regular_fiber_labels,
-    unit_stratum_fiber_size,
-)
+from charstrata.strata import bijection_witness, fiber, placement, regular_fiber_labels
 from charstrata.tables import DEFAULT_STORE, TableFormatError, TableStore
 from charstrata.verify import register_external_table
 
@@ -111,16 +106,21 @@ def test_criterion_2_row_balance(name):
 
 # -- criterion 3: regular-stratum phi law ------------------------------------
 
+def _unit_fiber_size(t: CartanType) -> int:
+    """The length of the unit row's expanded fiber."""
+    return len(fiber(t, unit_label(t), expand=True))
+
+
 def test_criterion_3_phi_law():
     results = []
     for name in TABLE_TYPES:
         t = parse_type(name)
-        got = unit_stratum_fiber_size(t)
+        got = _unit_fiber_size(t)
         expected = len(regular_fiber_labels(t))
         results.append((name, got, expected, PINNED_UNIT_FIBERS[name]))
     for n in (1, 2, 5, 9):
         t = CartanType("A", n)
-        results.append((t.name, unit_stratum_fiber_size(t),
+        results.append((t.name, _unit_fiber_size(t),
                         len(regular_fiber_labels(t)), 1))
     ok = all(g == e == p for _, g, e, p in results)
     report(f"criterion 3 (phi law): {'PASS' if ok else 'FAIL'} {results}")

@@ -206,12 +206,12 @@ def test_irr_count_builds_no_registry(monkeypatch):
 def test_full_levi_forces_trivial_character():
     for name in ["G2", "F4", "E6", "E7", "E8", "B6", "C2", "C6", "D4"]:
         for tr in enumerate_cs_prime(parse_type(name)):
-            if tr.levi.is_full:
+            if tr.levi.relative_weyl_type is None:
                 assert tr.character.text == "1"
     # C_n records its full cuspidal Levi by the Weyl type B_n.
     full = cuspidal_levis(parse_type("C6"))[-1]
-    assert full.levi_name == "B6" and full.is_full
-    assert not cuspidal_levis(parse_type("C6"))[-2].is_full
+    assert full.levi_name == "B6" and full.relative_weyl_type is None
+    assert cuspidal_levis(parse_type("C6"))[-2].relative_weyl_type is not None
 
 
 def test_indices_stay_below_counts():

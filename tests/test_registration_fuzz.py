@@ -207,8 +207,8 @@ def test_fiber_entry_edits_reach_the_resolver_and_run_all(data):
         return
     t = parse_type(doc["type"])
     pl = placement(t, store)
-    for ri, row in enumerate(pl.rows):
-        assert pl.row_of_triple[row.fiber[0].key] == ri, row.stratum.text
+    for row in pl.rows:
+        assert pl.stratum_of_triple[row.fiber[0].key] is row.stratum, row.stratum.text
     placed = [tr for expanded in pl.fiber_expanded for tr, _ in expanded]
     enum = enumerate_cs_prime(t)
     assert len(placed) == len(set(placed)) == len(enum) and set(placed) == set(enum)

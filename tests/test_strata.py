@@ -11,7 +11,7 @@ from charstrata import cuspidal, groups, labels, tables, verify
 from charstrata.cartan import SERIES, TORUS, CartanError, CartanType, CharstrataError, parse_type
 from charstrata.cuspidal import enumerate_cs_prime
 from charstrata.groups import inventory
-from charstrata.labels import enumerate_irr
+from charstrata.labels import enumerate_irr, unit_label
 from charstrata.schema import table_document
 from charstrata.strata import (
     CStarElement,
@@ -27,11 +27,12 @@ from charstrata.strata import (
     regular_fiber_labels,
     strata,
     tau,
-    unit_stratum_fiber_size,
 )
 from charstrata.tables import (
     DEFAULT_STORE,
+    PRIME_SLOTS,
     NoTableAvailable,
+    Placement,
     TableFormatError,
     TableStore,
     UnknownStratum,
@@ -41,6 +42,7 @@ from charstrata.tables import (
 )
 from charstrata.verify import register_external_table
 from conftest import (
+    Unwalkable,
     synthetic_b3_table,
     synthetic_c4_table,
     synthetic_d6_table,
@@ -220,10 +222,10 @@ def test_regular_fiber_labels():
 
 
 def test_unit_stratum_sizes():
-    expected = {"G2": 4, "F4": 6, "E6": 4, "E7": 6, "E8": 12}
+    expected = {"G2": 4, "F4": 6, "E6": 4, "E7": 6, "E8": 12, "A6": 1}
     for name, size in expected.items():
-        assert unit_stratum_fiber_size(parse_type(name)) == size
-    assert unit_stratum_fiber_size(parse_type("A6")) == 1
+        t = parse_type(name)
+        assert len(fiber(t, unit_label(t), expand=True)) == size
 
 
 def test_strata_listing():
@@ -447,6 +449,9 @@ def test_an_unknown_stratum_has_one_message(query, given):
 
 
 def test_warm_queries_call_no_python_function(synthetic_b3_doc):
+    """A warm tau, or a warm stratum query given text, calls no Python
+    function but itself.  Given a label, the head index misses on the
+    label's hash and finds its text in __missing__, and nothing else."""
     store = TableStore()
     register_external_table(synthetic_b3_doc, store)
     asked = []
@@ -454,23 +459,29 @@ def test_warm_queries_call_no_python_function(synthetic_b3_doc):
         t = parse_type(name)
         pl = placement(t, store)
         asked.append((t, enumerate_cs_prime(t)[-1], pl.rows[-1].stratum))
-    calls = []
 
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
+    def calls_of(function, *args):
+        calls = []
 
-    sys.setprofile(profile)
-    try:
-        for t, triple, label in asked:
-            tau(t, triple, store)
-            for stratum in (label.text, label):
-                fiber(t, stratum, store)
-                fiber(t, stratum, store, expand=True)
-                c_star(t, stratum, store)
-    finally:
-        sys.setprofile(None)
-    assert calls == ["tau", "fiber", "fiber", "c_star", "fiber", "fiber", "c_star"] * 3
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            function(*args)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    for t, triple, label in asked:
+        assert calls_of(tau, t, triple, store) == ["tau"]
+        by_label = calls_of(hash, label) + ["__missing__"]
+        assert by_label[0] == "__hash__"
+        for query, *rest in ((fiber, False), (fiber, True), (c_star,), (find_row,)):
+            name = query.__name__
+            assert calls_of(query, t, label.text, store, *rest) == [name]
+            assert calls_of(query, t, label, store, *rest) == [name, *by_label]
 
 
 def test_fresh_stores_answer_equally_from_distinct_placements():
@@ -660,7 +671,7 @@ def test_identity_types_answer_as_the_identity(name):
             assert c_star(t, query, store) == trivial
         assert component_group(t, lab, 3, store) == "1"
     assert [len(expanded) for expanded in placement(t, store).fiber_expanded] == [1] * len(labels)
-    assert unit_stratum_fiber_size(t, store) == 1
+    assert len(fiber(t, unit_label(t), store, expand=True)) == 1
     assert bijection_witness(t, store) == [(lab.text, 1, 1) for lab in labels]
     assert list(store) == [t.name]
 
@@ -688,6 +699,10 @@ def test_stratum_answers_agree_with_the_per_call_oracle(name):
     pl = placement(t, store)
     for ri, row in enumerate(pl.rows):
         want_labels = oracle_strata.labels(row)
+        assert find_row(t, row.stratum, store) is find_row(t, row.stratum.text, store) is row
+        for r in PRIME_SLOTS:
+            assert component_group(t, row.stratum, r, store) == component_group(
+                t, row.stratum.text, r, store) == row.annotation.group_at(r)
         for query in (row.stratum, row.stratum.text):
             coll = c_collection(t, query, store)
             assert (coll.kind, coll.tags, coll.quotient) == oracle_strata.collection(row)
@@ -754,9 +769,13 @@ def test_built_tables_answer_without_recomputing(monkeypatch):
             assert fiber(t, row.stratum, store)[0][0].character == row.stratum
             assert len(fiber(t, row.stratum, store, expand=True)) == size
         assert len(bijection_witness(t, store)) == len(pl.rows)
-        last = pl.triples[-1]
-        coordinates = (last.levi.levi_name, last.character.text, last.d, last.index)
-        assert find_triple(t, *coordinates, store) is last
+        # find_triple reads the placement's index, not its enumeration.
+        store[name] = Placement(*(
+            Unwalkable(pl.triples) if f == "triples" else getattr(pl, f)
+            for f in Placement._fields))
+        for tr in pl.triples[:]:
+            coordinates = (tr.levi.levi_name, tr.character.text, tr.d, tr.index)
+            assert find_triple(t, *coordinates, store) is tr
 
 
 def test_rows_share_one_collection_per_kind_tags_and_quotient():
@@ -769,26 +788,51 @@ def test_rows_share_one_collection_per_kind_tags_and_quotient():
 
 
 def test_find_triple_agrees_with_a_scan_of_the_enumeration():
-    for name in ("G2", "E8", "B5", "D6", "A3"):
-        t = parse_type(name)
+    """find_triple against a reference scan of the enumeration: every
+    triple's coordinates with d given and omitted, and coordinates that
+    name no triple (another d, the next or a negative index, a character
+    of no Levi).  Asked while the store holds no placement of the type,
+    which scans a fresh enumeration, and again once it holds one."""
+
+    def scan(triples, levi_name, text, d, index):
+        return [
+            tr for tr in triples
+            if tr.levi.levi_name == levi_name and tr.character.text == text
+            and (d is None or tr.d == d) and tr.index == index
+        ]
+
+    outcomes = set()
+    for name in [*TABLE_TYPES, *FIXTURES, "A3", "B5"]:
+        t, fresh, answering = parse_type(name), TableStore(), _answering_store(name)
+        if name != "B5":  # B5 has no table
+            placement(t, answering)
         triples = enumerate_cs_prime(t)
-        for tr in triples:
-            for d in (None, tr.d):
-                matches = [
-                    other for other in triples
-                    if other.levi.levi_name == tr.levi.levi_name
-                    and other.character.text == tr.character.text
-                    and (d is None or other.d == d) and other.index == tr.index
-                ]
-                args = (t, tr.levi.levi_name, tr.character.text, d, tr.index)
+        asked = dict.fromkeys(
+            (tr.levi.levi_name, tr.character.text, d, i)
+            for tr in triples
+            for d, i in ((None, tr.index), (tr.d, tr.index), (None, tr.index + 1),
+                         (99, tr.index), (tr.d, -1))
+        )
+        asked[("-", "nope", None, 0)] = asked[("-", "nope", 3, 1)] = None
+        for store, held in ((fresh, False), (answering, name != "B5")):
+            assert (t.name in store) is held
+            for coordinates in asked:
+                levi_name, text, d, index = coordinates
+                matches = scan(triples, *coordinates)
                 if len(matches) == 1:
-                    assert find_triple(*args) == matches[0]
+                    assert find_triple(t, *coordinates, store=store) == matches[0]
+                    outcomes.add("found")
+                    continue
+                with pytest.raises(TripleNotFound) as err:
+                    find_triple(t, *coordinates, store=store)
+                if matches:
+                    want = f"({levi_name},{text}) is ambiguous in {t.name}; give --d"
+                    outcomes.add("ambiguous")
                 else:
-                    with pytest.raises(TripleNotFound, match=r"is ambiguous in .*; give --d$"):
-                        find_triple(*args)
-    with pytest.raises(TripleNotFound) as err:
-        find_triple(parse_type("G2"), "-", "nope", 3, 1)
-    assert str(err.value) == "no triple (-,nope,d=3,i=1) in G2"
+                    want = f"no triple ({levi_name},{text},d={d},i={index}) in {t.name}"
+                    outcomes.add("no triple")
+                assert str(err.value) == want
+    assert outcomes == {"found", "ambiguous", "no triple"}
 
 
 def test_find_triple_reads_the_levi_spellings_of_table_entries():

@@ -179,7 +179,7 @@ _REGISTERED = {
 def test_placement_records_fiber_sizes_and_registry_gaps(name):
     """Each row's expanded fiber holds as many triples as the row's
     printed multiplicities sum to, and each triple key lies in exactly
-    one row, the one that row_of_triple and tau give for its triples."""
+    one row, whose stratum stratum_of_triple and tau give for its triples."""
     t, store = parse_type(name), TableStore()
     if name in _REGISTERED:
         register_external_table(_REGISTERED[name](), store)
@@ -191,7 +191,9 @@ def test_placement_records_fiber_sizes_and_registry_gaps(name):
             assert mult == 1 and tau(t, tr, store) == row.stratum
             rows_of_key.setdefault(tr.key, set()).add(ri)
             placed.append(tr)
-    assert rows_of_key == {key: {ri} for key, ri in pl.row_of_triple.items()}
+    assert rows_of_key.keys() == pl.stratum_of_triple.keys()
+    for key, (ri,) in rows_of_key.items():
+        assert pl.stratum_of_triple[key] is pl.rows[ri].stratum
     enum = enumerate_cs_prime(t)
     assert len(placed) == len(set(placed)) == len(enum) and set(placed) == set(enum)
     assert registry_gaps(pl) == ([], [])

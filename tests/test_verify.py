@@ -9,7 +9,7 @@ from charstrata.tables import (
     registry_gaps, resolve_placement,
 )
 from charstrata.verify import CHECK_IDS, register_external_table, run_all
-from conftest import synthetic_spread_table
+from conftest import Unwalkable, synthetic_spread_table
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A3", "Torus"])
@@ -291,13 +291,6 @@ def test_row_balance_names_the_first_row_of_the_faulty_kind(synthetic_b3_doc):
     assert ("row-balance", *failing) in run_all(b3, broken).checks
 
 
-class _Unwalkable(tuple):
-    """A tuple that refuses to be walked; indexing still works."""
-
-    def __iter__(self):
-        raise AssertionError("the check walked every row")
-
-
 def test_boxed_and_row_balance_read_the_row_kinds_not_the_rows():
     """On a resolved B12 table of 1165 rows, none of the three checks
     walks the rows or the expanded fibers: boxed-recomputation and
@@ -308,7 +301,7 @@ def test_boxed_and_row_balance_read_the_row_kinds_not_the_rows():
     pl = resolve_placement(*parse_table_document(synthetic_spread_table("B12")))
     assert len(pl.rows) == 1165 and len(pl.row_kinds) == 3
     unwalkable = _replaced(
-        pl, rows=_Unwalkable(pl.rows), fiber_expanded=_Unwalkable(pl.fiber_expanded))
+        pl, rows=Unwalkable(pl.rows), fiber_expanded=Unwalkable(pl.fiber_expanded))
     assert verify._check_boxed(b12, unwalkable) == (
         "pass", "3 annotations match their deviation sets")
     assert verify._check_row_balance(b12, unwalkable) == (
