@@ -280,10 +280,6 @@ class Subsystem(ValueObject):
         return self._hash
 
     @staticmethod
-    def of(*factors: CartanType) -> "Subsystem":
-        return Subsystem(tuple(sorted(factors)))
-
-    @staticmethod
     @lru_cache(maxsize=64)
     def parse(text: str) -> "Subsystem":
         """Parse 'A4xA4', 'E7xA1', 'C3xA1', '-' (empty).

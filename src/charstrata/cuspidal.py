@@ -157,6 +157,7 @@ def irr_count(t: CartanType | None) -> int:
     return _bipartitions(p, n)
 
 
+@lru_cache(maxsize=8)
 def triple_count(t: CartanType) -> int:
     """The number of cuspidal-support triples of t, counted without
     enumerating them.  For the classical series these count the Lusztig
@@ -166,7 +167,8 @@ def triple_count(t: CartanType) -> int:
     the sum of bip(n - 4k^2) over k >= 1 for D_n.  An exceptional type
     sums, over its cuspidal Levis, the character count of the relative
     group (registry data for exceptional groups) times the Levi's
-    cuspidal count."""
+    cuspidal count.  Kept for the last few types asked: the store's
+    budget and verify's cuspidal-enumeration both read it."""
     if t.is_exceptional:
         return sum(
             irr_count(levi.relative_weyl_type) * levi_counts(levi).total

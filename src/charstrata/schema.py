@@ -13,7 +13,7 @@ import json
 
 from .cartan import CartanType, parse_type, CartanError, ascii_decimal, datum, pseudo_levi_types
 from .cuspidal import CentralizerProfile, SheafTriple, cuspidal_counts, cuspidal_levis
-from .cuspidal import enumerate_cs_prime, levi_counts, support_case
+from .cuspidal import levi_counts, support_case
 from .groups import GroupError, normalize_tag
 from .strata import c_collection, fiber, find_triple, regular_fiber_labels, strata, tau
 from .tables import (
@@ -72,9 +72,9 @@ _BOXED_FLAGS = {"single": "single", "2": 2, "3": 3, "5": 5}
 
 def parse_table_document(doc: dict) -> tuple[CartanType, tuple[StrataRow, ...]]:
     """Validate a strata-table/1 document and build typed rows, labelled
-    from a fresh enumeration of its type (TableFormatError)."""
+    from DEFAULT_STORE.triples of its type (TableFormatError)."""
     t, structured = read_table_document(doc)
-    return t, assemble_rows(t, structured, enumerate_cs_prime(t))
+    return t, assemble_rows(t, structured, DEFAULT_STORE.triples(t))
 
 
 def read_table_document(doc: dict) -> tuple[CartanType, list]:
@@ -306,7 +306,6 @@ def fiber_document(t: CartanType, stratum: str, store: TableStore = DEFAULT_STOR
 
 def tau_document(t: CartanType, levi: str, character: str, d: int | None, index: int,
                  store: TableStore = DEFAULT_STORE) -> dict:
-    store[t.name]  # a type without a table is refused before its triple is sought
     triple = find_triple(t, levi, character, d, index, store)
     return {"type": t.name, "triple": triple.describe(), "stratum": tau(t, triple, store).text}
 

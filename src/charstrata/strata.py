@@ -6,9 +6,9 @@ The map is realized by index lookup in the resolved strata tables:
 each query subscripts the store by type name and does one lookup in
 the placement's stratum_of_triple or row_of_head.  The head index takes
 a stratum as its text or its label and raises UnknownStratum itself
-for one that heads no row; find_triple reads a placement's candidate
-keys and their rows' fibers, and scans only a fresh enumeration.  The
-enumeration side is produced independently by the cuspidal-support
+for one that heads no row; find_triple, like every query, reads only
+store[t.name]: a placement's candidate keys and their rows' fibers.
+The enumeration side is produced independently by the cuspidal-support
 module, so table placement is a falsifiable statement, checked by the
 resolver in the tables module (Placement, PlacementMismatch and
 resolve_placement are re-exported here).
@@ -62,22 +62,17 @@ def find_triple(
     store: TableStore = DEFAULT_STORE,
 ) -> SheafTriple:
     """Locate a triple of t by its printable coordinates, the Levi
-    spelled as a table entry's may be (levi_name_of).  With a stored
-    placement, the candidate keys take the given d, or each d of the
-    Levi with more than index cuspidal objects, and each placed one is
-    found in its row's expanded fiber; else one scan of a fresh
-    enumeration."""
-    name = levi_name_of(levi_name)
-    if t.name not in store:
-        matches = [tr for tr in store.triples(t) if tr.key[:2] == (name, character_text)
-                   and (d is None or tr.d == d) and tr.index == index]
-    else:
-        pl = store[t.name]
-        keys = [(name, character_text, dd) for levi in cuspidal_levis(t) if levi.levi_name == name
-                for dd, n in levi_counts(levi).counts if n > index and (d is None or dd == d)]
-        matches = [tr for key in keys if key in pl.stratum_of_triple
-                   for tr, _ in pl.fiber_expanded[pl.row_of_head[pl.stratum_of_triple[key].text]]
-                   if tr.key == key and tr.index == index]
+    spelled as a table entry's may be (levi_name_of), in store[t.name],
+    the table every query reads (NoTableAvailable for a type without
+    one).  The candidate keys take the given d, or each d of the Levi
+    with more than index cuspidal objects, and each placed one is found
+    in its row's expanded fiber."""
+    name, pl = levi_name_of(levi_name), store[t.name]
+    keys = [(name, character_text, dd) for levi in cuspidal_levis(t) if levi.levi_name == name
+            for dd, n in levi_counts(levi).counts if n > index and (d is None or dd == d)]
+    matches = [tr for key in keys if key in pl.stratum_of_triple
+               for tr, _ in pl.fiber_expanded[pl.row_of_head[pl.stratum_of_triple[key].text]]
+               if tr.key == key and tr.index == index]
     if len(matches) == 1:
         return matches[0]
     if not matches:

@@ -4,9 +4,11 @@ component-group annotations, the built-in identity table of series A
 and the torus, and the table store that holds, by type name, every
 placement a session answers from.  Every table, embedded, identity or
 registered, is read through its resolved placement; a store resolves a
-built-in one on its first query there.  A placement holds the
-enumeration it was resolved against, whose labels its rows share, so
-del store[name] and store.clear() release them too.
+built-in one on its first query there.  TableStore.triples alone
+enumerates, within TRIPLE_BUDGET; code given no store asks
+DEFAULT_STORE.  A placement holds the enumeration it was resolved
+against, whose labels its rows share, so del store[name] and
+store.clear() release them too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 from . import tabledata
 from .cartan import CartanError, CartanType, CharstrataError, ValueObject, parse_type
-from .cuspidal import SheafTriple, cuspidal_levis, enumerate_cs_prime
+from .cuspidal import SheafTriple, cuspidal_levis, enumerate_cs_prime, triple_count
 from .groups import GroupError, group_collection, normalize_tag
 from .labels import CharacterLabel, unit_label
 
@@ -26,6 +28,18 @@ class NoTableAvailable(CharstrataError, LookupError):
 
 class UnknownStratum(CharstrataError, LookupError):
     pass
+
+
+# The most triples TableStore.triples enumerates for one type.  It admits
+# B26 (298,894 triples: verify B26 takes about 1.4 s and 110 MB with
+# Python 3.11.7 on 2 CPUs) and A51 (281,589), and refuses A52 (329,931),
+# B27 (409,420) and all larger types, such as A70 (4,697,205), which
+# no command had finished in 30 s.
+TRIPLE_BUDGET = 300_000
+
+
+class TripleBudgetExceeded(CharstrataError, ValueError):
+    """A type with more triples than TRIPLE_BUDGET, refused by name and count."""
 
 
 class HeadIndex(dict):
@@ -367,12 +381,12 @@ class Placement(ValueObject):
 
 def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) -> Placement:
     """Match each fiber entry to all the triples of its key in triples,
-    t's enumeration (a fresh one if None), as many as its multiplicity,
+    t's enumeration (DEFAULT_STORE's if None), as many as its multiplicity,
     or raise PlacementMismatch naming the first offending entry.  The
     walk that matches the entries records each row's pairs and kind."""
-    enum = enumerate_cs_prime(t) if triples is None else triples
+    enum = DEFAULT_STORE.triples(t) if triples is None else triples
     # The triples of one key (Levi name, character text, d) are adjacent
-    # in the enumeration, index 0 first (enumerate_cs_prime's order), so
+    # in the enumeration, index 0 first (the enumeration's own order), so
     # the position of the last one gives their number and locates them.
     last_of, remaining = {}, {}
     for i, tr in enumerate(enum):
@@ -481,8 +495,9 @@ def registry_gaps(pl: Placement) -> tuple[list[str], list[str]]:
 
 
 def embedded_table(t: CartanType) -> tuple[StrataRow, ...]:
-    """The rows of t's embedded table, built anew on each call; t must have one."""
-    return build_rows(t, tabledata.TABLES[t.name], enumerate_cs_prime(t))
+    """The rows of t's embedded table, built anew on each call from
+    DEFAULT_STORE's triples; t must have one."""
+    return build_rows(t, tabledata.TABLES[t.name], DEFAULT_STORE.triples(t))
 
 
 def is_identity(t: CartanType) -> bool:
@@ -533,9 +548,16 @@ class TableStore(dict):
 
     def triples(self, t: CartanType) -> tuple[SheafTriple, ...]:
         """t's triples: those its stored placement holds, else a fresh
-        enumeration, resolving no table.  find_triple scans only a fresh
-        one: a stored placement indexes its own by key."""
-        return self[t.name].triples if t.name in self else enumerate_cs_prime(t)
+        enumeration, resolving no table.  The package enumerates here
+        alone, so the budget checked here holds for every command: a
+        type whose closed-form count exceeds TRIPLE_BUDGET is refused
+        (TripleBudgetExceeded) before any of its triples is built."""
+        if t.name in self:
+            return self[t.name].triples
+        if (count := triple_count(t)) > TRIPLE_BUDGET:
+            raise TripleBudgetExceeded(f"{t.name} has {count} cuspidal-support triples, "
+                                       f"over the budget of {TRIPLE_BUDGET}")
+        return enumerate_cs_prime(t)
 
     def install(self, placed: Placement) -> None:
         """Store placed, which resolve_placement returned: verify's checks

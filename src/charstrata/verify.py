@@ -11,12 +11,16 @@ covers; a table that does not place fails triple-placement through the
 PlacementMismatch, and the checks after it report 'skipped'.  The
 triple count itself is checked once, by cuspidal-enumeration against
 cuspidal.triple_count, on the enumeration the placement holds (a fresh
-one without a placement).  empty-completeness reads the registry gaps
-off the entries resolve_placement relabelled, and boxed-recomputation
-and row-balance the row kinds its walk of the table recorded, each
-distinct (Annotation, fiber size) pair with its first row, so they
-check a few kinds instead of every row.  The table checks report
-'skipped' (never 'pass') for types without an available table.
+one without a placement).  A type with more triples than
+tables.TRIPLE_BUDGET is enumerated by no check: cuspidal-enumeration
+reports 'skipped' with its count, the table checks 'skipped', and
+centralizer-profiles and group-inventories still run.
+empty-completeness reads the registry gaps off the entries
+resolve_placement relabelled, and boxed-recomputation and row-balance
+the row kinds its walk of the table recorded, each distinct
+(Annotation, fiber size) pair with its first row, so they check a
+few kinds instead of every row.  The table checks report 'skipped'
+(never 'pass') for types without an available table.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .tables import (
     PlacementMismatch,
     TableFormatError,
     TableStore,
+    TripleBudgetExceeded,
     UnknownStratum,
     assemble_rows,
     built_in_source,
@@ -253,7 +258,12 @@ def run_all(t: CartanType, store: TableStore = DEFAULT_STORE) -> VerificationRep
     except PlacementMismatch as exc:
         pl, skip = None, "the table does not place"
         failed = (("triple-placement", "fail", str(exc)),)
-    report.add("cuspidal-enumeration", *_check_enumeration(t, store.triples(t)))
+    except TripleBudgetExceeded:
+        pl, skip, failed = None, "over the triple budget", ()
+    try:
+        report.add("cuspidal-enumeration", *_check_enumeration(t, store.triples(t)))
+    except TripleBudgetExceeded as exc:
+        report.add("cuspidal-enumeration", "skipped", str(exc))
     for check in failed:
         report.add(*check)
     for cid, check in _TABLE_CHECKS[len(failed):]:

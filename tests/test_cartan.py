@@ -57,8 +57,8 @@ def subset_closure(t: CartanType) -> frozenset[Subsystem]:
     """Oracle: the closure of {t} under replacing one simple factor by
     the extended diagram of that factor minus any nonempty node subset.
     """
-    seen = {Subsystem.of(t)}
-    work = [Subsystem.of(t)]
+    seen = {Subsystem((t,))}
+    work = [Subsystem((t,))]
     while work:
         sub = work.pop()
         for f in set(sub.factors):
@@ -191,7 +191,7 @@ def test_closure_is_closed_and_contains_levis(name):
                 nxt = Subsystem(tuple(sorted(rest + list(child.factors))))
                 assert nxt in closure
     assert levi_subsystems(t) <= closure
-    assert Subsystem.of(t) in closure
+    assert Subsystem((t,)) in closure
     assert Subsystem(()) in closure
 
 

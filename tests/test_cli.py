@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from charstrata import cli
+from charstrata import cli, tables
 from charstrata.cartan import CharstrataError, parse_type
 from charstrata.cli import VERIFY_ALL_TYPES, main
 from charstrata.cuspidal import enumerate_cs_prime
@@ -145,6 +145,70 @@ def test_tau_refuses_a_type_without_a_table_before_seeking_its_triple(capsys):
         2, "", "error: no strata table for B3; register one for classical types\n")
     assert run(capsys, "tau", "E8", "--levi", "Z9", "--char", "eps") == (
         2, "", "error: no triple (Z9,eps,d=None,i=0) in E8\n")
+
+
+def _refuse_to_enumerate(t):
+    raise AssertionError(f"enumerated the triples of {t.name}")
+
+
+# Types past the triple budget, by their closed-form triple counts.
+OVER_BUDGET = {"A70": 4697205, "D30": 474580, "B30": 1022090}
+
+
+def _over_budget(name: str) -> str:
+    return (f"error: {name} has {OVER_BUDGET[name]} cuspidal-support triples, "
+            "over the budget of 300000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "A70", "--levi", "-", "--char", "(71)"),
+    ("strata", "A70"),
+    ("fiber", "A70", "--stratum", "(71)"),
+    ("cstar", "A70", "--stratum", "(71)"),
+    ("triples", "D30"),
+    ("export", "D30", "--what", "triples"),
+    ("export", "A70", "--what", "table"),
+])
+def test_a_type_past_the_triple_budget_exits_2_naming_type_and_count(capsys, monkeypatch, argv):
+    """Refused from the closed-form count, before any triple is built."""
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    assert run(capsys, *argv) == (2, "", _over_budget(argv[1]))
+
+
+@pytest.mark.parametrize("name", ["A70", "B30"])
+def test_registering_a_type_past_the_triple_budget_exits_2(tmp_path, capsys, monkeypatch, name):
+    """A built-in type (A70) and one without a table (B30) alike."""
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    row = {"stratum": "x", "fiber": [{"levi": "-", "character": "x", "d": 0, "mult": 1}],
+           "groups": {"0": "1", "2": "1", "3": "1"}, "boxed": ["single"], "membership": "full"}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"schema": "strata-table/1", "type": name, "rows": [row]}))
+    assert run(capsys, "register", "--in", str(path)) == (2, "", _over_budget(name))
+
+
+def test_verify_past_the_triple_budget_skips_what_would_enumerate(capsys, monkeypatch):
+    """cuspidal-enumeration says skipped with the count, never pass; the
+    table checks are skipped, and the checks that enumerate nothing run."""
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    for name, table_skip, profiles in (
+        ("A70", "over the triple budget", "skipped  [no cuspidal centralizer data for this type]"),
+        ("B30", "no strata table available", "pass  [2 profiles derived]"),
+    ):
+        code, out, err = run(capsys, "verify", name)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:-1] == [
+            f"== {name}",
+            "  cuspidal-enumeration: skipped  [" + _over_budget(name)[len("error: "):-1] + "]",
+            *(f"  {cid}: skipped  [{table_skip}]" for cid in CHECK_IDS[1:7]),
+            f"  centralizer-profiles: {profiles}",
+        ]
+        assert out.splitlines()[-1].startswith("  group-inventories: pass")
+
+
+def test_info_answers_past_the_triple_budget(capsys, monkeypatch):
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    code, out, err = run(capsys, "info", "A70")
+    assert (code, err) == (0, "") and out.startswith("type: A70\n")
 
 
 def test_pseudo_levi(capsys):
@@ -319,6 +383,7 @@ def test_unrecorded_surjection_exits_2_naming_row_and_surjection(
     ("tables.PlacementMismatch", ValueError),
     ("tables.NoTableAvailable", LookupError),
     ("tables.UnknownStratum", LookupError),
+    ("tables.TripleBudgetExceeded", ValueError),
     ("strata.TripleNotFound", LookupError),
 ])
 def test_every_refusal_derives_from_the_package_base(name, base):

@@ -327,7 +327,7 @@ def test_classical_rule_matches_the_oracle_to_rank_200():
             assert centralizer_profiles(t) == (), t.name
             continue
         cuspidal += 1
-        generic = Subsystem.of(*_oracle_generic_factors(t))
+        generic = Subsystem(tuple(sorted(_oracle_generic_factors(t))))
         assert centralizer_profile(t, None, "generic").entries == ((generic, 1),), t.name
         assert centralizer_profile(t, None, 2).entries == ((None, 1),), t.name
     # B/C: k(k+1) <= 200 for k = 1..13; D: 4k^2 <= 200 for k = 1..7.

@@ -38,6 +38,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "verify-all": ("verify", "all"),
     "verify-all-json": ("--json", "verify", "all"),
     "A9-verify": ("verify", "A9"),
+    "A70-verify": ("verify", "A70"),
+    "A70-tau": ("tau", "A70", "--levi", "-", "--char", "(71)"),
     "E7-tau": ("tau", "E7", "--levi", "E6", "--char", "eps"),
     "E8-tau": ("tau", "E8", "--levi", "D4", "--char", "chi_{4,1}"),
     "E8-tau-duplicated-label": ("tau", "E8", "--levi", "E7", "--char", "eps", "--index", "1"),

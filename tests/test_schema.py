@@ -61,7 +61,7 @@ def test_synthetic_b3_registers_and_serves(synthetic_b3_doc):
     assert len(strata(t, store)) == 10
     pairs = fiber(t, "(3|)", store)
     assert sum(m for _, m in pairs) == 2
-    triple = find_triple(t, "B2", "(2)")
+    triple = find_triple(t, "B2", "(2)", store=store)
     assert tau(t, triple, store).text == "(3|)"
     report = run_all(t, store)
     assert not report.failed

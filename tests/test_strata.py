@@ -90,9 +90,10 @@ def test_tau_rejects_foreign_triples():
     with pytest.raises(TripleNotFound):
         find_triple(e8, "E8", "1")  # ambiguous without d
     b5 = parse_type("B5")
-    triple = find_triple(b5, "-", "(5|)")
     with pytest.raises(NoTableAvailable):
-        tau(b5, triple)
+        find_triple(b5, "-", "(5|)")
+    with pytest.raises(NoTableAvailable):
+        tau(b5, enumerate_cs_prime(b5)[0])
 
 
 def test_fiber_examples():
@@ -419,8 +420,8 @@ def test_registering_again_replaces_the_placement(synthetic_b3_doc):
     first[1], last[1] = last[1], first[1]
     store = TableStore()
     b3 = parse_type("B3")
-    triple = find_triple(b3, "B2", "(2)")
     register_external_table(synthetic_b3_doc, store)
+    triple = find_triple(b3, "B2", "(2)", store=store)
     before = placement(b3, store)
     assert tau(b3, triple, store).text == "(3|)"
     register_external_table(swapped, store)
@@ -582,7 +583,7 @@ def test_stores_holding_different_tables_answer_independently(synthetic_b3_doc):
     register_external_table(synthetic_b3_doc, plain)
     register_external_table(swapped, other)
     b3 = parse_type("B3")
-    triple = find_triple(b3, "B2", "(2)")
+    triple = find_triple(b3, "B2", "(2)", store=plain)
     assert tau(b3, triple, plain).text == "(3|)"
     assert tau(b3, triple, other).text == "(|1,1,1)"
     assert [tr.describe() for tr, _ in fiber(b3, "(3|)", plain)] == ["(3|)", "(B2,(2),*)[0]"]
@@ -788,11 +789,12 @@ def test_rows_share_one_collection_per_kind_tags_and_quotient():
 
 
 def test_find_triple_agrees_with_a_scan_of_the_enumeration():
-    """find_triple against a reference scan of the enumeration: every
-    triple's coordinates with d given and omitted, and coordinates that
-    name no triple (another d, the next or a negative index, a character
-    of no Levi).  Asked while the store holds no placement of the type,
-    which scans a fresh enumeration, and again once it holds one."""
+    """find_triple against a reference scan of the enumeration a stored
+    placement holds: every triple's coordinates with d given and
+    omitted, and coordinates that name no triple (another d, the next
+    or a negative index, a character of no Levi).  A type without a
+    table is refused before anything is sought: B5, and each fixture
+    type asked of a store that does not hold it."""
 
     def scan(triples, levi_name, text, d, index):
         return [
@@ -802,11 +804,9 @@ def test_find_triple_agrees_with_a_scan_of_the_enumeration():
         ]
 
     outcomes = set()
-    for name in [*TABLE_TYPES, *FIXTURES, "A3", "B5"]:
-        t, fresh, answering = parse_type(name), TableStore(), _answering_store(name)
-        if name != "B5":  # B5 has no table
-            placement(t, answering)
-        triples = enumerate_cs_prime(t)
+    for name in [*TABLE_TYPES, *FIXTURES, "A3"]:
+        t, store = parse_type(name), _answering_store(name)
+        triples = placement(t, store).triples
         asked = dict.fromkeys(
             (tr.levi.levi_name, tr.character.text, d, i)
             for tr in triples
@@ -814,31 +814,35 @@ def test_find_triple_agrees_with_a_scan_of_the_enumeration():
                          (99, tr.index), (tr.d, -1))
         )
         asked[("-", "nope", None, 0)] = asked[("-", "nope", 3, 1)] = None
-        for store, held in ((fresh, False), (answering, name != "B5")):
-            assert (t.name in store) is held
-            for coordinates in asked:
-                levi_name, text, d, index = coordinates
-                matches = scan(triples, *coordinates)
-                if len(matches) == 1:
-                    assert find_triple(t, *coordinates, store=store) == matches[0]
-                    outcomes.add("found")
-                    continue
-                with pytest.raises(TripleNotFound) as err:
-                    find_triple(t, *coordinates, store=store)
-                if matches:
-                    want = f"({levi_name},{text}) is ambiguous in {t.name}; give --d"
-                    outcomes.add("ambiguous")
-                else:
-                    want = f"no triple ({levi_name},{text},d={d},i={index}) in {t.name}"
-                    outcomes.add("no triple")
-                assert str(err.value) == want
+        for coordinates in asked:
+            levi_name, text, d, index = coordinates
+            matches = scan(triples, *coordinates)
+            if len(matches) == 1:
+                assert find_triple(t, *coordinates, store=store) is matches[0]
+                outcomes.add("found")
+                continue
+            with pytest.raises(TripleNotFound) as err:
+                find_triple(t, *coordinates, store=store)
+            if matches:
+                want = f"({levi_name},{text}) is ambiguous in {t.name}; give --d"
+                outcomes.add("ambiguous")
+            else:
+                want = f"no triple ({levi_name},{text},d={d},i={index}) in {t.name}"
+                outcomes.add("no triple")
+            assert str(err.value) == want
     assert outcomes == {"found", "ambiguous", "no triple"}
+    for name in ["B5", *FIXTURES]:
+        t, store = parse_type(name), TableStore()
+        with pytest.raises(NoTableAvailable) as err:
+            find_triple(t, "-", enumerate_irr(t).labels[0].text, store=store)
+        assert str(err.value) == f"no strata table for {t.name}; register one for classical types"
+        assert not store
 
 
 def test_find_triple_reads_the_levi_spellings_of_table_entries():
-    e8, b3 = parse_type("E8"), parse_type("B3")
+    e8, b3, store = parse_type("E8"), parse_type("B3"), _answering_store("B3")
     assert find_triple(e8, "e_7", "eps") == find_triple(e8, "E7", "eps")
-    assert find_triple(b3, "b_2", "(2)") == find_triple(b3, "B2", "(2)")
+    assert find_triple(b3, "b_2", "(2)", store=store) == find_triple(b3, "B2", "(2)", store=store)
     assert find_triple(e8, "", "1_0") == find_triple(e8, "-", "1_0")
     with pytest.raises(TripleNotFound) as err:
         find_triple(e8, "Z9", "eps")

@@ -1,14 +1,15 @@
 import ast
+import json
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
-from charstrata import tabledata
+from charstrata import tables, tabledata
 from charstrata.cartan import CartanError, Subsystem, parse_type
 from charstrata.cuspidal import (
-    centralizer_profile, centralizer_profiles, cuspidal_counts, enumerate_cs_prime,
+    centralizer_profile, centralizer_profiles, cuspidal_counts, enumerate_cs_prime, triple_count,
 )
 from charstrata.strata import tau
 from charstrata.tables import (
@@ -16,7 +17,9 @@ from charstrata.tables import (
     NoTableAvailable,
     PlacementMismatch,
     TableFormatError,
+    TRIPLE_BUDGET,
     TableStore,
+    TripleBudgetExceeded,
     UnknownStratum,
     component_group,
     embedded_table,
@@ -30,7 +33,7 @@ from charstrata.tables import (
     registry_gaps,
     resolve_placement,
 )
-from charstrata.schema import parse_table_document
+from charstrata.schema import canonical_json, parse_table_document, table_document
 from charstrata.verify import register_external_table
 from conftest import source_nodes, synthetic_b3_table, synthetic_c4_table, synthetic_d6_table
 
@@ -217,26 +220,71 @@ def test_an_entry_that_takes_part_of_its_key_is_refused():
     assert str(err.value) == "entry (E8,1,3) in row '84_4' does not match the enumeration for E8"
 
 
-# Where the package may enumerate triples: TableStore.triples, which
-# every command path asks, and the entry points of the benchmark and
-# the tests, which no command path reaches.
-ENUMERATING = {
-    ("tables", "TableStore.triples"), ("tables", "embedded_table"),
-    ("tables", "resolve_placement"), ("schema", "parse_table_document"),
-}
-
-
 def test_commands_enumerate_only_through_the_store():
-    uses, entry_calls = set(), []
+    """TableStore.triples, which checks the triple budget, is the one
+    caller of enumerate_cs_prime under src/; beside it, only the tables
+    module and the package export import it."""
+    uses, importers, entry_calls = set(), set(), []
     for module, scope, node in source_nodes():
         if getattr(node, "id", getattr(node, "attr", None)) == "enumerate_cs_prime":
             uses.add((module, scope))
+        if isinstance(node, ast.alias) and node.name == "enumerate_cs_prime":
+            importers.add(module)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
                 "embedded_table", "parse_table_document", "resolve_placement"):
             entry_calls.append((node.func.id, len(node.args)))
-    assert ("tables", "TableStore.triples") in uses and uses <= ENUMERATING
+    assert uses == {("tables", "TableStore.triples")}
+    assert importers == {"tables", "__init__"}
     # Every call of an entry point under src/ passes the triples it resolves against.
     assert entry_calls and set(entry_calls) == {("resolve_placement", 3)}
+
+
+def _refuse_to_enumerate(t):
+    raise AssertionError(f"enumerated the triples of {t.name}")
+
+
+def test_the_triple_budget_admits_b26_and_refuses_a52():
+    """The boundary read off the closed form alone: no type near it is
+    enumerated here."""
+    counts = {name: triple_count(parse_type(name))
+              for name in ("A51", "B26", "A52", "B27", "D30", "A60", "A70")}
+    assert counts == {"A51": 281589, "B26": 298894, "A52": 329931, "B27": 409420,
+                      "D30": 474580, "A60": 1121505, "A70": 4697205}
+    assert counts["A51"] < counts["B26"] <= TRIPLE_BUDGET < counts["A52"]
+
+
+def test_the_store_refuses_a_type_past_the_budget_before_enumerating(monkeypatch):
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    store = TableStore()
+    for name, count in (("A52", 329931), ("B27", 409420), ("A70", 4697205)):
+        with pytest.raises(TripleBudgetExceeded) as err:
+            store.triples(parse_type(name))
+        assert str(err.value) == (
+            f"{name} has {count} cuspidal-support triples, over the budget of 300000")
+    with pytest.raises(TripleBudgetExceeded):
+        placement(parse_type("A52"), store)  # the first query on an identity type
+    assert not store
+
+
+def test_the_entry_points_label_from_the_default_store(monkeypatch, synthetic_b3_doc):
+    """embedded_table, parse_table_document and resolve_placement(t,
+    rows) take their triples from DEFAULT_STORE: the placement it holds,
+    whose labels their rows share, and a fresh enumeration of a type it
+    does not hold, which it does not keep."""
+    e7 = parse_type("E7")
+    pl = placement(e7)
+    doc = json.loads(canonical_json(table_document(e7)))
+    with monkeypatch.context() as patched:
+        patched.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+        rows = embedded_table(e7)
+        t, parsed = parse_table_document(doc)
+        resolved = resolve_placement(e7, rows)
+    assert t == e7 and rows == parsed == pl.rows and resolved.triples is pl.triples
+    labels = {id(tr.character) for tr in pl.triples}
+    for built in (rows, parsed):
+        assert all(id(en.character) in labels for row in built for en in row.fiber)
+    b3, b3_rows = parse_table_document(synthetic_b3_doc)
+    assert resolve_placement(b3, b3_rows).rows == b3_rows and "B3" not in DEFAULT_STORE
 
 
 def test_centralizer_profile_examples():

@@ -160,6 +160,16 @@ def test_enumeration_check_fails_when_a_triple_is_dropped(monkeypatch):
         b5, TableStore()).checks
 
 
+def test_verify_computes_each_triple_count_once():
+    """The store's budget and cuspidal-enumeration read one closed-form
+    count: for a built-in table, a type without one, and a type past
+    the budget."""
+    for name in ("E8", "B5", "A70"):
+        triple_count.cache_clear()
+        run_all(parse_type(name), TableStore())
+        assert triple_count.cache_info().misses == 1, name
+
+
 @pytest.fixture
 def e7_table_printing_a_third_triple(monkeypatch):
     """The embedded E7 table with its last entry, (E7,1,0)#2, printed
