@@ -4,9 +4,10 @@ that ties fiber sizes to representation inventories.
 
 The map is realized by index lookup in the resolved strata tables:
 each query subscripts the store by type name and does one lookup in
-the placement's stratum_of_triple or row_of_head.  The head index takes
-a stratum as its text or its label and raises UnknownStratum itself
-for one that heads no row; find_triple, like every query, reads only
+the placement's stratum_of_triple, row_of_head or, for c_star and
+c_collection, collection_of_head.  Each head index takes a stratum as
+its text or its label and raises UnknownStratum itself for one that
+heads no row; find_triple, like every query, reads only
 store[t.name]: a placement's candidate keys and their rows' fibers.
 The enumeration side is produced independently by the cuspidal-support
 module, so table placement is a falsifiable statement, checked by the
@@ -28,7 +29,6 @@ from .tables import (  # noqa: F401 - placement, Placement and its resolver are 
     PlacementMismatch,
     TableFormatError,
     TableStore,
-    find_row,
     levi_name_of,
     placement,
     resolve_placement,
@@ -107,7 +107,8 @@ def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLa
 def c_collection(
     t: CartanType, stratum: CharacterLabel | str, store: TableStore = DEFAULT_STORE
 ) -> GroupCollection:
-    return find_row(t, stratum, store).annotation.collection
+    """The group collection c(E) of a stratum's row."""
+    return store[t.name].collection_of_head[stratum]
 
 
 def c_star(
@@ -116,8 +117,7 @@ def c_star(
     """The label set attached to a stratum: inventories of c(E), with
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
-    pl = store[t.name]
-    return list(pl.rows[pl.row_of_head[stratum]].annotation.collection.labels)
+    return list(store[t.name].collection_of_head[stratum].labels)
 
 
 def bijection_witness(

@@ -32,9 +32,13 @@ class UnknownStratum(CharstrataError, LookupError):
 
 # The most triples TableStore.triples enumerates for one type.  It admits
 # B26 (298,894 triples: verify B26 takes about 1.4 s and 110 MB with
-# Python 3.11.7 on 2 CPUs) and A51 (281,589), and refuses A52 (329,931),
-# B27 (409,420) and all larger types, such as A70 (4,697,205), which
-# no command had finished in 30 s.
+# Python 3.11.7 on 2 CPUs), and refuses A52 (329,931), B27 (409,420)
+# and all larger types, such as A70 (4,697,205), which no command had
+# finished in 30 s.  An identity table builds one row per triple on top
+# of them, so TableStore.__missing__ builds one only when its triples
+# and rows together fit: A47 (147,273 triples) builds (tau A47 takes
+# about 1.9 s and 190 MB), and A48 (173,525) to A51 are refused, where
+# tau A51 had taken 4.9 s and 337 MB.
 TRIPLE_BUDGET = 300_000
 
 
@@ -43,16 +47,17 @@ class TripleBudgetExceeded(CharstrataError, ValueError):
 
 
 class HeadIndex(dict):
-    """A table's row index: the dict from the text of each row's stratum
-    to the row's index.  A stratum given as its label misses and is
-    looked up by its text; a text that heads no row raises UnknownStratum
-    naming the type, as it is no stratum of the type."""
+    """A table's index by stratum: the dict from the text of each row's
+    stratum to what the table holds for that row.  A stratum given as
+    its label misses and is looked up by its text; a text that heads no
+    row raises UnknownStratum naming the type, as it is no stratum of
+    the type."""
 
-    def __init__(self, type_name: str, row_of_text) -> None:
-        super().__init__(row_of_text)
+    def __init__(self, type_name: str, value_of_text) -> None:
+        super().__init__(value_of_text)
         self.type_name = type_name
 
-    def __missing__(self, stratum: CharacterLabel | str) -> int:
+    def __missing__(self, stratum: CharacterLabel | str):
         if isinstance(stratum, str):
             raise UnknownStratum(f"{stratum!r} is not a stratum of {self.type_name}")
         return self[stratum.text]
@@ -353,9 +358,12 @@ class Placement(ValueObject):
     row-order/registry-order convention); every other entry stands for
     its own key.
     row_of_head, a HeadIndex, maps each stratum, as its text or its
-    label, to its row index and raises UnknownStratum for any other, and
-    stratum_of_triple each triple key (Levi name, character text, d) to
-    the stratum of the row whose fiber holds the triples of that key.
+    label, to its row index and raises UnknownStratum for any other;
+    collection_of_head, another, maps it to the group collection c(E)
+    that its row's Annotation holds, the very object; and
+    stratum_of_triple maps each triple key (Levi name, character text,
+    d) to the stratum of the row whose fiber holds the triples of that
+    key.
     fiber_pairs holds for each row its fiber as (triple, multiplicity)
     pairs, and fiber_expanded the same fiber with one (triple, 1) pair
     per triple (the same tuple when the two agree, that is when no
@@ -367,15 +375,16 @@ class Placement(ValueObject):
     such as its group datum or its balance, is checked there once.
     resolve_placement builds all of them in one walk of the enumeration
     and one of the entries, which places them and records each row's
-    pairs and kind, and a query answers with one lookup in row_of_head
-    or stratum_of_triple (find_triple: one in each per candidate key);
+    pairs and kind, and a query answers with one lookup in row_of_head,
+    collection_of_head or stratum_of_triple (find_triple: one in
+    stratum_of_triple and one in row_of_head per candidate key);
     registry_gaps reads how the empty-Levi entries list Irr(t) off
     relabelled.
     """
 
     __slots__ = _fields = (
-        "type_name", "triples", "rows", "relabelled", "row_of_head", "stratum_of_triple",
-        "fiber_pairs", "fiber_expanded", "row_kinds",
+        "type_name", "triples", "rows", "relabelled", "row_of_head", "collection_of_head",
+        "stratum_of_triple", "fiber_pairs", "fiber_expanded", "row_kinds",
     )
 
 
@@ -477,8 +486,10 @@ def resolve_placement(t: CartanType, rows: tuple[StrataRow, ...], triples=None) 
             expanded += [(each, 1) for each in enum[last + 1 - mult:last + 1]]
         fiber_expanded[ri] = tuple(expanded)
     row_of_head = HeadIndex(t.name, {row.stratum.text: ri for ri, row in enumerate(rows)})
+    collection_of_head = HeadIndex(
+        t.name, {row.stratum.text: row.annotation.collection for row in rows})
     return Placement(
-        t.name, enum, rows, relabelled, row_of_head, stratum_of_triple,
+        t.name, enum, rows, relabelled, row_of_head, collection_of_head, stratum_of_triple,
         fiber_pairs, tuple(fiber_expanded), tuple(kinds.values()),
     )
 
@@ -532,11 +543,17 @@ class TableStore(dict):
         against one enumeration: the embedded one, or for an identity
         type one constant row with trivial groups (printed [1]) per
         triple, all of which are empty-Levi ones, its fiber the triple.
-        NoTableAvailable for any other type."""
+        NoTableAvailable for any other type, and TripleBudgetExceeded,
+        before any triple is built, for an identity type whose triples
+        and rows together exceed TRIPLE_BUDGET."""
         t = parse_type(name)
         if not (source := built_in_source(t)):
             raise NoTableAvailable(
                 f"no strata table for {t.name}; register one for classical types")
+        if source == "built in" and (count := triple_count(t)) <= TRIPLE_BUDGET < 2 * count:
+            raise TripleBudgetExceeded(
+                f"{t.name} has {count} cuspidal-support triples and its identity table as many "
+                f"rows, {2 * count} together, over the budget of {TRIPLE_BUDGET}")
         triples = self.triples(t)
         raw = tabledata.TABLES[t.name] if source == "embedded" else (
             (tr.character.text, (), "[1]") for tr in triples)

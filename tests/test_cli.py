@@ -205,6 +205,39 @@ def test_verify_past_the_triple_budget_skips_what_would_enumerate(capsys, monkey
         assert out.splitlines()[-1].startswith("  group-inventories: pass")
 
 
+# A48's 173,525 triples fit the budget; with its identity table's as many
+# rows they do not.
+A48_TABLE_OVER_BUDGET = ("error: A48 has 173525 cuspidal-support triples and its identity "
+                         "table as many rows, 347050 together, over the budget of 300000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "A48", "--levi", "-", "--char", "(49)"),
+    ("strata", "A48"),
+    ("fiber", "A48", "--stratum", "(49)"),
+    ("cstar", "A48", "--stratum", "(49)"),
+])
+def test_an_identity_table_past_the_budget_exits_2_before_enumerating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    assert run(capsys, *argv) == (2, "", A48_TABLE_OVER_BUDGET)
+
+
+def test_verify_of_an_identity_table_past_the_budget_counts_and_skips_the_table(
+    capsys, monkeypatch
+):
+    """verify A48 counts the triples, which fit the budget (a stand-in of
+    the right length here), and skips the six checks of the table."""
+    counted = tables.triple_count
+    monkeypatch.setattr(tables, "enumerate_cs_prime", lambda t: (None,) * counted(t))
+    code, out, err = run(capsys, "verify", "A48")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:8] == [
+        "== A48",
+        "  cuspidal-enumeration: pass  [173525 triples]",
+        *(f"  {cid}: skipped  [over the triple budget]" for cid in CHECK_IDS[1:7]),
+    ]
+
+
 def test_info_answers_past_the_triple_budget(capsys, monkeypatch):
     monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
     code, out, err = run(capsys, "info", "A70")

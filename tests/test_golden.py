@@ -40,6 +40,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "A9-verify": ("verify", "A9"),
     "A70-verify": ("verify", "A70"),
     "A70-tau": ("tau", "A70", "--levi", "-", "--char", "(71)"),
+    "A48-tau": ("tau", "A48", "--levi", "-", "--char", "(49)"),
     "E7-tau": ("tau", "E7", "--levi", "E6", "--char", "eps"),
     "E8-tau": ("tau", "E8", "--levi", "D4", "--char", "chi_{4,1}"),
     "E8-tau-duplicated-label": ("tau", "E8", "--levi", "E7", "--char", "eps", "--index", "1"),

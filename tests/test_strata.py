@@ -479,7 +479,8 @@ def test_warm_queries_call_no_python_function(synthetic_b3_doc):
         assert calls_of(tau, t, triple, store) == ["tau"]
         by_label = calls_of(hash, label) + ["__missing__"]
         assert by_label[0] == "__hash__"
-        for query, *rest in ((fiber, False), (fiber, True), (c_star,), (find_row,)):
+        for query, *rest in ((fiber, False), (fiber, True), (c_star,), (c_collection,),
+                             (find_row,)):
             name = query.__name__
             assert calls_of(query, t, label.text, store, *rest) == [name]
             assert calls_of(query, t, label, store, *rest) == [name, *by_label]
@@ -716,6 +717,22 @@ def test_stratum_answers_agree_with_the_per_call_oracle(name):
         (row.stratum.text, sum(en.mult for en in row.fiber), len(oracle_strata.labels(row)))
         for row in pl.rows
     ]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_collection_of_head_holds_each_rows_own_collection(name):
+    """collection_of_head[head] is the very GroupCollection the head's
+    row annotation holds, and c_collection and c_star answer alike given
+    the head's label or its text."""
+    t = parse_type(name)
+    store = _answering_store(name)
+    pl = placement(t, store)
+    assert list(pl.collection_of_head) == list(pl.row_of_head)
+    for row in pl.rows:
+        head, coll = row.stratum, row.annotation.collection
+        assert pl.collection_of_head[head.text] is pl.collection_of_head[head] is coll
+        assert c_collection(t, head, store) is c_collection(t, head.text, store) is coll
+        assert c_star(t, head, store) == c_star(t, head.text, store) == list(coll.labels)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)

@@ -266,6 +266,33 @@ def test_the_store_refuses_a_type_past_the_budget_before_enumerating(monkeypatch
     assert not store
 
 
+def test_an_identity_table_fits_the_budget_with_its_rows():
+    """An identity table builds one row per triple, so the store builds
+    one only when its triples and rows together fit the budget."""
+    a47, a48 = (triple_count(parse_type(name)) for name in ("A47", "A48"))
+    assert (a47, a48) == (147273, 173525)
+    assert 2 * a47 <= TRIPLE_BUDGET < 2 * a48 and a48 <= TRIPLE_BUDGET
+
+
+def test_the_store_refuses_an_identity_table_past_the_budget_before_enumerating(monkeypatch):
+    """A48's triples fit the budget, its identity table does not: the
+    store refuses the table before any triple is built and keeps
+    nothing, while its triples alone are still enumerated."""
+    monkeypatch.setattr(tables, "enumerate_cs_prime", _refuse_to_enumerate)
+    store = TableStore()
+    with pytest.raises(TripleBudgetExceeded) as err:
+        store["A48"]
+    assert str(err.value) == (
+        "A48 has 173525 cuspidal-support triples and its identity table as many rows, "
+        "347050 together, over the budget of 300000")
+    with pytest.raises(TripleBudgetExceeded, match="^A48 has 173525 "):
+        placement(parse_type("A48"), store)
+    assert not store
+    enumerated = []
+    monkeypatch.setattr(tables, "enumerate_cs_prime", lambda t: enumerated.append(t.name) or ())
+    assert store.triples(parse_type("A48")) == () and enumerated == ["A48"]
+
+
 def test_the_entry_points_label_from_the_default_store(monkeypatch, synthetic_b3_doc):
     """embedded_table, parse_table_document and resolve_placement(t,
     rows) take their triples from DEFAULT_STORE: the placement it holds,

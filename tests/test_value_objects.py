@@ -187,7 +187,8 @@ COMPARED = {
     Annotation: ("groups", "boxed"),
     StrataRow: ("stratum", "fiber", "annotation"),
     Placement: ("type_name", "triples", "rows", "relabelled", "row_of_head",
-                "stratum_of_triple", "fiber_pairs", "fiber_expanded", "row_kinds"),
+                "collection_of_head", "stratum_of_triple", "fiber_pairs", "fiber_expanded",
+                "row_kinds"),
     CentralizerProfile: ("ambient", "d", "characteristic_class", "entries", "note"),
     GroupCollection: ("kind", "tags", "quotient"),
     CStarElement: ("group", "irrep", "origin"),
