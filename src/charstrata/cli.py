@@ -128,11 +128,12 @@ def _char_class(text: str) -> str:
     """The profile class that a --char-class value selects ('generic'
     for generic and 0, else the prime itself); CartanError when the
     value is none of these.  Primes are written in decimal without
-    leading zeros and, to bound the trial division, below 10^12."""
+    leading zeros; ascii_decimal's 12-digit cap bounds the trial
+    division."""
     if text in ("generic", "0"):
         return "generic"
     n = ascii_decimal(text)
-    if n is not None and 1 < n < 10**12 and str(n) == text:
+    if n is not None and n > 1 and str(n) == text:
         if all(n % q for q in range(2, isqrt(n) + 1)):
             return text
     raise CartanError(f"bad --char-class {text!r}; expected generic, 0 or a prime")

@@ -135,54 +135,48 @@ def _partition_numbers(n: int) -> list[int]:
     return p
 
 
-def _bipartitions(p: list[int], m: int) -> int:
-    """bip(m), the bipartitions of m, from the partition numbers p."""
-    return sum(p[j] * p[m - j] for j in range(m + 1))
-
-
-def irr_count(t: CartanType | None) -> int:
-    """|Irr W| of t (the trivial group for None) with no registry built
-    but an exceptional one: p(n+1) for A_n, bip(n) for B_n and C_n, and
-    for D_n (bip(n) + 3p(n/2))/2, the p-term for even n only."""
+def _irr_count(t: CartanType | None, p: list[int]) -> int:
+    """|Irr W| of t from the partition numbers p, which reach t's rank
+    plus one: see irr_count."""
     if t is None or t.is_torus:
         return 1
     if t.is_exceptional:
         return len(enumerate_irr(t))
     n = t.rank
-    p = _partition_numbers(n + 1)
     if t.series == "A":
         return p[n + 1]
+    bip = sum(p[j] * p[n - j] for j in range(n + 1))
     if t.series == "D":
-        return (_bipartitions(p, n) + (0 if n % 2 else 3 * p[n // 2])) // 2
-    return _bipartitions(p, n)
+        return (bip + (0 if n % 2 else 3 * p[n // 2])) // 2
+    return bip
+
+
+def irr_count(t: CartanType | None) -> int:
+    """|Irr W| of t (the trivial group for None) with no registry built
+    but an exceptional one: p(n+1) for A_n, bip(n), the bipartitions of
+    n, for B_n and C_n, and for D_n (bip(n) + 3p(n/2))/2, the p-term for
+    even n only."""
+    return _irr_count(t, _partition_numbers(0 if t is None else t.rank + 1))
 
 
 @lru_cache(maxsize=8)
 def triple_count(t: CartanType) -> int:
     """The number of cuspidal-support triples of t, counted without
-    enumerating them.  For the classical series these count the Lusztig
-    symbols of rank n (Lusztig, Invent. Math. 43, 1977; Carter, Finite
-    Groups of Lie Type, 1985, 13.8): p(n+1) for A_n, the sum of
-    bip(n - k(k+1)) over k >= 0 for B_n and C_n, and |Irr W(D_n)| plus
-    the sum of bip(n - 4k^2) over k >= 1 for D_n.  An exceptional type
-    sums, over its cuspidal Levis, the character count of the relative
-    group (registry data for exceptional groups) times the Levi's
-    cuspidal count.  Kept for the last few types asked: the store's
+    enumerating them (PAPER.md 1.3): over the cuspidal Levis L_J, the
+    character count of the relative group N_W(W_J)/W_J (registry data
+    for an exceptional group) times the cuspidal objects on L_J.  For
+    the classical series this counts the Lusztig symbols of rank n
+    (Lusztig, Invent. Math. 43, 1977; Carter, Finite Groups of Lie
+    Type, 1985, 13.8): p(n+1) for A_n, the sum of bip(n - k(k+1)) over
+    k >= 0 for B_n and C_n, and |Irr W(D_n)| plus the sum of
+    bip(n - 4k^2) over k >= 1 for D_n.  One partition-number table
+    serves every Levi.  Kept for the last few types asked: the store's
     budget and verify's cuspidal-enumeration both read it."""
-    if t.is_exceptional:
-        return sum(
-            irr_count(levi.relative_weyl_type) * levi_counts(levi).total
-            for levi in cuspidal_levis(t)
-        )
-    if t.series in ("A", "Torus"):
-        return irr_count(t)
-    n = t.rank
-    p = _partition_numbers(n)
-    if t.series == "D":
-        return irr_count(t) + sum(
-            _bipartitions(p, n - 4 * k * k) for k in range(1, isqrt(n) // 2 + 1)
-        )
-    return sum(_bipartitions(p, n - k * (k + 1)) for k in range(isqrt(n) + 1) if k * (k + 1) <= n)
+    p = _partition_numbers(t.rank + 1)
+    return sum(
+        _irr_count(levi.relative_weyl_type, p) * levi_counts(levi).total
+        for levi in cuspidal_levis(t)
+    )
 
 
 class SheafTriple(ValueObject):

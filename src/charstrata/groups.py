@@ -24,11 +24,6 @@ class GroupError(CharstrataError, ValueError):
     pass
 
 
-GROUP_TAGS = (
-    "1", "C2", "C3", "C4", "C5", "C6",
-    "C2xC2", "C2xC3", "S3", "S4", "S5", "D8", "S3xC2",
-)
-
 # Aliases seen in annotations; S2 is the same group as C2.
 _ALIASES = {"S2": "C2", "Triv": "1"}
 
@@ -60,6 +55,8 @@ _INVENTORIES: dict[str, tuple[str, ...]] = {
     "D8": ("1", "chi_r", "chi_f", "chi_rf", "deg2"),
     "S3xC2": ("(1,+)", "(sgn,+)", "(std,+)", "(1,-)", "(sgn,-)", "(std,-)"),
 }
+
+GROUP_TAGS = tuple(_INVENTORIES)
 
 
 def inventory(tag: str) -> tuple[str, ...]:

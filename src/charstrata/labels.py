@@ -27,11 +27,6 @@ class LabelError(CharstrataError, ValueError):
 Partition = tuple[int, ...]
 
 
-def partitions(n: int) -> tuple[Partition, ...]:
-    """Partitions of n, largest part first, in descending lex order."""
-    return tuple(parts for parts, _ in _partition_memo()(n))
-
-
 def _partition_memo():
     """m -> the partitions of m in descending lex order, as (parts, text)
     pairs, from a memo local to one registry build, which builds those

@@ -15,6 +15,7 @@ from charstrata.cuspidal import (
     triple_count,
 )
 from charstrata.labels import enumerate_irr, relative_character_labels
+from oracle_partitions import partition_numbers
 from oracle_reflection import relative_weyl_order, root_system
 
 
@@ -332,3 +333,52 @@ def test_classical_rule_matches_the_oracle_to_rank_200():
         assert centralizer_profile(t, None, 2).entries == ((None, 1),), t.name
     # B/C: k(k+1) <= 200 for k = 1..13; D: 4k^2 <= 200 for k = 1..7.
     assert cuspidal == 13 + 13 + 7
+
+
+# The sum of PAPER.md 1.3 over the cuspidal Levis, from the oracle's
+# Levi ranks and the tests' own partition numbers: every Levi carries
+# one cuspidal object, and the relative group B_{n-m} of a nonempty
+# Levi has bip(n-m) characters (B1 = A1 has 2, the trivial group 1).
+
+
+def _oracle_triple_count(t, p):
+    n = t.rank
+
+    def bip(m):
+        return sum(p[j] * p[m - j] for j in range(m + 1))
+
+    if t.series == "A":
+        return p[n + 1]
+    empty = bip(n)
+    if t.series == "D":
+        # Unordered bipartitions, each symmetric one split in two.
+        symmetric = 0 if n % 2 else p[n // 2]
+        empty = (empty - symmetric) // 2 + 2 * symmetric
+    return empty + sum(bip(n - m) for m in _oracle_levi_ranks(t))
+
+
+def test_triple_count_is_the_sum_over_the_cuspidal_levis():
+    p = partition_numbers(1001)
+    types = [CartanType("A", n) for n in range(1, 201)] + CLASSICAL_TYPES_TO_200
+    for t in types + [CartanType("B", 1000), CartanType("D", 1000)]:
+        assert triple_count(t) == _oracle_triple_count(t, p), t.name
+
+
+def test_triple_count_builds_no_classical_registry(monkeypatch):
+    """The rank-ceiling counts, in closed form: no registry of these
+    sizes could be built."""
+    def refuse(t):
+        raise AssertionError(f"built the registry of {t.name}")
+
+    monkeypatch.setattr(cuspidal, "enumerate_irr", refuse)
+    monkeypatch.setattr(labels, "enumerate_irr", refuse)
+    triple_count.cache_clear()
+    p = partition_numbers(1001)
+    counts = {name: triple_count(parse_type(name)) for name in ("A999", "B1000", "C1000", "D1000")}
+    assert counts == {
+        "A999": 24061467864032622473692149727991,
+        "B1000": 4770970731829038734545216742054617918305165808,
+        "C1000": 4770970731829038734545216742054617918305165808,
+        "D1000": 2352109199796833474401881573945061469071056066,
+    }
+    assert counts == {name: _oracle_triple_count(parse_type(name), p) for name in counts}

@@ -22,6 +22,15 @@ def group_order(tag: str) -> int:
     return len(_model(tag)[0])
 
 
+def test_group_tags_are_the_inventory_keys_in_order():
+    # GROUP_TAGS is read off the inventories; its order names the
+    # parametrized tests and orders verify's group-inventories walk.
+    assert GROUP_TAGS == (
+        "1", "C2", "C3", "C4", "C5", "C6",
+        "C2xC2", "C2xC3", "S3", "S4", "S5", "D8", "S3xC2",
+    )
+
+
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 def test_inventory_size_equals_class_count(tag):
     assert len(inventory(tag)) == conjugacy_class_count(tag)

@@ -11,16 +11,17 @@ from charstrata.labels import (
     PartitionLabel,
     TrivialLabel,
     enumerate_irr,
+    _partition_memo,
     parse_label,
-    partitions,
     relative_character_labels,
     unit_label,
 )
+from oracle_partitions import oracle_partitions
 from oracle_reflection import root_system, weyl_group
 
 
 def _p(n: int) -> int:
-    return sum(1 for _ in partitions(n))
+    return sum(1 for _ in oracle_partitions(n))
 
 
 def test_a2_has_three_labels():
@@ -42,8 +43,8 @@ def _d_series_bruteforce(n: int) -> int:
     seen = set()
     extra = 0
     for a in range(n + 1):
-        for alpha in partitions(a):
-            for beta in partitions(n - a):
+        for alpha in oracle_partitions(a):
+            for beta in oracle_partitions(n - a):
                 key = tuple(sorted((alpha, beta)))
                 if alpha == beta and key not in seen:
                     extra += 1
@@ -203,27 +204,15 @@ def test_unit_labels():
     assert unit_label(TORUS) == TrivialLabel()
 
 
-def _oracle_partitions(n: int, max_part: int | None = None):
-    """The recursive generator enumerate_irr once used, kept as the
-    reference for the order of its labels."""
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in _oracle_partitions(n - first, first):
-            yield (first,) + rest
-
-
 def _oracle_texts(t: CartanType) -> list[str]:
     def parts(p):
         return ",".join(map(str, p))
 
     n = t.rank
     if t.series == "A":
-        return [f"({parts(p)})" for p in _oracle_partitions(n + 1)]
+        return [f"({parts(p)})" for p in oracle_partitions(n + 1)]
     pairs = [(alpha, beta) for a in range(n, -1, -1)
-             for alpha in _oracle_partitions(a) for beta in _oracle_partitions(n - a)]
+             for alpha in oracle_partitions(a) for beta in oracle_partitions(n - a)]
     if t.series in ("B", "C"):
         return [f"({parts(a)}|{parts(b)})" for a, b in pairs]
     out = []
@@ -247,7 +236,11 @@ def test_registry_order_matches_the_recursive_enumeration(name):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_partitions_match_the_recursive_enumeration(n):
-    assert list(partitions(n)) == list(_oracle_partitions(n))
+    # The memo one registry build reads its partitions and texts from.
+    expected = list(oracle_partitions(n))
+    pairs = _partition_memo()(n)
+    assert [parts for parts, _ in pairs] == expected
+    assert [text for _, text in pairs] == [",".join(map(str, p)) for p in expected]
 
 
 def test_malformed_partitions_are_rejected_with_their_parts():
@@ -282,7 +275,7 @@ def test_partition_parts_are_ascii_decimal_only(name, text, parts):
 ])
 def test_enumerated_labels_equal_their_parsed_text(name):
     # The registry builds its labels without re-checking the parts that
-    # partitions() generated; parsing each text runs every check.
+    # the partition memo generated; parsing each text runs every check.
     t = parse_type(name)
     for lab in enumerate_irr(t):
         parsed = parse_label(t, lab.text)

@@ -118,9 +118,11 @@ def test_extended_diagrams_are_bourbakis(series, n):
 
 
 # What each oracle module imports from the package (README, "Install and
-# test"): the reflection oracle nothing, the diagram oracle no typed data.
+# test"): the reflection and partition oracles nothing, the diagram
+# oracle no typed data.
 ORACLE_IMPORTS = {
     "oracle_reflection": set(),
+    "oracle_partitions": set(),
     "oracle_cartan": {"CartanError", "CartanType", "Subsystem", "simple_type"},
     "oracle_groups": {"_model"},
     "oracle_strata": {
