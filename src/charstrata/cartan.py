@@ -191,7 +191,7 @@ class CartanType(ValueObject):
     def is_classical(self) -> bool:
         return self.series in ("B", "C", "D")
 
-    def __str__(self) -> str:  # pragma: no cover - repr helper
+    def __str__(self) -> str:
         return self.name
 
 
@@ -311,7 +311,7 @@ class Subsystem(ValueObject):
             return "-"
         return "x".join(f.name for f in sorted(self.factors, key=lambda t: (-t.rank, t.series)))
 
-    def __str__(self) -> str:  # pragma: no cover - repr helper
+    def __str__(self) -> str:
         return self.name
 
 

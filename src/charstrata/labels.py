@@ -75,7 +75,7 @@ class CharacterLabel(ValueObject):
 
     __slots__ = ()
 
-    def __str__(self) -> str:  # pragma: no cover - repr helper
+    def __str__(self) -> str:
         return self.text
 
 

@@ -91,7 +91,7 @@ def fiber(
     first pair is the stratum's own empty-Levi triple.  With expand,
     one pair per cuspidal index."""
     pl = store[t.name]
-    return list((pl.fiber_expanded if expand else pl.fiber_pairs)[pl.row_of_head[stratum]])
+    return [*(pl.fiber_expanded if expand else pl.fiber_pairs)[pl.row_of_head[stratum]]]
 
 
 def strata(t: CartanType, store: TableStore = DEFAULT_STORE) -> list[CharacterLabel]:
@@ -117,7 +117,7 @@ def c_star(
     """The label set attached to a stratum: inventories of c(E), with
     the pulled-back part of a pair's second group removed, or the
     faithful cyclic characters for the triple case."""
-    return list(store[t.name].collection_of_head[stratum].labels)
+    return [*store[t.name].collection_of_head[stratum].labels]
 
 
 def bijection_witness(

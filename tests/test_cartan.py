@@ -307,6 +307,7 @@ def test_subsystem_alias_normalization():
     assert Subsystem.parse("C2").factors == (CartanType("B", 2),)
     assert Subsystem.parse("B1xC1").name == "A1xA1"
     assert Subsystem.parse("D2").name == "A1xA1"
+    assert str(Subsystem.parse("E7xA1")) == "E7xA1" and str(Subsystem.parse("-")) == "-"
     assert Subsystem.parse("-").factors == ()
 
 

@@ -280,5 +280,5 @@ def test_enumerated_labels_equal_their_parsed_text(name):
     for lab in enumerate_irr(t):
         parsed = parse_label(t, lab.text)
         assert parsed == lab
-        assert parsed.text == lab.text
+        assert parsed.text == lab.text == str(parsed)
         assert hash(parsed) == hash(lab)

@@ -1,4 +1,5 @@
 import copy
+import dis
 import gc
 import re
 import sys
@@ -484,6 +485,26 @@ def test_warm_queries_call_no_python_function(synthetic_b3_doc):
             name = query.__name__
             assert calls_of(query, t, label.text, store, *rest) == [name]
             assert calls_of(query, t, label, store, *rest) == [name, *by_label]
+
+
+def test_warm_stratum_queries_execute_no_call_instruction():
+    """The profile hook above sees no call of a type such as list, so the
+    code is pinned instead: each query is subscripts and, for fiber and
+    c_star, a list display, with no CALL_FUNCTION (3.10), PRECALL or
+    CALL (3.11 on).  Each answer is still a new list."""
+    for query in (fiber, c_star, c_collection, find_row):
+        assert [ins.opname for ins in dis.get_instructions(query)
+                if "CALL" in ins.opname] == [], query.__name__
+    for name in ("E8", "A3"):
+        t = parse_type(name)
+        head = strata(t)[-1].text
+        for query, *rest in ((fiber, DEFAULT_STORE, False), (fiber, DEFAULT_STORE, True),
+                             (c_star,)):
+            answer = query(t, head, *rest)
+            kept = answer.copy()
+            assert type(answer) is list and kept
+            answer.clear()
+            assert query(t, head, *rest) == kept
 
 
 def test_fresh_stores_answer_equally_from_distinct_placements():
